@@ -1,11 +1,9 @@
 //! The per-core L1 data cache controller.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use gpumem_config::{GpuConfig, L1Config};
 use gpumem_types::{
-    AccessKind, Cycle, FetchArena, LineAddr, MemFetch, QueueStats, SimQueue, SlotId,
+    AccessKind, Cycle, CycleStamp, DueHeap, FetchArena, LineAddr, MemFetch, QueueStats, SimQueue,
+    SlotId,
 };
 
 use crate::{MshrTable, TagArray};
@@ -24,8 +22,8 @@ pub enum L1BlockReason {
     MissQueueFull,
 }
 
-/// Result of presenting one coalesced access to the L1.
-#[derive(Debug)]
+/// How the L1 accepted one coalesced access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum L1AccessOutcome {
     /// Load hit; the response will surface from
     /// [`L1Dcache::pop_ready_hits`] after the hit latency.
@@ -39,9 +37,6 @@ pub enum L1AccessOutcome {
     /// Store accepted into the write-through path (it will travel to L2 via
     /// the miss queue; no response will return).
     StoreAccepted,
-    /// The access could not be accepted this cycle; it is handed back and
-    /// must be retried.
-    Blocked(MemFetch, L1BlockReason),
 }
 
 /// Counters exposed by the L1 controller.
@@ -86,33 +81,6 @@ impl L1Stats {
     }
 }
 
-#[derive(Debug)]
-struct HitEntry {
-    ready: Cycle,
-    seq: u64,
-    /// Arena slot holding the completed fetch (keeping the heap element at
-    /// 24 bytes instead of carrying the whole `MemFetch` through sifts).
-    slot: SlotId,
-}
-
-impl PartialEq for HitEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.ready == other.ready && self.seq == other.seq
-    }
-}
-impl Eq for HitEntry {}
-impl PartialOrd for HitEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HitEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-ready first.
-        (other.ready, other.seq).cmp(&(self.ready, self.seq))
-    }
-}
-
 /// A non-blocking, write-through / write-no-allocate L1 data cache.
 ///
 /// Matches the GPGPU-Sim Fermi L1D: load misses allocate MSHRs and send
@@ -136,10 +104,10 @@ pub struct L1Dcache {
     /// no copy is parked here; the returning fill reconstitutes it.
     mshr: MshrTable<Option<SlotId>>,
     miss_queue: SimQueue<MemFetch>,
-    ready_hits: BinaryHeap<HitEntry>,
+    /// Hit responses waiting out the hit latency.
+    ready_hits: DueHeap<SlotId>,
     /// Parked bodies of merged waiters and latency-pending hit responses.
     arena: FetchArena,
-    next_seq: u64,
     stats: L1Stats,
 }
 
@@ -158,9 +126,8 @@ impl L1Dcache {
             tags: TagArray::new(l1.sets, l1.assoc),
             mshr: MshrTable::new(l1.mshr_entries, l1.mshr_merge),
             miss_queue: SimQueue::new("l1_miss", l1.miss_queue),
-            ready_hits: BinaryHeap::new(),
+            ready_hits: DueHeap::new(),
             arena: FetchArena::with_capacity(l1.mshr_entries * l1.mshr_merge),
-            next_seq: 0,
             stats: L1Stats::default(),
         }
     }
@@ -176,110 +143,166 @@ impl L1Dcache {
 
     /// Presents one coalesced access (the L1 port accepts at most one per
     /// cycle; enforcing that is the caller's job).
-    pub fn access(&mut self, mut fetch: MemFetch, now: Cycle) -> L1AccessOutcome {
-        let set = self.set_of(fetch.line);
-        match fetch.kind {
-            AccessKind::Load => {
-                if self.tags.access(set, fetch.line, now) {
-                    self.stats.load_hits += 1;
-                    fetch.timeline.returned = Some(now + self.hit_latency);
-                    self.ready_hits.push(HitEntry {
-                        ready: now + self.hit_latency,
-                        seq: self.next_seq,
-                        slot: self.arena.insert(fetch),
-                    });
-                    self.next_seq += 1;
-                    return L1AccessOutcome::Hit;
-                }
-                // Miss path. A merge consumes no miss-queue slot; a fresh
-                // entry needs both a register and queue space.
-                if self.mshr.contains(fetch.line) {
-                    if !self.mshr.can_accept(fetch.line) {
-                        self.stats.mshr_merge_stalls += 1;
-                        return L1AccessOutcome::Blocked(fetch, L1BlockReason::MshrMergeCapacity);
-                    }
-                    fetch.timeline.l1_miss = Some(now);
-                    let line = fetch.line;
-                    let slot = self.arena.insert(fetch);
-                    if self.mshr.allocate(line, Some(slot)).is_err() {
-                        // Unreachable after can_accept; recover the body and
-                        // stall rather than panic in the model hot path.
-                        let mut fetch = self.arena.take(slot);
-                        fetch.timeline.l1_miss = None;
-                        self.stats.mshr_merge_stalls += 1;
-                        return L1AccessOutcome::Blocked(fetch, L1BlockReason::MshrMergeCapacity);
-                    }
-                    self.stats.load_misses += 1;
-                    self.stats.merged_misses += 1;
-                    return L1AccessOutcome::Miss { merged: true };
-                }
-                if !self.mshr.can_accept(fetch.line) {
-                    self.stats.mshr_full_stalls += 1;
-                    return L1AccessOutcome::Blocked(fetch, L1BlockReason::MshrFull);
-                }
-                if self.miss_queue.is_full() {
-                    self.stats.miss_queue_stalls += 1;
-                    return L1AccessOutcome::Blocked(fetch, L1BlockReason::MissQueueFull);
-                }
-                fetch.timeline.l1_miss = Some(now);
-                self.stats.load_misses += 1;
-                // The primary access is not copied: its body travels down
-                // the hierarchy as the fill request and comes back through
-                // `fill`, which reconstitutes it from the response.
-                if self.mshr.allocate(fetch.line, None).is_err() {
-                    // Unreachable after can_accept; stall rather than panic.
-                    fetch.timeline.l1_miss = None;
-                    self.stats.load_misses -= 1;
-                    self.stats.mshr_full_stalls += 1;
-                    return L1AccessOutcome::Blocked(fetch, L1BlockReason::MshrFull);
-                }
-                if let Err(e) = self.miss_queue.push(fetch) {
-                    // Unreachable after is_full; undo the allocation and
-                    // stall rather than panic.
-                    let mut fetch = e.into_inner();
-                    self.mshr.complete(fetch.line);
-                    fetch.timeline.l1_miss = None;
-                    self.stats.load_misses -= 1;
-                    self.stats.miss_queue_stalls += 1;
-                    return L1AccessOutcome::Blocked(fetch, L1BlockReason::MissQueueFull);
-                }
-                L1AccessOutcome::Miss { merged: false }
-            }
-            AccessKind::Store => {
-                if self.miss_queue.is_full() {
-                    self.stats.miss_queue_stalls += 1;
-                    return L1AccessOutcome::Blocked(fetch, L1BlockReason::MissQueueFull);
-                }
-                // Write-through: refresh a resident line, never allocate.
-                self.tags.touch(set, fetch.line, now);
-                fetch.timeline.l1_miss = Some(now);
-                self.stats.stores += 1;
-                if let Err(e) = self.miss_queue.push(fetch) {
-                    // Unreachable after is_full; stall rather than panic.
-                    let mut fetch = e.into_inner();
-                    fetch.timeline.l1_miss = None;
-                    self.stats.stores -= 1;
-                    self.stats.miss_queue_stalls += 1;
-                    return L1AccessOutcome::Blocked(fetch, L1BlockReason::MissQueueFull);
-                }
-                L1AccessOutcome::StoreAccepted
-            }
+    ///
+    /// # Errors
+    ///
+    /// Hands the access back with the reason if it could not be accepted
+    /// this cycle; it must be retried.
+    #[allow(clippy::result_large_err)] // the rejected fetch is handed back by design
+    pub fn access(
+        &mut self,
+        fetch: MemFetch,
+        now: Cycle,
+    ) -> Result<L1AccessOutcome, (MemFetch, L1BlockReason)> {
+        match self.admit(&fetch, now) {
+            Ok(outcome) => self.place(fetch, outcome, now),
+            Err(reason) => Err((fetch, reason)),
         }
     }
 
-    /// Completed load hits whose latency has elapsed.
-    pub fn pop_ready_hits(&mut self, now: Cycle) -> Vec<MemFetch> {
-        let mut out = Vec::new();
-        while let Some(head) = self.ready_hits.peek() {
-            if head.ready > now {
-                break;
+    /// Presents the access waiting in `head` — the owner's retry slot — and
+    /// takes it out only if it is accepted: a stalled access is decided
+    /// from the borrowed body and never moves. `None` if `head` is empty.
+    ///
+    /// # Errors
+    ///
+    /// The reason the access stays in `head` and must be retried.
+    pub fn access_head(
+        &mut self,
+        head: &mut Option<MemFetch>,
+        now: Cycle,
+    ) -> Option<Result<L1AccessOutcome, L1BlockReason>> {
+        let outcome = match self.admit(head.as_ref()?, now) {
+            Ok(outcome) => outcome,
+            Err(reason) => return Some(Err(reason)),
+        };
+        let placed = self.place(head.take()?, outcome, now);
+        Some(placed.map_err(|(fetch, reason)| {
+            *head = Some(fetch);
+            reason
+        }))
+    }
+
+    /// Decides what the L1 does with `fetch` this cycle without moving it,
+    /// counting the stall if it is refused. A hit refreshes its line's LRU
+    /// state here (a hit is never refused); everything else about an
+    /// accepted access happens in [`place`](Self::place).
+    fn admit(&mut self, fetch: &MemFetch, now: Cycle) -> Result<L1AccessOutcome, L1BlockReason> {
+        let line = fetch.line;
+        if fetch.kind == AccessKind::Store {
+            if self.miss_queue.is_full() {
+                self.stats.miss_queue_stalls += 1;
+                return Err(L1BlockReason::MissQueueFull);
             }
-            let Some(entry) = self.ready_hits.pop() else {
-                break;
-            };
-            out.push(self.arena.take(entry.slot));
+            return Ok(L1AccessOutcome::StoreAccepted);
         }
-        out
+        let set = self.set_of(line);
+        if let Some(way) = self.tags.probe(set, line) {
+            self.tags.record_hit(set, way, now);
+            return Ok(L1AccessOutcome::Hit);
+        }
+        // Miss path. A merge consumes no miss-queue slot; a fresh entry
+        // needs both a register and queue space.
+        let merged = self.mshr.contains(line);
+        if !self.mshr.can_accept(line) {
+            return Err(if merged {
+                self.stats.mshr_merge_stalls += 1;
+                L1BlockReason::MshrMergeCapacity
+            } else {
+                self.stats.mshr_full_stalls += 1;
+                L1BlockReason::MshrFull
+            });
+        }
+        if !merged && self.miss_queue.is_full() {
+            self.stats.miss_queue_stalls += 1;
+            return Err(L1BlockReason::MissQueueFull);
+        }
+        Ok(L1AccessOutcome::Miss { merged })
+    }
+
+    /// Moves an access [`admit`](Self::admit)ted as `outcome` to where it
+    /// waits next and counts it — including the tag array's demand miss,
+    /// once per accepted access rather than once per stalled retry. The
+    /// error paths are unreachable after `admit`; they hand the body back
+    /// and stall rather than panic in the model hot path.
+    #[allow(clippy::result_large_err)]
+    fn place(
+        &mut self,
+        mut fetch: MemFetch,
+        outcome: L1AccessOutcome,
+        now: Cycle,
+    ) -> Result<L1AccessOutcome, (MemFetch, L1BlockReason)> {
+        let line = fetch.line;
+        match outcome {
+            L1AccessOutcome::Hit => {
+                let ready = now + self.hit_latency;
+                fetch.timeline.returned = CycleStamp::at(ready);
+                self.ready_hits.push(ready, self.arena.insert(fetch));
+                self.stats.load_hits += 1;
+            }
+            L1AccessOutcome::Miss { merged: true } => {
+                fetch.timeline.l1_miss = CycleStamp::at(now);
+                let slot = self.arena.insert(fetch);
+                if self.mshr.allocate(line, Some(slot)).is_err() {
+                    let mut fetch = self.arena.take(slot);
+                    fetch.timeline.l1_miss = CycleStamp::NONE;
+                    self.stats.mshr_merge_stalls += 1;
+                    return Err((fetch, L1BlockReason::MshrMergeCapacity));
+                }
+                self.tags.record_miss();
+                self.stats.load_misses += 1;
+                self.stats.merged_misses += 1;
+            }
+            L1AccessOutcome::Miss { merged: false } => {
+                // The primary access is not copied: its body travels down
+                // the hierarchy as the fill request and comes back through
+                // `fill`, which reconstitutes it from the response.
+                if self.mshr.allocate(line, None).is_err() {
+                    self.stats.mshr_full_stalls += 1;
+                    return Err((fetch, L1BlockReason::MshrFull));
+                }
+                if let Err(refused) = self.send_down(fetch, now) {
+                    self.mshr.complete(line);
+                    return Err(refused);
+                }
+                self.tags.record_miss();
+                self.stats.load_misses += 1;
+            }
+            L1AccessOutcome::StoreAccepted => {
+                // Write-through: refresh a resident line, never allocate.
+                self.tags.touch(self.set_of(line), line, now);
+                self.send_down(fetch, now)?;
+                self.stats.stores += 1;
+            }
+        }
+        Ok(outcome)
+    }
+
+    /// Stamps `fetch` as leaving the L1 and queues it for the interconnect.
+    #[allow(clippy::result_large_err)]
+    fn send_down(
+        &mut self,
+        mut fetch: MemFetch,
+        now: Cycle,
+    ) -> Result<(), (MemFetch, L1BlockReason)> {
+        fetch.timeline.l1_miss = CycleStamp::at(now);
+        self.miss_queue.push(fetch).map_err(|e| {
+            let mut fetch = e.into_inner();
+            fetch.timeline.l1_miss = CycleStamp::NONE;
+            self.stats.miss_queue_stalls += 1;
+            (fetch, L1BlockReason::MissQueueFull)
+        })
+    }
+
+    /// Takes one completed load hit whose latency has elapsed, if any.
+    pub fn pop_ready_hit(&mut self, now: Cycle) -> Option<MemFetch> {
+        let (_, slot) = self.ready_hits.pop_due(now)?;
+        Some(self.arena.take(slot))
+    }
+
+    /// Every completed load hit whose latency has elapsed.
+    pub fn pop_ready_hits(&mut self, now: Cycle) -> Vec<MemFetch> {
+        std::iter::from_fn(|| self.pop_ready_hit(now)).collect()
     }
 
     /// The fill request at the head of the miss queue, if any.
@@ -301,29 +324,36 @@ impl L1Dcache {
     /// Takes the response by value: the primary waiter was never copied at
     /// miss time, so the returning body itself completes it.
     pub fn fill(&mut self, fetch: MemFetch, now: Cycle) -> Vec<MemFetch> {
-        let set = self.set_of(fetch.line);
-        self.tags.fill(set, fetch.line, now);
-        let waiters = self.mshr.complete(fetch.line);
+        let mut done = Vec::new();
+        self.fill_into(fetch, now, &mut done);
+        done
+    }
+
+    /// [`fill`](L1Dcache::fill) appending to a caller-owned buffer, so a
+    /// per-cycle owner can reuse one allocation.
+    pub fn fill_into(&mut self, fetch: MemFetch, now: Cycle, done: &mut Vec<MemFetch>) {
+        let line = fetch.line;
+        let set = self.set_of(line);
+        self.tags.fill(set, line, now);
         let mut primary = Some(fetch);
-        waiters
-            .into_iter()
-            .filter_map(|w| {
-                // Each entry holds exactly one primary; a duplicate is
-                // skipped here and surfaces as a conservation failure
-                // (MshrLeak) at the simulator's run-end check.
-                let mut f = match w {
-                    None => primary.take()?,
-                    Some(slot) => self.arena.take(slot),
-                };
-                f.timeline.returned = Some(now);
-                Some(f)
-            })
-            .collect()
+        for waiter in self.mshr.complete(line) {
+            // Each entry holds exactly one primary; a duplicate is skipped
+            // here and surfaces as a conservation failure (MshrLeak) at the
+            // simulator's run-end check.
+            let body = match *waiter {
+                None => primary.take(),
+                Some(slot) => Some(self.arena.take(slot)),
+            };
+            if let Some(mut f) = body {
+                f.timeline.returned = CycleStamp::at(now);
+                done.push(f);
+            }
+        }
     }
 
     /// Ready time of the earliest queued hit response, if any.
     pub fn next_ready_hit(&self) -> Option<Cycle> {
-        self.ready_hits.peek().map(|h| h.ready)
+        self.ready_hits.next_due()
     }
 
     /// Per-cycle bookkeeping (queue occupancy statistics).
@@ -400,20 +430,20 @@ mod tests {
         let mut c = cache();
         let now = Cycle::new(10);
         match c.access(load(1, 5), now) {
-            L1AccessOutcome::Miss { merged: false } => {}
+            Ok(L1AccessOutcome::Miss { merged: false }) => {}
             other => panic!("expected cold miss, got {other:?}"),
         }
         let req = c.pop_miss().unwrap();
         assert_eq!(req.line, LineAddr::new(5));
-        assert_eq!(req.timeline.l1_miss, Some(now));
+        assert_eq!(req.timeline.l1_miss.get(), Some(now));
 
         let done = c.fill(req, Cycle::new(100));
         assert_eq!(done.len(), 1);
-        assert_eq!(done[0].timeline.returned, Some(Cycle::new(100)));
+        assert_eq!(done[0].timeline.returned.get(), Some(Cycle::new(100)));
         assert_eq!(done[0].timeline.l1_miss_latency(), Some(90));
 
         match c.access(load(2, 5), Cycle::new(101)) {
-            L1AccessOutcome::Hit => {}
+            Ok(L1AccessOutcome::Hit) => {}
             other => panic!("expected hit, got {other:?}"),
         }
         assert!(c.pop_ready_hits(Cycle::new(102)).is_empty());
@@ -426,9 +456,9 @@ mod tests {
     fn merged_misses_consume_no_miss_queue() {
         let mut c = cache();
         let now = Cycle::new(0);
-        c.access(load(1, 7), now);
+        let _ = c.access(load(1, 7), now);
         match c.access(load(2, 7), now) {
-            L1AccessOutcome::Miss { merged: true } => {}
+            Ok(L1AccessOutcome::Miss { merged: true }) => {}
             other => panic!("expected merge, got {other:?}"),
         }
         // Only one downstream request.
@@ -444,10 +474,10 @@ mod tests {
     fn mshr_full_blocks_new_lines() {
         let mut c = cache();
         let now = Cycle::new(0);
-        c.access(load(1, 1), now);
-        c.access(load(2, 2), now);
+        let _ = c.access(load(1, 1), now);
+        let _ = c.access(load(2, 2), now);
         match c.access(load(3, 3), now) {
-            L1AccessOutcome::Blocked(f, L1BlockReason::MshrFull) => {
+            Err((f, L1BlockReason::MshrFull)) => {
                 assert_eq!(f.id, FetchId::new(3));
             }
             other => panic!("expected mshr-full block, got {other:?}"),
@@ -459,10 +489,10 @@ mod tests {
     fn merge_capacity_blocks() {
         let mut c = cache();
         let now = Cycle::new(0);
-        c.access(load(1, 1), now);
-        c.access(load(2, 1), now); // merge #2 fills capacity (max_merge = 2)
+        let _ = c.access(load(1, 1), now);
+        let _ = c.access(load(2, 1), now); // merge #2 fills capacity (max_merge = 2)
         match c.access(load(3, 1), now) {
-            L1AccessOutcome::Blocked(_, L1BlockReason::MshrMergeCapacity) => {}
+            Err((_, L1BlockReason::MshrMergeCapacity)) => {}
             other => panic!("expected merge-capacity block, got {other:?}"),
         }
     }
@@ -473,9 +503,9 @@ mod tests {
         cfg.l1.miss_queue = 1;
         let mut c = L1Dcache::new(&cfg);
         let now = Cycle::new(0);
-        c.access(load(1, 1), now);
+        let _ = c.access(load(1, 1), now);
         match c.access(load(2, 2), now) {
-            L1AccessOutcome::Blocked(_, L1BlockReason::MissQueueFull) => {}
+            Err((_, L1BlockReason::MissQueueFull)) => {}
             other => panic!("expected miss-queue block, got {other:?}"),
         }
         assert_eq!(c.stats().miss_queue_stalls, 1);
@@ -486,7 +516,7 @@ mod tests {
         let mut c = cache();
         let now = Cycle::new(0);
         match c.access(store(1, 9), now) {
-            L1AccessOutcome::StoreAccepted => {}
+            Ok(L1AccessOutcome::StoreAccepted) => {}
             other => panic!("expected store accept, got {other:?}"),
         }
         // The store travelled to the miss queue but did not allocate a line
@@ -495,7 +525,7 @@ mod tests {
         assert!(c.pop_miss().is_some());
         // A subsequent load to the same line still misses.
         match c.access(load(2, 9), now) {
-            L1AccessOutcome::Miss { merged: false } => {}
+            Ok(L1AccessOutcome::Miss { merged: false }) => {}
             other => panic!("expected miss, got {other:?}"),
         }
     }
@@ -505,12 +535,12 @@ mod tests {
         let mut c = cache();
         // Install two lines.
         for (id, line) in [(1, 1), (2, 2)] {
-            c.access(load(id, line), Cycle::new(0));
+            let _ = c.access(load(id, line), Cycle::new(0));
             let req = c.pop_miss().unwrap();
             c.fill(req, Cycle::new(1));
         }
-        c.access(load(10, 1), Cycle::new(5));
-        c.access(load(11, 2), Cycle::new(6));
+        let _ = c.access(load(10, 1), Cycle::new(5));
+        let _ = c.access(load(11, 2), Cycle::new(6));
         let ready = c.pop_ready_hits(Cycle::new(8));
         assert_eq!(ready.len(), 2);
         assert_eq!(ready[0].id, FetchId::new(10));
@@ -518,12 +548,42 @@ mod tests {
     }
 
     #[test]
+    fn stalled_retries_move_nothing_and_count_one_demand_miss() {
+        let mut cfg = GpuConfig::gtx480();
+        cfg.l1.mshr_entries = 1;
+        let mut c = L1Dcache::new(&cfg);
+        let _ = c.access(load(1, 1), Cycle::ZERO);
+        assert_eq!(c.tag_stats(), (0, 1));
+        // Line 2 needs the only register, held by line 1 for 50 cycles.
+        let mut head = Some(load(2, 2));
+        for t in 1..=50 {
+            let refused = c.access_head(&mut head, Cycle::new(t));
+            assert_eq!(refused, Some(Err(L1BlockReason::MshrFull)));
+            assert_eq!(head.as_ref().map(|f| f.id), Some(FetchId::new(2)));
+        }
+        assert_eq!(c.stats().mshr_full_stalls, 50);
+        assert_eq!(
+            c.tag_stats(),
+            (0, 1),
+            "a refused retry is not a demand miss"
+        );
+        let req = c.pop_miss().unwrap();
+        c.fill(req, Cycle::new(51));
+        let accepted = c.access_head(&mut head, Cycle::new(52));
+        assert_eq!(accepted, Some(Ok(L1AccessOutcome::Miss { merged: false })));
+        assert!(head.is_none(), "an accepted access leaves the retry slot");
+        assert_eq!(c.tag_stats(), (0, 2));
+        assert_eq!(c.stats().load_misses, 2);
+        assert_eq!(c.access_head(&mut head, Cycle::new(53)), None);
+    }
+
+    #[test]
     fn stats_miss_rate() {
         let mut c = cache();
-        c.access(load(1, 1), Cycle::new(0));
+        let _ = c.access(load(1, 1), Cycle::new(0));
         let req = c.pop_miss().unwrap();
         c.fill(req, Cycle::new(1));
-        c.access(load(2, 1), Cycle::new(2));
+        let _ = c.access(load(2, 1), Cycle::new(2));
         assert_eq!(c.stats().miss_rate(), 0.5);
         assert_eq!(L1Stats::default().miss_rate(), 0.0);
     }

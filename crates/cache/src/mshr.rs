@@ -1,6 +1,5 @@
 //! Miss Status Holding Registers with request merging.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -42,8 +41,12 @@ impl fmt::Display for MshrError {
 
 impl Error for MshrError {}
 
+/// One bucket of the open-addressed table. `waiters` outlives the entry:
+/// a released register keeps its (cleared-on-reuse) vector, so steady-state
+/// operation allocates nothing.
 #[derive(Debug, Clone)]
-struct Entry<W> {
+struct Bucket<W> {
+    line: Option<LineAddr>,
     waiters: Vec<W>,
 }
 
@@ -52,8 +55,13 @@ struct Entry<W> {
 /// Each entry tracks one outstanding line fill; accesses to a line that is
 /// already outstanding merge into the entry (up to `max_merge` per entry)
 /// instead of issuing duplicate downstream requests. The waiter payload `W`
-/// is caller-defined — the L1 stores the merged [`gpumem_types::MemFetch`]s
-/// so it can complete all of them on fill.
+/// is caller-defined — the L1 stores handles to the merged
+/// [`gpumem_types::MemFetch`]s so it can complete all of them on fill.
+///
+/// Storage is a fixed table sized at construction (linear probing, at most
+/// half full), so lookups touch one or two buckets and no operation
+/// allocates once every bucket's waiter vector has grown to its working
+/// size.
 ///
 /// # Example
 ///
@@ -65,14 +73,17 @@ struct Entry<W> {
 /// let line = LineAddr::new(10);
 /// assert_eq!(mshr.allocate(line, "first").unwrap(), MshrAllocation::NewEntry);
 /// assert_eq!(mshr.allocate(line, "second").unwrap(), MshrAllocation::Merged);
-/// assert_eq!(mshr.complete(line), vec!["first", "second"]);
+/// assert_eq!(mshr.complete(line), ["first", "second"]);
 /// assert!(mshr.is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct MshrTable<W> {
     max_entries: usize,
     max_merge: usize,
-    entries: BTreeMap<LineAddr, Entry<W>>,
+    /// Power-of-two bucket count, at least `2 × max_entries`: a probe
+    /// always ends at a vacant bucket and chains stay short.
+    buckets: Box<[Bucket<W>]>,
+    len: usize,
     peak_occupancy: usize,
     merges: u64,
     allocations: u64,
@@ -88,10 +99,17 @@ impl<W> MshrTable<W> {
     pub fn new(max_entries: usize, max_merge: usize) -> Self {
         assert!(max_entries > 0, "mshr entries must be positive");
         assert!(max_merge > 0, "mshr merge capacity must be positive");
+        let buckets = (0..(2 * max_entries).next_power_of_two())
+            .map(|_| Bucket {
+                line: None,
+                waiters: Vec::new(),
+            })
+            .collect();
         MshrTable {
             max_entries,
             max_merge,
-            entries: BTreeMap::new(),
+            buckets,
+            len: 0,
             peak_occupancy: 0,
             merges: 0,
             allocations: 0,
@@ -100,12 +118,12 @@ impl<W> MshrTable<W> {
 
     /// Number of outstanding entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True if no miss is outstanding.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Maximum number of entries.
@@ -113,16 +131,36 @@ impl<W> MshrTable<W> {
         self.max_entries
     }
 
+    /// First bucket of `line`'s probe sequence (Fibonacci hashing: the
+    /// high product bits mix every address bit, so strided lines spread).
+    fn home(&self, line: LineAddr) -> usize {
+        let hash = line.index().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (hash >> 32) as usize & (self.buckets.len() - 1)
+    }
+
+    /// `Ok(bucket)` holding `line`'s entry, or `Err(bucket)` naming the
+    /// vacant bucket a new entry for `line` would occupy.
+    fn find(&self, line: LineAddr) -> Result<usize, usize> {
+        let mut i = self.home(line);
+        loop {
+            match self.buckets[i].line {
+                Some(l) if l == line => return Ok(i),
+                Some(_) => i = (i + 1) & (self.buckets.len() - 1),
+                None => return Err(i),
+            }
+        }
+    }
+
     /// True if `line` already has an outstanding entry.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.entries.contains_key(&line)
+        self.find(line).is_ok()
     }
 
     /// Whether [`allocate`](Self::allocate) would succeed for `line`.
     pub fn can_accept(&self, line: LineAddr) -> bool {
-        match self.entries.get(&line) {
-            Some(e) => e.waiters.len() < self.max_merge,
-            None => self.entries.len() < self.max_entries,
+        match self.find(line) {
+            Ok(i) => self.buckets[i].waiters.len() < self.max_merge,
+            Err(_) => self.len < self.max_entries,
         }
     }
 
@@ -134,41 +172,64 @@ impl<W> MshrTable<W> {
     /// [`MshrError::MergeCapacity`] if the line's entry cannot absorb more
     /// waiters.
     pub fn allocate(&mut self, line: LineAddr, waiter: W) -> Result<MshrAllocation, MshrError> {
-        if let Some(entry) = self.entries.get_mut(&line) {
-            if entry.waiters.len() >= self.max_merge {
-                return Err(MshrError::MergeCapacity);
+        match self.find(line) {
+            Ok(i) => {
+                let waiters = &mut self.buckets[i].waiters;
+                if waiters.len() >= self.max_merge {
+                    return Err(MshrError::MergeCapacity);
+                }
+                waiters.push(waiter);
+                self.merges += 1;
+                Ok(MshrAllocation::Merged)
             }
-            entry.waiters.push(waiter);
-            self.merges += 1;
-            return Ok(MshrAllocation::Merged);
+            Err(i) => {
+                if self.len >= self.max_entries {
+                    return Err(MshrError::Full);
+                }
+                let bucket = &mut self.buckets[i];
+                bucket.line = Some(line);
+                bucket.waiters.clear();
+                bucket.waiters.push(waiter);
+                self.len += 1;
+                self.allocations += 1;
+                self.peak_occupancy = self.peak_occupancy.max(self.len);
+                Ok(MshrAllocation::NewEntry)
+            }
         }
-        if self.entries.len() >= self.max_entries {
-            return Err(MshrError::Full);
-        }
-        self.entries.insert(
-            line,
-            Entry {
-                waiters: vec![waiter],
-            },
-        );
-        self.allocations += 1;
-        self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
-        Ok(MshrAllocation::NewEntry)
     }
 
     /// The waiters currently merged on `line`, if it is outstanding.
     pub fn waiters_of(&self, line: LineAddr) -> Option<&[W]> {
-        self.entries.get(&line).map(|e| e.waiters.as_slice())
+        self.find(line)
+            .ok()
+            .map(|i| self.buckets[i].waiters.as_slice())
     }
 
     /// Completes the outstanding miss for `line`, releasing the register
     /// and returning all merged waiters in arrival order. Returns an empty
-    /// vector if the line had no entry (e.g. a stray fill).
-    pub fn complete(&mut self, line: LineAddr) -> Vec<W> {
-        self.entries
-            .remove(&line)
-            .map(|e| e.waiters)
-            .unwrap_or_default()
+    /// slice if the line had no entry (e.g. a stray fill).
+    pub fn complete(&mut self, line: LineAddr) -> &[W] {
+        let Ok(mut hole) = self.find(line) else {
+            return &[];
+        };
+        self.buckets[hole].line = None;
+        self.len -= 1;
+        // Close the probe chain (backward-shift deletion): a later entry
+        // moves into the hole unless its home bucket lies after the hole.
+        // Swapping carries the released waiters along to the final hole.
+        let mask = self.buckets.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let Some(l) = self.buckets[i].line else {
+                break;
+            };
+            if (i.wrapping_sub(self.home(l)) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.buckets.swap(hole, i);
+                hole = i;
+            }
+        }
+        &self.buckets[hole].waiters
     }
 
     /// Highest simultaneous occupancy seen.
@@ -186,9 +247,10 @@ impl<W> MshrTable<W> {
         self.merges
     }
 
-    /// Iterates over the lines currently outstanding.
+    /// Iterates over the lines currently outstanding, in no particular
+    /// order.
     pub fn outstanding_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.entries.keys().copied()
+        self.buckets.iter().filter_map(|b| b.line)
     }
 }
 
@@ -229,7 +291,7 @@ mod tests {
         m.allocate(LineAddr::new(5), "a").unwrap();
         m.allocate(LineAddr::new(5), "b").unwrap();
         m.allocate(LineAddr::new(5), "c").unwrap();
-        assert_eq!(m.complete(LineAddr::new(5)), vec!["a", "b", "c"]);
+        assert_eq!(m.complete(LineAddr::new(5)), ["a", "b", "c"]);
         assert!(m.complete(LineAddr::new(5)).is_empty());
     }
 
@@ -252,8 +314,37 @@ mod tests {
         let mut m: MshrTable<u8> = MshrTable::new(4, 2);
         m.allocate(LineAddr::new(9), 0).unwrap();
         m.allocate(LineAddr::new(4), 0).unwrap();
-        let lines: Vec<_> = m.outstanding_lines().collect();
+        let mut lines: Vec<_> = m.outstanding_lines().collect();
+        lines.sort();
         assert_eq!(lines, vec![LineAddr::new(4), LineAddr::new(9)]);
+    }
+
+    #[test]
+    fn colliding_lines_survive_each_others_release() {
+        // A 1-register-deep table has two buckets, so every probe chain
+        // wraps; a larger one is filled to capacity. Releasing in every
+        // rotation must leave the remaining entries reachable with their
+        // own waiters.
+        for entries in [1usize, 3, 8] {
+            for first in 0..entries {
+                let mut m: MshrTable<u64> = MshrTable::new(entries, 2);
+                let line = |i: usize| LineAddr::new(i as u64 * 64);
+                for i in 0..entries {
+                    m.allocate(line(i), i as u64).unwrap();
+                    m.allocate(line(i), 100 + i as u64).unwrap();
+                }
+                assert!(!m.can_accept(LineAddr::new(7)));
+                for k in 0..entries {
+                    let i = (first + k) % entries;
+                    assert_eq!(m.complete(line(i)), [i as u64, 100 + i as u64]);
+                    assert!(!m.contains(line(i)));
+                    for j in (k + 1..entries).map(|k| (first + k) % entries) {
+                        assert_eq!(m.waiters_of(line(j)), Some(&[j as u64, 100 + j as u64][..]));
+                    }
+                }
+                assert!(m.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -122,14 +122,26 @@ impl TagArray {
     /// Performs a demand access: on hit, refreshes LRU and returns `true`;
     /// on miss returns `false`. Hit/miss counters are updated.
     pub fn access(&mut self, set: usize, line: LineAddr, now: Cycle) -> bool {
-        if let Some(way) = self.probe(set, line) {
-            self.set_slice_mut(set)[way].last_use = now.raw();
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
+        let way = self.probe(set, line);
+        match way {
+            Some(way) => self.record_hit(set, way, now),
+            None => self.record_miss(),
         }
+        way.is_some()
+    }
+
+    /// The hit half of [`access`](Self::access) for a caller that already
+    /// [`probe`](Self::probe)d `way`: refreshes LRU and counts the hit.
+    pub fn record_hit(&mut self, set: usize, way: usize, now: Cycle) {
+        self.set_slice_mut(set)[way].last_use = now.raw();
+        self.hits += 1;
+    }
+
+    /// The miss half of [`access`](Self::access), for a caller whose
+    /// [`probe`](Self::probe) missed and who may yet refuse the access:
+    /// counts one demand miss.
+    pub fn record_miss(&mut self) {
+        self.misses += 1;
     }
 
     /// Refreshes LRU state for a line known to be resident (no counter

@@ -99,7 +99,7 @@ proptest! {
             if complete {
                 let got = mshr.complete(addr);
                 let expect = model.remove(&line).unwrap_or_default();
-                prop_assert_eq!(&got, &expect);
+                prop_assert_eq!(got, &expect[..]);
                 returned += got.len() as u64;
             } else {
                 let can = mshr.can_accept(addr);
@@ -116,7 +116,7 @@ proptest! {
         }
         for (line, expect) in model {
             let got = mshr.complete(LineAddr::new(line));
-            prop_assert_eq!(&got, &expect);
+            prop_assert_eq!(got, &expect[..]);
             returned += got.len() as u64;
         }
         prop_assert_eq!(allocated, returned);
@@ -148,13 +148,13 @@ proptest! {
             };
             let fetch = MemFetch::new(FetchId::new(id), kind, LineAddr::new(line), CoreId::new(0));
             match l1.access(fetch, now) {
-                L1AccessOutcome::Hit | L1AccessOutcome::Miss { .. } => {
+                Ok(L1AccessOutcome::Hit | L1AccessOutcome::Miss { .. }) => {
                     if kind == AccessKind::Load {
                         accepted_loads += 1;
                     }
                 }
-                L1AccessOutcome::StoreAccepted => {}
-                L1AccessOutcome::Blocked(_, _) => {
+                Ok(L1AccessOutcome::StoreAccepted) => {}
+                Err(_) => {
                     // Drain the miss queue and respond to make progress.
                 }
             }

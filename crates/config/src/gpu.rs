@@ -4,6 +4,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::ConfigError;
 
+/// Upper bound on `num_cores`, `num_partitions` and `core.max_warps`: the
+/// crossbar arbiters and the warp schedulers keep one bit per port / warp
+/// slot in a `u64`.
+pub const MAX_MASK_WIDTH: usize = 64;
+
 /// SIMT-core (SM) front-end parameters.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CoreConfig {
@@ -267,11 +272,25 @@ impl GpuConfig {
             }
         }
 
+        fn fits_mask(v: usize, name: &'static str) -> Result<(), ConfigError> {
+            if v > MAX_MASK_WIDTH {
+                Err(ConfigError::new(
+                    name,
+                    format!("must not exceed {MAX_MASK_WIDTH} (got {v})"),
+                ))
+            } else {
+                Ok(())
+            }
+        }
+
         positive(self.num_cores, "num_cores")?;
+        fits_mask(self.num_cores, "num_cores")?;
         positive(self.num_partitions, "num_partitions")?;
+        fits_mask(self.num_partitions, "num_partitions")?;
         pow2(self.line_bytes, "line_bytes")?;
 
         positive(self.core.max_warps, "core.max_warps")?;
+        fits_mask(self.core.max_warps, "core.max_warps")?;
         positive(self.core.max_ctas, "core.max_ctas")?;
         positive(self.core.issue_width, "core.issue_width")?;
         positive(self.core.mem_pipeline_width, "core.mem_pipeline_width")?;
@@ -427,6 +446,13 @@ mod tests {
         let mut c = GpuConfig::gtx480();
         c.num_cores = 0;
         assert_eq!(c.validate().unwrap_err().param(), "num_cores");
+
+        let mut c = GpuConfig::gtx480();
+        c.core.max_warps = MAX_MASK_WIDTH + 1;
+        assert_eq!(c.validate().unwrap_err().param(), "core.max_warps");
+        c.core.max_warps = MAX_MASK_WIDTH;
+        c.num_partitions = MAX_MASK_WIDTH + 1;
+        assert_eq!(c.validate().unwrap_err().param(), "num_partitions");
 
         let mut c = GpuConfig::gtx480();
         c.l2.data_port_bytes = 256;

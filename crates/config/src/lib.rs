@@ -30,4 +30,4 @@ mod gpu;
 
 pub use design::{single_parameter_ablations, Ablation, DesignPoint, ParamType, TableRow, TABLE_I};
 pub use error::ConfigError;
-pub use gpu::{CoreConfig, DramConfig, GpuConfig, L1Config, L2Config, NocConfig};
+pub use gpu::{CoreConfig, DramConfig, GpuConfig, L1Config, L2Config, NocConfig, MAX_MASK_WIDTH};

@@ -39,12 +39,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use gpumem_config::{DramConfig, GpuConfig};
 use gpumem_types::{
-    AccessKind, Cycle, LatencyStats, Log2Histogram, MemFetch, QueueStats, SimError, SimQueue,
+    AccessKind, Cycle, CycleStamp, DueHeap, FetchArena, LatencyStats, Log2Histogram, MemFetch,
+    QueueStats, SimError, SimQueue, SlotId,
 };
 
 /// Activity counters for one [`DramChannel`].
@@ -107,37 +105,39 @@ struct Bank {
     activated_at: Cycle,
 }
 
-#[derive(Debug)]
+/// A scheduler-queue entry: everything FR-FCFS scans every cycle, in 32
+/// bytes. The request body stays parked in the channel's arena from
+/// [`DramChannel::try_push`] until it leaves the channel.
+#[derive(Debug, Clone, Copy)]
 struct Pending {
-    fetch: MemFetch,
+    slot: SlotId,
     /// Earliest cycle the scheduler may consider this request (models the
     /// fixed controller front-end latency).
     ready_at: Cycle,
+    /// Bank and row of the request's line. Fixed at `try_push`: the line
+    /// never changes while queued, so the address is decoded once, not
+    /// once per entry per cycle.
+    bank: usize,
+    row: u64,
 }
 
-#[derive(Debug)]
-struct Completion {
-    done_at: Cycle,
-    seq: u64,
-    fetch: MemFetch,
-}
-
-impl PartialEq for Completion {
-    fn eq(&self, other: &Self) -> bool {
-        self.done_at == other.done_at && self.seq == other.seq
+/// FR-FCFS over one scheduler queue: the position of the oldest request
+/// hitting an open row on an idle bank, else of the oldest request whose
+/// bank is idle. One pass: the first row hit ends the scan, and the first
+/// ready request seen on the way is the fallback.
+fn fr_fcfs_pick(queue: &SimQueue<Pending>, banks: &[Bank], now: Cycle) -> Option<usize> {
+    let mut first_ready = None;
+    for (pos, p) in queue.iter().enumerate() {
+        let bank = &banks[p.bank];
+        if p.ready_at > now || bank.busy_until > now {
+            continue;
+        }
+        if bank.open_row == Some(p.row) {
+            return Some(pos);
+        }
+        first_ready = first_ready.or(Some(pos));
     }
-}
-impl Eq for Completion {}
-impl PartialOrd for Completion {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Completion {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by (done_at, seq).
-        (other.done_at, other.seq).cmp(&(self.done_at, self.seq))
-    }
+    first_ready
 }
 
 /// A single DRAM channel with FR-FCFS scheduling.
@@ -156,13 +156,16 @@ pub struct DramChannel {
     lines_per_row: u64,
     cfg: DramConfig,
     burst_cycles: u64,
+    /// Bodies of every request inside the channel; the queues and the
+    /// completion heap below pass 4-byte handles.
+    arena: FetchArena,
     queue: SimQueue<Pending>,
     write_queue: SimQueue<Pending>,
     banks: Vec<Bank>,
     bus_free_at: Cycle,
-    completions: BinaryHeap<Completion>,
-    next_seq: u64,
-    return_queue: SimQueue<MemFetch>,
+    /// Scheduled requests, keyed by the cycle their burst finishes.
+    completions: DueHeap<SlotId>,
+    return_queue: SimQueue<SlotId>,
     stats: DramStats,
     service_latency: LatencyStats,
     in_flight: usize,
@@ -200,6 +203,7 @@ impl DramChannel {
             stride,
             lines_per_row,
             burst_cycles,
+            arena: FetchArena::with_capacity(2 * cfg.scheduler_queue + cfg.return_queue),
             queue: SimQueue::new("dram_sched", cfg.scheduler_queue),
             write_queue: SimQueue::new("dram_write", cfg.scheduler_queue),
             banks: vec![
@@ -211,8 +215,7 @@ impl DramChannel {
                 cfg.banks
             ],
             bus_free_at: Cycle::ZERO,
-            completions: BinaryHeap::new(),
-            next_seq: 0,
+            completions: DueHeap::new(),
             return_queue: SimQueue::new("dram_return", cfg.return_queue),
             stats: DramStats::default(),
             service_latency: LatencyStats::new(),
@@ -272,19 +275,25 @@ impl DramChannel {
     #[allow(clippy::result_large_err)] // the rejected fetch is handed back by design
     pub fn try_push(&mut self, mut fetch: MemFetch, now: Cycle) -> Result<(), MemFetch> {
         if fetch.timeline.dram_arrive.is_none() {
-            fetch.timeline.dram_arrive = Some(now);
+            fetch.timeline.dram_arrive = CycleStamp::at(now);
         }
-        let ready_at = now + self.cfg.controller_latency;
+        let (bank, row) = self.map_address(fetch.line);
         let queue = match fetch.kind {
             AccessKind::Load => &mut self.queue,
             AccessKind::Store => &mut self.write_queue,
         };
-        match queue.push(Pending { fetch, ready_at }) {
+        let pending = Pending {
+            slot: self.arena.insert(fetch),
+            ready_at: now + self.cfg.controller_latency,
+            bank,
+            row,
+        };
+        match queue.push(pending) {
             Ok(()) => {
                 self.in_flight += 1;
                 Ok(())
             }
-            Err(e) => Err(e.into_inner().fetch),
+            Err(e) => Err(self.arena.take(e.into_inner().slot)),
         }
     }
 
@@ -298,36 +307,25 @@ impl DramChannel {
     /// violation, never ordinary congestion.
     pub fn tick(&mut self, now: Cycle) -> Result<(), SimError> {
         // Land completions whose data transfer finished.
-        loop {
-            let landable = match self.completions.peek() {
-                Some(head) if head.done_at <= now => {
-                    !(head.fetch.kind.is_load() && self.return_queue.is_full())
-                }
-                _ => false,
-            };
-            if !landable {
+        while let Some((done_at, &slot)) = self.completions.peek() {
+            if done_at > now {
                 break;
             }
-            let Some(mut c) = self.completions.pop() else {
+            let is_load = self.arena[slot].kind.is_load();
+            if is_load && self.return_queue.is_full() {
                 break;
-            };
-            if let Some(arr) = c.fetch.timeline.dram_arrive {
+            }
+            self.completions.pop_due(now);
+            let fetch = &mut self.arena[slot];
+            let arrive = fetch.timeline.dram_arrive.get();
+            if let Some(arr) = arrive {
                 self.service_latency.record(now.since(arr));
             }
             // The burst finished at `done_at`; landing may lag it when a
             // blocked read at the heap's head stalls the loop.
-            c.fetch.timeline.dram_data = Some(c.done_at);
-            if let Some(trace) = self.trace.as_deref_mut() {
-                if !c.fetch.kind.is_load() {
-                    let t = &c.fetch.timeline;
-                    if let (Some(arr), Some(issue)) = (t.dram_arrive, t.dram_issue) {
-                        trace.queue.record(issue.since(arr));
-                        trace.service.record(c.done_at.since(issue));
-                    }
-                }
-            }
-            if c.fetch.kind.is_load() {
-                if self.return_queue.push(c.fetch).is_err() {
+            fetch.timeline.dram_data = CycleStamp::at(done_at);
+            if is_load {
+                if self.return_queue.push(slot).is_err() {
                     return Err(SimError::QueueOverflow {
                         component: "dram",
                         queue: "dram_return",
@@ -335,6 +333,14 @@ impl DramChannel {
                     });
                 }
             } else {
+                // Writes end here: nothing travels back up the hierarchy.
+                let issue = self.arena.take(slot).timeline.dram_issue.get();
+                if let (Some(trace), Some(arr), Some(issue)) =
+                    (self.trace.as_deref_mut(), arrive, issue)
+                {
+                    trace.queue.record(issue.since(arr));
+                    trace.service.record(done_at.since(issue));
+                }
                 self.in_flight = self.in_flight.saturating_sub(1);
             }
         }
@@ -350,7 +356,7 @@ impl DramChannel {
             && self
                 .completions
                 .peek()
-                .is_some_and(|c| c.done_at <= now && c.fetch.kind.is_load());
+                .is_some_and(|(done_at, &slot)| done_at <= now && self.arena[slot].kind.is_load());
         // Read-first scheduling with two exceptions: a blocked return path
         // or a write queue running hot (drain threshold at 3/4).
         let prefer_writes =
@@ -365,46 +371,25 @@ impl DramChannel {
         Ok(())
     }
 
-    /// FR-FCFS over the selected queue: prefer the oldest request hitting
-    /// an open row on an idle bank; otherwise the oldest request whose
-    /// bank is idle. Returns whether a request was scheduled.
+    /// Schedules at most one request of `kind` by [`fr_fcfs_pick`].
+    /// Returns whether a request was scheduled.
     fn schedule_one(&mut self, now: Cycle, kind: AccessKind) -> bool {
-        // Borrow-friendly precomputation of bank readiness.
-        let pick_row_hit = |p: &Pending, banks: &[Bank], stride, lpr| {
-            if p.ready_at > now {
-                return false;
-            }
-            let local = p.fetch.line.index() / stride;
-            let grow = local / lpr;
-            let bank = (grow % banks.len() as u64) as usize;
-            let row = grow / banks.len() as u64;
-            banks[bank].busy_until <= now && banks[bank].open_row == Some(row)
-        };
-        let pick_ready = |p: &Pending, banks: &[Bank], stride, lpr| {
-            if p.ready_at > now {
-                return false;
-            }
-            let local = p.fetch.line.index() / stride;
-            let grow = local / lpr;
-            let bank = (grow % banks.len() as u64) as usize;
-            banks[bank].busy_until <= now
-        };
-
-        let (stride, lpr) = (self.stride, self.lines_per_row);
-        let banks_snapshot: Vec<Bank> = self.banks.clone();
         let queue = match kind {
             AccessKind::Load => &mut self.queue,
             AccessKind::Store => &mut self.write_queue,
         };
-        let chosen = queue
-            .remove_first_where(|p| pick_row_hit(p, &banks_snapshot, stride, lpr))
-            .or_else(|| queue.remove_first_where(|p| pick_ready(p, &banks_snapshot, stride, lpr)));
-        let Some(mut pending) = chosen else {
+        let picked = fr_fcfs_pick(queue, &self.banks, now).and_then(|pos| queue.remove_at(pos));
+        let Some(Pending {
+            slot,
+            bank: bank_idx,
+            row,
+            ..
+        }) = picked
+        else {
             return false;
         };
-        pending.fetch.timeline.dram_issue = Some(now);
+        self.arena[slot].timeline.dram_issue = CycleStamp::at(now);
 
-        let (bank_idx, row) = self.map_address(pending.fetch.line);
         let t = &self.cfg;
         let bank = &mut self.banks[bank_idx];
 
@@ -437,27 +422,20 @@ impl DramChannel {
         self.stats.bus_busy_cycles += self.burst_cycles;
         bank.busy_until = done_at;
 
-        match pending.fetch.kind {
+        match kind {
             AccessKind::Load => self.stats.reads += 1,
             AccessKind::Store => self.stats.writes += 1,
         }
-        self.completions.push(Completion {
-            done_at,
-            seq: self.next_seq,
-            fetch: pending.fetch,
-        });
-        self.next_seq += 1;
+        self.completions.push(done_at, slot);
         true
     }
 
     /// Takes one completed read from the return queue (the L2 fill path
     /// drains this).
     pub fn pop_return(&mut self) -> Option<MemFetch> {
-        let f = self.return_queue.pop();
-        if f.is_some() {
-            self.in_flight = self.in_flight.saturating_sub(1);
-        }
-        f
+        let slot = self.return_queue.pop()?;
+        self.in_flight = self.in_flight.saturating_sub(1);
+        Some(self.arena.take(slot))
     }
 
     /// Iterates over every fetch queued or in service inside the channel
@@ -467,14 +445,15 @@ impl DramChannel {
         self.queue
             .iter()
             .chain(self.write_queue.iter())
-            .map(|p| &p.fetch)
-            .chain(self.completions.iter().map(|c| &c.fetch))
+            .map(|p| &p.slot)
+            .chain(self.completions.iter())
             .chain(self.return_queue.iter())
+            .map(|&slot| &self.arena[slot])
     }
 
     /// Peeks the next completed read.
     pub fn peek_return(&self) -> Option<&MemFetch> {
-        self.return_queue.front()
+        self.return_queue.front().map(|&slot| &self.arena[slot])
     }
 
     /// Per-cycle statistics bookkeeping; call once per cycle.
@@ -511,15 +490,14 @@ impl DramChannel {
                 _ => t,
             });
         };
-        if let Some(head) = self.completions.peek() {
-            if head.done_at <= now {
+        if let Some(done_at) = self.completions.next_due() {
+            if done_at <= now {
                 return Some(now);
             }
-            fold(head.done_at);
+            fold(done_at);
         }
         for p in self.queue.iter().chain(self.write_queue.iter()) {
-            let (bank, _) = self.map_address(p.fetch.line);
-            let at = p.ready_at.max(self.banks[bank].busy_until);
+            let at = p.ready_at.max(self.banks[p.bank].busy_until);
             if at <= now {
                 return Some(now);
             }
@@ -808,6 +786,52 @@ mod tests {
         assert_eq!(d.stats().reads, 1);
         let next = d.next_event(ev).expect("completion pending");
         assert!(next > ev, "completion lies in the future");
+    }
+
+    proptest::proptest! {
+        /// The one-pass pick is the two-pass FR-FCFS specification it
+        /// replaced: oldest ready row hit, else oldest ready request, over
+        /// arbitrary queue contents, bank states and ring alignments.
+        #[test]
+        fn one_pass_pick_equals_two_pass_spec(
+            entries in proptest::collection::vec((0u64..12, 0usize..4, 0u64..3), 0..8),
+            bank_state in proptest::collection::vec(
+                (proptest::option::of(0u64..3), 0u64..12), 4..5),
+            now in 0u64..12,
+            rotate in 0usize..8,
+        ) {
+            let banks: Vec<Bank> = bank_state
+                .iter()
+                .map(|&(open_row, busy)| Bank {
+                    open_row,
+                    busy_until: Cycle::new(busy),
+                    activated_at: Cycle::ZERO,
+                })
+                .collect();
+            let mut arena = FetchArena::new();
+            let mut queue: SimQueue<Pending> = SimQueue::new("prop", 8);
+            let mut entry = |(ready, bank, row): (u64, usize, u64)| Pending {
+                slot: arena.insert(load(0, 0)),
+                ready_at: Cycle::new(ready),
+                bank,
+                row,
+            };
+            // Advance the ring head so the scan crosses the wrap point.
+            for _ in 0..rotate {
+                queue.push(entry((0, 0, 0))).unwrap();
+                queue.pop();
+            }
+            for &e in &entries {
+                queue.push(entry(e)).unwrap();
+            }
+            let now = Cycle::new(now);
+            let ready = |p: &Pending| p.ready_at <= now && banks[p.bank].busy_until <= now;
+            let spec = queue
+                .iter()
+                .position(|p| ready(p) && banks[p.bank].open_row == Some(p.row))
+                .or_else(|| queue.iter().position(ready));
+            proptest::prop_assert_eq!(fr_fcfs_pick(&queue, &banks, now), spec);
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use std::borrow::BorrowMut;
 use std::collections::VecDeque;
 
-use gpumem_config::NocConfig;
+use gpumem_config::{NocConfig, MAX_MASK_WIDTH};
 use gpumem_types::{Cycle, MemFetch, QueueStats, SimError, SimQueue};
 
 use crate::Packet;
@@ -435,17 +435,25 @@ impl CrossbarFabric {
         I: BorrowMut<IngressPort>,
         E: BorrowMut<EgressPort>,
     {
+        // Per-output request masks: bit `i` of `requests[o]` is set while
+        // the head packet of input `i` targets output `o`. Chaos-held
+        // inputs are invisible to arbitration until their hold expires; an
+        // empty input mirrors `usize::MAX` and requests nothing.
+        let mut requests = [0u64; MAX_MASK_WIDTH];
+        for (in_idx, input) in inputs.iter_mut().enumerate() {
+            let input = input.borrow_mut();
+            if input.head_dest != usize::MAX && !input.held(now) {
+                requests[input.head_dest] |= 1 << in_idx;
+            }
+        }
+
         for (out_idx, out_slot) in outputs.iter_mut().enumerate() {
+            let out = out_slot.borrow_mut();
             // 1. Land in-flight packets whose hop latency elapsed.
-            loop {
-                let out = out_slot.borrow_mut();
-                let landable = matches!(
-                    out.in_flight.front(),
-                    Some((arrive, _)) if *arrive <= now && !out.ejection.is_full()
-                );
-                if !landable {
-                    break;
-                }
+            while matches!(
+                out.in_flight.front(),
+                Some((arrive, _)) if *arrive <= now && !out.ejection.is_full()
+            ) {
                 let Some((_, pkt)) = out.in_flight.pop_front() else {
                     break;
                 };
@@ -460,72 +468,67 @@ impl CrossbarFabric {
 
             // 2. Stream up to `flits_per_cycle` flits of the current
             //    packet (the interconnect runs above the core clock).
-            let out = out_slot.borrow_mut();
-            if let Some((pkt, remaining)) = out.streaming.take() {
-                let moved = remaining.min(self.flits_per_cycle);
-                let remaining = remaining - moved;
+            if let Some((_, remaining)) = &mut out.streaming {
+                let moved = (*remaining).min(self.flits_per_cycle);
+                *remaining -= moved;
                 self.flits_transferred += moved;
                 self.output_busy_cycles += 1;
-                if remaining == 0 {
-                    out.in_flight.push_back((now + self.hop_latency, pkt));
-                } else {
-                    out.streaming = Some((pkt, remaining));
+                if *remaining == 0 {
+                    if let Some((pkt, _)) = out.streaming.take() {
+                        out.in_flight.push_back((now + self.hop_latency, pkt));
+                    }
                 }
                 continue;
             }
 
-            // 3. Arbitrate for a new packet (needs an ejection credit).
-            // Chaos-held inputs are invisible to arbitration until their
-            // hold expires.
-            if out_slot.borrow_mut().credits == 0 {
-                let wanted = inputs.iter_mut().any(|q| {
-                    let q = q.borrow_mut();
-                    q.head_dest == out_idx && !q.held(now)
-                });
-                if wanted {
-                    self.credit_stall_cycles += 1;
-                }
+            // 3. Arbitrate for a new packet (needs an ejection credit):
+            //    round-robin from `rr`, i.e. the lowest requesting input at
+            //    or after `rr`, else the lowest requesting input overall.
+            let wanted_by = requests[out_idx];
+            if wanted_by == 0 {
                 continue;
             }
-            let n_inputs = inputs.len();
-            let start = out_slot.borrow_mut().rr;
-            for step in 0..n_inputs {
-                let in_idx = (start + step) % n_inputs;
-                let input = inputs[in_idx].borrow_mut();
-                // The mirrored head destination stands in for a queue-front
-                // dereference; `usize::MAX` (empty) never matches a port.
-                if input.head_dest != out_idx || input.held(now) {
-                    continue;
+            if out.credits == 0 {
+                self.credit_stall_cycles += 1;
+                continue;
+            }
+            let from_rr = wanted_by & (u64::MAX << out.rr);
+            let in_idx = if from_rr != 0 { from_rr } else { wanted_by }.trailing_zeros() as usize;
+            let input = inputs[in_idx].borrow_mut();
+            let Some(pkt) = input.queue.pop() else {
+                continue; // unreachable: a request bit implies a head packet
+            };
+            debug_assert_eq!(pkt.dest, out_idx);
+            // Later outputs in this same tick must see the post-pop head.
+            input.refresh_head();
+            requests[out_idx] &= !(1 << in_idx);
+            if input.head_dest != usize::MAX {
+                requests[input.head_dest] |= 1 << in_idx;
+            }
+            out.rr = if in_idx + 1 == inputs.len() {
+                0
+            } else {
+                in_idx + 1
+            };
+            out.credits = match out.credits.checked_sub(1) {
+                Some(c) => c,
+                None => {
+                    return Err(SimError::CreditUnderflow {
+                        component: "crossbar",
+                        port: out_idx,
+                        cycle: now.raw(),
+                    });
                 }
-                let Some(pkt) = input.queue.pop() else {
-                    continue;
-                };
-                // Later outputs in this same tick must see the post-pop head.
-                input.refresh_head();
-                debug_assert_eq!(pkt.dest, out_idx);
-                let out = out_slot.borrow_mut();
-                out.rr = (in_idx + 1) % n_inputs;
-                out.credits = match out.credits.checked_sub(1) {
-                    Some(c) => c,
-                    None => {
-                        return Err(SimError::CreditUnderflow {
-                            component: "crossbar",
-                            port: out_idx,
-                            cycle: now.raw(),
-                        });
-                    }
-                };
-                // Transfer the first flit(s) this same cycle.
-                let moved = pkt.flits.min(self.flits_per_cycle);
-                self.flits_transferred += moved;
-                self.output_busy_cycles += 1;
-                if pkt.flits <= moved {
-                    out.in_flight.push_back((now + self.hop_latency, pkt));
-                } else {
-                    let remaining = pkt.flits - moved;
-                    out.streaming = Some((pkt, remaining));
-                }
-                break;
+            };
+            // Transfer the first flit(s) this same cycle.
+            let moved = pkt.flits.min(self.flits_per_cycle);
+            self.flits_transferred += moved;
+            self.output_busy_cycles += 1;
+            if pkt.flits <= moved {
+                out.in_flight.push_back((now + self.hop_latency, pkt));
+            } else {
+                let remaining = pkt.flits - moved;
+                out.streaming = Some((pkt, remaining));
             }
         }
         Ok(())
@@ -561,10 +564,15 @@ impl Crossbar {
     ///
     /// # Panics
     ///
-    /// Panics if `inputs` or `outputs` is zero.
+    /// Panics if `inputs` or `outputs` is zero or exceeds
+    /// [`MAX_MASK_WIDTH`].
     pub fn new(inputs: usize, outputs: usize, cfg: &NocConfig) -> Self {
         assert!(inputs > 0, "crossbar needs at least one input");
         assert!(outputs > 0, "crossbar needs at least one output");
+        assert!(
+            inputs <= MAX_MASK_WIDTH && outputs <= MAX_MASK_WIDTH,
+            "crossbar arbitration masks hold at most {MAX_MASK_WIDTH} ports per side"
+        );
         Crossbar {
             fabric: CrossbarFabric::new(cfg),
             ingress: (0..inputs)
@@ -752,6 +760,7 @@ impl Crossbar {
     /// stat-identical to a skipped cycle); chaos runs use the stepped
     /// engine anyway.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        let wanted = self.wanted_outputs(None);
         let mut earliest: Option<Cycle> = None;
         for (out_idx, out) in self.egress.iter().enumerate() {
             if out.streaming.is_some() {
@@ -766,7 +775,7 @@ impl Crossbar {
                     _ => *arrive,
                 });
             }
-            if out.credits > 0 && self.ingress.iter().any(|q| q.head_dest == out_idx) {
+            if out.credits > 0 && wanted & (1 << out_idx) != 0 {
                 return Some(now);
             }
         }
@@ -799,20 +808,23 @@ impl Crossbar {
     }
 
     fn account_stalls_many(&mut self, now: Cycle, cycles: u64) {
-        let mut starved = 0u64;
-        for (out_idx, out) in self.egress.iter().enumerate() {
-            if out.credits != 0 {
-                continue;
-            }
-            let wanted = self
-                .ingress
-                .iter()
-                .any(|q| q.head_dest == out_idx && !q.held(now));
-            if wanted {
-                starved += 1;
-            }
-        }
+        let wanted = self.wanted_outputs(Some(now));
+        let starved = self
+            .egress
+            .iter()
+            .enumerate()
+            .filter(|(out_idx, out)| out.credits == 0 && wanted & (1 << out_idx) != 0)
+            .count() as u64;
         self.fabric.credit_stall_cycles += starved * cycles;
+    }
+
+    /// Mask of the outputs some input's head packet targets. With
+    /// `unheld_at`, inputs under a chaos hold at that cycle are skipped.
+    fn wanted_outputs(&self, unheld_at: Option<Cycle>) -> u64 {
+        self.ingress
+            .iter()
+            .filter(|q| q.head_dest != usize::MAX && !unheld_at.is_some_and(|now| q.held(now)))
+            .fold(0, |mask, q| mask | 1 << q.head_dest)
     }
 
     /// True if no packet is anywhere inside the crossbar (for liveness and
@@ -1205,6 +1217,133 @@ mod tests {
         outs[0].set_credits(before + 1);
         x.restore_ports(ins, outs);
         assert!(x.is_idle());
+    }
+
+    /// The arbitration `CrossbarFabric::tick` replaced with request masks,
+    /// kept as the specification: every idle output with a credit walks
+    /// the inputs round-robin from its pointer, one modulo step at a time,
+    /// reading each input's current (post-pop) head.
+    fn reference_tick(x: &mut Crossbar, now: Cycle) {
+        let (fabric, inputs, outputs) = (&mut x.fabric, &mut x.ingress, &mut x.egress);
+        for (out_idx, out) in outputs.iter_mut().enumerate() {
+            while matches!(
+                out.in_flight.front(),
+                Some((arrive, _)) if *arrive <= now && !out.ejection.is_full()
+            ) {
+                let (_, pkt) = out.in_flight.pop_front().unwrap();
+                out.ejection.push(pkt).unwrap();
+            }
+            if let Some((pkt, remaining)) = out.streaming.take() {
+                let moved = remaining.min(fabric.flits_per_cycle);
+                fabric.flits_transferred += moved;
+                fabric.output_busy_cycles += 1;
+                if remaining == moved {
+                    out.in_flight.push_back((now + fabric.hop_latency, pkt));
+                } else {
+                    out.streaming = Some((pkt, remaining - moved));
+                }
+                continue;
+            }
+            if out.credits == 0 {
+                if inputs
+                    .iter()
+                    .any(|q| q.head_dest == out_idx && !q.held(now))
+                {
+                    fabric.credit_stall_cycles += 1;
+                }
+                continue;
+            }
+            let n_inputs = inputs.len();
+            for step in 0..n_inputs {
+                let in_idx = (out.rr + step) % n_inputs;
+                let input = &mut inputs[in_idx];
+                if input.head_dest != out_idx || input.held(now) {
+                    continue;
+                }
+                let pkt = input.queue.pop().unwrap();
+                input.refresh_head();
+                out.rr = (in_idx + 1) % n_inputs;
+                out.credits -= 1;
+                let moved = pkt.flits.min(fabric.flits_per_cycle);
+                fabric.flits_transferred += moved;
+                fabric.output_busy_cycles += 1;
+                if pkt.flits <= moved {
+                    out.in_flight.push_back((now + fabric.hop_latency, pkt));
+                } else {
+                    let remaining = pkt.flits - moved;
+                    out.streaming = Some((pkt, remaining));
+                }
+                break;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Mask arbitration is the round-robin reference, cycle for cycle:
+        /// same grants (including an input whose post-pop head feeds a later
+        /// output in the same tick), same pointers, credits and counters,
+        /// under random traffic, receiver backpressure and chaos holds and
+        /// head rotations.
+        #[test]
+        fn mask_arbitration_equals_round_robin_reference(
+            inputs in 1usize..7,
+            outputs in 1usize..5,
+            flit_rate in 1u64..3,
+            cycles in proptest::collection::vec(
+                (
+                    // Up to three injections: (input, dest, flits).
+                    proptest::collection::vec((0usize..7, 0usize..5, 1u64..6), 0..4),
+                    // Chaos: hold (input, cycles) and rotate-head (input).
+                    proptest::option::of((0usize..7, 1u64..6)),
+                    proptest::option::of(0usize..7),
+                    // Which outputs the receivers drain this cycle.
+                    0u32..32,
+                ),
+                1..120,
+            ),
+        ) {
+            let cfg = NocConfig { flits_per_cycle: flit_rate, ..cfg() };
+            let mut masked = Crossbar::new(inputs, outputs, &cfg);
+            let mut reference = Crossbar::new(inputs, outputs, &cfg);
+            let mut now = Cycle::ZERO;
+            let mut id = 0;
+            for (injections, hold, rotate, drain) in cycles {
+                for x in [&mut masked, &mut reference] {
+                    let mut id = id;
+                    for &(input, dest, flits) in &injections {
+                        let _ = x.try_inject(input % inputs, pkt(id, dest % outputs, flits));
+                        id += 1;
+                    }
+                    if let Some((input, cycles)) = hold {
+                        x.ingress_ports_mut()[input % inputs].chaos_hold(now + cycles);
+                    }
+                    if let Some(input) = rotate {
+                        x.ingress_ports_mut()[input % inputs].chaos_rotate_head();
+                    }
+                }
+                id += injections.len() as u64;
+                masked.tick(now).unwrap();
+                reference_tick(&mut reference, now);
+                for out in (0..outputs).filter(|out| drain >> out & 1 != 0) {
+                    let got = masked.pop_ejected(out).map(|p| p.fetch.id);
+                    proptest::prop_assert_eq!(got, reference.pop_ejected(out).map(|p| p.fetch.id));
+                }
+                proptest::prop_assert_eq!(masked.stats(), reference.stats());
+                proptest::prop_assert_eq!(
+                    format!("{:?}{:?}", masked.ingress, masked.egress),
+                    format!("{:?}{:?}", reference.ingress, reference.egress)
+                );
+                now = now.next();
+            }
+        }
+    }
+
+    /// ISSUE 13: packets are moved by value through both crossbars; this
+    /// bound (with `MemFetch`'s in `gpumem-types`) keeps them from silently
+    /// regrowing past two cache lines and change.
+    #[test]
+    fn packet_stays_small() {
+        assert!(std::mem::size_of::<Packet>() <= 144);
     }
 
     #[test]

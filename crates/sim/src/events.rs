@@ -41,7 +41,7 @@
 
 use gpumem_noc::Packet;
 use gpumem_simt::SimtCore;
-use gpumem_types::{host_wall_clock, CtaId, Cycle, PartitionId, SimError};
+use gpumem_types::{host_wall_clock, CtaId, Cycle, CycleStamp, PartitionId, SimError};
 
 use crate::gpu::Backend;
 use crate::report::HostPerf;
@@ -555,7 +555,7 @@ fn drain_to(k: &mut Kernel, sim: &mut GpuSimulator, end: u64) {
 /// one place the engine pays an O(components) scan.
 fn arm_initial(k: &mut Kernel, sim: &GpuSimulator, now0: u64) {
     let now = sim.now;
-    if sim.next_cta < sim.program.grid_ctas() {
+    if sim.next_cta < sim.grid_ctas {
         k.arm(DISPATCH, now0);
     }
     for (c, core) in sim.cores.iter().enumerate() {
@@ -606,7 +606,7 @@ fn arm_initial(k: &mut Kernel, sim: &GpuSimulator, now0: u64) {
 fn exec_cycle(k: &mut Kernel, sim: &mut GpuSimulator, t: u64) -> Result<(), SimError> {
     let GpuSimulator {
         cfg,
-        program,
+        grid_ctas,
         cores,
         backend,
         next_cta,
@@ -615,7 +615,7 @@ fn exec_cycle(k: &mut Kernel, sim: &mut GpuSimulator, t: u64) -> Result<(), SimE
         ..
     } = &mut *sim;
     let now = Cycle::new(t);
-    let grid = program.grid_ctas();
+    let grid = *grid_ctas;
 
     // CTA dispatch (stepped stage: `dispatch_ctas`, top of cycle). A core
     // receiving work is caught up first (the gap is classified at its
@@ -760,7 +760,7 @@ fn exec_cycle(k: &mut Kernel, sim: &mut GpuSimulator, t: u64) -> Result<(), SimE
                     };
                     let part = (fetch.line.index() % cfg.num_partitions as u64) as usize;
                     fetch.partition = Some(PartitionId::new(part as u32));
-                    fetch.timeline.icnt_inject = Some(now);
+                    fetch.timeline.icnt_inject = CycleStamp::at(now);
                     let bytes = fetch.request_bytes(cfg.line_bytes);
                     let pkt = Packet::new(fetch, part, bytes, cfg.noc.flit_bytes);
                     if req_xbar.try_inject(c, pkt).is_err() {
@@ -841,7 +841,7 @@ fn exec_cycle(k: &mut Kernel, sim: &mut GpuSimulator, t: u64) -> Result<(), SimE
                 k.core_runs += 1;
                 core.cycle(now);
                 while let Some(mut fetch) = core.pop_memory_request() {
-                    fetch.timeline.icnt_inject = Some(now);
+                    fetch.timeline.icnt_inject = CycleStamp::at(now);
                     *requests_injected += 1;
                     mem.submit(fetch, now);
                     submitted = true;

@@ -1,34 +1,7 @@
 //! The fixed-latency memory backend used by the paper's Section II
 //! latency-tolerance experiment (Fig. 1).
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-use gpumem_types::{Cycle, MemFetch};
-
-#[derive(Debug)]
-struct Due {
-    at: Cycle,
-    seq: u64,
-    fetch: MemFetch,
-}
-
-impl PartialEq for Due {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Due {}
-impl PartialOrd for Due {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Due {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
+use gpumem_types::{Cycle, DueHeap, MemFetch};
 
 /// An idealized memory system that answers every L1 miss after a fixed,
 /// configurable latency with unlimited bandwidth.
@@ -54,8 +27,7 @@ impl Ord for Due {
 #[derive(Debug)]
 pub struct FixedLatencyMemory {
     latency: u64,
-    pending: BinaryHeap<Due>,
-    next_seq: u64,
+    pending: DueHeap<MemFetch>,
     loads_served: u64,
     stores_sunk: u64,
 }
@@ -65,8 +37,7 @@ impl FixedLatencyMemory {
     pub fn new(latency: u64) -> Self {
         FixedLatencyMemory {
             latency,
-            pending: BinaryHeap::new(),
-            next_seq: 0,
+            pending: DueHeap::new(),
             loads_served: 0,
             stores_sunk: 0,
         }
@@ -81,12 +52,7 @@ impl FixedLatencyMemory {
     /// are sunk; loads are scheduled to return at `now + latency`.
     pub fn submit(&mut self, fetch: MemFetch, now: Cycle) {
         if fetch.kind.is_load() {
-            self.pending.push(Due {
-                at: now + self.latency,
-                seq: self.next_seq,
-                fetch,
-            });
-            self.next_seq += 1;
+            self.pending.push(now + self.latency, fetch);
         } else {
             self.stores_sunk += 1;
         }
@@ -102,13 +68,9 @@ impl FixedLatencyMemory {
     /// response due inside an epoch into per-core inboxes and needs the
     /// due cycle to deliver each at its serial-equivalent local cycle.
     pub fn pop_due_at(&mut self, now: Cycle) -> Option<(Cycle, MemFetch)> {
-        if self.pending.peek().is_some_and(|d| d.at <= now) {
-            let due = self.pending.pop()?;
-            self.loads_served += 1;
-            Some((due.at, due.fetch))
-        } else {
-            None
-        }
+        let due = self.pending.pop_due(now)?;
+        self.loads_served += 1;
+        Some(due)
     }
 
     /// True once every submitted load has been returned.
@@ -123,14 +85,14 @@ impl FixedLatencyMemory {
 
     /// Every load currently awaiting its response (for wedge diagnosis).
     pub fn fetches(&self) -> impl Iterator<Item = &MemFetch> {
-        self.pending.iter().map(|d| &d.fetch)
+        self.pending.iter()
     }
 
     /// The earliest future cycle at which this backend can act: the due
     /// time of the next pending response (clamped to `now` if already
     /// due), or `None` when nothing is outstanding.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.pending.peek().map(|d| d.at.max(now))
+        self.pending.next_due().map(|at| at.max(now))
     }
 
     /// Loads answered so far.

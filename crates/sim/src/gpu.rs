@@ -9,8 +9,8 @@ use gpumem_noc::{Crossbar, Packet};
 use gpumem_simt::{KernelProgram, SimtCore};
 use gpumem_trace::TraceConfig;
 use gpumem_types::{
-    host_wall_clock, ComponentOccupancy, CtaId, Cycle, Degradation, OldestFetch, PartitionId,
-    SimError, WedgeDiagnosis,
+    host_wall_clock, ComponentOccupancy, CtaId, Cycle, CycleStamp, Degradation, OldestFetch,
+    PartitionId, SimError, WedgeDiagnosis,
 };
 
 use crate::chaos::{ChaosConfig, ChaosEngine};
@@ -85,6 +85,9 @@ impl Default for SkipPolicy {
 pub struct GpuSimulator {
     pub(crate) cfg: GpuConfig,
     pub(crate) program: Arc<dyn KernelProgram>,
+    /// `program.grid_ctas()`, read once: dispatch and completion checks
+    /// compare against it every cycle.
+    pub(crate) grid_ctas: u32,
     mode: MemoryMode,
     pub(crate) cores: Vec<SimtCore>,
     pub(crate) backend: Backend,
@@ -156,6 +159,7 @@ impl GpuSimulator {
         };
         GpuSimulator {
             cfg,
+            grid_ctas: program.grid_ctas(),
             program,
             mode,
             cores,
@@ -476,8 +480,7 @@ impl GpuSimulator {
     pub fn next_event(&self) -> Option<Cycle> {
         let now = self.now;
         // Undispatched CTAs land on any core with room this very cycle.
-        if self.next_cta < self.program.grid_ctas() && self.cores.iter().any(|c| c.can_accept_cta())
-        {
+        if self.next_cta < self.grid_ctas && self.cores.iter().any(|c| c.can_accept_cta()) {
             return Some(now);
         }
         let mut earliest: Option<Cycle> = None;
@@ -647,7 +650,7 @@ impl GpuSimulator {
                         };
                         let part = (fetch.line.index() % self.cfg.num_partitions as u64) as usize;
                         fetch.partition = Some(PartitionId::new(part as u32));
-                        fetch.timeline.icnt_inject = Some(now);
+                        fetch.timeline.icnt_inject = CycleStamp::at(now);
                         let bytes = fetch.request_bytes(self.cfg.line_bytes);
                         let pkt = Packet::new(fetch, part, bytes, self.cfg.noc.flit_bytes);
                         if req_xbar.try_inject(c, pkt).is_err() {
@@ -679,7 +682,7 @@ impl GpuSimulator {
                 for core in self.cores.iter_mut() {
                     core.cycle(now);
                     while let Some(mut fetch) = core.pop_memory_request() {
-                        fetch.timeline.icnt_inject = Some(now);
+                        fetch.timeline.icnt_inject = CycleStamp::at(now);
                         self.requests_injected += 1;
                         mem.submit(fetch, now);
                     }
@@ -694,7 +697,7 @@ impl GpuSimulator {
     }
 
     pub(crate) fn dispatch_ctas(&mut self) {
-        let grid = self.program.grid_ctas();
+        let grid = self.grid_ctas;
         if self.next_cta >= grid {
             return;
         }
@@ -711,7 +714,7 @@ impl GpuSimulator {
 
     /// True when every CTA has retired and all memory traffic has drained.
     pub fn is_done(&self) -> bool {
-        if self.next_cta < self.program.grid_ctas() {
+        if self.next_cta < self.grid_ctas {
             return false;
         }
         if !self
@@ -798,7 +801,7 @@ impl GpuSimulator {
         // writebacks carry no issue stamp and are skipped.
         let mut oldest: Option<(u64, u64, u32)> = None;
         let mut consider = |f: &gpumem_types::MemFetch| {
-            if let Some(issued) = f.timeline.issued {
+            if let Some(issued) = f.timeline.issued.get() {
                 let key = (issued.raw(), f.id.raw(), f.core.index() as u32);
                 if oldest.is_none_or(|o| (o.0, o.1) > (key.0, key.1)) {
                     oldest = Some(key);
@@ -900,7 +903,7 @@ impl GpuSimulator {
             responses_delivered: self.responses_delivered,
             requests_injected: self.requests_injected,
             ctas_dispatched: self.next_cta,
-            grid_ctas: self.program.grid_ctas(),
+            grid_ctas: self.grid_ctas,
             components,
             oldest_fetch,
             blocked_chain,
@@ -933,10 +936,7 @@ impl GpuSimulator {
         };
         format!(
             "{}/{} CTAs dispatched, {} cores pending, {}",
-            self.next_cta,
-            self.program.grid_ctas(),
-            pending_cores,
-            backend
+            self.next_cta, self.grid_ctas, pending_cores, backend
         )
     }
 

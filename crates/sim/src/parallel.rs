@@ -96,7 +96,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gpumem_noc::{Crossbar, EgressPort, IngressPort, LandingSchedule, Packet};
 use gpumem_simt::SimtCore;
-use gpumem_types::{host_wall_clock, Cycle, Degradation, HostStopwatch, MemFetch, PartitionId};
+use gpumem_types::{
+    host_wall_clock, Cycle, CycleStamp, Degradation, HostStopwatch, MemFetch, PartitionId,
+};
 
 use crate::chaos::ChaosEngine;
 use crate::gpu::Backend;
@@ -375,7 +377,7 @@ impl HierChunk {
                 };
                 let part = (fetch.line.index() % params.num_partitions) as usize;
                 fetch.partition = Some(PartitionId::new(part as u32));
-                fetch.timeline.icnt_inject = Some(now);
+                fetch.timeline.icnt_inject = CycleStamp::at(now);
                 let bytes = fetch.request_bytes(params.line_bytes);
                 let pkt = Packet::new(fetch, part, bytes, params.flit_bytes);
                 if cp.req_in.try_inject(pkt).is_err() {
@@ -457,7 +459,7 @@ impl HierChunk {
                 while let Some(mut fetch) = cp.core.pop_memory_request() {
                     let part = (fetch.line.index() % params.num_partitions) as usize;
                     fetch.partition = Some(PartitionId::new(part as u32));
-                    fetch.timeline.icnt_inject = Some(now);
+                    fetch.timeline.icnt_inject = CycleStamp::at(now);
                     let bytes = fetch.request_bytes(params.line_bytes);
                     cp.mailbox.push_back((
                         now.raw(),
@@ -574,7 +576,7 @@ impl FixedChunk {
             }
             fp.core.cycle(now);
             while let Some(mut fetch) = fp.core.pop_memory_request() {
-                fetch.timeline.icnt_inject = Some(now);
+                fetch.timeline.icnt_inject = CycleStamp::at(now);
                 fp.outbox.push_back((now.raw(), fetch));
             }
             fp.core.observe();
@@ -610,7 +612,7 @@ impl FixedChunk {
                     active = true;
                 }
                 while let Some(mut fetch) = fp.core.pop_memory_request() {
-                    fetch.timeline.icnt_inject = Some(now);
+                    fetch.timeline.icnt_inject = CycleStamp::at(now);
                     fp.outbox.push_back((now.raw(), fetch));
                     active = true;
                 }

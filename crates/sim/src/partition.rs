@@ -1,17 +1,14 @@
 //! A memory partition: one banked slice of the shared L2 plus its DRAM
 //! channel.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use gpumem_cache::{MshrTable, ReplacementOutcome, TagArray};
 use gpumem_config::GpuConfig;
 use gpumem_dram::DramChannel;
 use gpumem_noc::{EgressPort, IngressPort, Packet};
 use gpumem_trace::{OccupancyProbe, TraceConfig};
 use gpumem_types::{
-    AccessKind, Cycle, FetchArena, FetchId, LineAddr, MemFetch, PartitionId, QueueStats, SimError,
-    SimQueue, SlotId,
+    AccessKind, Cycle, CycleStamp, DueHeap, FetchArena, FetchId, LineAddr, MemFetch, PartitionId,
+    QueueStats, SimError, SimQueue, SlotId,
 };
 
 /// Component label used in this partition's typed errors.
@@ -97,30 +94,6 @@ pub struct PartitionTrace {
     pub dram_sched: OccupancyProbe,
 }
 
-#[derive(Debug)]
-struct BankCompletion {
-    done_at: Cycle,
-    seq: u64,
-    fetch: MemFetch,
-}
-
-impl PartialEq for BankCompletion {
-    fn eq(&self, other: &Self) -> bool {
-        self.done_at == other.done_at && self.seq == other.seq
-    }
-}
-impl Eq for BankCompletion {}
-impl PartialOrd for BankCompletion {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for BankCompletion {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.done_at, other.seq).cmp(&(self.done_at, self.seq))
-    }
-}
-
 /// One memory partition: banked L2 slice, its queues, the data port to the
 /// response crossbar, and the DRAM channel behind it.
 ///
@@ -140,10 +113,12 @@ pub struct MemoryPartition {
     flit_bytes: u64,
     tags: Vec<TagArray>,
     bank_next_accept: Vec<Cycle>,
-    completions: BinaryHeap<BankCompletion>,
+    /// Load hits traversing the bank pipeline, due at their bank latency.
+    completions: DueHeap<SlotId>,
     access_queue: SimQueue<MemFetch>,
     mshr: MshrTable<L2Waiter>,
-    /// Parked bodies of merged misses (primaries travel to DRAM).
+    /// Parked bodies of merged misses (primaries travel to DRAM) and of
+    /// load hits in the bank pipeline.
     arena: FetchArena,
     /// Misses traversing the bank pipeline (tag access + request
     /// generation) before becoming eligible for the miss queue.
@@ -157,7 +132,6 @@ pub struct MemoryPartition {
     to_icnt: SimQueue<MemFetch>,
     port_free_at: Cycle,
     dram: DramChannel,
-    next_seq: u64,
     next_wb_seq: u64,
     stats: L2Stats,
     /// Fault injection: the MSHR miss path stalls (as if the table were
@@ -210,7 +184,7 @@ impl MemoryPartition {
                 .map(|_| TagArray::new(sets_per_bank, cfg.l2.assoc))
                 .collect(),
             bank_next_accept: vec![Cycle::ZERO; banks],
-            completions: BinaryHeap::new(),
+            completions: DueHeap::new(),
             access_queue: SimQueue::new("l2_access", cfg.l2.access_queue),
             mshr: MshrTable::new(cfg.l2.mshr_entries, cfg.l2.mshr_merge),
             arena: FetchArena::with_capacity(cfg.l2.mshr_entries * cfg.l2.mshr_merge),
@@ -221,7 +195,6 @@ impl MemoryPartition {
             to_icnt: SimQueue::new("l2_to_icnt", cfg.l2.access_queue),
             port_free_at: Cycle::ZERO,
             dram: DramChannel::new(cfg, id.index()),
-            next_seq: 0,
             next_wb_seq: 0,
             stats: L2Stats::default(),
             chaos_mshr_until: Cycle::ZERO,
@@ -319,7 +292,7 @@ impl MemoryPartition {
         self.inject_responses(now, resp_in)
     }
 
-    fn overflow(&self, queue: &'static str, now: Cycle) -> SimError {
+    fn overflow(queue: &'static str, now: Cycle) -> SimError {
         SimError::QueueOverflow {
             component: COMPONENT,
             queue,
@@ -334,9 +307,9 @@ impl MemoryPartition {
             return Ok(()); // ejection queue backs up → crossbar credits stall
         }
         if let Some(mut pkt) = req_ej.pop_ejected() {
-            pkt.fetch.timeline.l2_arrive = Some(now);
+            pkt.fetch.timeline.l2_arrive = CycleStamp::at(now);
             if self.access_queue.push(pkt.fetch).is_err() {
-                return Err(self.overflow("l2_access", now));
+                return Err(Self::overflow("l2_access", now));
             }
         }
         Ok(())
@@ -347,7 +320,7 @@ impl MemoryPartition {
             match self.dram.pop_return() {
                 Some(f) => {
                     if self.response_queue.push(f).is_err() {
-                        return Err(self.overflow("l2_response", now));
+                        return Err(Self::overflow("l2_response", now));
                     }
                 }
                 None => break,
@@ -400,7 +373,7 @@ impl MemoryPartition {
                 let wb = MemFetch::new_writeback(wb_id, e.line, self.id);
                 self.stats.writebacks += 1;
                 if self.wb_queue.push(wb).is_err() {
-                    return Err(self.overflow("l2_writeback", now));
+                    return Err(Self::overflow("l2_writeback", now));
                 }
             }
             _ => {}
@@ -414,7 +387,7 @@ impl MemoryPartition {
         let dram_issue = fill.timeline.dram_issue;
         let dram_data = fill.timeline.dram_data;
         let mut primary = Some(fill);
-        for w in self.mshr.complete(line) {
+        for &w in self.mshr.complete(line) {
             match w {
                 L2Waiter::Primary(kind) => {
                     let Some(body) = primary.take() else {
@@ -430,7 +403,7 @@ impl MemoryPartition {
                         // allocated the entry, dram_arrive already stamped.
                         AccessKind::Load => {
                             if self.to_icnt.push(body).is_err() {
-                                return Err(self.overflow("l2_to_icnt", now));
+                                return Err(Self::overflow("l2_to_icnt", now));
                             }
                         }
                         // A store primary fetched the line write-allocate
@@ -449,17 +422,18 @@ impl MemoryPartition {
                             // before the line reached the channel. A later
                             // merger keeps its whole wait in the L2 stages,
                             // so every timeline stays monotone.
-                            let merged_before_dram = match (dram_arrive, f.timeline.l2_serve) {
-                                (Some(arr), Some(serve)) => serve <= arr,
-                                _ => false,
-                            };
+                            let merged_before_dram =
+                                match (dram_arrive.get(), f.timeline.l2_serve.get()) {
+                                    (Some(arr), Some(serve)) => serve <= arr,
+                                    _ => false,
+                                };
                             if merged_before_dram {
                                 f.timeline.dram_arrive = dram_arrive;
                                 f.timeline.dram_issue = dram_issue;
                                 f.timeline.dram_data = dram_data;
                             }
                             if self.to_icnt.push(f).is_err() {
-                                return Err(self.overflow("l2_to_icnt", now));
+                                return Err(Self::overflow("l2_to_icnt", now));
                             }
                         }
                         AccessKind::Store => {
@@ -484,18 +458,16 @@ impl MemoryPartition {
 
     /// Lands finished bank accesses (load hits) into the response path.
     fn land_bank_completions(&mut self, now: Cycle) -> Result<(), SimError> {
-        while let Some(head) = self.completions.peek() {
-            if head.done_at > now || self.to_icnt.is_full() {
-                if head.done_at <= now {
-                    self.stats.stall_fill += 1;
-                }
+        while self.completions.next_due().is_some_and(|at| at <= now) {
+            if self.to_icnt.is_full() {
+                self.stats.stall_fill += 1;
                 break;
             }
-            let Some(c) = self.completions.pop() else {
+            let Some((_, slot)) = self.completions.pop_due(now) else {
                 break;
             };
-            if self.to_icnt.push(c.fetch).is_err() {
-                return Err(self.overflow("l2_to_icnt", now));
+            if self.to_icnt.push(self.arena.take(slot)).is_err() {
+                return Err(Self::overflow("l2_to_icnt", now));
             }
         }
         Ok(())
@@ -534,17 +506,13 @@ impl MemoryPartition {
             let Some(mut fetch) = self.access_queue.pop() else {
                 return Ok(());
             };
-            fetch.timeline.l2_serve = Some(now);
+            fetch.timeline.l2_serve = CycleStamp::at(now);
             match kind {
                 AccessKind::Load => {
                     self.stats.load_hits += 1;
                     self.bank_next_accept[bank] = now + self.port_cycles;
-                    self.completions.push(BankCompletion {
-                        done_at: now + self.bank_latency,
-                        seq: self.next_seq,
-                        fetch,
-                    });
-                    self.next_seq += 1;
+                    self.completions
+                        .push(now + self.bank_latency, self.arena.insert(fetch));
                 }
                 AccessKind::Store => {
                     self.stats.store_hits += 1;
@@ -571,7 +539,7 @@ impl MemoryPartition {
             let Some(mut fetch) = self.access_queue.pop() else {
                 return Ok(());
             };
-            fetch.timeline.l2_serve = Some(now);
+            fetch.timeline.l2_serve = CycleStamp::at(now);
             let slot = self.arena.insert(fetch);
             if self.mshr.allocate(line, L2Waiter::Merged(slot)).is_err() {
                 return Err(SimError::MshrLeak {
@@ -591,7 +559,7 @@ impl MemoryPartition {
         let Some(mut dram_req) = self.access_queue.pop() else {
             return Ok(());
         };
-        dram_req.timeline.l2_serve = Some(now);
+        dram_req.timeline.l2_serve = CycleStamp::at(now);
         // The downstream request always *reads* the line (write-allocate:
         // a store miss fetches the line, then the waiter dirties it). The
         // allocating request itself becomes the DRAM fetch — only its
@@ -632,7 +600,7 @@ impl MemoryPartition {
                 break;
             };
             if self.miss_queue.push(fetch).is_err() {
-                return Err(self.overflow("l2_miss", now));
+                return Err(Self::overflow("l2_miss", now));
             }
         }
         Ok(())
@@ -648,14 +616,14 @@ impl MemoryPartition {
         if self.miss_queue.front().is_some() && self.dram.can_accept(AccessKind::Load) {
             if let Some(fetch) = self.miss_queue.pop() {
                 if self.dram.try_push(fetch, now).is_err() {
-                    return Err(self.overflow("dram_sched", now));
+                    return Err(Self::overflow("dram_sched", now));
                 }
             }
         }
         if self.wb_queue.front().is_some() && self.dram.can_accept(AccessKind::Store) {
             if let Some(wb) = self.wb_queue.pop() {
                 if self.dram.try_push(wb, now).is_err() {
-                    return Err(self.overflow("dram_write", now));
+                    return Err(Self::overflow("dram_write", now));
                 }
             }
         }
@@ -687,7 +655,7 @@ impl MemoryPartition {
         let Some(mut fetch) = self.to_icnt.pop() else {
             return Ok(());
         };
-        fetch.timeline.resp_inject = Some(now);
+        fetch.timeline.resp_inject = CycleStamp::at(now);
         let dest = fetch.core.index();
         let packet = Packet::new(fetch, dest, bytes, self.flit_bytes);
         if resp_in.try_inject(packet).is_err() {
@@ -739,11 +707,11 @@ impl MemoryPartition {
                 _ => t,
             });
         };
-        if let Some(head) = self.completions.peek() {
-            if head.done_at <= now {
+        if let Some(done_at) = self.completions.next_due() {
+            if done_at <= now {
                 return Some(now);
             }
-            fold(head.done_at, &mut earliest);
+            fold(done_at, &mut earliest);
         }
         if let Some(head) = self.access_queue.front() {
             let (bank, _) = self.map(head.line);
@@ -943,7 +911,7 @@ impl MemoryPartition {
             .chain(self.wb_queue.iter())
             .chain(self.response_queue.iter())
             .chain(self.to_icnt.iter())
-            .chain(self.completions.iter().map(|c| &c.fetch))
+            .chain(self.completions.iter().map(|&slot| &self.arena[slot]))
             .chain(self.dram.fetches())
     }
 }

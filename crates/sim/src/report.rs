@@ -350,15 +350,15 @@ mod tests {
     }
 
     fn traced_fetch(id: u64, issued: u64, returned: u64) -> gpumem_types::MemFetch {
-        use gpumem_types::{AccessKind, CoreId, FetchId, LineAddr, MemFetch};
+        use gpumem_types::{AccessKind, CoreId, CycleStamp, FetchId, LineAddr, MemFetch};
         let mut f = MemFetch::new(
             FetchId::new(id),
             AccessKind::Load,
             LineAddr::new(id),
             CoreId::new(0),
         );
-        f.timeline.issued = Some(Cycle::new(issued));
-        f.timeline.returned = Some(Cycle::new(returned));
+        f.timeline.issued = CycleStamp::at(Cycle::new(issued));
+        f.timeline.returned = CycleStamp::at(Cycle::new(returned));
         f
     }
 

@@ -3,11 +3,12 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use gpumem_cache::{L1AccessOutcome, L1Dcache, L1Stats};
-use gpumem_config::GpuConfig;
+use gpumem_cache::{L1Dcache, L1Stats};
+use gpumem_config::{GpuConfig, MAX_MASK_WIDTH};
 use gpumem_trace::{OccupancyProbe, TraceCollector, TraceConfig};
 use gpumem_types::{
-    AccessKind, CoreId, CtaId, Cycle, FetchId, LatencyStats, MemFetch, QueueStats, SimQueue,
+    AccessKind, CoreId, CtaId, Cycle, CycleStamp, FetchId, LatencyStats, MemFetch, QueueStats,
+    SimQueue,
 };
 
 use crate::warp::WarpSlot;
@@ -113,11 +114,6 @@ pub struct EpochBounds {
     pub warp_finish: u64,
 }
 
-#[derive(Debug)]
-struct IssueReg {
-    accesses: VecDeque<MemFetch>,
-}
-
 /// Trace state owned by one core: the stage-histogram collector fed at the
 /// two completion points (response acceptance and ready-hit pop) plus the
 /// core's queue-occupancy probes. Lives behind an `Option<Box<_>>` so an
@@ -146,13 +142,34 @@ pub struct CoreTrace {
 pub struct SimtCore {
     id: CoreId,
     program: Arc<dyn KernelProgram>,
+    /// `program.warps_per_cta()`, read once: CTA admission is asked every
+    /// cycle while CTAs remain.
+    warps_per_cta: usize,
     warps: Vec<WarpSlot>,
+    /// Per-slot earliest issue cycle (the in-order dependent-chain
+    /// approximation), dense so the issue scan touches one cache line
+    /// instead of every `WarpSlot`.
+    ready_at: Vec<Cycle>,
+    /// Scheduling state of `warps` as one bit per slot, so the per-cycle
+    /// issue scan and stall classification read four words instead of
+    /// walking the slots. Refreshed for slot `w` only by
+    /// [`sync_warp`](SimtCore::sync_warp), which every mutation of
+    /// `warps[w]` is followed by.
+    masks: WarpMasks,
     ctas: Vec<Option<CtaState>>,
+    free_warps: usize,
+    free_cta_slots: usize,
     issue_width: usize,
     l1: L1Dcache,
     lsu_queue: SimQueue<MemFetch>,
+    /// The access stalled at the L1 port; the L1 decides it in place.
     l1_retry: Option<MemFetch>,
-    issue_reg: Option<IssueReg>,
+    /// The issue register: coalesced accesses of the memory instruction in
+    /// flight, draining one per cycle into the LSU pipeline. Non-empty
+    /// means the memory pipeline is busy.
+    issue_reg: VecDeque<MemFetch>,
+    /// Reused buffer for the loads one L1 fill completes.
+    fill_done: Vec<MemFetch>,
     /// Assigned warp slots in age order (GTO's "oldest" order).
     issue_order: Vec<usize>,
     last_issued: Option<usize>,
@@ -183,6 +200,48 @@ pub struct SimtCore {
     host_l1_seconds: f64,
 }
 
+/// See [`SimtCore::masks`]. Bit `w` describes `warps[w]`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct WarpMasks {
+    /// Assigned and not finished.
+    live: u64,
+    /// Live and blocked on a pending load at the current PC.
+    mem_blocked: u64,
+    /// Live and waiting at a CTA barrier.
+    at_barrier: u64,
+    /// The cached decoded instruction is a load or store.
+    decoded_is_mem: u64,
+}
+
+impl WarpMasks {
+    /// Re-derives bit `w` of every mask from `warp`.
+    fn refresh(&mut self, w: usize, warp: &WarpSlot) {
+        let live = warp.assigned && !warp.finished;
+        let decoded_is_mem = matches!(&warp.decoded, Some(Some(instr)) if instr.is_memory());
+        let set = |mask: &mut u64, on: bool| *mask = *mask & !(1 << w) | u64::from(on) << w;
+        set(&mut self.live, live);
+        set(&mut self.mem_blocked, live && warp.blocked_on_memory());
+        set(&mut self.at_barrier, live && warp.at_barrier);
+        set(&mut self.decoded_is_mem, decoded_is_mem);
+    }
+
+    /// Warps that pass every part of the issue pre-check but time.
+    fn eligible(&self) -> u64 {
+        self.live & !self.mem_blocked & !self.at_barrier
+    }
+}
+
+/// Slot indices of the set bits of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let w = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            w
+        })
+    })
+}
+
 impl std::fmt::Debug for SimtCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimtCore")
@@ -196,17 +255,32 @@ impl std::fmt::Debug for SimtCore {
 
 impl SimtCore {
     /// Builds a core executing `program` under `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.core.max_warps` exceeds [`MAX_MASK_WIDTH`]
+    /// ([`GpuConfig::validate`] rejects such a configuration).
     pub fn new(id: CoreId, cfg: &GpuConfig, program: Arc<dyn KernelProgram>) -> Self {
+        assert!(
+            cfg.core.max_warps <= MAX_MASK_WIDTH,
+            "warp masks hold at most {MAX_MASK_WIDTH} slots"
+        );
         let max_resident_ctas = cfg.core.max_ctas.min(program.max_ctas_per_core()).max(1);
         SimtCore {
             id,
+            warps_per_cta: program.warps_per_cta() as usize,
             warps: (0..cfg.core.max_warps).map(|_| WarpSlot::empty()).collect(),
+            ready_at: vec![Cycle::ZERO; cfg.core.max_warps],
+            masks: WarpMasks::default(),
             ctas: (0..max_resident_ctas).map(|_| None).collect(),
+            free_warps: cfg.core.max_warps,
+            free_cta_slots: max_resident_ctas,
             issue_width: cfg.core.issue_width,
             l1: L1Dcache::new(cfg),
             lsu_queue: SimQueue::new("lsu_pipeline", cfg.core.mem_pipeline_width),
             l1_retry: None,
-            issue_reg: None,
+            issue_reg: VecDeque::new(),
+            fill_done: Vec::new(),
             issue_order: Vec::new(),
             last_issued: None,
             next_fetch_seq: 0,
@@ -268,8 +342,7 @@ impl SimtCore {
     /// True if another CTA can be accepted (free CTA slot and enough free
     /// warp slots).
     pub fn can_accept_cta(&self) -> bool {
-        let free_warps = self.warps.iter().filter(|w| !w.assigned).count();
-        self.ctas.iter().any(|c| c.is_none()) && free_warps >= self.program.warps_per_cta() as usize
+        self.free_cta_slots > 0 && self.free_warps >= self.warps_per_cta
     }
 
     /// Places CTA `cta` onto this core.
@@ -282,22 +355,25 @@ impl SimtCore {
         let Some(slot) = self.ctas.iter().position(|c| c.is_none()) else {
             return; // unreachable: can_accept_cta asserted above
         };
-        let mut warp_slots = Vec::with_capacity(self.program.warps_per_cta() as usize);
-        let mut warp_in_cta = 0;
-        for (idx, w) in self.warps.iter_mut().enumerate() {
-            if warp_in_cta == self.program.warps_per_cta() {
+        let mut warp_slots = Vec::with_capacity(self.warps_per_cta);
+        for idx in 0..self.warps.len() {
+            if warp_slots.len() == self.warps_per_cta {
                 break;
             }
-            if !w.assigned {
-                w.assign(cta, slot, warp_in_cta, self.age_counter);
+            if !self.warps[idx].assigned {
+                let warp_in_cta = warp_slots.len() as u32;
+                self.warps[idx].assign(cta, slot, warp_in_cta, self.age_counter);
+                self.ready_at[idx] = Cycle::ZERO;
+                self.sync_warp(idx);
                 self.age_counter += 1;
                 warp_slots.push(idx);
-                warp_in_cta += 1;
             }
         }
+        self.free_warps -= warp_slots.len();
+        self.free_cta_slots -= 1;
         self.ctas[slot] = Some(CtaState {
             cta,
-            live_warps: warp_in_cta,
+            live_warps: warp_slots.len() as u32,
             barrier_arrived: 0,
             warp_slots,
         });
@@ -306,12 +382,28 @@ impl SimtCore {
         self.rebuild_issue_order();
     }
 
+    /// Re-derives the mask bits of slot `w` from `warps[w]`. The one place
+    /// the masks are written: call it after every mutation of a slot.
+    fn sync_warp(&mut self, w: usize) {
+        self.masks.refresh(w, &self.warps[w]);
+    }
+
+    /// The masks recomputed from every slot (what `sync_warp` must have
+    /// kept `self.masks` equal to).
+    fn masks_from_slots(&self) -> WarpMasks {
+        let mut all = WarpMasks::default();
+        for (w, warp) in self.warps.iter().enumerate() {
+            all.refresh(w, warp);
+        }
+        all
+    }
+
     fn rebuild_issue_order(&mut self) {
-        let mut order: Vec<usize> = (0..self.warps.len())
-            .filter(|&i| self.warps[i].assigned)
-            .collect();
-        order.sort_by_key(|&i| self.warps[i].age);
-        self.issue_order = order;
+        let warps = &self.warps;
+        self.issue_order.clear();
+        self.issue_order
+            .extend((0..warps.len()).filter(|&i| warps[i].assigned));
+        self.issue_order.sort_by_key(|&i| warps[i].age);
     }
 
     /// True once every assigned CTA has retired.
@@ -322,7 +414,7 @@ impl SimtCore {
     /// True while any memory activity is still owned by this core (LSU,
     /// retry slot, issue register or outstanding L1 misses).
     pub fn has_pending_memory(&self) -> bool {
-        self.issue_reg.is_some()
+        !self.issue_reg.is_empty()
             || self.l1_retry.is_some()
             || !self.lsu_queue.is_empty()
             || self.l1.outstanding_misses() > 0
@@ -401,8 +493,9 @@ impl SimtCore {
     pub fn accept_response(&mut self, fetch: MemFetch, now: Cycle) {
         debug_assert_eq!(fetch.core, self.id);
         let sw = self.host_profile.then(gpumem_types::host_wall_clock);
-        let completed = self.l1.fill(fetch, now);
-        for done in completed {
+        let mut completed = std::mem::take(&mut self.fill_done);
+        self.l1.fill_into(fetch, now, &mut completed);
+        for done in completed.drain(..) {
             if let Some(lat) = done.timeline.l1_miss_latency() {
                 self.miss_latency.record(lat);
             }
@@ -411,6 +504,7 @@ impl SimtCore {
             }
             self.complete_warp_access(&done);
         }
+        self.fill_done = completed;
         if let Some(sw) = sw {
             self.host_l1_seconds += sw.elapsed_seconds();
         }
@@ -421,14 +515,20 @@ impl SimtCore {
             return;
         }
         let slot = fetch.warp_slot as usize;
-        let warp = &mut self.warps[slot];
-        if !warp.assigned {
+        if !self.warps[slot].assigned {
             return; // stale completion after forced teardown (tests only)
         }
-        // A completed load may unblock this warp's next instruction.
-        self.ready_lb = Cycle::ZERO;
         self.stall_cache = None;
-        warp.complete_access(fetch.load_tag);
+        let was_eligible = self.masks.eligible() >> slot & 1 != 0;
+        self.warps[slot].complete_access(fetch.load_tag);
+        self.sync_warp(slot);
+        // A completed load may unblock this warp's next instruction. It is
+        // the only warp whose state changed, so the bound drops no further
+        // than its ready time.
+        if !was_eligible && self.masks.eligible() >> slot & 1 != 0 {
+            self.ready_lb = self.ready_lb.min(self.ready_at[slot]);
+        }
+        let warp = &self.warps[slot];
         if warp.finished && warp.outstanding.is_empty() {
             let cta_slot = warp.cta_slot;
             self.maybe_retire_cta(cta_slot);
@@ -454,7 +554,10 @@ impl SimtCore {
         };
         for &w in &state.warp_slots {
             self.warps[w] = WarpSlot::empty();
+            self.sync_warp(w);
         }
+        self.free_warps += state.warp_slots.len();
+        self.free_cta_slots += 1;
         self.stall_cache = None;
         self.stats.ctas_retired += 1;
         self.rebuild_issue_order();
@@ -475,25 +578,19 @@ impl SimtCore {
         let sw = self.host_profile.then(gpumem_types::host_wall_clock);
 
         // 1. Wake loads whose L1 hit latency elapsed.
-        for done in self.l1.pop_ready_hits(now) {
+        while let Some(done) = self.l1.pop_ready_hit(now) {
             if let Some(tr) = self.trace.as_deref_mut() {
                 tr.collector.record_fetch(&done);
             }
             self.complete_warp_access(&done);
         }
 
-        // 2. Feed the L1 port (one access per cycle), retry slot first.
-        let candidate = self.l1_retry.take().or_else(|| self.lsu_queue.pop());
-        if let Some(access) = candidate {
-            match self.l1.access(access, now) {
-                L1AccessOutcome::Hit
-                | L1AccessOutcome::Miss { .. }
-                | L1AccessOutcome::StoreAccepted => {}
-                L1AccessOutcome::Blocked(fetch, _) => {
-                    self.l1_retry = Some(fetch);
-                }
-            }
+        // 2. Feed the L1 port (one access per cycle), retry slot first. A
+        //    refused access stays in the slot.
+        if self.l1_retry.is_none() {
+            self.l1_retry = self.lsu_queue.pop();
         }
+        let _ = self.l1.access_head(&mut self.l1_retry, now);
 
         if let Some(sw) = sw {
             self.host_l1_seconds += sw.elapsed_seconds();
@@ -501,17 +598,14 @@ impl SimtCore {
 
         // 3. Drain the issue register into the LSU pipeline (one coalesced
         //    access per cycle — the coalescer's throughput).
-        if let Some(reg) = &mut self.issue_reg {
-            if !self.lsu_queue.is_full() {
-                if let Some(access) = reg.accesses.pop_front() {
-                    if let Err(e) = self.lsu_queue.push(access) {
-                        // Unreachable after is_full; retry next cycle.
-                        reg.accesses.push_front(e.into_inner());
-                    }
+        if !self.issue_reg.is_empty() && !self.lsu_queue.is_full() {
+            if let Some(access) = self.issue_reg.pop_front() {
+                if let Err(e) = self.lsu_queue.push(access) {
+                    // Unreachable after is_full; retry next cycle.
+                    self.issue_reg.push_front(e.into_inner());
                 }
             }
-            if reg.accesses.is_empty() {
-                self.issue_reg = None;
+            if self.issue_reg.is_empty() {
                 // The pipeline freeing up changes the classification.
                 self.stall_cache = None;
             }
@@ -553,122 +647,105 @@ impl SimtCore {
             // Warp state changed; the memoized classification is stale.
             self.stall_cache = None;
         }
+        debug_assert_eq!(
+            self.masks,
+            self.masks_from_slots(),
+            "a warp slot changed without sync_warp"
+        );
     }
 
     /// Attempts to issue one instruction from warp `w`; returns success.
     fn try_issue_warp(&mut self, w: usize, now: Cycle) -> bool {
+        // Pre-check on the masks alone: not live, at a barrier, blocked on
+        // memory or not yet ready — or parked on a decoded load/store while
+        // the memory pipeline is busy.
+        let pipeline_busy = !self.issue_reg.is_empty();
+        if self.masks.eligible() >> w & 1 == 0
+            || self.ready_at[w] > now
+            || (pipeline_busy && self.masks.decoded_is_mem >> w & 1 != 0)
         {
-            let warp = &self.warps[w];
-            if !warp.assigned
-                || warp.finished
-                || warp.at_barrier
-                || warp.ready_at > now
-                || warp.blocked_on_memory()
-            {
-                return false;
-            }
+            return false;
         }
         // Decode (cached across blocked cycles).
         if self.warps[w].decoded.is_none() {
             let warp = &self.warps[w];
             let instr = self.program.instr(warp.cta, warp.warp_in_cta, warp.pc);
+            let is_mem = instr.as_ref().is_some_and(WarpInstr::is_memory);
             self.warps[w].decoded = Some(instr);
+            if pipeline_busy && is_mem {
+                self.sync_warp(w);
+                return false; // memory pipeline busy; decoded stays cached
+            }
         }
-        let Some(decoded) = self.warps[w].decoded.as_ref() else {
-            return false; // unreachable: filled just above
-        };
-
-        match decoded {
+        let barrier_cta = match self.warps[w].decoded.take().flatten() {
             None => {
-                self.warps[w].decoded = None;
                 self.finish_warp(w);
                 // Retiring is not an issued instruction.
-                false
+                return false;
             }
             Some(WarpInstr::Alu { latency }) => {
-                let latency = u64::from(*latency).max(1);
-                let warp = &mut self.warps[w];
-                warp.decoded = None;
-                warp.ready_at = now + latency;
-                warp.pc += 1;
-                self.stats.instructions += 1;
+                self.ready_at[w] = now + u64::from(latency).max(1);
                 self.stats.alu_instrs += 1;
-                true
+                None
             }
             Some(WarpInstr::Shared { latency }) => {
-                let latency = u64::from(*latency).max(1);
-                let warp = &mut self.warps[w];
-                warp.decoded = None;
-                warp.ready_at = now + latency;
-                warp.pc += 1;
-                self.stats.instructions += 1;
+                self.ready_at[w] = now + u64::from(latency).max(1);
                 self.stats.shared_instrs += 1;
-                true
+                None
             }
             Some(WarpInstr::Barrier) => {
-                self.warps[w].decoded = None;
-                self.warps[w].pc += 1;
                 self.warps[w].at_barrier = true;
-                self.stats.instructions += 1;
                 self.stats.barriers += 1;
                 let cta_slot = self.warps[w].cta_slot;
                 if let Some(cta) = &mut self.ctas[cta_slot] {
                     cta.barrier_arrived += 1;
                 }
-                self.maybe_release_barrier(cta_slot);
-                true
+                Some(cta_slot)
             }
             Some(WarpInstr::Load {
                 lines,
                 consume_after,
             }) => {
-                if self.issue_reg.is_some() {
-                    return false; // memory pipeline busy; decoded stays cached
-                }
                 assert!(!lines.is_empty(), "load must touch at least one line");
-                let lines = lines.clone();
-                let consume_after = (*consume_after).max(1);
-                self.warps[w].decoded = None;
-                let tag = self.warps[w].post_load(consume_after, lines.len() as u32);
-                let mut accesses = VecDeque::with_capacity(lines.len());
-                for line in lines {
-                    let mut f =
-                        MemFetch::new(self.next_fetch_id(), AccessKind::Load, line, self.id);
-                    f.warp_slot = w as u32;
-                    f.load_tag = tag;
-                    f.timeline.issued = Some(now);
-                    accesses.push_back(f);
-                }
-                self.stats.global_accesses += accesses.len() as u64;
-                self.issue_reg = Some(IssueReg { accesses });
-                self.warps[w].pc += 1;
-                self.stats.instructions += 1;
+                let tag = self.warps[w].post_load(consume_after.max(1), lines.len() as u32);
+                self.issue_accesses(w, AccessKind::Load, tag, &lines, now);
                 self.stats.load_instrs += 1;
-                true
+                None
             }
             Some(WarpInstr::Store { lines }) => {
-                if self.issue_reg.is_some() {
-                    return false;
-                }
                 assert!(!lines.is_empty(), "store must touch at least one line");
-                let lines = lines.clone();
-                self.warps[w].decoded = None;
-                let mut accesses = VecDeque::with_capacity(lines.len());
-                for line in lines {
-                    let mut f =
-                        MemFetch::new(self.next_fetch_id(), AccessKind::Store, line, self.id);
-                    f.warp_slot = w as u32;
-                    f.timeline.issued = Some(now);
-                    accesses.push_back(f);
-                }
-                self.stats.global_accesses += accesses.len() as u64;
-                self.issue_reg = Some(IssueReg { accesses });
-                self.warps[w].pc += 1;
-                self.stats.instructions += 1;
+                self.issue_accesses(w, AccessKind::Store, 0, &lines, now);
                 self.stats.store_instrs += 1;
-                true
+                None
             }
+        };
+        self.warps[w].pc += 1;
+        self.stats.instructions += 1;
+        self.sync_warp(w);
+        if let Some(cta_slot) = barrier_cta {
+            self.maybe_release_barrier(cta_slot);
         }
+        true
+    }
+
+    /// Loads the issue register with one access per coalesced line of the
+    /// memory instruction warp `w` just issued.
+    fn issue_accesses(
+        &mut self,
+        w: usize,
+        kind: AccessKind,
+        load_tag: u32,
+        lines: &[gpumem_types::LineAddr],
+        now: Cycle,
+    ) {
+        for &line in lines {
+            let mut f = MemFetch::new(self.next_fetch_id(), kind, line, self.id);
+            f.warp_slot = w as u32;
+            f.load_tag = load_tag;
+            f.timeline.issued = CycleStamp::at(now);
+            self.issue_reg.push_back(f);
+        }
+        self.stats.global_accesses += lines.len() as u64;
     }
 
     fn next_fetch_id(&mut self) -> FetchId {
@@ -683,8 +760,9 @@ impl SimtCore {
             return;
         }
         warp.finished = true;
-        self.stall_cache = None;
         let cta_slot = warp.cta_slot;
+        self.sync_warp(w);
+        self.stall_cache = None;
         if let Some(cta) = &mut self.ctas[cta_slot] {
             debug_assert!(cta.live_warps > 0);
             cta.live_warps -= 1;
@@ -695,18 +773,20 @@ impl SimtCore {
     }
 
     fn maybe_release_barrier(&mut self, cta_slot: usize) {
-        let Some(cta) = &self.ctas[cta_slot] else {
+        let Some(cta) = &mut self.ctas[cta_slot] else {
             return;
         };
         if cta.live_warps == 0 || cta.barrier_arrived < cta.live_warps {
             return;
         }
-        let slots = cta.warp_slots.clone();
-        for s in slots {
+        cta.barrier_arrived = 0;
+        let slots = std::mem::take(&mut cta.warp_slots);
+        for &s in &slots {
             self.warps[s].at_barrier = false;
+            self.sync_warp(s);
         }
         if let Some(cta) = &mut self.ctas[cta_slot] {
-            cta.barrier_arrived = 0;
+            cta.warp_slots = slots;
         }
         // Released warps become issue candidates again.
         self.ready_lb = Cycle::ZERO;
@@ -735,40 +815,25 @@ impl SimtCore {
             self.bump_stall(kind, weight);
             return;
         }
-        let mut any_assigned = false;
-        let mut mem_blocked = false;
-        let mut barrier = false;
-        let mut compute = false;
         // The same scan refreshes `ready_lb`: a stalled cycle proves no
         // warp passes the issue pre-check now, and the earliest it could
         // is the minimum `ready_at` over warps blocked on time alone.
         // Warps blocked on memory, barriers or assignment need an external
-        // event first, and every such event resets the bound to zero.
+        // event first, and every such event lowers the bound again.
+        let m = &self.masks;
+        let any_assigned = m.live != 0;
+        let mem_blocked = m.mem_blocked != 0;
+        let barrier = m.at_barrier & !m.mem_blocked != 0;
+        let mut compute = false;
         let mut ready_lb = Cycle::NEVER;
-        for w in &self.warps {
-            if !w.assigned || w.finished {
-                continue;
-            }
-            any_assigned = true;
-            if w.blocked_on_memory() {
-                mem_blocked = true;
-                continue;
-            }
-            if w.at_barrier {
-                barrier = true;
-                continue;
-            }
-            if w.ready_at > now {
-                compute = true;
-            }
-            if w.ready_at < ready_lb {
-                ready_lb = w.ready_at;
-            }
+        for w in bits(m.eligible()) {
+            compute |= self.ready_at[w] > now;
+            ready_lb = ready_lb.min(self.ready_at[w]);
         }
         self.ready_lb = ready_lb;
         let kind = if mem_blocked {
             StallKind::Memory
-        } else if any_assigned && self.issue_reg.is_some() {
+        } else if any_assigned && !self.issue_reg.is_empty() {
             StallKind::MemPipeline
         } else if barrier {
             StallKind::Barrier
@@ -804,7 +869,7 @@ impl SimtCore {
         if self.l1.peek_miss().is_some()
             || self.l1_retry.is_some()
             || !self.lsu_queue.is_empty()
-            || self.issue_reg.is_some()
+            || !self.issue_reg.is_empty()
         {
             return Some(now);
         }
@@ -1143,6 +1208,102 @@ mod tests {
         assert!(core.all_ctas_retired(), "stats {:?}", core.stats());
         assert_eq!(core.stats().store_instrs, 1);
         assert_eq!(core.stats().stall_memory, 0);
+    }
+
+    /// Every warp runs a pseudo-random mix of ALU, shared, load, store and
+    /// barrier instructions derived from `seed`; stream lengths differ per
+    /// warp so CTAs see early finishers, barrier releases by retirement
+    /// and slot reuse.
+    struct RandomKernel {
+        seed: u64,
+    }
+    impl RandomKernel {
+        fn hash(&self, cta: CtaId, warp: u32, pc: u32) -> u64 {
+            let key = (cta.index() as u64) << 40 | u64::from(warp) << 32 | u64::from(pc);
+            let mut h = (key ^ self.seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h ^= h >> 29;
+            h.wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 16
+        }
+    }
+    impl KernelProgram for RandomKernel {
+        fn name(&self) -> &str {
+            "random"
+        }
+        fn grid_ctas(&self) -> u32 {
+            5
+        }
+        fn warps_per_cta(&self) -> u32 {
+            3
+        }
+        fn instr(&self, cta: CtaId, warp: u32, pc: u32) -> Option<WarpInstr> {
+            if pc >= 6 + (self.hash(cta, warp, u32::MAX) % 20) as u32 {
+                return None;
+            }
+            let h = self.hash(cta, warp, pc);
+            let lines = |n: u64| {
+                (0..n)
+                    .map(|i| LineAddr::new((h >> 8) % 48 + i * 7))
+                    .collect()
+            };
+            Some(match h % 8 {
+                0..=2 => WarpInstr::Alu {
+                    latency: 1 + (h >> 4) as u32 % 9,
+                },
+                3 => WarpInstr::Shared { latency: 2 },
+                4 | 5 => WarpInstr::Load {
+                    lines: lines(1 + (h >> 4) % 3),
+                    consume_after: 1 + (h >> 6) as u32 % 4,
+                },
+                6 => WarpInstr::Store { lines: lines(1) },
+                _ => WarpInstr::Barrier,
+            })
+        }
+    }
+
+    proptest::proptest! {
+        /// The scheduling masks equal the predicates recomputed from the
+        /// warp slots after every response and every cycle of random
+        /// kernels, and CTA admission equals a recount of the free slots.
+        #[test]
+        fn masks_track_warp_slots(seed in proptest::prelude::any::<u64>(), delay in 1u64..120) {
+            let mut core = core_with(Arc::new(RandomKernel { seed }));
+            let mut next_cta = 0;
+            let mut pending: VecDeque<(Cycle, MemFetch)> = VecDeque::new();
+            let check = |core: &SimtCore| {
+                assert_eq!(core.masks, core.masks_from_slots());
+                let free_warps = core.warps.iter().filter(|w| !w.assigned).count();
+                assert_eq!(
+                    core.can_accept_cta(),
+                    core.ctas.iter().any(|c| c.is_none()) && free_warps >= core.warps_per_cta
+                );
+            };
+            for t in 0..20_000 {
+                let now = Cycle::new(t);
+                while next_cta < 5 && core.can_accept_cta() {
+                    core.assign_cta(CtaId::new(next_cta));
+                    next_cta += 1;
+                    check(&core);
+                }
+                while pending.front().is_some_and(|(at, _)| *at <= now) {
+                    let (_, f) = pending.pop_front().unwrap();
+                    core.accept_response(f, now);
+                    check(&core);
+                }
+                core.cycle(now);
+                check(&core);
+                while let Some(req) = core.pop_memory_request() {
+                    if req.kind == AccessKind::Load {
+                        pending.push_back((now + delay, req));
+                    }
+                }
+                core.observe();
+                if next_cta == 5 && core.all_ctas_retired() && !core.has_pending_memory() {
+                    break;
+                }
+            }
+            proptest::prop_assert!(core.all_ctas_retired(), "stats {:?}", core.stats());
+            proptest::prop_assert_eq!(core.stats().ctas_retired, 5);
+        }
     }
 
     #[test]

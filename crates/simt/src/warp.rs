@@ -1,6 +1,6 @@
 //! Per-warp execution state.
 
-use gpumem_types::{CtaId, Cycle};
+use gpumem_types::CtaId;
 
 use crate::WarpInstr;
 
@@ -36,7 +36,6 @@ pub struct WarpSlot {
     pub(crate) cta_slot: usize,
     pub(crate) warp_in_cta: u32,
     pub(crate) pc: u32,
-    pub(crate) ready_at: Cycle,
     pub(crate) outstanding: Vec<Outstanding>,
     pub(crate) next_tag: u32,
     pub(crate) at_barrier: bool,
@@ -55,7 +54,6 @@ impl WarpSlot {
             cta_slot: 0,
             warp_in_cta: 0,
             pc: 0,
-            ready_at: Cycle::ZERO,
             outstanding: Vec::new(),
             next_tag: 0,
             at_barrier: false,
@@ -73,7 +71,6 @@ impl WarpSlot {
             cta_slot,
             warp_in_cta,
             pc: 0,
-            ready_at: Cycle::ZERO,
             outstanding: Vec::new(),
             next_tag: 0,
             at_barrier: false,

@@ -241,7 +241,7 @@ pub fn stage_spans(t: &FetchTimeline) -> SpanWalk {
     let mut walk = SpanWalk::default();
     let mut prev: Option<(Stamp, Cycle)> = None;
     for (kind, at) in stamps {
-        let Some(at) = at else { continue };
+        let Some(at) = at.get() else { continue };
         if let Some((pk, pc)) = prev {
             if at < pc {
                 walk.monotone_violations += 1;
@@ -419,7 +419,7 @@ impl TraceCollector {
     /// completion point (the core's response-acceptance / L1-hit pop path).
     pub fn record_fetch(&mut self, fetch: &MemFetch) {
         let t = &fetch.timeline;
-        let (Some(issued), Some(returned)) = (t.issued, t.returned) else {
+        let (Some(issued), Some(returned)) = (t.issued.get(), t.returned.get()) else {
             self.incomplete += 1;
             return;
         };
@@ -757,7 +757,7 @@ pub fn chrome_trace_events(slowest: &[SlowFetch]) -> Vec<ChromeEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpumem_types::{CoreId, FetchId, LineAddr};
+    use gpumem_types::{CoreId, CycleStamp, FetchId, LineAddr};
 
     fn timeline(stamps: &[(usize, u64)]) -> FetchTimeline {
         let mut t = FetchTimeline::default();
@@ -775,7 +775,7 @@ mod tests {
                 9 => &mut t.returned,
                 _ => unreachable!(),
             };
-            *slot = Some(Cycle::new(at));
+            *slot = CycleStamp::at(Cycle::new(at));
         }
         t
     }

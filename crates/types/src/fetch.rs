@@ -64,34 +64,116 @@ impl fmt::Display for AccessKind {
     }
 }
 
+/// An optional [`Cycle`] stamp packed into 8 bytes.
+///
+/// `Option<Cycle>` is 16 bytes (a `u64` has no niche), which made the ten
+/// stamps of a [`FetchTimeline`] 160 of the 200 bytes every queue, heap and
+/// crossbar hop moved per [`MemFetch`]. "Unset" is encoded as
+/// [`Cycle::NEVER`], which no reachable cycle equals. Serializes exactly
+/// like the `Option<Cycle>` it replaces (`null` or the raw cycle).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct CycleStamp(u64);
+
+impl CycleStamp {
+    /// The unset stamp.
+    pub const NONE: CycleStamp = CycleStamp(Cycle::NEVER.raw());
+
+    /// A stamp set to `cycle`.
+    #[inline]
+    pub const fn at(cycle: Cycle) -> Self {
+        debug_assert!(
+            cycle.raw() != Cycle::NEVER.raw(),
+            "NEVER is the unset stamp"
+        );
+        CycleStamp(cycle.raw())
+    }
+
+    /// The stamped cycle, if set.
+    #[inline]
+    pub const fn get(self) -> Option<Cycle> {
+        if self.0 == Cycle::NEVER.raw() {
+            None
+        } else {
+            Some(Cycle::new(self.0))
+        }
+    }
+
+    /// True while unset.
+    #[inline]
+    pub const fn is_none(self) -> bool {
+        self.0 == Cycle::NEVER.raw()
+    }
+
+    /// True once set.
+    #[inline]
+    pub const fn is_some(self) -> bool {
+        !self.is_none()
+    }
+}
+
+impl Default for CycleStamp {
+    fn default() -> Self {
+        CycleStamp::NONE
+    }
+}
+
+impl From<Option<Cycle>> for CycleStamp {
+    #[inline]
+    fn from(cycle: Option<Cycle>) -> Self {
+        cycle.map_or(CycleStamp::NONE, CycleStamp::at)
+    }
+}
+
+impl fmt::Debug for CycleStamp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
+impl Serialize for CycleStamp {
+    fn to_value(&self) -> serde::Value {
+        self.get().to_value()
+    }
+}
+
+impl Deserialize for CycleStamp {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        Option::<Cycle>::from_value(value).map(CycleStamp::from)
+    }
+
+    fn __missing_field(_field: &str) -> Result<Self, serde::DeError> {
+        Ok(CycleStamp::NONE)
+    }
+}
+
 /// Timestamps collected as a fetch traverses the hierarchy.
 ///
-/// All fields start as `None` and are stamped exactly once by the component
+/// All fields start unset and are stamped exactly once by the component
 /// that owns the transition. The latency statistics of the Section II
 /// experiment (`gpumem::experiments::latency_tolerance`) and the loaded
 /// round-trip measurements are derived from these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FetchTimeline {
     /// The core issued the warp memory instruction into the LSU.
-    pub issued: Option<Cycle>,
+    pub issued: CycleStamp,
     /// The access missed in L1 and a fill request was created.
-    pub l1_miss: Option<Cycle>,
+    pub l1_miss: CycleStamp,
     /// The request packet finished injecting into the interconnect.
-    pub icnt_inject: Option<Cycle>,
+    pub icnt_inject: CycleStamp,
     /// The request reached the L2 partition's access queue.
-    pub l2_arrive: Option<Cycle>,
+    pub l2_arrive: CycleStamp,
     /// The L2 popped the request out of its access queue and looked it up.
-    pub l2_serve: Option<Cycle>,
+    pub l2_serve: CycleStamp,
     /// The request missed in L2 and entered the DRAM path.
-    pub dram_arrive: Option<Cycle>,
+    pub dram_arrive: CycleStamp,
     /// The DRAM scheduler selected the request for service (FR-FCFS pop).
-    pub dram_issue: Option<Cycle>,
+    pub dram_issue: CycleStamp,
     /// The DRAM burst completed and the data left the channel.
-    pub dram_data: Option<Cycle>,
+    pub dram_data: CycleStamp,
     /// The response packet was injected into the response interconnect.
-    pub resp_inject: Option<Cycle>,
+    pub resp_inject: CycleStamp,
     /// The response was delivered back to the L1 / core.
-    pub returned: Option<Cycle>,
+    pub returned: CycleStamp,
 }
 
 impl FetchTimeline {
@@ -100,7 +182,7 @@ impl FetchTimeline {
     /// This is the quantity on the x-axis of the paper's Fig. 1: the L1 miss
     /// latency.
     pub fn l1_miss_latency(&self) -> Option<u64> {
-        match (self.l1_miss, self.returned) {
+        match (self.l1_miss.get(), self.returned.get()) {
             (Some(miss), Some(ret)) => Some(ret.since(miss)),
             _ => None,
         }
@@ -247,9 +329,34 @@ mod tests {
     fn timeline_latency() {
         let mut f = load();
         assert_eq!(f.timeline.l1_miss_latency(), None);
-        f.timeline.l1_miss = Some(Cycle::new(100));
-        f.timeline.returned = Some(Cycle::new(340));
+        f.timeline.l1_miss = CycleStamp::at(Cycle::new(100));
+        f.timeline.returned = CycleStamp::at(Cycle::new(340));
         assert_eq!(f.timeline.l1_miss_latency(), Some(240));
+    }
+
+    #[test]
+    fn stamp_round_trips_like_option_cycle() {
+        assert_eq!(CycleStamp::default().get(), None);
+        assert!(CycleStamp::NONE.is_none());
+        let s = CycleStamp::at(Cycle::new(7));
+        assert!(s.is_some());
+        assert_eq!(s.get(), Some(Cycle::new(7)));
+        assert_eq!(CycleStamp::from(Some(Cycle::new(7))), s);
+        assert_eq!(CycleStamp::from(None), CycleStamp::NONE);
+        assert_eq!(format!("{s:?}"), format!("{:?}", Some(Cycle::new(7))));
+        // Same wire shape as the Option<Cycle> fields it replaced.
+        assert_eq!(s.to_value(), Some(Cycle::new(7)).to_value());
+        assert_eq!(CycleStamp::NONE.to_value(), None::<Cycle>.to_value());
+        assert_eq!(CycleStamp::from_value(&s.to_value()).unwrap(), s);
+    }
+
+    /// ISSUE 13: `MemFetch` moves by value through ~12 queues and both
+    /// crossbars every miss; these bounds keep the hot body from silently
+    /// regrowing (it was 200 bytes with `Option<Cycle>` stamps).
+    #[test]
+    fn fetch_body_stays_small() {
+        assert!(std::mem::size_of::<CycleStamp>() == 8);
+        assert!(std::mem::size_of::<MemFetch>() <= 128);
     }
 
     #[test]

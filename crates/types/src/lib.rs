@@ -41,6 +41,7 @@
 
 mod addr;
 mod cycle;
+mod due;
 mod error;
 mod fetch;
 mod histogram;
@@ -54,8 +55,9 @@ mod sweep;
 
 pub use addr::{Addr, LineAddr};
 pub use cycle::Cycle;
+pub use due::DueHeap;
 pub use error::{ComponentOccupancy, Degradation, OldestFetch, SimError, WedgeDiagnosis};
-pub use fetch::{AccessKind, FetchId, FetchTimeline, MemFetch};
+pub use fetch::{AccessKind, CycleStamp, FetchId, FetchTimeline, MemFetch};
 pub use histogram::{Histogram, Log2Histogram};
 pub use host::{host_wall_clock, HostStopwatch};
 pub use ids::{CoreId, CtaId, PartitionId, WarpId};

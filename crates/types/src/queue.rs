@@ -264,30 +264,26 @@ impl<T> SimQueue<T> {
         })
     }
 
-    /// Removes and returns the first (oldest) element matching `pred`,
-    /// leaving the relative order of the others intact.
+    /// Removes and returns the element at logical position `pos` (0 = head,
+    /// as yielded by [`iter`](SimQueue::iter)), leaving the relative order
+    /// of the others intact; `None` if `pos` is out of range.
     ///
     /// This is the primitive behind out-of-order service policies such as
     /// the DRAM controller's FR-FCFS scheduler, which prefers row-hit
-    /// requests over strict FIFO order.
-    pub fn remove_first_where<F>(&mut self, mut pred: F) -> Option<T>
-    where
-        F: FnMut(&T) -> bool,
-    {
-        let pos = (0..self.len).find(|&pos| {
-            pred(
-                self.slots[self.slot_of(pos)]
-                    .as_ref()
-                    .expect("queued slot is occupied"),
-            )
-        })?;
+    /// requests over strict FIFO order. The `pos` older elements shift one
+    /// slot towards the tail and the head advances, so removing the head
+    /// moves nothing.
+    pub fn remove_at(&mut self, pos: usize) -> Option<T> {
+        if pos >= self.len {
+            return None;
+        }
         let item = self.slots[self.slot_of(pos)].take();
-        // Close the gap by shifting the younger elements towards the head.
-        for p in pos + 1..self.len {
+        for p in (0..pos).rev() {
             let from = self.slot_of(p);
-            let to = self.slot_of(p - 1);
+            let to = self.slot_of(p + 1);
             self.slots[to] = self.slots[from].take();
         }
+        self.head = self.slot_of(1);
         self.len -= 1;
         self.stats.pops += 1;
         item
@@ -422,16 +418,26 @@ mod tests {
     }
 
     #[test]
-    fn remove_first_where_preserves_order() {
+    fn remove_at_preserves_order_and_counts_pops() {
         let mut q = SimQueue::new("t", 8);
         for i in 0..6 {
             q.push(i).unwrap();
         }
-        assert_eq!(q.remove_first_where(|&x| x % 2 == 1), Some(1));
-        assert_eq!(q.remove_first_where(|&x| x > 100), None);
+        assert_eq!(q.remove_at(1), Some(1)); // middle
+        assert_eq!(q.remove_at(0), Some(0)); // head: same as pop
+        assert_eq!(q.remove_at(3), Some(5)); // tail
+        assert_eq!(q.remove_at(3), None); // out of range
         let rest: Vec<_> = q.iter().copied().collect();
-        assert_eq!(rest, vec![0, 2, 3, 4, 5]);
-        assert_eq!(q.stats().pops, 1);
+        assert_eq!(rest, vec![2, 3, 4]);
+        assert_eq!(q.stats().pops, 3);
+        assert_eq!(q.len(), 3);
+        // The freed slots are reusable up to capacity, in FIFO order.
+        for i in 6..11 {
+            q.push(i).unwrap();
+        }
+        assert!(q.is_full());
+        let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(drained, vec![2, 3, 4, 6, 7, 8, 9, 10]);
     }
 
     #[test]
@@ -472,23 +478,29 @@ mod tests {
     }
 
     #[test]
-    fn remove_first_where_across_wrap_boundary() {
-        let mut q = SimQueue::new("t", 4);
-        // Advance head to slot 2, then fill so elements straddle the wrap.
-        for i in 0..4 {
-            q.push(i).unwrap();
+    fn remove_at_across_wrap_boundary() {
+        let layout = || {
+            let mut q = SimQueue::new("t", 4);
+            // Advance head to slot 2, then fill so elements straddle the wrap.
+            for i in 0..4 {
+                q.push(i).unwrap();
+            }
+            q.pop();
+            q.pop();
+            q.push(4).unwrap();
+            q.push(5).unwrap(); // physical layout: [4, 5, 2, 3], head at 2
+            q
+        };
+        for pos in 0..4 {
+            let mut q = layout();
+            let mut expect = vec![2, 3, 4, 5];
+            assert_eq!(q.remove_at(pos), Some(expect.remove(pos)));
+            assert_eq!(q.iter().copied().collect::<Vec<_>>(), expect);
+            q.push(6).unwrap();
+            expect.push(6);
+            let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            assert_eq!(drained, expect);
         }
-        q.pop();
-        q.pop();
-        q.push(4).unwrap();
-        q.push(5).unwrap(); // physical layout: [4, 5, 2, 3], head at 2
-        assert_eq!(q.remove_first_where(|&x| x == 4), Some(4));
-        let rest: Vec<_> = q.iter().copied().collect();
-        assert_eq!(rest, vec![2, 3, 5]);
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(5));
-        assert!(q.is_empty());
     }
 
     #[test]

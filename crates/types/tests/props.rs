@@ -44,11 +44,9 @@ proptest! {
                 }
                 QueueOp::Observe => q.observe(),
                 QueueOp::RemoveFirstEven => {
-                    let got = q.remove_first_where(|x| x % 2 == 0);
-                    let expect = model
-                        .iter()
-                        .position(|x| x % 2 == 0)
-                        .and_then(|i| model.remove(i));
+                    let pos = model.iter().position(|x| x % 2 == 0);
+                    let got = pos.and_then(|i| q.remove_at(i));
+                    let expect = pos.and_then(|i| model.remove(i));
                     prop_assert_eq!(got, expect);
                 }
             }
@@ -71,7 +69,10 @@ proptest! {
                 QueueOp::Push(v) => { let _ = q.push(v); }
                 QueueOp::Pop => { q.pop(); }
                 QueueOp::Observe => q.observe(),
-                QueueOp::RemoveFirstEven => { q.remove_first_where(|x| x % 2 == 0); }
+                QueueOp::RemoveFirstEven => {
+                    let pos = q.iter().position(|x| x % 2 == 0);
+                    pos.and_then(|i| q.remove_at(i));
+                }
             }
         }
         let s = q.stats();
