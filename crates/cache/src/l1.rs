@@ -108,6 +108,22 @@ pub struct L1Dcache {
     ready_hits: DueHeap<SlotId>,
     /// Parked bodies of merged waiters and latency-pending hit responses.
     arena: FetchArena,
+    /// The refusal [`access_head`](L1Dcache::access_head) last handed out:
+    /// an access of this kind to this line is refused for this reason.
+    ///
+    /// *Proved by:* [`admit`](L1Dcache::admit) refusing it. The refusal is
+    /// a function of the line's residency, the MSHR table and the miss
+    /// queue's fullness, so it stands — and `access_head` replays it,
+    /// bumping the same stall counter, without probing anything — until
+    /// one of them is written.
+    ///
+    /// *Cleared by* every writer of those three: an accepted access
+    /// ([`place`](L1Dcache::place): MSHR allocation, miss-queue push), a
+    /// fill ([`fill_into`](L1Dcache::fill_into): tag install, MSHR
+    /// release) and a miss-queue pop ([`pop_miss`](L1Dcache::pop_miss)).
+    /// No chaos hook or engine reaches into an L1, so the list is
+    /// complete.
+    refused: Option<(AccessKind, LineAddr, L1BlockReason)>,
     stats: L1Stats,
 }
 
@@ -128,6 +144,7 @@ impl L1Dcache {
             miss_queue: SimQueue::new("l1_miss", l1.miss_queue),
             ready_hits: DueHeap::new(),
             arena: FetchArena::with_capacity(l1.mshr_entries * l1.mshr_merge),
+            refused: None,
             stats: L1Stats::default(),
         }
     }
@@ -172,9 +189,25 @@ impl L1Dcache {
         head: &mut Option<MemFetch>,
         now: Cycle,
     ) -> Option<Result<L1AccessOutcome, L1BlockReason>> {
-        let outcome = match self.admit(head.as_ref()?, now) {
+        let fetch = head.as_ref()?;
+        if let Some((kind, line, reason)) = self.refused {
+            if (kind, line) == (fetch.kind, fetch.line) {
+                debug_assert_eq!(
+                    self.miss_path(kind, line),
+                    Err(reason),
+                    "remembered refusal of {kind:?} {line:?} no longer holds"
+                );
+                debug_assert!(kind == AccessKind::Store || !self.resident(line));
+                self.count_stall(reason);
+                return Some(Err(reason));
+            }
+        }
+        let outcome = match self.admit(fetch, now) {
             Ok(outcome) => outcome,
-            Err(reason) => return Some(Err(reason)),
+            Err(reason) => {
+                self.refused = Some((fetch.kind, fetch.line, reason));
+                return Some(Err(reason));
+            }
         };
         let placed = self.place(head.take()?, outcome, now);
         Some(placed.map_err(|(fetch, reason)| {
@@ -189,35 +222,57 @@ impl L1Dcache {
     /// accepted access happens in [`place`](Self::place).
     fn admit(&mut self, fetch: &MemFetch, now: Cycle) -> Result<L1AccessOutcome, L1BlockReason> {
         let line = fetch.line;
-        if fetch.kind == AccessKind::Store {
+        if fetch.kind == AccessKind::Load {
+            let set = self.set_of(line);
+            if let Some(way) = self.tags.probe(set, line) {
+                self.tags.record_hit(set, way, now);
+                return Ok(L1AccessOutcome::Hit);
+            }
+        }
+        self.miss_path(fetch.kind, line)
+            .inspect_err(|&reason| self.count_stall(reason))
+    }
+
+    /// True if a load of `line` would hit.
+    fn resident(&self, line: LineAddr) -> bool {
+        self.tags.probe(self.set_of(line), line).is_some()
+    }
+
+    /// What happens to a store, or to a load whose line is not resident.
+    /// Reads the MSHR table and the miss queue's fullness; writes nothing.
+    fn miss_path(
+        &self,
+        kind: AccessKind,
+        line: LineAddr,
+    ) -> Result<L1AccessOutcome, L1BlockReason> {
+        if kind == AccessKind::Store {
             if self.miss_queue.is_full() {
-                self.stats.miss_queue_stalls += 1;
                 return Err(L1BlockReason::MissQueueFull);
             }
             return Ok(L1AccessOutcome::StoreAccepted);
         }
-        let set = self.set_of(line);
-        if let Some(way) = self.tags.probe(set, line) {
-            self.tags.record_hit(set, way, now);
-            return Ok(L1AccessOutcome::Hit);
-        }
-        // Miss path. A merge consumes no miss-queue slot; a fresh entry
-        // needs both a register and queue space.
+        // A merge consumes no miss-queue slot; a fresh entry needs both a
+        // register and queue space.
         let merged = self.mshr.contains(line);
         if !self.mshr.can_accept(line) {
             return Err(if merged {
-                self.stats.mshr_merge_stalls += 1;
                 L1BlockReason::MshrMergeCapacity
             } else {
-                self.stats.mshr_full_stalls += 1;
                 L1BlockReason::MshrFull
             });
         }
         if !merged && self.miss_queue.is_full() {
-            self.stats.miss_queue_stalls += 1;
             return Err(L1BlockReason::MissQueueFull);
         }
         Ok(L1AccessOutcome::Miss { merged })
+    }
+
+    fn count_stall(&mut self, reason: L1BlockReason) {
+        match reason {
+            L1BlockReason::MshrFull => self.stats.mshr_full_stalls += 1,
+            L1BlockReason::MshrMergeCapacity => self.stats.mshr_merge_stalls += 1,
+            L1BlockReason::MissQueueFull => self.stats.miss_queue_stalls += 1,
+        }
     }
 
     /// Moves an access [`admit`](Self::admit)ted as `outcome` to where it
@@ -232,6 +287,7 @@ impl L1Dcache {
         outcome: L1AccessOutcome,
         now: Cycle,
     ) -> Result<L1AccessOutcome, (MemFetch, L1BlockReason)> {
+        self.refused = None;
         let line = fetch.line;
         match outcome {
             L1AccessOutcome::Hit => {
@@ -313,6 +369,7 @@ impl L1Dcache {
     /// Removes the head fill request (after successful injection into the
     /// interconnect).
     pub fn pop_miss(&mut self) -> Option<MemFetch> {
+        self.refused = None;
         self.miss_queue.pop()
     }
 
@@ -332,6 +389,7 @@ impl L1Dcache {
     /// [`fill`](L1Dcache::fill) appending to a caller-owned buffer, so a
     /// per-cycle owner can reuse one allocation.
     pub fn fill_into(&mut self, fetch: MemFetch, now: Cycle, done: &mut Vec<MemFetch>) {
+        self.refused = None;
         let line = fetch.line;
         let set = self.set_of(line);
         self.tags.fill(set, line, now);
@@ -373,7 +431,7 @@ impl L1Dcache {
     }
 
     /// Miss-queue occupancy statistics.
-    pub fn miss_queue_stats(&self) -> &QueueStats {
+    pub fn miss_queue_stats(&self) -> QueueStats {
         self.miss_queue.stats()
     }
 
@@ -575,6 +633,66 @@ mod tests {
         assert_eq!(c.tag_stats(), (0, 2));
         assert_eq!(c.stats().load_misses, 2);
         assert_eq!(c.access_head(&mut head, Cycle::new(53)), None);
+    }
+
+    /// The remembered refusal bumps its stall counter once per retry,
+    /// answers only for the line it was proved for, and is dropped by each
+    /// event that can falsify it: a fill (MSHR-full refusal) and a
+    /// miss-queue pop (queue-full refusal), each on its own.
+    #[test]
+    fn remembered_refusal_counts_every_retry_and_clears_on_fill_and_on_pop_miss() {
+        let mut cfg = GpuConfig::gtx480();
+        cfg.l1.mshr_entries = 1;
+        cfg.l1.miss_queue = 1;
+        let mut c = L1Dcache::new(&cfg);
+        // Line 9 resident, line 1 outstanding with its request already gone
+        // down: the only register is held, the miss queue is empty.
+        let _ = c.access(load(1, 9), Cycle::ZERO);
+        let req = c.pop_miss().unwrap();
+        c.fill(req, Cycle::new(1));
+        let _ = c.access(load(2, 1), Cycle::new(2));
+        let in_flight = c.pop_miss().unwrap();
+
+        let n = 37;
+        let mut head = Some(load(3, 2));
+        for t in 0..n {
+            let refused = c.access_head(&mut head, Cycle::new(10 + t));
+            assert_eq!(refused, Some(Err(L1BlockReason::MshrFull)));
+        }
+        assert_eq!(c.stats().mshr_full_stalls, n);
+        // Another head is decided on its own merits, not from the memo.
+        let mut other = Some(load(4, 9));
+        assert_eq!(
+            c.access_head(&mut other, Cycle::new(50)),
+            Some(Ok(L1AccessOutcome::Hit))
+        );
+        assert_eq!(
+            c.access_head(&mut head, Cycle::new(51)),
+            Some(Err(L1BlockReason::MshrFull))
+        );
+        assert_eq!(c.stats().mshr_full_stalls, n + 1);
+        // The fill frees the register: the same head is admitted.
+        c.fill(in_flight, Cycle::new(60));
+        assert_eq!(
+            c.access_head(&mut head, Cycle::new(61)),
+            Some(Ok(L1AccessOutcome::Miss { merged: false }))
+        );
+
+        // Line 2's request now fills the one-entry miss queue; a store is
+        // refused for queue space until the queue is popped.
+        let mut head = Some(store(5, 7));
+        for t in 0..n {
+            let refused = c.access_head(&mut head, Cycle::new(70 + t));
+            assert_eq!(refused, Some(Err(L1BlockReason::MissQueueFull)));
+        }
+        assert_eq!(c.stats().miss_queue_stalls, n);
+        assert!(c.pop_miss().is_some());
+        assert_eq!(
+            c.access_head(&mut head, Cycle::new(120)),
+            Some(Ok(L1AccessOutcome::StoreAccepted))
+        );
+        assert_eq!(c.stats().mshr_full_stalls, n + 1);
+        assert_eq!(c.stats().miss_queue_stalls, n);
     }
 
     #[test]

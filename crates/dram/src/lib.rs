@@ -42,7 +42,7 @@
 use gpumem_config::{DramConfig, GpuConfig};
 use gpumem_types::{
     AccessKind, Cycle, CycleStamp, DueHeap, FetchArena, LatencyStats, Log2Histogram, MemFetch,
-    QueueStats, SimError, SimQueue, SlotId,
+    PushError, QueueStats, SimError, SimQueue, SlotId,
 };
 
 /// Activity counters for one [`DramChannel`].
@@ -121,23 +121,98 @@ struct Pending {
     row: u64,
 }
 
+/// The first cycle FR-FCFS may pick `p`: its front-end latency has elapsed
+/// and its bank is idle. Shared by the scan bound and
+/// [`DramChannel::next_event`], so the event kernel's wake-up and the scan
+/// gate cannot diverge.
+fn schedulable_at(p: &Pending, banks: &[Bank]) -> Cycle {
+    p.ready_at.max(banks[p.bank].busy_until)
+}
+
 /// FR-FCFS over one scheduler queue: the position of the oldest request
 /// hitting an open row on an idle bank, else of the oldest request whose
 /// bank is idle. One pass: the first row hit ends the scan, and the first
 /// ready request seen on the way is the fallback.
-fn fr_fcfs_pick(queue: &SimQueue<Pending>, banks: &[Bank], now: Cycle) -> Option<usize> {
+///
+/// # Errors
+///
+/// When nothing can be picked, the first cycle at which something can
+/// (`NEVER` for an empty queue) — the minimum [`schedulable_at`], which
+/// the failed pass has read every term of anyway.
+fn fr_fcfs_pick(queue: &SimQueue<Pending>, banks: &[Bank], now: Cycle) -> Result<usize, Cycle> {
     let mut first_ready = None;
+    let mut bound = Cycle::NEVER;
     for (pos, p) in queue.iter().enumerate() {
-        let bank = &banks[p.bank];
-        if p.ready_at > now || bank.busy_until > now {
+        let at = schedulable_at(p, banks);
+        if at > now {
+            bound = bound.min(at);
             continue;
         }
-        if bank.open_row == Some(p.row) {
-            return Some(pos);
+        if banks[p.bank].open_row == Some(p.row) {
+            return Ok(pos);
         }
         first_ready = first_ready.or(Some(pos));
     }
-    first_ready
+    first_ready.ok_or(bound)
+}
+
+/// One FR-FCFS scheduler queue together with what its last fruitless scan
+/// proved.
+#[derive(Debug)]
+struct SchedQueue {
+    entries: SimQueue<Pending>,
+    /// No entry can be picked before this cycle, so [`pick`](Self::pick)
+    /// returns without scanning while `now` is below it.
+    ///
+    /// *Proved by:* a [`fr_fcfs_pick`] that picked nothing, which reports
+    /// the minimum [`schedulable_at`] over the entries.
+    ///
+    /// *Lowered by* the one event that can make that minimum smaller: an
+    /// entry joining the queue ([`push`](Self::push), to the entry's
+    /// `schedulable_at`). Everything else only raises it — a queued
+    /// entry's `ready_at` is fixed, a bank's `busy_until` only ever moves
+    /// forward (so a schedule from the channel's other queue keeps this
+    /// bound sound), and a pick removes an entry. A successful pick leaves
+    /// the bound at or below `now`, so the next tick scans again. Chaos
+    /// DRAM lock-outs gate `try_push` at the partition and chaos MSHR
+    /// stalls never reach the channel; neither touches a queued entry or
+    /// a bank.
+    scan_lb: Cycle,
+}
+
+impl SchedQueue {
+    fn new(name: &'static str, capacity: usize) -> Self {
+        SchedQueue {
+            entries: SimQueue::new(name, capacity),
+            scan_lb: Cycle::NEVER,
+        }
+    }
+
+    fn push(&mut self, p: Pending, banks: &[Bank]) -> Result<(), PushError<Pending>> {
+        self.entries.push(p)?;
+        self.scan_lb = self.scan_lb.min(schedulable_at(&p, banks));
+        Ok(())
+    }
+
+    /// Removes and returns the request [`fr_fcfs_pick`] schedules at
+    /// `now`, if any.
+    fn pick(&mut self, banks: &[Bank], now: Cycle) -> Option<Pending> {
+        if now < self.scan_lb {
+            debug_assert!(
+                fr_fcfs_pick(&self.entries, banks, now).is_err(),
+                "scan bound {:?} skipped a pick at {now:?}",
+                self.scan_lb
+            );
+            return None;
+        }
+        match fr_fcfs_pick(&self.entries, banks, now) {
+            Ok(pos) => self.entries.remove_at(pos),
+            Err(bound) => {
+                self.scan_lb = bound;
+                None
+            }
+        }
+    }
 }
 
 /// A single DRAM channel with FR-FCFS scheduling.
@@ -159,8 +234,8 @@ pub struct DramChannel {
     /// Bodies of every request inside the channel; the queues and the
     /// completion heap below pass 4-byte handles.
     arena: FetchArena,
-    queue: SimQueue<Pending>,
-    write_queue: SimQueue<Pending>,
+    queue: SchedQueue,
+    write_queue: SchedQueue,
     banks: Vec<Bank>,
     bus_free_at: Cycle,
     /// Scheduled requests, keyed by the cycle their burst finishes.
@@ -204,8 +279,8 @@ impl DramChannel {
             lines_per_row,
             burst_cycles,
             arena: FetchArena::with_capacity(2 * cfg.scheduler_queue + cfg.return_queue),
-            queue: SimQueue::new("dram_sched", cfg.scheduler_queue),
-            write_queue: SimQueue::new("dram_write", cfg.scheduler_queue),
+            queue: SchedQueue::new("dram_sched", cfg.scheduler_queue),
+            write_queue: SchedQueue::new("dram_write", cfg.scheduler_queue),
             banks: vec![
                 Bank {
                     open_row: None,
@@ -239,7 +314,7 @@ impl DramChannel {
 
     /// Current depth of the read scheduler queue (for occupancy probes).
     pub fn read_queue_len(&self) -> usize {
-        self.queue.len()
+        self.queue.entries.len()
     }
 
     /// Cycles one line transfer occupies the data bus.
@@ -261,8 +336,8 @@ impl DramChannel {
     /// request of `kind` this cycle.
     pub fn can_accept(&self, kind: AccessKind) -> bool {
         match kind {
-            AccessKind::Load => !self.queue.is_full(),
-            AccessKind::Store => !self.write_queue.is_full(),
+            AccessKind::Load => !self.queue.entries.is_full(),
+            AccessKind::Store => !self.write_queue.entries.is_full(),
         }
     }
 
@@ -288,7 +363,7 @@ impl DramChannel {
             bank,
             row,
         };
-        match queue.push(pending) {
+        match queue.push(pending, &self.banks) {
             Ok(()) => {
                 self.in_flight += 1;
                 Ok(())
@@ -359,8 +434,8 @@ impl DramChannel {
                 .is_some_and(|(done_at, &slot)| done_at <= now && self.arena[slot].kind.is_load());
         // Read-first scheduling with two exceptions: a blocked return path
         // or a write queue running hot (drain threshold at 3/4).
-        let prefer_writes =
-            return_blocked || self.write_queue.len() * 4 >= self.write_queue.capacity() * 3;
+        let prefer_writes = return_blocked
+            || self.write_queue.entries.len() * 4 >= self.write_queue.entries.capacity() * 3;
         if prefer_writes {
             if !self.schedule_one(now, AccessKind::Store) && !return_blocked {
                 self.schedule_one(now, AccessKind::Load);
@@ -378,13 +453,12 @@ impl DramChannel {
             AccessKind::Load => &mut self.queue,
             AccessKind::Store => &mut self.write_queue,
         };
-        let picked = fr_fcfs_pick(queue, &self.banks, now).and_then(|pos| queue.remove_at(pos));
         let Some(Pending {
             slot,
             bank: bank_idx,
             row,
             ..
-        }) = picked
+        }) = queue.pick(&self.banks, now)
         else {
             return false;
         };
@@ -443,8 +517,9 @@ impl DramChannel {
     /// diagnosis.
     pub fn fetches(&self) -> impl Iterator<Item = &MemFetch> {
         self.queue
+            .entries
             .iter()
-            .chain(self.write_queue.iter())
+            .chain(self.write_queue.entries.iter())
             .map(|p| &p.slot)
             .chain(self.completions.iter())
             .chain(self.return_queue.iter())
@@ -458,16 +533,16 @@ impl DramChannel {
 
     /// Per-cycle statistics bookkeeping; call once per cycle.
     pub fn observe(&mut self) {
-        self.queue.observe();
-        self.write_queue.observe();
+        self.queue.entries.observe();
+        self.write_queue.entries.observe();
         self.return_queue.observe();
     }
 
     /// Batch bookkeeping for `cycles` consecutive cycles proven inactive
     /// via [`next_event`](DramChannel::next_event).
     pub fn observe_many(&mut self, cycles: u64) {
-        self.queue.observe_many(cycles);
-        self.write_queue.observe_many(cycles);
+        self.queue.entries.observe_many(cycles);
+        self.write_queue.entries.observe_many(cycles);
         self.return_queue.observe_many(cycles);
     }
 
@@ -496,8 +571,13 @@ impl DramChannel {
             }
             fold(done_at);
         }
-        for p in self.queue.iter().chain(self.write_queue.iter()) {
-            let at = p.ready_at.max(self.banks[p.bank].busy_until);
+        for p in self
+            .queue
+            .entries
+            .iter()
+            .chain(self.write_queue.entries.iter())
+        {
+            let at = schedulable_at(p, &self.banks);
             if at <= now {
                 return Some(now);
             }
@@ -508,8 +588,8 @@ impl DramChannel {
 
     /// True if nothing is queued, scheduled or awaiting return.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-            && self.write_queue.is_empty()
+        self.queue.entries.is_empty()
+            && self.write_queue.entries.is_empty()
             && self.completions.is_empty()
             && self.return_queue.is_empty()
     }
@@ -526,19 +606,19 @@ impl DramChannel {
     }
 
     /// Write-scheduler-queue occupancy statistics.
-    pub fn write_queue_stats(&self) -> &QueueStats {
-        self.write_queue.stats()
+    pub fn write_queue_stats(&self) -> QueueStats {
+        self.write_queue.entries.stats()
     }
 
     /// Read-scheduler-queue occupancy statistics — the paper's "DRAM
     /// access queues full for 39% of usage lifetime" metric reads
     /// [`QueueStats::full_fraction_of_usage`] of this.
-    pub fn scheduler_queue_stats(&self) -> &QueueStats {
-        self.queue.stats()
+    pub fn scheduler_queue_stats(&self) -> QueueStats {
+        self.queue.entries.stats()
     }
 
     /// Return-queue occupancy statistics.
-    pub fn return_queue_stats(&self) -> &QueueStats {
+    pub fn return_queue_stats(&self) -> QueueStats {
         self.return_queue.stats()
     }
 
@@ -830,7 +910,20 @@ mod tests {
                 .iter()
                 .position(|p| ready(p) && banks[p.bank].open_row == Some(p.row))
                 .or_else(|| queue.iter().position(ready));
-            proptest::prop_assert_eq!(fr_fcfs_pick(&queue, &banks, now), spec);
+            let picked = fr_fcfs_pick(&queue, &banks, now);
+            proptest::prop_assert_eq!(picked.ok(), spec);
+            // A failed pick's bound is the first cycle the unbounded scan
+            // picks anything: never later (sound), and not earlier either.
+            if let Err(bound) = picked {
+                proptest::prop_assert!(bound > now);
+                for t in now.raw()..bound.raw().min(40) {
+                    proptest::prop_assert!(fr_fcfs_pick(&queue, &banks, Cycle::new(t)).is_err());
+                }
+                proptest::prop_assert_eq!(bound == Cycle::NEVER, queue.is_empty());
+                if bound != Cycle::NEVER {
+                    proptest::prop_assert!(fr_fcfs_pick(&queue, &banks, bound).is_ok());
+                }
+            }
         }
     }
 

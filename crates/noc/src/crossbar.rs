@@ -199,7 +199,7 @@ impl IngressPort {
     }
 
     /// Occupancy statistics of this input buffer.
-    pub fn queue_stats(&self) -> &QueueStats {
+    pub fn queue_stats(&self) -> QueueStats {
         self.queue.stats()
     }
 }
@@ -285,7 +285,7 @@ impl EgressPort {
     }
 
     /// Occupancy statistics of this ejection queue.
-    pub fn queue_stats(&self) -> &QueueStats {
+    pub fn queue_stats(&self) -> QueueStats {
         self.ejection.stats()
     }
 
@@ -854,7 +854,7 @@ impl Crossbar {
     pub fn input_queue_stats(&self) -> QueueStats {
         let mut s = QueueStats::default();
         for q in &self.ingress {
-            s.merge(q.queue_stats());
+            s.merge(&q.queue_stats());
         }
         s
     }
@@ -863,7 +863,7 @@ impl Crossbar {
     pub fn ejection_queue_stats(&self) -> QueueStats {
         let mut s = QueueStats::default();
         for o in &self.egress {
-            s.merge(o.queue_stats());
+            s.merge(&o.queue_stats());
         }
         s
     }

@@ -15,6 +15,8 @@
 //! correct simulator must absorb any schedule and still conserve every
 //! request — or fail loudly with a typed error / watchdog wedge diagnosis.
 
+use std::borrow::BorrowMut;
+
 use gpumem_noc::IngressPort;
 use gpumem_types::{Cycle, SimRng};
 
@@ -203,14 +205,19 @@ impl ChaosEngine {
 
     /// Applies every fault due at `now`. `req_ins` / `resp_ins` are the
     /// ingress ports of the request and response crossbars and `parts` the
-    /// memory partitions, each in global index order.
-    pub(crate) fn apply(
+    /// memory partitions, each in global index order — owned slices from
+    /// the serial engine, slices of borrows from the parallel engine's
+    /// per-shard packs (the bound `CrossbarFabric::tick` uses).
+    pub(crate) fn apply<I, P>(
         &mut self,
         now: Cycle,
-        req_ins: &mut [&mut IngressPort],
-        resp_ins: &mut [&mut IngressPort],
-        parts: &mut [&mut MemoryPartition],
-    ) {
+        req_ins: &mut [I],
+        resp_ins: &mut [I],
+        parts: &mut [P],
+    ) where
+        I: BorrowMut<IngressPort>,
+        P: BorrowMut<MemoryPartition>,
+    {
         let t = now.raw();
         if let Some(w) = self.config.wedge_at {
             if t >= w && !self.wedge_applied {
@@ -218,7 +225,7 @@ impl ChaosEngine {
                 // keep flowing downstream, responses never come back — the
                 // canonical wedge the watchdog must diagnose.
                 for port in resp_ins.iter_mut() {
-                    port.chaos_hold(Cycle::NEVER);
+                    port.borrow_mut().chaos_hold(Cycle::NEVER);
                 }
                 self.wedge_applied = true;
             }
@@ -229,28 +236,34 @@ impl ChaosEngine {
                 let idx = self.pick.gen_range(total_ports as u64) as usize;
                 let until = now + self.config.port_delay_duration;
                 if idx < req_ins.len() {
-                    req_ins[idx].chaos_hold(until);
+                    req_ins[idx].borrow_mut().chaos_hold(until);
                 } else {
-                    resp_ins[idx - req_ins.len()].chaos_hold(until);
+                    resp_ins[idx - req_ins.len()].borrow_mut().chaos_hold(until);
                 }
             }
             for _ in 0..self.drop_reinject.fires(t) {
                 let idx = self.pick.gen_range(total_ports as u64) as usize;
                 if idx < req_ins.len() {
-                    req_ins[idx].chaos_rotate_head();
+                    req_ins[idx].borrow_mut().chaos_rotate_head();
                 } else {
-                    resp_ins[idx - req_ins.len()].chaos_rotate_head();
+                    resp_ins[idx - req_ins.len()]
+                        .borrow_mut()
+                        .chaos_rotate_head();
                 }
             }
         }
         if !parts.is_empty() {
             for _ in 0..self.mshr_stall.fires(t) {
                 let idx = self.pick.gen_range(parts.len() as u64) as usize;
-                parts[idx].chaos_stall_mshr(now + self.config.mshr_stall_duration);
+                parts[idx]
+                    .borrow_mut()
+                    .chaos_stall_mshr(now + self.config.mshr_stall_duration);
             }
             for _ in 0..self.dram_lockout.fires(t) {
                 let idx = self.pick.gen_range(parts.len() as u64) as usize;
-                parts[idx].chaos_lock_dram(now + self.config.dram_lockout_duration);
+                parts[idx]
+                    .borrow_mut()
+                    .chaos_lock_dram(now + self.config.dram_lockout_duration);
             }
         }
     }

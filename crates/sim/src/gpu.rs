@@ -618,12 +618,12 @@ impl GpuSimulator {
                 // before any component acts — the same point the parallel
                 // coordinator applies it, so schedules are engine-identical.
                 if let Some(chaos) = &mut self.chaos {
-                    let mut req_ins: Vec<&mut gpumem_noc::IngressPort> =
-                        req_xbar.ingress_ports_mut().iter_mut().collect();
-                    let mut resp_ins: Vec<&mut gpumem_noc::IngressPort> =
-                        resp_xbar.ingress_ports_mut().iter_mut().collect();
-                    let mut parts: Vec<&mut MemoryPartition> = partitions.iter_mut().collect();
-                    chaos.apply(now, &mut req_ins, &mut resp_ins, &mut parts);
+                    chaos.apply(
+                        now,
+                        req_xbar.ingress_ports_mut(),
+                        resp_xbar.ingress_ports_mut(),
+                        partitions,
+                    );
                 }
                 for (p_idx, p) in partitions.iter_mut().enumerate() {
                     p.cycle(

@@ -82,6 +82,21 @@ enum L2Waiter {
     Merged(SlotId),
 }
 
+/// A request waiting in the access or response queue, with its line's
+/// (bank, set) decoded when it was queued: [`MemoryPartition::map`] costs
+/// three divisions, and the head of either queue is looked at every cycle
+/// it waits. A line's location never changes, so there is nothing to
+/// invalidate; the price is 16 bytes per queue slot (`MemFetch` 120 B →
+/// `Located` 136 B), i.e. `16 × (l2.access_queue + l2.response_queue)` =
+/// 256 B per partition at the baseline's 8 + 8 entries (1 KiB at the 4×
+/// design points).
+#[derive(Debug)]
+struct Located {
+    fetch: MemFetch,
+    bank: usize,
+    set: usize,
+}
+
 /// Trace state owned by one partition: occupancy probes for its two
 /// headline queues (the write-path latency histograms live in the embedded
 /// [`DramChannel`]). Lives behind an `Option<Box<_>>` so an untraced run
@@ -115,7 +130,7 @@ pub struct MemoryPartition {
     bank_next_accept: Vec<Cycle>,
     /// Load hits traversing the bank pipeline, due at their bank latency.
     completions: DueHeap<SlotId>,
-    access_queue: SimQueue<MemFetch>,
+    access_queue: SimQueue<Located>,
     mshr: MshrTable<L2Waiter>,
     /// Parked bodies of merged misses (primaries travel to DRAM) and of
     /// load hits in the bank pipeline.
@@ -128,7 +143,7 @@ pub struct MemoryPartition {
     /// the read miss queue so a clogged read path can never deadlock the
     /// fill pipeline).
     wb_queue: SimQueue<MemFetch>,
-    response_queue: SimQueue<MemFetch>,
+    response_queue: SimQueue<Located>,
     to_icnt: SimQueue<MemFetch>,
     port_free_at: Cycle,
     dram: DramChannel,
@@ -248,6 +263,11 @@ impl MemoryPartition {
         (bank, set)
     }
 
+    fn locate(&self, fetch: MemFetch) -> Located {
+        let (bank, set) = self.map(fetch.line);
+        Located { fetch, bank, set }
+    }
+
     /// Advances the partition one cycle. Pulls requests from its ejection
     /// port on the request crossbar (`req_ej`), pushes responses into its
     /// input port on the response crossbar (`resp_in`).
@@ -308,7 +328,7 @@ impl MemoryPartition {
         }
         if let Some(mut pkt) = req_ej.pop_ejected() {
             pkt.fetch.timeline.l2_arrive = CycleStamp::at(now);
-            if self.access_queue.push(pkt.fetch).is_err() {
+            if self.access_queue.push(self.locate(pkt.fetch)).is_err() {
                 return Err(Self::overflow("l2_access", now));
             }
         }
@@ -319,7 +339,7 @@ impl MemoryPartition {
         while !self.response_queue.is_full() {
             match self.dram.pop_return() {
                 Some(f) => {
-                    if self.response_queue.push(f).is_err() {
+                    if self.response_queue.push(self.locate(f)).is_err() {
                         return Err(Self::overflow("l2_response", now));
                     }
                 }
@@ -335,8 +355,7 @@ impl MemoryPartition {
         let Some(head) = self.response_queue.front() else {
             return Ok(());
         };
-        let line = head.line;
-        let (bank, set) = self.map(line);
+        let (line, bank, set) = (head.fetch.line, head.bank, head.set);
         // Resources needed in the worst case: one writeback slot, and a
         // to_icnt slot per load waiter.
         if self.wb_queue.is_full() {
@@ -360,7 +379,7 @@ impl MemoryPartition {
             return Ok(());
         }
 
-        let Some(fill) = self.response_queue.pop() else {
+        let Some(Located { fetch: fill, .. }) = self.response_queue.pop() else {
             return Ok(());
         };
         self.stats.fills += 1;
@@ -478,9 +497,8 @@ impl MemoryPartition {
         let Some(head) = self.access_queue.front() else {
             return Ok(());
         };
-        let line = head.line;
-        let kind = head.kind;
-        let (bank, set) = self.map(line);
+        let (line, kind) = (head.fetch.line, head.fetch.kind);
+        let (bank, set) = (head.bank, head.set);
 
         if self.bank_next_accept[bank] > now {
             self.stats.stall_bank_busy += 1;
@@ -503,7 +521,7 @@ impl MemoryPartition {
 
         let resident = self.tags[bank].access(set, line, now);
         if resident {
-            let Some(mut fetch) = self.access_queue.pop() else {
+            let Some(Located { mut fetch, .. }) = self.access_queue.pop() else {
                 return Ok(());
             };
             fetch.timeline.l2_serve = CycleStamp::at(now);
@@ -536,7 +554,7 @@ impl MemoryPartition {
                 self.stats.stall_mshr += 1;
                 return Ok(());
             }
-            let Some(mut fetch) = self.access_queue.pop() else {
+            let Some(Located { mut fetch, .. }) = self.access_queue.pop() else {
                 return Ok(());
             };
             fetch.timeline.l2_serve = CycleStamp::at(now);
@@ -556,7 +574,11 @@ impl MemoryPartition {
             self.stats.stall_mshr += 1;
             return Ok(());
         }
-        let Some(mut dram_req) = self.access_queue.pop() else {
+        let Some(Located {
+            fetch: mut dram_req,
+            ..
+        }) = self.access_queue.pop()
+        else {
             return Ok(());
         };
         dram_req.timeline.l2_serve = CycleStamp::at(now);
@@ -714,8 +736,7 @@ impl MemoryPartition {
             fold(done_at, &mut earliest);
         }
         if let Some(head) = self.access_queue.front() {
-            let (bank, _) = self.map(head.line);
-            let free_at = self.bank_next_accept[bank];
+            let free_at = self.bank_next_accept[head.bank];
             if free_at <= now {
                 return Some(now);
             }
@@ -750,9 +771,8 @@ impl MemoryPartition {
             return;
         }
         if let Some(head) = self.access_queue.front() {
-            let (bank, _) = self.map(head.line);
             debug_assert!(
-                self.bank_next_accept[bank] > now,
+                self.bank_next_accept[head.bank] > now,
                 "skipped window must start inside a bank-busy stall"
             );
             self.stats.stall_bank_busy += cycles;
@@ -792,27 +812,27 @@ impl MemoryPartition {
     }
 
     /// Occupancy of the L2 access queue (Section III's 46% metric).
-    pub fn access_queue_stats(&self) -> &QueueStats {
+    pub fn access_queue_stats(&self) -> QueueStats {
         self.access_queue.stats()
     }
 
     /// Occupancy of the L2 miss queue.
-    pub fn miss_queue_stats(&self) -> &QueueStats {
+    pub fn miss_queue_stats(&self) -> QueueStats {
         self.miss_queue.stats()
     }
 
     /// Occupancy of the writeback queue towards the DRAM write scheduler.
-    pub fn wb_queue_stats(&self) -> &QueueStats {
+    pub fn wb_queue_stats(&self) -> QueueStats {
         self.wb_queue.stats()
     }
 
     /// Occupancy of the L2 response queue.
-    pub fn response_queue_stats(&self) -> &QueueStats {
+    pub fn response_queue_stats(&self) -> QueueStats {
         self.response_queue.stats()
     }
 
     /// Occupancy of the response path towards the interconnect.
-    pub fn to_icnt_queue_stats(&self) -> &QueueStats {
+    pub fn to_icnt_queue_stats(&self) -> QueueStats {
         self.to_icnt.stats()
     }
 
@@ -906,10 +926,11 @@ impl MemoryPartition {
     pub fn fetches(&self) -> impl Iterator<Item = &MemFetch> {
         self.access_queue
             .iter()
+            .map(|q| &q.fetch)
             .chain(self.miss_pipeline.iter().map(|(_, f)| f))
             .chain(self.miss_queue.iter())
             .chain(self.wb_queue.iter())
-            .chain(self.response_queue.iter())
+            .chain(self.response_queue.iter().map(|q| &q.fetch))
             .chain(self.to_icnt.iter())
             .chain(self.completions.iter().map(|&slot| &self.arena[slot]))
             .chain(self.dram.fetches())

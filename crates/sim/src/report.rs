@@ -185,8 +185,8 @@ pub(crate) fn build_report(
     for c in cores {
         core_stats.merge(c.stats());
         l1.stats.merge(c.l1_stats());
-        l1.miss_queue.merge(c.l1_miss_queue_stats());
-        l1.lsu_queue.merge(c.lsu_queue_stats());
+        l1.miss_queue.merge(&c.l1_miss_queue_stats());
+        l1.lsu_queue.merge(&c.lsu_queue_stats());
         l1.miss_latency.merge(c.miss_latency());
     }
     let instructions = core_stats.instructions;
@@ -204,14 +204,14 @@ pub(crate) fn build_report(
         let mut dr = DramReport::default();
         for p in partitions {
             l2r.stats.merge(p.stats());
-            l2r.access_queue.merge(p.access_queue_stats());
-            l2r.miss_queue.merge(p.miss_queue_stats());
-            l2r.response_queue.merge(p.response_queue_stats());
-            l2r.to_icnt_queue.merge(p.to_icnt_queue_stats());
+            l2r.access_queue.merge(&p.access_queue_stats());
+            l2r.miss_queue.merge(&p.miss_queue_stats());
+            l2r.response_queue.merge(&p.response_queue_stats());
+            l2r.to_icnt_queue.merge(&p.to_icnt_queue_stats());
             dr.stats.merge(p.dram().stats());
-            dr.scheduler_queue.merge(p.dram().scheduler_queue_stats());
-            dr.scheduler_queue.merge(p.dram().write_queue_stats());
-            dr.return_queue.merge(p.dram().return_queue_stats());
+            dr.scheduler_queue.merge(&p.dram().scheduler_queue_stats());
+            dr.scheduler_queue.merge(&p.dram().write_queue_stats());
+            dr.return_queue.merge(&p.dram().return_queue_stats());
             dr.service_latency.merge(p.dram().service_latency());
         }
         (Some(l2r), Some(dr))

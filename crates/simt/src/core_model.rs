@@ -176,11 +176,24 @@ pub struct SimtCore {
     next_fetch_seq: u64,
     age_counter: u64,
     /// Lower bound on the earliest cycle at which any warp could pass the
-    /// issue pre-check. While `now < ready_lb` the whole GTO scan is
-    /// provably fruitless and [`cycle`](SimtCore::cycle) skips it. Raised
-    /// only by a failed scan (which proves the bound); lowered to zero by
-    /// every event that can make a warp eligible (CTA assignment, load
-    /// completion, barrier release), so skipping is always conservative.
+    /// issue pre-check ([`passes_precheck`](SimtCore::passes_precheck)).
+    /// While `now < ready_lb` the whole GTO scan is provably fruitless and
+    /// [`cycle`](SimtCore::cycle) skips it.
+    ///
+    /// *Proved by:* a scan that issued nothing, after which
+    /// [`issue_bound`](SimtCore::issue_bound) is the minimum `ready_at`
+    /// over the warps only time holds back. Warps blocked on memory, at a
+    /// barrier, unassigned, or parked on a decoded load/store behind a
+    /// busy issue register need an event first.
+    ///
+    /// *Lowered by* every such event, and by nothing else: CTA assignment
+    /// and barrier release (to zero), a load completion that makes its
+    /// warp eligible (to that warp's `ready_at`), and the issue register
+    /// draining empty, which un-parks the decoded memory instructions (to
+    /// zero). A scan that issues leaves the bound at or below `now`, so
+    /// the next cycle scans again. Nothing outside the core reaches warp
+    /// state — chaos hooks and the parallel engine's port swaps act on the
+    /// interconnect and the partitions — so the list is complete.
     ready_lb: Cycle,
     /// Memoized stall classification. While `Some`, consecutive stalled
     /// cycles replay this class without rescanning the warp set; every
@@ -590,7 +603,9 @@ impl SimtCore {
         if self.l1_retry.is_none() {
             self.l1_retry = self.lsu_queue.pop();
         }
-        let _ = self.l1.access_head(&mut self.l1_retry, now);
+        if self.l1_retry.is_some() {
+            let _ = self.l1.access_head(&mut self.l1_retry, now);
+        }
 
         if let Some(sw) = sw {
             self.host_l1_seconds += sw.elapsed_seconds();
@@ -606,20 +621,25 @@ impl SimtCore {
                 }
             }
             if self.issue_reg.is_empty() {
-                // The pipeline freeing up changes the classification.
+                // The pipeline freeing up changes the classification and
+                // un-parks every warp holding a decoded load/store.
                 self.stall_cache = None;
+                self.ready_lb = Cycle::ZERO;
             }
         }
 
         // 4. Issue up to `issue_width` instructions from ready warps (GTO).
         //    While `ready_lb` proves no warp can pass the issue pre-check,
-        //    the scan is skipped entirely — `try_issue_warp` is
-        //    side-effect-free below its pre-check, so skipping it is
-        //    observationally identical to running it and failing.
+        //    the scan is skipped entirely — the pre-check is
+        //    side-effect-free, so skipping it is observationally
+        //    identical to running it and failing.
         let mut issued = 0;
         if self.ready_lb <= now {
             if let Some(last) = self.last_issued {
-                while issued < self.issue_width && self.try_issue_warp(last, now) {
+                while issued < self.issue_width
+                    && self.passes_precheck(last, now)
+                    && self.issue_warp(last, now)
+                {
                     issued += 1;
                 }
             }
@@ -629,16 +649,25 @@ impl SimtCore {
                     if issued >= self.issue_width {
                         break;
                     }
-                    if Some(w) == self.last_issued {
+                    if Some(w) == self.last_issued || !self.passes_precheck(w, now) {
                         continue;
                     }
-                    if self.try_issue_warp(w, now) {
+                    if self.issue_warp(w, now) {
                         self.last_issued = Some(w);
                         issued += 1;
                     }
                 }
                 self.issue_order = order;
             }
+            if issued == 0 {
+                self.ready_lb = self.issue_bound();
+            }
+        } else {
+            debug_assert!(
+                !bits(self.masks.live).any(|w| self.passes_precheck(w, now)),
+                "ready_lb {:?} skipped a scan at {now:?} that a warp would have passed",
+                self.ready_lb
+            );
         }
 
         if issued == 0 {
@@ -654,18 +683,38 @@ impl SimtCore {
         );
     }
 
-    /// Attempts to issue one instruction from warp `w`; returns success.
-    fn try_issue_warp(&mut self, w: usize, now: Cycle) -> bool {
-        // Pre-check on the masks alone: not live, at a barrier, blocked on
-        // memory or not yet ready — or parked on a decoded load/store while
-        // the memory pipeline is busy.
-        let pipeline_busy = !self.issue_reg.is_empty();
-        if self.masks.eligible() >> w & 1 == 0
-            || self.ready_at[w] > now
-            || (pipeline_busy && self.masks.decoded_is_mem >> w & 1 != 0)
-        {
-            return false;
+    /// The issue pre-check, on the masks alone: warp `w` is live, not at a
+    /// barrier, not blocked on memory, ready by `now`, and not parked on a
+    /// decoded load/store while the memory pipeline is busy.
+    fn passes_precheck(&self, w: usize, now: Cycle) -> bool {
+        self.masks.eligible() & !self.parked() & 1 << w != 0 && self.ready_at[w] <= now
+    }
+
+    /// Warps that cannot issue whatever the time: their decoded
+    /// instruction is a load or store and the issue register is busy.
+    fn parked(&self) -> u64 {
+        if self.issue_reg.is_empty() {
+            0
+        } else {
+            self.masks.decoded_is_mem
         }
+    }
+
+    /// The earliest cycle any warp can pass the pre-check if no event
+    /// intervenes: the minimum `ready_at` over eligible, un-parked warps
+    /// (`NEVER` if there is none). See [`ready_lb`](SimtCore::ready_lb).
+    fn issue_bound(&self) -> Cycle {
+        bits(self.masks.eligible() & !self.parked())
+            .map(|w| self.ready_at[w])
+            .min()
+            .unwrap_or(Cycle::NEVER)
+    }
+
+    /// Attempts to issue one instruction from warp `w`, which passes the
+    /// pre-check; returns success.
+    fn issue_warp(&mut self, w: usize, now: Cycle) -> bool {
+        debug_assert!(self.passes_precheck(w, now));
+        let pipeline_busy = !self.issue_reg.is_empty();
         // Decode (cached across blocked cycles).
         if self.warps[w].decoded.is_none() {
             let warp = &self.warps[w];
@@ -805,32 +854,21 @@ impl SimtCore {
     fn classify_stall_many(&mut self, now: Cycle, weight: u64) {
         if let Some(kind) = self.stall_cache {
             // Nothing classification-relevant changed since the cached
-            // scan (every such mutation clears the cache), so the class —
-            // and the exact `ready_lb` that scan computed — still hold.
-            // Time alone cannot flip a cached class: a class that outranks
-            // Compute ignores `now` entirely, and a cached Compute class
-            // implies a free issue register, so the first cycle to reach
-            // `ready_lb` issues (or retires) a warp in the scan that runs
-            // before classification, clearing the cache first.
+            // scan (every such mutation clears the cache), so the class
+            // still holds. Time alone cannot flip a cached class: a class
+            // that outranks Compute ignores `now` entirely, and a cached
+            // Compute class implies a free issue register (no warp is
+            // parked), so the first cycle to reach `ready_lb` issues (or
+            // retires) a warp in the scan that runs before
+            // classification, clearing the cache first.
             self.bump_stall(kind, weight);
             return;
         }
-        // The same scan refreshes `ready_lb`: a stalled cycle proves no
-        // warp passes the issue pre-check now, and the earliest it could
-        // is the minimum `ready_at` over warps blocked on time alone.
-        // Warps blocked on memory, barriers or assignment need an external
-        // event first, and every such event lowers the bound again.
         let m = &self.masks;
         let any_assigned = m.live != 0;
         let mem_blocked = m.mem_blocked != 0;
         let barrier = m.at_barrier & !m.mem_blocked != 0;
-        let mut compute = false;
-        let mut ready_lb = Cycle::NEVER;
-        for w in bits(m.eligible()) {
-            compute |= self.ready_at[w] > now;
-            ready_lb = ready_lb.min(self.ready_at[w]);
-        }
-        self.ready_lb = ready_lb;
+        let compute = bits(m.eligible()).any(|w| self.ready_at[w] > now);
         let kind = if mem_blocked {
             StallKind::Memory
         } else if any_assigned && !self.issue_reg.is_empty() {
@@ -879,8 +917,8 @@ impl SimtCore {
         }
         // `ready_lb` substitutes for a warp scan: it is a maintained lower
         // bound on the earliest cycle any warp can pass the issue
-        // pre-check (exact after a stalled cycle's scan, zero after any
-        // wake-up event), and `NEVER` means no warp is blocked on time
+        // pre-check (exact after a scan that issued nothing, lowered by
+        // every wake-up event), and `NEVER` means no warp is blocked on time
         // alone — only an external event (which resets the bound) can
         // create a candidate. Being a lower bound it can only produce
         // spurious wake-ups, which replay stalled cycles exactly as the
@@ -938,12 +976,12 @@ impl SimtCore {
     }
 
     /// L1 miss-queue occupancy statistics.
-    pub fn l1_miss_queue_stats(&self) -> &QueueStats {
+    pub fn l1_miss_queue_stats(&self) -> QueueStats {
         self.l1.miss_queue_stats()
     }
 
     /// LSU pipeline occupancy statistics.
-    pub fn lsu_queue_stats(&self) -> &QueueStats {
+    pub fn lsu_queue_stats(&self) -> QueueStats {
         self.lsu_queue.stats()
     }
 
@@ -1304,6 +1342,112 @@ mod tests {
             proptest::prop_assert!(core.all_ctas_retired(), "stats {:?}", core.stats());
             proptest::prop_assert_eq!(core.stats().ctas_retired, 5);
         }
+    }
+
+    /// Four-line loads, ALU work and stores from every warp, against an L1
+    /// with two MSHRs and a two-entry miss queue: the MSHR-full → LSU-full
+    /// → issue-register-stuck regime in which decoded memory instructions
+    /// park behind the issue register.
+    struct StreamKernel;
+    impl KernelProgram for StreamKernel {
+        fn name(&self) -> &str {
+            "stream"
+        }
+        fn grid_ctas(&self) -> u32 {
+            4
+        }
+        fn warps_per_cta(&self) -> u32 {
+            4
+        }
+        fn instr(&self, cta: CtaId, warp: u32, pc: u32) -> Option<WarpInstr> {
+            let base = (cta.index() as u64 * 4 + u64::from(warp)) * 4096 + u64::from(pc) * 16;
+            match pc {
+                24.. => None,
+                _ if pc.is_multiple_of(4) => Some(WarpInstr::Load {
+                    lines: (0..4).map(|i| LineAddr::new(base + i)).collect(),
+                    consume_after: 2,
+                }),
+                _ if pc % 4 == 3 => Some(WarpInstr::Store {
+                    lines: vec![LineAddr::new(base)],
+                }),
+                _ => Some(WarpInstr::Alu { latency: 2 }),
+            }
+        }
+    }
+
+    /// What [`drive_stream`] observed of one run.
+    #[derive(Debug, PartialEq)]
+    struct StreamRun {
+        /// (cycle, every warp's PC, greedy warp) after each issuing cycle.
+        issues: Vec<(u64, Vec<u32>, Option<usize>)>,
+        stats: CoreStats,
+        l1: L1Stats,
+    }
+
+    /// Runs [`StreamKernel`] to completion, one memory request drained per
+    /// cycle and answered 60 cycles later. With `scan_every_cycle` the
+    /// bound is zeroed before every cycle, so the GTO scan always runs —
+    /// the bound-free reference. Returns the run and how many cycles ended
+    /// with a decoded memory instruction parked *and* a bound in the
+    /// future.
+    fn drive_stream(scan_every_cycle: bool) -> (StreamRun, u64) {
+        let mut cfg = GpuConfig::tiny();
+        cfg.l1.mshr_entries = 2;
+        cfg.l1.miss_queue = 2;
+        let mut core = SimtCore::new(CoreId::new(0), &cfg, Arc::new(StreamKernel));
+        let mut next_cta = 0;
+        let mut pending: VecDeque<(Cycle, MemFetch)> = VecDeque::new();
+        let mut issues = Vec::new();
+        let mut skipped_while_parked = 0;
+        for t in 0..200_000 {
+            let now = Cycle::new(t);
+            while next_cta < 4 && core.can_accept_cta() {
+                core.assign_cta(CtaId::new(next_cta));
+                next_cta += 1;
+            }
+            if pending.front().is_some_and(|(at, _)| *at <= now) {
+                let (_, f) = pending.pop_front().unwrap();
+                core.accept_response(f, now);
+            }
+            if scan_every_cycle {
+                core.ready_lb = Cycle::ZERO;
+            }
+            let before = core.stats.instructions;
+            core.cycle(now);
+            if core.stats.instructions != before {
+                let pcs = core.warps.iter().map(|w| w.pc).collect();
+                issues.push((t, pcs, core.last_issued));
+            }
+            let parked = core.masks.eligible() & core.parked() != 0;
+            skipped_while_parked += u64::from(parked && core.ready_lb > now.next());
+            if let Some(req) = core.pop_memory_request() {
+                if req.kind == AccessKind::Load {
+                    pending.push_back((now + 60, req));
+                }
+            }
+            core.observe();
+            if next_cta == 4 && core.all_ctas_retired() && !core.has_pending_memory() {
+                let run = StreamRun {
+                    issues,
+                    stats: *core.stats(),
+                    l1: *core.l1_stats(),
+                };
+                return (run, skipped_while_parked);
+            }
+        }
+        panic!("stream kernel did not finish; stats {:?}", core.stats());
+    }
+
+    #[test]
+    fn saturated_memory_pipeline_issues_and_stalls_like_the_bound_free_scan() {
+        let (run, skipped) = drive_stream(false);
+        let (reference, _) = drive_stream(true);
+        assert_eq!(run, reference);
+        // The regime was reached, and the bound did skip scans in it.
+        let (stats, l1) = (run.stats, run.l1);
+        assert!(l1.mshr_full_stalls > 1000, "{l1:?}");
+        assert!(stats.stall_mem_pipeline + stats.stall_memory > stats.cycles / 2);
+        assert!(skipped > 1000, "bound skipped only {skipped} parked cycles");
     }
 
     #[test]

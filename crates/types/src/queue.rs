@@ -84,6 +84,19 @@ impl QueueStats {
         }
     }
 
+    /// Records `cycles` observed cycles spent at occupancy `len` of
+    /// `capacity`: the one place occupancy enters the statistics.
+    fn observe_at(&mut self, cycles: u64, len: usize, capacity: usize) {
+        self.ticks += cycles;
+        self.occupancy_sum += len as u64 * cycles;
+        if len > 0 {
+            self.ticks_nonempty += cycles;
+        }
+        if len >= capacity {
+            self.ticks_full += cycles;
+        }
+    }
+
     /// Merges another queue's statistics into this one (used to aggregate
     /// the per-partition queues into the paper's averages).
     pub fn merge(&mut self, other: &QueueStats) {
@@ -103,7 +116,12 @@ impl QueueStats {
 /// access/miss/response queues, DRAM scheduler queue, interconnect ejection
 /// buffers) is a `SimQueue`. The owning component calls
 /// [`observe`](SimQueue::observe) exactly once per simulated cycle so that
-/// the occupancy statistics are time-weighted.
+/// the occupancy statistics are time-weighted. Occupancy is counted at the
+/// events that change it, not at the observations: an observed cycle only
+/// bumps a counter, and the cycles observed since the last change are
+/// folded into the statistics — all at the one occupancy that held
+/// throughout them — by the next accepted `push`, `pop` or `remove_at`,
+/// or by [`stats`](SimQueue::stats). Exact for any call order.
 ///
 /// Storage is a fixed-capacity ring buffer allocated once at construction:
 /// the queue never grows (or reallocates) afterwards, which keeps the
@@ -133,6 +151,9 @@ pub struct SimQueue<T> {
     head: usize,
     /// Number of queued elements.
     len: usize,
+    /// Cycles observed since `len` last changed, not yet in `stats`.
+    pending: u64,
+    /// Everything but the `pending` cycles.
     stats: QueueStats,
 }
 
@@ -156,6 +177,7 @@ impl<T> SimQueue<T> {
             slots: (0..capacity).map(|_| None).collect(),
             head: 0,
             len: 0,
+            pending: 0,
             stats: QueueStats::default(),
         }
     }
@@ -215,6 +237,7 @@ impl<T> SimQueue<T> {
             self.stats.rejected += 1;
             Err(PushError(item))
         } else {
+            self.fold();
             let tail = self.slot_of(self.len);
             debug_assert!(self.slots[tail].is_none(), "tail slot must be vacant");
             self.slots[tail] = Some(item);
@@ -229,6 +252,7 @@ impl<T> SimQueue<T> {
         if self.len == 0 {
             return None;
         }
+        self.fold();
         let item = self.slots[self.head].take();
         debug_assert!(item.is_some(), "head slot must be occupied");
         self.head = self.slot_of(1);
@@ -277,6 +301,7 @@ impl<T> SimQueue<T> {
         if pos >= self.len {
             return None;
         }
+        self.fold();
         let item = self.slots[self.slot_of(pos)].take();
         for p in (0..pos).rev() {
             let from = self.slot_of(p);
@@ -292,36 +317,32 @@ impl<T> SimQueue<T> {
     /// Records this cycle's occupancy. Call exactly once per simulated
     /// cycle.
     pub fn observe(&mut self) {
-        self.stats.ticks += 1;
-        let len = self.len as u64;
-        self.stats.occupancy_sum += len;
-        if len > 0 {
-            self.stats.ticks_nonempty += 1;
-        }
-        if self.is_full() {
-            self.stats.ticks_full += 1;
-        }
+        self.observe_many(1);
     }
 
-    /// Records `cycles` consecutive observations during which the queue's
-    /// contents are known not to change (used by event-horizon skipping to
-    /// fast-forward idle stretches). Equivalent to calling
+    /// Records `cycles` consecutive observations (used by event-horizon
+    /// skipping to fast-forward idle stretches). Equivalent to calling
     /// [`observe`](SimQueue::observe) `cycles` times.
     pub fn observe_many(&mut self, cycles: u64) {
-        self.stats.ticks += cycles;
-        let len = self.len as u64;
-        self.stats.occupancy_sum += len * cycles;
-        if len > 0 {
-            self.stats.ticks_nonempty += cycles;
-        }
-        if self.is_full() {
-            self.stats.ticks_full += cycles;
+        self.pending += cycles;
+    }
+
+    /// Moves the pending observed cycles into `stats` at the occupancy
+    /// they were all observed at. Every change of `len` calls this first.
+    fn fold(&mut self) {
+        // Only the first change of a cycle has anything to fold.
+        if self.pending != 0 {
+            self.stats
+                .observe_at(self.pending, self.len, self.slots.len());
+            self.pending = 0;
         }
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &QueueStats {
-        &self.stats
+    /// Accumulated statistics, pending observations included.
+    pub fn stats(&self) -> QueueStats {
+        let mut stats = self.stats;
+        stats.observe_at(self.pending, self.len, self.slots.len());
+        stats
     }
 }
 

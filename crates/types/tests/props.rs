@@ -1,6 +1,6 @@
 //! Property tests for the foundational types.
 
-use gpumem_types::{Histogram, LatencyStats, SimQueue, SimRng};
+use gpumem_types::{Histogram, LatencyStats, QueueStats, SimQueue, SimRng};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -8,6 +8,7 @@ enum QueueOp {
     Push(u32),
     Pop,
     Observe,
+    ObserveMany(u64),
     RemoveFirstEven,
 }
 
@@ -17,6 +18,7 @@ fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
             (0u32..1000).prop_map(QueueOp::Push),
             Just(QueueOp::Pop),
             Just(QueueOp::Observe),
+            (0u64..50).prop_map(QueueOp::ObserveMany),
             Just(QueueOp::RemoveFirstEven),
         ],
         0..200,
@@ -24,11 +26,21 @@ fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
 }
 
 proptest! {
-    /// SimQueue behaves exactly like a capacity-checked VecDeque.
+    /// SimQueue behaves exactly like a capacity-checked VecDeque, and its
+    /// event-counted statistics — read after every operation, rejected
+    /// pushes included — equal an eager model that samples the occupancy
+    /// at each observed cycle.
     #[test]
     fn queue_matches_model(cap in 1usize..16, ops in queue_ops()) {
         let mut q = SimQueue::new("prop", cap);
         let mut model: std::collections::VecDeque<u32> = Default::default();
+        let mut stats = QueueStats::default();
+        let observe = |stats: &mut QueueStats, len: usize| {
+            stats.ticks += 1;
+            stats.occupancy_sum += len as u64;
+            stats.ticks_nonempty += u64::from(len > 0);
+            stats.ticks_full += u64::from(len >= cap);
+        };
         for op in ops {
             match op {
                 QueueOp::Push(v) => {
@@ -37,19 +49,34 @@ proptest! {
                     prop_assert_eq!(expect_ok, got.is_ok());
                     if expect_ok {
                         model.push_back(v);
+                        stats.pushes += 1;
+                    } else {
+                        stats.rejected += 1;
                     }
                 }
                 QueueOp::Pop => {
+                    stats.pops += u64::from(!model.is_empty());
                     prop_assert_eq!(q.pop(), model.pop_front());
                 }
-                QueueOp::Observe => q.observe(),
+                QueueOp::Observe => {
+                    q.observe();
+                    observe(&mut stats, model.len());
+                }
+                QueueOp::ObserveMany(n) => {
+                    q.observe_many(n);
+                    for _ in 0..n {
+                        observe(&mut stats, model.len());
+                    }
+                }
                 QueueOp::RemoveFirstEven => {
                     let pos = model.iter().position(|x| x % 2 == 0);
                     let got = pos.and_then(|i| q.remove_at(i));
                     let expect = pos.and_then(|i| model.remove(i));
+                    stats.pops += u64::from(expect.is_some());
                     prop_assert_eq!(got, expect);
                 }
             }
+            prop_assert_eq!(q.stats(), stats);
             prop_assert_eq!(q.len(), model.len());
             prop_assert_eq!(q.front(), model.front());
             prop_assert_eq!(q.is_full(), model.len() >= cap);
@@ -69,6 +96,7 @@ proptest! {
                 QueueOp::Push(v) => { let _ = q.push(v); }
                 QueueOp::Pop => { q.pop(); }
                 QueueOp::Observe => q.observe(),
+                QueueOp::ObserveMany(n) => q.observe_many(n),
                 QueueOp::RemoveFirstEven => {
                     let pos = q.iter().position(|x| x % 2 == 0);
                     pos.and_then(|i| q.remove_at(i));
