@@ -2,8 +2,7 @@
 //! Bottlenecks in GPGPU Workloads* (IISWC 2016).
 //!
 //! ```text
-//! repro [--scale F] [--quick] [--json DIR] [--threads LIST] [--epoch N|auto]
-//!       [--check FILE] [--min-ratio R] [--floor R] [--profile] [--seeds N]
+//! repro [--scale F] [--quick] [--json DIR] [--profile] [--seeds N]
 //!       [--repeat N] [--wedge-self-test] [--suite seed|ml|extended]
 //!       [--trace-file FILE]... [--out FILE]
 //!       [fig1|congestion|dse|table1|latency|ablation|perf|chaos|trace|run|
@@ -17,33 +16,32 @@
 //! * `latency`    — Section II baseline-vs-ideal latency comparison
 //! * `ablation`   — Section V future work: per-row ablation + cost ranking
 //! * `perf`       — host throughput: the per-cycle stepped oracle vs the
-//!   event-driven engine behind `run()` vs sharded parallel stepping
-//!   (cycles/sec, skipped fraction, per-thread-count speedups). With
-//!   `--profile` instead runs the event-driven engine with host-time
-//!   instrumentation and prints per-component attribution (scheduler,
-//!   cores, L1, crossbars, partitions, DRAM).
+//!   event-driven engine behind `run()` (cycles/sec, skipped fraction,
+//!   speedup). A table for people; regressions are gated by the
+//!   `benchmark/` ledger, not here. With `--profile` instead runs the
+//!   event-driven engine with host-time instrumentation and prints
+//!   per-component attribution (scheduler, cores, L1, crossbars,
+//!   partitions, DRAM).
 //! * `chaos`      — deterministic fault-injection sweep: each seed expands
 //!   into a bit-identical fault schedule (crossbar port holds and
 //!   head-of-queue rotations, MSHR stalls, DRAM lockouts); every seed is
-//!   run twice serially and once per parallel thread count, and all runs
-//!   must agree bit-for-bit. `--seeds N` sets the sweep width (default 4);
-//!   `--wedge-self-test` instead wedges the response network on purpose
+//!   run twice and both runs must agree bit-for-bit. `--seeds N` sets the
+//!   sweep width (default 4); `--wedge-self-test` instead wedges the response network on purpose
 //!   and requires the watchdog to fire within its horizon with a
 //!   structured diagnosis naming the blocked component chain.
 //! * `trace`      — fetch-lifecycle latency breakdown (§III, Fig. 4–6):
 //!   runs the suite with tracing enabled, prints per-stage latency tables
 //!   and the queueing-vs-service split, requires the stage sums to
 //!   reconcile with the observed end-to-end latency, and cross-checks that
-//!   every engine (stepped, skipping, parallel at each `--threads` count)
-//!   produces a bit-identical breakdown. With `--json DIR` also exports
-//!   the slowest fetches as Chrome trace-event JSON
-//!   (`trace_<benchmark>.json`, loadable in `chrome://tracing`).
+//!   `run()` and `run_stepped()` produce a bit-identical breakdown. With
+//!   `--json DIR` also exports the slowest fetches as Chrome trace-event
+//!   JSON (`trace_<benchmark>.json`, loadable in `chrome://tracing`).
 //! * `run`        — executes the named workloads (and/or `--trace-file`
-//!   traces) through all three engines — event-driven, per-cycle stepped,
-//!   and sharded parallel at each `--threads` count — and requires every
-//!   report to be bit-identical (full canonical JSON, host block
-//!   stripped). A malformed trace file is a diagnosed, non-zero exit
-//!   naming the offending line, never a panic.
+//!   traces) through both engines — event-driven `run()` and the
+//!   per-cycle `run_stepped()` oracle — and requires the two reports to be
+//!   bit-identical (full canonical JSON, host block stripped). A
+//!   malformed trace file is a diagnosed, non-zero exit naming the
+//!   offending line, never a panic.
 //! * `trace-gen`  — encodes one workload (any synthetic benchmark name,
 //!   `--scale` applied) as a portable `gpumem-trace v1` text file, written
 //!   to `--out FILE` or stdout. The emitted trace replays bit-identically
@@ -66,31 +64,11 @@
 //! runs; the shipped EXPERIMENTS.md numbers use the full scale (1.0).
 //! `--quick` is shorthand for `--scale 0.25` (the CI smoke setting).
 //! `--json DIR` additionally dumps raw results as JSON.
-//! `--threads LIST` (perf only) sets the parallel thread counts swept,
-//! default `1,2,4`.
-//! `--epoch N|auto` (perf, chaos, trace) selects the parallel engine's
-//! epoch policy: `auto` (the default) lets the engine free-run shards
-//! through the largest provably-safe epoch each round, `N` caps epochs at
-//! `N` cycles, and `1` degenerates to the per-cycle barrier engine. Every
-//! policy is bit-identical to serial stepping; only host throughput
-//! changes. The chosen spelling is recorded in each parallel snapshot row.
-//! `--check FILE` (perf only) compares the measured speedups against a
-//! committed baseline (e.g. `BENCH_PARALLEL.json`) and exits non-zero if
-//! any engine's per-mode geomean speedup regressed below `--min-ratio`
-//! times the baseline's (default 0.8, i.e. a 20% tolerance; CI's trace
-//! overhead gate uses 0.98). Speedups — not absolute cycles/sec — are
-//! compared, so a baseline recorded on one host remains meaningful on
-//! another.
-//! `--floor R` (perf only) is an absolute per-benchmark gate on the
-//! event-driven engine: exits non-zero if any single benchmark's
-//! event-vs-stepped speedup falls below R. CI runs `--floor 1.0` — the
-//! event engine must never be slower than the oracle it replaces, on any
-//! workload, not just in geomean.
 //! `--repeat N` (perf only) runs each engine N times per benchmark and
 //! keeps the fastest wall. Single-shot timings on a busy or single-CPU
-//! host swing by tens of percent; CI gates use `--repeat 3`.
+//! host swing by tens of percent.
 //! `--profile` (perf only) switches the command to per-component
-//! host-time attribution instead of the engine comparison sweep.
+//! host-time attribution instead of the engine comparison table.
 //! `--suite seed|ml|extended` selects the synthetic workload family the
 //! suite commands iterate: the paper's eight benchmarks (`seed`, the
 //! default), the three ML kernels (`ml`: tiled GEMM, im2col conv,
@@ -114,36 +92,9 @@ use gpumem::text;
 use gpumem_sim::{chrome_trace_events, ChaosConfig, LatencyBreakdown, SimError, TraceConfig};
 use gpumem_simt::KernelProgram;
 
-/// The `--epoch` flag: the policy handed to the parallel engine plus the
-/// exact spelling the user gave, recorded verbatim in snapshot rows so a
-/// committed baseline names the engine configuration that produced it.
-#[derive(Clone)]
-struct EpochChoice {
-    spelling: String,
-    policy: EpochPolicy,
-}
-
-impl EpochChoice {
-    fn parse(spec: &str) -> Option<EpochChoice> {
-        let policy = match spec {
-            "auto" => EpochPolicy::Auto,
-            n => EpochPolicy::Fixed(n.parse().ok().filter(|&n| n > 0)?),
-        };
-        Some(EpochChoice {
-            spelling: spec.to_owned(),
-            policy,
-        })
-    }
-}
-
 struct Args {
     scale: f64,
     json_dir: Option<String>,
-    threads: Vec<usize>,
-    epoch: EpochChoice,
-    check: Option<String>,
-    min_ratio: f64,
-    floor: Option<f64>,
     profile: bool,
     seeds: u64,
     repeat: usize,
@@ -165,11 +116,6 @@ struct Args {
 fn parse_args() -> Args {
     let mut scale = 1.0;
     let mut json_dir = None;
-    let mut threads = vec![1, 2, 4];
-    let mut epoch = EpochChoice::parse("auto").expect("default epoch spec is valid");
-    let mut check = None;
-    let mut min_ratio = 0.8;
-    let mut floor = None;
     let mut profile = false;
     let mut seeds = 4;
     let mut repeat = 1;
@@ -199,49 +145,6 @@ fn parse_args() -> Args {
             "--quick" => scale = 0.25,
             "--json" => {
                 json_dir = Some(it.next().unwrap_or_else(|| die("--json needs a directory")));
-            }
-            "--threads" => {
-                let list = it
-                    .next()
-                    .unwrap_or_else(|| die("--threads needs a comma-separated list"));
-                threads = list
-                    .split(',')
-                    .map(|t| {
-                        t.trim()
-                            .parse()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| die(&format!("bad thread count {t:?}")))
-                    })
-                    .collect();
-                if threads.is_empty() {
-                    die("--threads needs at least one count");
-                }
-            }
-            "--epoch" => {
-                let spec = it
-                    .next()
-                    .unwrap_or_else(|| die("--epoch needs `auto` or a positive cycle count"));
-                epoch = EpochChoice::parse(&spec)
-                    .unwrap_or_else(|| die(&format!("bad --epoch spec {spec:?}")));
-            }
-            "--check" => {
-                check = Some(it.next().unwrap_or_else(|| die("--check needs a file")));
-            }
-            "--min-ratio" => {
-                min_ratio = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&r: &f64| r > 0.0 && r <= 1.0)
-                    .unwrap_or_else(|| die("--min-ratio needs a number in (0, 1]"));
-            }
-            "--floor" => {
-                floor = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&r: &f64| r > 0.0)
-                        .unwrap_or_else(|| die("--floor needs a positive number")),
-                );
             }
             "--profile" => profile = true,
             "--seeds" => {
@@ -331,11 +234,6 @@ fn parse_args() -> Args {
     Args {
         scale,
         json_dir,
-        threads,
-        epoch,
-        check,
-        min_ratio,
-        floor,
         profile,
         seeds,
         repeat,
@@ -358,8 +256,7 @@ fn parse_args() -> Args {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: repro [--scale F] [--quick] [--json DIR] [--threads LIST] [--epoch N|auto] \
-         [--check FILE] [--min-ratio R] [--floor R] [--profile] [--seeds N] [--repeat N] \
+        "usage: repro [--scale F] [--quick] [--json DIR] [--profile] [--seeds N] [--repeat N] \
          [--wedge-self-test] [--spec FILE] [--store DIR] [--resume DIR] [--query DIR] \
          [--workers N] [--retries N] [--backoff-ms N] [--suite seed|ml|extended] \
          [--trace-file FILE]... [--out FILE] \
@@ -468,32 +365,9 @@ fn run_latency(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Opti
     dump_json(json, "latency", &study);
 }
 
-/// One parallel measurement inside a [`PerfRow`].
-#[derive(serde::Serialize, serde::Deserialize)]
-struct ParallelPoint {
-    threads: u64,
-    /// The `--epoch` spelling this point was measured under (`"auto"`,
-    /// `"1"`, …). Pre-epoch baselines deserialize to `None`, which the
-    /// `--check` gate treats as comparable to any current policy (they
-    /// measured the per-cycle engine, the degeneracy every policy must
-    /// beat or match).
-    epoch: Option<String>,
-    /// Epoch rounds the engine actually ran (0 under the per-cycle
-    /// degeneracy) and the largest epoch it committed, from
-    /// [`SimReport::host`]; recorded so a snapshot shows how much
-    /// barrier elision the policy really bought on this workload.
-    epoch_rounds: Option<u64>,
-    max_epoch: Option<u64>,
-    wall_s: f64,
-    mcyc_per_s: f64,
-    /// Wall-clock speedup over the per-cycle stepped reference run.
-    speedup: f64,
-}
-
 /// One row of the `perf` command: the same run executed strictly
-/// per-cycle, with event-horizon skipping, and sharded across each
-/// requested thread count.
-#[derive(serde::Serialize, serde::Deserialize)]
+/// per-cycle and on the event-driven engine.
+#[derive(serde::Serialize)]
 struct PerfRow {
     benchmark: String,
     mode: String,
@@ -504,17 +378,11 @@ struct PerfRow {
     stepped_mcyc_per_s: f64,
     skipping_mcyc_per_s: f64,
     skipped_fraction: f64,
-    parallel: Vec<ParallelPoint>,
 }
 
-/// The `perf` command's JSON artifact (committed as `BENCH_PARALLEL.json`).
-///
-/// `host_cpus` records how much hardware parallelism the recording host
-/// actually had: parallel speedups are meaningless without it, and a
-/// single-CPU container legitimately records slowdowns.
-#[derive(serde::Serialize, serde::Deserialize)]
+/// The `perf` command's JSON artifact.
+#[derive(serde::Serialize)]
 struct PerfSummary {
-    host_cpus: u64,
     scale: f64,
     rows: Vec<PerfRow>,
 }
@@ -541,8 +409,6 @@ fn perf_row(
     cfg: &GpuConfig,
     program: &Arc<dyn KernelProgram>,
     mode: MemoryMode,
-    threads: &[usize],
-    epoch: &EpochChoice,
     repeat: usize,
 ) -> PerfRow {
     let stepped = best_of(repeat, || {
@@ -561,34 +427,6 @@ fn perf_row(
         stepped.cycles, skipping.cycles,
         "skipping must be observationally invisible"
     );
-    let parallel = threads
-        .iter()
-        .map(|&n| {
-            let report = best_of(repeat, || {
-                GpuSimulator::new(cfg.clone(), Arc::clone(program), mode)
-                    .run_parallel_with(gpumem::DEFAULT_MAX_CYCLES, n, epoch.policy)
-                    .expect("parallel run completes")
-            });
-            assert_eq!(
-                stepped.cycles, report.cycles,
-                "parallel stepping must be observationally invisible"
-            );
-            let hp = report.host.as_ref().expect("run fills host perf");
-            ParallelPoint {
-                threads: n as u64,
-                epoch: Some(epoch.spelling.clone()),
-                epoch_rounds: hp.epoch_rounds,
-                max_epoch: hp.max_epoch,
-                wall_s: hp.wall_seconds,
-                mcyc_per_s: hp.cycles_per_sec / 1e6,
-                speedup: if hp.wall_seconds > 0.0 {
-                    hs.wall_seconds / hp.wall_seconds
-                } else {
-                    1.0
-                },
-            }
-        })
-        .collect();
     PerfRow {
         benchmark: stepped.benchmark.clone(),
         mode: stepped.mode.clone(),
@@ -603,7 +441,6 @@ fn perf_row(
         stepped_mcyc_per_s: hs.cycles_per_sec / 1e6,
         skipping_mcyc_per_s: hk.cycles_per_sec / 1e6,
         skipped_fraction: hk.skipped_fraction,
-        parallel,
     }
 }
 
@@ -617,29 +454,22 @@ fn run_perf(
     programs: &[Arc<dyn KernelProgram>],
     scale: f64,
     json: &Option<String>,
-    threads: &[usize],
-    epoch: &EpochChoice,
     repeat: usize,
-) -> PerfSummary {
+) {
     let mut rows = Vec::new();
     for mode in [MemoryMode::Hierarchy, MemoryMode::FixedLatency(800)] {
         for program in programs {
             eprintln!("perf: {} / {mode} ...", program.name());
-            rows.push(perf_row(cfg, program, mode, threads, epoch, repeat));
+            rows.push(perf_row(cfg, program, mode, repeat));
         }
     }
-    println!("HOST THROUGHPUT — STEPPING vs SKIPPING vs SHARDED PARALLEL");
-    println!("(parallel engine epoch policy: {})", epoch.spelling);
-    print!(
+    println!("HOST THROUGHPUT — STEPPING vs SKIPPING");
+    println!(
         "{:>10} {:>18} {:>12} {:>11} {:>11} {:>9} {:>9}",
         "benchmark", "mode", "cycles", "step Mc/s", "skip Mc/s", "skipped", "speedup"
     );
-    for n in threads {
-        print!(" {:>8}", format!("par×{n}"));
-    }
-    println!();
     for r in &rows {
-        print!(
+        println!(
             "{:>10} {:>18} {:>12} {:>11.2} {:>11.2} {:>8.1}% {:>8.2}x",
             r.benchmark,
             r.mode,
@@ -649,94 +479,14 @@ fn run_perf(
             100.0 * r.skipped_fraction,
             r.speedup
         );
-        for p in &r.parallel {
-            print!(" {:>7.2}x", p.speedup);
-        }
-        println!();
     }
-    for (label, filter) in [
-        ("hierarchy", "hierarchy"),
-        ("fixed-latency", "fixed-latency"),
-    ] {
-        let in_mode = || rows.iter().filter(|r| r.mode.starts_with(filter));
-        if let Some(g) = geomean(in_mode().map(|r| r.speedup)) {
-            println!("{label} geomean skipping speedup: {g:.2}x");
-        }
-        for (i, n) in threads.iter().enumerate() {
-            if let Some(g) = geomean(in_mode().map(|r| r.parallel[i].speedup)) {
-                println!("{label} geomean parallel speedup at {n} threads: {g:.2}x");
-            }
+    for filter in ["hierarchy", "fixed-latency"] {
+        let in_mode = rows.iter().filter(|r| r.mode.starts_with(filter));
+        if let Some(g) = geomean(in_mode.map(|r| r.speedup)) {
+            println!("{filter} geomean skipping speedup: {g:.2}x");
         }
     }
-    let summary = PerfSummary {
-        host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
-        scale,
-        rows,
-    };
-    println!("(host has {} CPUs)", summary.host_cpus);
-    dump_json(json, "perf", &summary);
-    let horizon: Vec<EventHorizonRow> = summary
-        .rows
-        .iter()
-        .map(|r| EventHorizonRow {
-            benchmark: r.benchmark.clone(),
-            mode: r.mode.clone(),
-            engine: "event",
-            host_cpus: summary.host_cpus,
-            cycles: r.cycles,
-            stepped_wall_s: r.stepped_wall_s,
-            event_wall_s: r.skipping_wall_s,
-            speedup: r.speedup,
-            stepped_mcyc_per_s: r.stepped_mcyc_per_s,
-            event_mcyc_per_s: r.skipping_mcyc_per_s,
-            skipped_fraction: r.skipped_fraction,
-        })
-        .collect();
-    dump_json(json, "event_horizon", &horizon);
-    summary
-}
-
-/// One row of the committed `BENCH_EVENT_HORIZON.json` snapshot: the
-/// event-driven engine behind `run()` measured against the per-cycle
-/// stepped oracle. `engine` and `host_cpus` are recorded so cross-host
-/// trajectories of the snapshot stay interpretable.
-#[derive(serde::Serialize)]
-struct EventHorizonRow {
-    benchmark: String,
-    mode: String,
-    engine: &'static str,
-    host_cpus: u64,
-    cycles: u64,
-    stepped_wall_s: f64,
-    event_wall_s: f64,
-    speedup: f64,
-    stepped_mcyc_per_s: f64,
-    event_mcyc_per_s: f64,
-    skipped_fraction: f64,
-}
-
-/// Absolute per-benchmark floor on the event-vs-stepped speedup: the
-/// event-driven engine must match or beat the stepped oracle on every
-/// single workload, not merely in geomean — one pathological benchmark
-/// could otherwise hide inside a healthy average.
-fn check_floor(current: &PerfSummary, floor: f64) {
-    let mut failed = false;
-    for r in &current.rows {
-        if r.speedup < floor {
-            println!(
-                "floor: {} / {}: event-vs-stepped speedup {:.2}x is below {floor}x",
-                r.mode, r.benchmark, r.speedup
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        eprintln!(
-            "error: the event-driven engine fell below {floor}x of stepped on some benchmark"
-        );
-        std::process::exit(1);
-    }
-    println!("perf floor: every benchmark's event-vs-stepped speedup is >= {floor}x");
+    dump_json(json, "perf", &PerfSummary { scale, rows });
 }
 
 /// One benchmark's per-component host-time attribution in the
@@ -821,159 +571,6 @@ fn run_profile(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Opti
     dump_json(json, "profile", &rows);
 }
 
-/// One benchmark's (current, baseline) speedup pair inside a gate.
-struct GatePair {
-    benchmark: String,
-    cur: f64,
-    base: f64,
-}
-
-/// Applies one ≥`min_ratio` geomean-ratio gate and, on failure, prints the
-/// per-benchmark breakdown (worst ratio first) so a regression is
-/// diagnosable from CI logs without re-running locally.
-fn gate(label: &str, pairs: &[GatePair], min_ratio: f64, failed: &mut bool) {
-    let (Some(cur), Some(base)) = (
-        geomean(pairs.iter().map(|p| p.cur)),
-        geomean(pairs.iter().map(|p| p.base)),
-    ) else {
-        return;
-    };
-    let ratio = cur / base;
-    let verdict = if ratio < min_ratio {
-        *failed = true;
-        "REGRESSED"
-    } else {
-        "ok"
-    };
-    println!("check {label}: {cur:.2}x vs baseline {base:.2}x ({ratio:.2}) {verdict}");
-    if ratio < min_ratio {
-        let mut rows: Vec<(f64, &GatePair)> = pairs.iter().map(|p| (p.cur / p.base, p)).collect();
-        rows.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        for (r, p) in rows {
-            let mark = if r < min_ratio { "  <-- offender" } else { "" };
-            println!(
-                "    {label} / {}: {:.2}x vs baseline {:.2}x ({r:.2}){mark}",
-                p.benchmark, p.cur, p.base
-            );
-        }
-    }
-}
-
-/// Pairs current and baseline rows benchmark-by-benchmark (within one mode
-/// filter), so the gate compares like with like and can name offenders.
-fn pair_rows<'a>(cur: impl Iterator<Item = (&'a str, f64)>, base: &[(&str, f64)]) -> Vec<GatePair> {
-    cur.filter_map(|(bench, c)| {
-        base.iter()
-            .find(|(b, _)| *b == bench)
-            .map(|&(_, v)| GatePair {
-                benchmark: bench.to_owned(),
-                cur: c,
-                base: v,
-            })
-    })
-    .collect()
-}
-
-/// Compares the freshly measured speedups against a committed baseline.
-/// Exits non-zero if any engine's per-mode geomean speedup fell below
-/// `min_ratio` times the baseline's. Ratios of speedups — not absolute
-/// throughput — are compared, so the gate is portable across hosts; a
-/// faster host can only pass more easily, never spuriously fail. On gate
-/// failure the offending benchmark/mode pairs are printed, worst first.
-fn check_perf(current: &PerfSummary, baseline_path: &str, min_ratio: f64) {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| die(&format!("cannot read {baseline_path}: {e}")));
-    // The committed baseline is a list of summaries, one per workload
-    // scale (a bare summary is accepted too). Speedups at different
-    // scales are not comparable — tiny runs amortize fixed costs
-    // differently — so the gate insists on a scale-matched entry.
-    let baselines: Vec<PerfSummary> = serde_json::from_str(&text).unwrap_or_else(|_| {
-        let one: PerfSummary = serde_json::from_str(&text)
-            .unwrap_or_else(|e| die(&format!("cannot parse {baseline_path}: {e}")));
-        vec![one]
-    });
-    let baseline = baselines
-        .iter()
-        .find(|b| (b.scale - current.scale).abs() < f64::EPSILON)
-        .unwrap_or_else(|| {
-            die(&format!(
-                "{baseline_path} has no baseline at scale {}; re-record one",
-                current.scale
-            ))
-        });
-    let mut failed = false;
-    for filter in ["hierarchy", "fixed-latency"] {
-        let cur_mode = || current.rows.iter().filter(|r| r.mode.starts_with(filter));
-        let base_mode = || baseline.rows.iter().filter(|r| r.mode.starts_with(filter));
-        let base_skip: Vec<(&str, f64)> = base_mode()
-            .map(|r| (r.benchmark.as_str(), r.speedup))
-            .collect();
-        gate(
-            &format!("{filter} skipping"),
-            &pair_rows(
-                cur_mode().map(|r| (r.benchmark.as_str(), r.speedup)),
-                &base_skip,
-            ),
-            min_ratio,
-            &mut failed,
-        );
-        // Match parallel points by (thread count, epoch policy): the
-        // current sweep may be narrower than the baseline's (CI runs a
-        // single count). A pre-epoch baseline point (`epoch: None`) is
-        // comparable to any current policy — it measured the per-cycle
-        // engine, the degeneracy every policy must beat or match.
-        let counts: Vec<(u64, String)> = cur_mode()
-            .flat_map(|r| {
-                r.parallel
-                    .iter()
-                    .map(|p| (p.threads, p.epoch.clone().unwrap_or_default()))
-            })
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        for (n, epoch) in counts {
-            let at =
-                |rows: &mut dyn Iterator<Item = &PerfRow>, exact: bool| -> Vec<(String, f64)> {
-                    rows.filter_map(|r| {
-                        r.parallel
-                            .iter()
-                            .find(|p| {
-                                p.threads == n
-                                    && match &p.epoch {
-                                        Some(e) => *e == epoch,
-                                        None => !exact,
-                                    }
-                            })
-                            .map(|p| (r.benchmark.clone(), p.speedup))
-                    })
-                    .collect()
-                };
-            let cur_at = at(&mut cur_mode(), true);
-            let base_at = at(&mut base_mode(), false);
-            if base_at.is_empty() {
-                println!("check {filter} parallel×{n} epoch {epoch}: no baseline, skipped");
-                continue;
-            }
-            let base_refs: Vec<(&str, f64)> =
-                base_at.iter().map(|(b, v)| (b.as_str(), *v)).collect();
-            gate(
-                &format!("{filter} parallel×{n} epoch {epoch}"),
-                &pair_rows(cur_at.iter().map(|(b, v)| (b.as_str(), *v)), &base_refs),
-                min_ratio,
-                &mut failed,
-            );
-        }
-    }
-    if failed {
-        eprintln!(
-            "error: throughput regressed below {:.0}% of {baseline_path}",
-            100.0 * min_ratio
-        );
-        std::process::exit(1);
-    }
-    println!("perf check against {baseline_path}: ok (min ratio {min_ratio})");
-}
-
 /// Watchdog horizon for chaos runs: far beyond any transient fault
 /// duration (so legitimate slowdowns never trip it), far below the cycle
 /// budget (so a genuine wedge is reported in seconds, not hours).
@@ -993,20 +590,15 @@ fn chaos_run(
     cfg: &GpuConfig,
     program: &Arc<dyn KernelProgram>,
     chaos: ChaosConfig,
-    parallel_threads: Option<usize>,
-    policy: EpochPolicy,
 ) -> Result<SimReport, SimError> {
     let mut sim = GpuSimulator::new(cfg.clone(), Arc::clone(program), MemoryMode::Hierarchy);
     sim.set_chaos(chaos);
     sim.set_watchdog(Some(CHAOS_HORIZON));
-    match parallel_threads {
-        Some(n) => sim.run_parallel_with(gpumem::DEFAULT_MAX_CYCLES, n, policy),
-        None => sim.run_stepped(gpumem::DEFAULT_MAX_CYCLES),
-    }
+    sim.run_stepped(gpumem::DEFAULT_MAX_CYCLES)
 }
 
 /// Canonical form of a chaos outcome: completed reports serialize to JSON
-/// with the host block removed (it legitimately differs between engines),
+/// with the host block removed (it legitimately differs between runs),
 /// typed errors to their debug form. Equal strings = bit-identical runs.
 fn chaos_canonical(outcome: &Result<SimReport, SimError>) -> String {
     match outcome {
@@ -1019,33 +611,20 @@ fn chaos_canonical(outcome: &Result<SimReport, SimError>) -> String {
     }
 }
 
-/// Seeded chaos sweep: every seed's fault schedule must be bit-identical
-/// across a serial replay and every parallel thread count, whether the
-/// outcome is a completed report or a typed error.
-fn run_chaos(cfg: &GpuConfig, scale: f64, seeds: u64, threads: &[usize], epoch: &EpochChoice) {
+/// Seeded chaos sweep: every seed's fault schedule must replay
+/// bit-identically, whether the outcome is a completed report or a typed
+/// error.
+fn run_chaos(cfg: &GpuConfig, scale: f64, seeds: u64) {
     let program = chaos_kernel(scale);
     println!(
-        "CHAOS SWEEP — {seeds} seed(s), standard fault mix, benchmark {}, epoch {}",
-        program.name(),
-        epoch.spelling
+        "CHAOS SWEEP — {seeds} seed(s), standard fault mix, benchmark {}",
+        program.name()
     );
     let mut failed = false;
     for seed in 0..seeds {
         let chaos = ChaosConfig::standard(seed);
-        let first = chaos_run(cfg, &program, chaos, None, epoch.policy);
-        let reference = chaos_canonical(&first);
-        let mut ok = true;
-        if chaos_canonical(&chaos_run(cfg, &program, chaos, None, epoch.policy)) != reference {
-            println!("seed {seed}: serial replay diverged from the first run");
-            ok = false;
-        }
-        for &n in threads {
-            if chaos_canonical(&chaos_run(cfg, &program, chaos, Some(n), epoch.policy)) != reference
-            {
-                println!("seed {seed}: {n}-thread run diverged from the serial reference");
-                ok = false;
-            }
-        }
+        let first = chaos_run(cfg, &program, chaos);
+        let ok = chaos_canonical(&chaos_run(cfg, &program, chaos)) == chaos_canonical(&first);
         let label = match &first {
             Ok(r) => format!(
                 "completed in {} cycles, {} instructions",
@@ -1060,29 +639,23 @@ fn run_chaos(cfg: &GpuConfig, scale: f64, seeds: u64, threads: &[usize], epoch: 
         failed |= !ok;
     }
     if failed {
-        eprintln!("error: chaos schedules were not engine-independent");
+        eprintln!("error: a chaos schedule did not replay bit-identically");
         std::process::exit(1);
     }
-    println!("chaos sweep: all {seeds} seed(s) bit-identical across engines and thread counts");
+    println!("chaos sweep: all {seeds} seed(s) replayed bit-identically");
 }
 
 /// Watchdog self-test: wedge the response network on purpose at a seeded
-/// cycle and require every engine to report [`SimError::Wedged`] within
-/// the horizon, with a diagnosis naming the blocked component chain.
-fn run_wedge_self_test(
-    cfg: &GpuConfig,
-    scale: f64,
-    seeds: u64,
-    threads: &[usize],
-    epoch: &EpochChoice,
-) {
+/// cycle and require [`SimError::Wedged`] within the horizon, with a
+/// diagnosis naming the blocked component chain.
+fn run_wedge_self_test(cfg: &GpuConfig, scale: f64, seeds: u64) {
     let program = chaos_kernel(scale);
     println!("WATCHDOG SELF-TEST — {seeds} seeded wedge fixture(s)");
     for seed in 0..seeds {
         let mut chaos = ChaosConfig::standard(seed);
         let wedge_at = 500 + 97 * seed;
         chaos.wedge_at = Some(wedge_at);
-        let diagnosis = match chaos_run(cfg, &program, chaos, None, epoch.policy) {
+        let diagnosis = match chaos_run(cfg, &program, chaos) {
             Err(SimError::Wedged { diagnosis }) => diagnosis,
             Err(other) => {
                 eprintln!("error: seed {seed}: expected a wedge diagnosis, got: {other}");
@@ -1107,17 +680,6 @@ fn run_wedge_self_test(
         if diagnosis.blocked_chain.is_empty() {
             eprintln!("error: seed {seed}: diagnosis names no blocked components: {diagnosis:?}");
             std::process::exit(1);
-        }
-        // The parallel engine restores the machine before diagnosing, so
-        // it must reach the exact same diagnosis.
-        for &n in threads {
-            match chaos_run(cfg, &program, chaos, Some(n), epoch.policy) {
-                Err(SimError::Wedged { diagnosis: par }) if par == diagnosis => {}
-                other => {
-                    eprintln!("error: seed {seed}: {n}-thread wedge diagnosis diverged: {other:?}");
-                    std::process::exit(1);
-                }
-            }
         }
         println!(
             "seed {seed:>3}: wedged at cycle {wedge_at}, detected at {} (horizon {}), \
@@ -1181,14 +743,8 @@ fn print_breakdown(name: &str, bd: &LatencyBreakdown) {
 
 /// Fetch-lifecycle latency breakdown over the suite: per-stage tables, the
 /// §III queueing-vs-service split, the stage-sum reconciliation invariant,
-/// and a bit-identity cross-check over all three engines.
-fn run_trace(
-    cfg: &GpuConfig,
-    programs: &[Arc<dyn KernelProgram>],
-    json: &Option<String>,
-    threads: &[usize],
-    epoch: &EpochChoice,
-) {
+/// and a bit-identity cross-check of `run()` against `run_stepped()`.
+fn run_trace(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Option<String>) {
     println!("FETCH-LIFECYCLE LATENCY BREAKDOWN — §III queueing vs service decomposition");
     let mut rows = Vec::new();
     for program in programs {
@@ -1206,18 +762,6 @@ fn run_trace(
                 program.name()
             );
             std::process::exit(1);
-        }
-        for &n in threads {
-            let parallel = traced_sim(cfg, program)
-                .run_parallel_with(gpumem::DEFAULT_MAX_CYCLES, n, epoch.policy)
-                .expect("traced parallel run completes");
-            if trace_canonical(&parallel) != reference {
-                eprintln!(
-                    "error: {}: {n}-thread trace diverged from the serial reference",
-                    program.name()
-                );
-                std::process::exit(1);
-            }
         }
         let bd = report
             .latency_breakdown
@@ -1248,19 +792,16 @@ fn run_trace(
             breakdown: bd,
         });
     }
-    println!(
-        "\ntrace: every stage sum reconciles; all engines bit-identical at threads {:?}",
-        threads
-    );
+    println!("\ntrace: every stage sum reconciles; run() and run_stepped() bit-identical");
     dump_json(json, "trace", &rows);
 }
 
 /// The `run` command: every selected workload — named synthetics and/or
-/// `--trace-file` traces — executed through the event-driven, per-cycle
-/// stepped and sharded parallel engines, with every report required to be
-/// bit-identical to the stepped oracle (full canonical JSON, host block
-/// stripped). This is the deterministic-replay gate the trace frontend
-/// promises: a trace admits no engine-dependent behaviour.
+/// `--trace-file` traces — executed through the event-driven engine and
+/// the per-cycle stepped oracle, with the two reports required to be
+/// bit-identical (full canonical JSON, host block stripped). This is the
+/// deterministic-replay gate the trace frontend promises: a trace admits
+/// no engine-dependent behaviour.
 fn run_run(cfg: &GpuConfig, args: &Args) -> ! {
     let mut programs: Vec<Arc<dyn KernelProgram>> = args
         .targets
@@ -1274,10 +815,7 @@ fn run_run(cfg: &GpuConfig, args: &Args) -> ! {
     if programs.is_empty() {
         die("run needs at least one workload name or --trace-file FILE");
     }
-    println!(
-        "CROSS-ENGINE BIT-IDENTITY — stepped oracle vs event vs parallel at threads {:?}",
-        args.threads
-    );
+    println!("CROSS-ENGINE BIT-IDENTITY — stepped oracle vs event engine");
     let mut failed = false;
     for mode in [MemoryMode::Hierarchy, MemoryMode::FixedLatency(800)] {
         for program in &programs {
@@ -1294,19 +832,6 @@ fn run_run(cfg: &GpuConfig, args: &Args) -> ! {
                     program.name()
                 );
                 failed = true;
-            }
-            for &n in &args.threads {
-                let parallel = GpuSimulator::new(cfg.clone(), Arc::clone(program), mode)
-                    .run_parallel_with(gpumem::DEFAULT_MAX_CYCLES, n, args.epoch.policy)
-                    .expect("parallel run completes");
-                if trace_canonical(&parallel) != reference {
-                    eprintln!(
-                        "error: {} / {mode}: {n}-thread parallel run diverged from the \
-                         stepped oracle",
-                        program.name()
-                    );
-                    failed = true;
-                }
             }
             println!(
                 "run {:>10} / {mode}: {} cycles, {} instructions — engines bit-identical",
@@ -1506,39 +1031,19 @@ fn main() {
             if args.profile {
                 run_profile(&cfg, &programs, &args.json_dir);
             } else {
-                let summary = run_perf(
-                    &cfg,
-                    &programs,
-                    args.scale,
-                    &args.json_dir,
-                    &args.threads,
-                    &args.epoch,
-                    args.repeat,
-                );
-                if let Some(baseline) = &args.check {
-                    check_perf(&summary, baseline, args.min_ratio);
-                }
-                if let Some(floor) = args.floor {
-                    check_floor(&summary, floor);
-                }
+                run_perf(&cfg, &programs, args.scale, &args.json_dir, args.repeat);
             }
         }
-        "trace" => run_trace(
-            &cfg,
-            &programs_for(&args),
-            &args.json_dir,
-            &args.threads,
-            &args.epoch,
-        ),
+        "trace" => run_trace(&cfg, &programs_for(&args), &args.json_dir),
         "run" => run_run(&cfg, &args),
         "trace-gen" => run_trace_gen(&cfg, &args),
         "sweep" => run_sweep_cmd(&args),
         "latency" => run_latency(&cfg, &programs_for(&args), &args.json_dir),
         "chaos" => {
             if args.wedge_self_test {
-                run_wedge_self_test(&cfg, args.scale, args.seeds, &args.threads, &args.epoch);
+                run_wedge_self_test(&cfg, args.scale, args.seeds);
             } else {
-                run_chaos(&cfg, args.scale, args.seeds, &args.threads, &args.epoch);
+                run_chaos(&cfg, args.scale, args.seeds);
             }
         }
         "all" => {

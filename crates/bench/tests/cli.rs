@@ -97,6 +97,24 @@ fn run_rejects_unknown_benchmarks_and_empty_worklists() {
     assert!(stderr_of(&out).contains("needs at least one workload"));
 }
 
+/// The parallel engine's flags and the ratio gates are gone; an old
+/// invocation must be refused loudly, not silently run something else.
+#[test]
+fn removed_flags_are_unknown_arguments() {
+    for args in [
+        &["run", "gemm", "--threads", "2"][..],
+        &["perf", "--floor", "0.9"][..],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
+        assert!(
+            stderr_of(&out).contains("unknown argument"),
+            "{args:?}: {}",
+            stderr_of(&out)
+        );
+    }
+}
+
 #[test]
 fn trace_gen_round_trips_through_run_bit_identically() {
     let dir = scratch("roundtrip");
@@ -115,7 +133,7 @@ fn trace_gen_round_trips_through_run_bit_identically() {
     assert!(text.starts_with("gpumem-trace v1\n"));
 
     // The traced replay and the synthetic original run side by side
-    // through all three engines; `run` exits non-zero on any divergence.
+    // through both engines; `run` exits non-zero on any divergence.
     let out = repro(&[
         "run",
         "gemm",
@@ -123,8 +141,6 @@ fn trace_gen_round_trips_through_run_bit_identically() {
         "0.05",
         "--trace-file",
         trace.to_str().unwrap(),
-        "--threads",
-        "2",
     ]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();

@@ -61,6 +61,6 @@ pub mod prelude {
     };
     pub use crate::run::{run_benchmark, run_benchmarks_parallel, run_benchmarks_resilient};
     pub use gpumem_config::{DesignPoint, GpuConfig};
-    pub use gpumem_sim::{EpochPolicy, GpuSimulator, MemoryMode, SimReport};
+    pub use gpumem_sim::{GpuSimulator, MemoryMode, SimReport};
     pub use gpumem_workloads::{benchmarks, by_name, BENCHMARK_NAMES};
 }

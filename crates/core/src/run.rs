@@ -149,7 +149,7 @@ impl Backoff {
 /// deterministic seeded exponential [`Backoff`].
 ///
 /// Only *host-dependent* errors ([`SimError::is_host_dependent`]:
-/// a missed wall-clock deadline, a panicked worker) are retried — a
+/// a missed wall-clock deadline) are retried — a
 /// deterministic error (wedge, queue overflow, expired cycle budget) would
 /// fail every retry identically, so it fails fast after one attempt
 /// regardless of the budget.

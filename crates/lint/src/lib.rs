@@ -1,10 +1,10 @@
 //! `simlint` — the workspace static-analysis pass.
 //!
-//! The simulator's headline guarantee is that [`run`], `run_stepped` and
-//! `run_parallel` produce bit-identical reports at every thread count. The
-//! runtime differential suite can only catch a nondeterminism hazard *after*
-//! it changes a report; this crate catches the hazard classes statically,
-//! before any cycle runs:
+//! The simulator's headline guarantee is that `run` and `run_stepped`
+//! produce bit-identical reports, run after run. The runtime differential
+//! suite can only catch a nondeterminism hazard *after* it changes a
+//! report; this crate catches the hazard classes statically, before any
+//! cycle runs:
 //!
 //! * **Determinism** — no unordered hash containers, wall-clock reads,
 //!   environment reads or thread-identity dependence in simulation code
@@ -13,17 +13,13 @@
 //! * **Unsafe-freedom** — no `unsafe` token anywhere, and every `crates/*`
 //!   library must carry `#![forbid(unsafe_code)]`
 //!   ([`rules::NO_UNSAFE`], [`rules::MISSING_FORBID_UNSAFE`]).
-//! * **Port discipline** — `take_ports`/`restore_ports` must pair on all
-//!   paths out of a function, protecting the parallel engine's crossbar
-//!   invariant ([`rules::PORT_PAIRING`]).
 //! * **Config fidelity** — the paper's Table I baseline, recorded as a
 //!   machine-readable manifest, is cross-checked against the literals in
 //!   `crates/config/src/gpu.rs` ([`rules::TABLE_I_DRIFT`]).
 //!
 //! On top of the token rules sits **simcheck**, the flow-sensitive tier
 //! ([`simcheck`]): a lightweight function parser ([`parser`]) and
-//! branch-aware CFG ([`cfg`]) drive three whole-unit analyses — shard
-//! isolation for the epoch engine ([`rules::SHARD_ISOLATION`]), fetch-slot
+//! branch-aware CFG ([`cfg`]) drive two whole-unit analyses — fetch-slot
 //! leak freedom ([`rules::FETCH_SLOT_LEAK`]) and queue/credit deadlock
 //! freedom ([`rules::QUEUE_DEADLOCK`]).
 //!

@@ -27,7 +27,7 @@ pub struct FnDef {
     /// The function name.
     pub name: String,
     /// Last path segment of the `impl` type this method lives in, if any
-    /// (`impl HierChunk<'_>` → `"HierChunk"`).
+    /// (`impl Watcher<'_>` → `"Watcher"`).
     pub impl_type: Option<String>,
     /// True when the parameter list starts with a `self` receiver.
     pub has_self: bool,

@@ -33,8 +33,6 @@ pub const NO_THREAD_ID: &str = "no-thread-id";
 pub const NO_UNSAFE: &str = "no-unsafe";
 /// A `crates/*` library missing `#![forbid(unsafe_code)]`.
 pub const MISSING_FORBID_UNSAFE: &str = "missing-forbid-unsafe";
-/// `take_ports` without a matching `restore_ports` on every path out.
-pub const PORT_PAIRING: &str = "port-pairing";
 /// A `crates/config` baseline constant drifting from the Table I manifest.
 pub const TABLE_I_DRIFT: &str = "table-i-drift";
 /// `unwrap`/`expect`/`panic!` in model-crate simulation code.
@@ -45,9 +43,6 @@ pub const ALLOW_SYNTAX: &str = "allow-syntax";
 pub const UNUSED_ALLOW: &str = "unused-allow";
 /// Raw filesystem I/O in sweep code outside its journal module.
 pub const FS_OUTSIDE_JOURNAL: &str = "fs-outside-journal";
-/// Shard-context code touching fabric or cross-shard mutable state
-/// (simcheck tier).
-pub const SHARD_ISOLATION: &str = "shard-isolation";
 /// A `FetchArena` slot allocation not consumed on every CFG exit path
 /// (simcheck tier).
 pub const FETCH_SLOT_LEAK: &str = "fetch-slot-leak";
@@ -90,12 +85,6 @@ pub const RULES: &[RuleInfo] = &[
         suppressible: false,
     },
     RuleInfo {
-        id: PORT_PAIRING,
-        summary: "every take_ports in a function body must pair with a \
-                  restore_ports on all paths out",
-        suppressible: true,
-    },
-    RuleInfo {
         id: TABLE_I_DRIFT,
         summary: "crates/config baseline values must match the machine-readable \
                   Table I manifest",
@@ -126,14 +115,6 @@ pub const RULES: &[RuleInfo] = &[
                   journal module (std::fs / File / OpenOptions are denied \
                   elsewhere, so the write-ahead commit protocol cannot be \
                   bypassed)",
-        suppressible: true,
-    },
-    RuleInfo {
-        id: SHARD_ISOLATION,
-        summary: "epoch-engine shard contexts (*Chunk/*Pack methods in \
-                  parallel.rs) must not name fabric state, call \
-                  coordinator-only protocol methods, or mutate through \
-                  shared parameters",
         suppressible: true,
     },
     RuleInfo {
@@ -282,8 +263,8 @@ fn in_spans(spans: &[(u32, u32)], line: u32) -> bool {
 }
 
 /// Crates whose non-test code must stay panic-free: a simulation abort must
-/// surface as a typed `SimError`, never a crash, so the watchdog and the
-/// parallel engine's degradation path stay reachable.
+/// surface as a typed `SimError`, never a crash, so the watchdog's wedge
+/// diagnosis and a sweep's per-cell failure handling stay reachable.
 const MODEL_CRATE_PREFIXES: &[&str] = &[
     "crates/sim/",
     "crates/noc/",
@@ -418,135 +399,6 @@ pub fn run(file: &str, code: &[Token], is_test: bool) -> Vec<Diagnostic> {
         }
     }
 
-    diags.extend(port_pairing(file, code));
-    diags
-}
-
-/// The take/restore pairs the crossbar snapshot APIs expose: whole-port
-/// dismantling (`take_ports`) and the epoch landing-schedule snapshot
-/// (`take_landings`). Both hand fabric-owned state to the caller, so both
-/// must be returned on every path out.
-const SNAPSHOT_PAIRS: &[(&str, &str)] = &[
-    ("take_ports", "restore_ports"),
-    ("take_landings", "restore_landings"),
-];
-
-/// Token-level take/restore pairing inside each `fn` body, for every
-/// snapshot API in [`SNAPSHOT_PAIRS`].
-///
-/// Within one body, in token order: each take call raises that pair's
-/// outstanding count, each restore lowers it, and while any count is
-/// positive a `return` or `?` is an early exit that leaks fabric state.
-/// Every count must return to zero by the closing brace. Definition sites
-/// (`fn take_ports`) are ignored.
-fn port_pairing(file: &str, code: &[Token]) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let mut i = 0;
-    while i < code.len() {
-        if ident_at(code, i) != Some("fn") {
-            i += 1;
-            continue;
-        }
-        // Locate the body's opening brace: skip the parameter parens, then
-        // take the next `{` (a `;` first means a bodyless trait fn).
-        let mut j = i + 1;
-        let mut paren = 0usize;
-        let open = loop {
-            match code.get(j).map(|t| &t.tok) {
-                Some(Tok::Punct('(')) => paren += 1,
-                Some(Tok::Punct(')')) => paren -= 1,
-                Some(Tok::Punct('{')) if paren == 0 => break Some(j),
-                Some(Tok::Punct(';')) if paren == 0 => break None,
-                None => break None,
-                _ => {}
-            }
-            j += 1;
-        };
-        let Some(open) = open else {
-            i += 1;
-            continue;
-        };
-        let Some(close) = matching_brace(code, open) else {
-            i += 1;
-            continue;
-        };
-        let mut outstanding = [0i64; SNAPSHOT_PAIRS.len()];
-        let mut last_take_line = [code[i].line; SNAPSHOT_PAIRS.len()];
-        for k in open..close {
-            match &code[k].tok {
-                Tok::Ident(name) => {
-                    if ident_at(code, k.wrapping_sub(1)) != Some("fn") {
-                        for (p, &(take, restore)) in SNAPSHOT_PAIRS.iter().enumerate() {
-                            if name == take {
-                                outstanding[p] += 1;
-                                last_take_line[p] = code[k].line;
-                            } else if name == restore {
-                                outstanding[p] -= 1;
-                            }
-                        }
-                    }
-                    if name == "return" {
-                        for (p, &(take, restore)) in SNAPSHOT_PAIRS.iter().enumerate() {
-                            if outstanding[p] > 0 {
-                                diags.push(Diagnostic::error(
-                                    file,
-                                    code[k].line,
-                                    PORT_PAIRING,
-                                    format!("`return` while {take} state is held"),
-                                    format!(
-                                        "{restore} before every exit path (taken at line \
-                                         {}); the parallel engine requires the \
-                                         fabric to get its state back",
-                                        last_take_line[p]
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                }
-                Tok::Punct('?') => {
-                    for (p, &(take, restore)) in SNAPSHOT_PAIRS.iter().enumerate() {
-                        if outstanding[p] > 0 {
-                            diags.push(Diagnostic::error(
-                                file,
-                                code[k].line,
-                                PORT_PAIRING,
-                                format!("`?` may exit while {take} state is held"),
-                                format!(
-                                    "{restore} before propagating errors (taken at line {})",
-                                    last_take_line[p]
-                                ),
-                            ));
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        for (p, &(take, restore)) in SNAPSHOT_PAIRS.iter().enumerate() {
-            if outstanding[p] > 0 {
-                diags.push(Diagnostic::error(
-                    file,
-                    last_take_line[p],
-                    PORT_PAIRING,
-                    format!("{take} without a matching {restore} in this function"),
-                    format!("call {restore} on the same crossbar before the function returns"),
-                ));
-            } else if outstanding[p] < 0 {
-                diags.push(Diagnostic::error(
-                    file,
-                    code[open].line,
-                    PORT_PAIRING,
-                    format!("{restore} without a preceding {take} in this function"),
-                    format!("{take} and {restore} must pair within one function body"),
-                ));
-            }
-        }
-        // Continue scanning after the `fn` keyword so nested items are still
-        // visited (their tokens are counted in the enclosing body too, which
-        // keeps balanced nests balanced).
-        i += 1;
-    }
     diags
 }
 

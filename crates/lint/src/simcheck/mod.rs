@@ -1,14 +1,9 @@
 //! simcheck — the flow-sensitive analysis tier.
 //!
-//! Three whole-program analyses over the parser/CFG layer, each shipping
+//! Two whole-program analyses over the parser/CFG layer, each shipping
 //! as a regular `gpumem-lint` rule with the usual `simlint::allow` escape
 //! hatch:
 //!
-//! * [`shard`] — shard isolation: code running inside the epoch engine's
-//!   shard contexts (`*Chunk`/`*Pack` methods in `parallel.rs`) must not
-//!   touch crossbar fabric state; cross-shard effects go through the
-//!   `take_landings`/`restore_landings` snapshot protocol or the
-//!   coordinator's `take_ports`/`restore_ports` replay.
 //! * [`slots`] — fetch-slot leaks: every `FetchArena` slot allocation must
 //!   be consumed (freed, transferred into an MSHR, or escaped) on every
 //!   CFG path to the function exit.
@@ -20,7 +15,6 @@
 //! can span crates; per-file rules stay in [`crate::rules`].
 
 pub mod deadlock;
-pub mod shard;
 pub mod slots;
 
 use crate::parser::ParsedFile;
@@ -34,10 +28,9 @@ pub struct AnalyzedFile {
     pub parsed: ParsedFile,
 }
 
-/// Runs all three analyses over the unit.
+/// Runs both analyses over the unit.
 pub fn run(files: &[AnalyzedFile]) -> Vec<Diagnostic> {
-    let mut out = shard::check(files);
-    out.extend(slots::check(files));
+    let mut out = slots::check(files);
     out.extend(deadlock::check(files));
     out
 }

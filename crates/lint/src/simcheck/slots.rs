@@ -12,8 +12,8 @@
 //!   allocation to the function exit (including early `return`s and `?`
 //!   edges) must pass a statement that mentions the binding. Mentioning
 //!   counts as consumption — the overwhelming false-positive risk is in
-//!   the other direction, and PORT_PAIRING set the precedent of favoring
-//!   an explicit `simlint::allow` over silent imprecision.
+//!   the other direction, and an explicit `simlint::allow` is preferred
+//!   over silent imprecision.
 //! * `<…>.arena.insert(f)` with the result discarded (a bare statement,
 //!   or a `let _ =` binding): always a leak — the `SlotId` is
 //!   unrecoverable the moment it is dropped.

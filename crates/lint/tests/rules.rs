@@ -53,27 +53,6 @@ fn unsafe_fixture() {
 }
 
 #[test]
-fn port_leak_fixture() {
-    let d = lint_fixture("port_leak.rs");
-    let leaks = rule_lines(&d, "port-pairing");
-    // `leak` (take at line 7, never restored), `early_exit` (return at line
-    // 14 while ports are out). `balanced` stays silent.
-    assert_eq!(leaks, [7, 14], "findings: {d:?}");
-    assert_eq!(d.len(), 2, "nothing else fires: {d:?}");
-}
-
-#[test]
-fn landing_leak_fixture() {
-    let d = lint_fixture("landing_leak.rs");
-    let leaks = rule_lines(&d, "port-pairing");
-    // `leak` (take_landings at line 9, never restored), `early_exit`
-    // (`?` at line 15 while the schedule is out). `balanced` and
-    // `balanced_fallible` stay silent.
-    assert_eq!(leaks, [9, 15], "findings: {d:?}");
-    assert_eq!(d.len(), 2, "nothing else fires: {d:?}");
-}
-
-#[test]
 fn allowed_fixture_is_clean() {
     let d = lint_fixture("allowed_ok.rs");
     assert!(d.is_empty(), "allowlisted sites must not fire: {d:?}");
@@ -112,18 +91,6 @@ fn test_files_are_exempt_from_determinism_rules() {
     let with_unsafe = "fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
     let d = lint_source("tests/some_test.rs", with_unsafe, true);
     assert_eq!(rule_lines(&d, "no-unsafe"), [1]);
-}
-
-#[test]
-fn question_mark_while_ports_taken_is_flagged() {
-    let src = "fn f(x: &mut Crossbar) -> Result<(), E> {\n\
-               let (a, b) = x.take_ports();\n\
-               let v = fallible()?;\n\
-               x.restore_ports(a, b);\n\
-               Ok(())\n\
-               }\n";
-    let d = lint_source("f.rs", src, false);
-    assert_eq!(rule_lines(&d, "port-pairing"), [3], "findings: {d:?}");
 }
 
 #[test]
@@ -179,14 +146,4 @@ fn allow_directive_suppresses_panic_rule_with_reason() {
                }\n";
     let d = lint_source("crates/sim/src/gpu.rs", src, false);
     assert!(d.is_empty(), "findings: {d:?}");
-}
-
-#[test]
-fn definition_sites_do_not_count_as_calls() {
-    let src = "impl Crossbar {\n\
-               pub fn take_ports(&mut self) -> (Vec<I>, Vec<E>) { (vec![], vec![]) }\n\
-               pub fn restore_ports(&mut self, i: Vec<I>, e: Vec<E>) { drop((i, e)); }\n\
-               }\n";
-    let d = lint_source("xbar.rs", src, false);
-    assert!(d.is_empty(), "definitions are not calls: {d:?}");
 }

@@ -24,25 +24,6 @@ fn rule_lines(diags: &[Diagnostic], rule: &str) -> Vec<u32> {
 }
 
 #[test]
-fn cross_shard_fixture() {
-    let d = lint_fixture("parallel_cross_shard.rs");
-    // Fabric ident (14), coordinator-only method (15), mutation through a
-    // shared parameter (16); the coordinator free function stays silent.
-    assert_eq!(rule_lines(&d, "shard-isolation"), [14, 15, 16]);
-    assert!(d.iter().all(|v| v.file == "parallel_cross_shard.rs"));
-    assert_eq!(d.len(), 3, "nothing else fires: {d:?}");
-}
-
-#[test]
-fn shard_rule_is_scoped_to_parallel_files() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parallel_cross_shard.rs");
-    let src = std::fs::read_to_string(&path).expect("fixture exists");
-    // The same code outside a parallel-engine file is out of scope.
-    let d = lint_source("other_engine.rs", &src, false);
-    assert_eq!(rule_lines(&d, "shard-isolation"), [] as [u32; 0]);
-}
-
-#[test]
 fn arena_slot_leak_fixture() {
     let d = lint_fixture("arena_slot_leak.rs");
     // Fall-through leak (13), discarded SlotId (20), `_`-bound SlotId (24);

@@ -22,7 +22,5 @@
 mod crossbar;
 mod packet;
 
-pub use crossbar::{
-    Crossbar, CrossbarFabric, CrossbarStats, EgressPort, IngressPort, LandingSchedule,
-};
+pub use crossbar::{Crossbar, CrossbarStats, EgressPort, IngressPort};
 pub use packet::Packet;

@@ -2,20 +2,16 @@
 //!
 //! A [`ChaosConfig`] describes a seeded schedule of transient faults —
 //! crossbar port holds, in-queue reorderings, MSHR stalls, DRAM bank
-//! lockouts — plus two *guaranteed* faults for self-tests: a permanent
-//! wedge of the response network and an injected worker panic. The
-//! [`ChaosEngine`] expands the config into per-cycle fault events using
-//! forked [`SimRng`] streams, so the same seed always produces a
-//! bit-identical injection schedule regardless of engine (serial,
-//! event-horizon, sharded parallel) or thread count.
+//! lockouts — plus one *guaranteed* fault for self-tests: a permanent
+//! wedge of the response network. The [`ChaosEngine`] expands the config
+//! into per-cycle fault events using forked [`SimRng`] streams, so the
+//! same seed always produces a bit-identical injection schedule.
 //!
 //! Faults model *slow* hardware, never *wrong* hardware: every injected
 //! condition is one the timing model can already express (a port that
 //! exerts backpressure, a full MSHR table, a busy DRAM channel), so a
 //! correct simulator must absorb any schedule and still conserve every
 //! request — or fail loudly with a typed error / watchdog wedge diagnosis.
-
-use std::borrow::BorrowMut;
 
 use gpumem_noc::IngressPort;
 use gpumem_types::{Cycle, SimRng};
@@ -48,9 +44,6 @@ pub struct ChaosConfig {
     /// Permanently wedge the response network at this cycle (watchdog
     /// self-test fixture; the run can then only end via the watchdog).
     pub wedge_at: Option<u64>,
-    /// Inject a worker panic at this cycle in the parallel engine
-    /// (graceful-degradation fixture; ignored by the serial engines).
-    pub worker_panic_at: Option<u64>,
 }
 
 impl ChaosConfig {
@@ -66,7 +59,6 @@ impl ChaosConfig {
             dram_lockout_interval: 0,
             dram_lockout_duration: 0,
             wedge_at: None,
-            worker_panic_at: None,
         }
     }
 
@@ -84,7 +76,6 @@ impl ChaosConfig {
             dram_lockout_interval: 223,
             dram_lockout_duration: 64,
             wedge_at: None,
-            worker_panic_at: None,
         }
     }
 
@@ -95,7 +86,6 @@ impl ChaosConfig {
             || self.mshr_stall_interval > 0
             || self.dram_lockout_interval > 0
             || self.wedge_at.is_some()
-            || self.worker_panic_at.is_some()
     }
 }
 
@@ -143,10 +133,10 @@ fn gap(rng: &mut SimRng, interval: u64) -> u64 {
 
 /// Expands a [`ChaosConfig`] into concrete per-cycle fault applications.
 ///
-/// Both engines call [`apply`](ChaosEngine::apply) exactly once per cycle
-/// at the cycle start, handing over the machine's chaos touch-points in
-/// global port/partition order — which is what makes the schedule
-/// engine-independent and bit-identical across thread counts.
+/// [`GpuSimulator::step`](crate::GpuSimulator::step) calls
+/// [`apply`](ChaosEngine::apply) exactly once per cycle at the cycle
+/// start, handing over the machine's chaos touch-points in global
+/// port/partition order.
 #[derive(Debug, Clone)]
 pub(crate) struct ChaosEngine {
     config: ChaosConfig,
@@ -174,50 +164,16 @@ impl ChaosEngine {
         }
     }
 
-    /// The cycle at which a worker panic is to be injected, if any.
-    pub(crate) fn worker_panic_at(&self) -> Option<u64> {
-        self.config.worker_panic_at
-    }
-
-    /// The earliest cycle at which this engine can next mutate machine
-    /// state: the minimum over every enabled event stream's next fire
-    /// time and the wedge fixture (if not yet applied). `u64::MAX` when
-    /// nothing is pending. After `apply(now, ..)` every stream's next
-    /// fire is strictly past `now`, so the epoch engine can free-run
-    /// through `[now + 1, next_chaos_fire())` without missing a fault.
-    /// The worker-panic fixture is deliberately excluded — it belongs to
-    /// the parallel harness, not the machine, and the harness clamps on
-    /// it separately.
-    pub(crate) fn next_chaos_fire(&self) -> u64 {
-        let mut next = self
-            .port_delay
-            .next_at
-            .min(self.drop_reinject.next_at)
-            .min(self.mshr_stall.next_at)
-            .min(self.dram_lockout.next_at);
-        if !self.wedge_applied {
-            if let Some(w) = self.config.wedge_at {
-                next = next.min(w);
-            }
-        }
-        next
-    }
-
     /// Applies every fault due at `now`. `req_ins` / `resp_ins` are the
     /// ingress ports of the request and response crossbars and `parts` the
-    /// memory partitions, each in global index order — owned slices from
-    /// the serial engine, slices of borrows from the parallel engine's
-    /// per-shard packs (the bound `CrossbarFabric::tick` uses).
-    pub(crate) fn apply<I, P>(
+    /// memory partitions, each in global index order.
+    pub(crate) fn apply(
         &mut self,
         now: Cycle,
-        req_ins: &mut [I],
-        resp_ins: &mut [I],
-        parts: &mut [P],
-    ) where
-        I: BorrowMut<IngressPort>,
-        P: BorrowMut<MemoryPartition>,
-    {
+        req_ins: &mut [IngressPort],
+        resp_ins: &mut [IngressPort],
+        parts: &mut [MemoryPartition],
+    ) {
         let t = now.raw();
         if let Some(w) = self.config.wedge_at {
             if t >= w && !self.wedge_applied {
@@ -225,7 +181,7 @@ impl ChaosEngine {
                 // keep flowing downstream, responses never come back — the
                 // canonical wedge the watchdog must diagnose.
                 for port in resp_ins.iter_mut() {
-                    port.borrow_mut().chaos_hold(Cycle::NEVER);
+                    port.chaos_hold(Cycle::NEVER);
                 }
                 self.wedge_applied = true;
             }
@@ -236,34 +192,28 @@ impl ChaosEngine {
                 let idx = self.pick.gen_range(total_ports as u64) as usize;
                 let until = now + self.config.port_delay_duration;
                 if idx < req_ins.len() {
-                    req_ins[idx].borrow_mut().chaos_hold(until);
+                    req_ins[idx].chaos_hold(until);
                 } else {
-                    resp_ins[idx - req_ins.len()].borrow_mut().chaos_hold(until);
+                    resp_ins[idx - req_ins.len()].chaos_hold(until);
                 }
             }
             for _ in 0..self.drop_reinject.fires(t) {
                 let idx = self.pick.gen_range(total_ports as u64) as usize;
                 if idx < req_ins.len() {
-                    req_ins[idx].borrow_mut().chaos_rotate_head();
+                    req_ins[idx].chaos_rotate_head();
                 } else {
-                    resp_ins[idx - req_ins.len()]
-                        .borrow_mut()
-                        .chaos_rotate_head();
+                    resp_ins[idx - req_ins.len()].chaos_rotate_head();
                 }
             }
         }
         if !parts.is_empty() {
             for _ in 0..self.mshr_stall.fires(t) {
                 let idx = self.pick.gen_range(parts.len() as u64) as usize;
-                parts[idx]
-                    .borrow_mut()
-                    .chaos_stall_mshr(now + self.config.mshr_stall_duration);
+                parts[idx].chaos_stall_mshr(now + self.config.mshr_stall_duration);
             }
             for _ in 0..self.dram_lockout.fires(t) {
                 let idx = self.pick.gen_range(parts.len() as u64) as usize;
-                parts[idx]
-                    .borrow_mut()
-                    .chaos_lock_dram(now + self.config.dram_lockout_duration);
+                parts[idx].chaos_lock_dram(now + self.config.dram_lockout_duration);
             }
         }
     }
@@ -272,30 +222,6 @@ impl ChaosEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn next_chaos_fire_tracks_streams_and_wedge() {
-        let quiet = ChaosEngine::new(ChaosConfig::disabled(0));
-        assert_eq!(quiet.next_chaos_fire(), u64::MAX);
-
-        let mut cfg = ChaosConfig::disabled(0);
-        cfg.wedge_at = Some(42);
-        let mut e = ChaosEngine::new(cfg);
-        assert_eq!(e.next_chaos_fire(), 42);
-        e.wedge_applied = true;
-        assert_eq!(e.next_chaos_fire(), u64::MAX);
-
-        let mut e = ChaosEngine::new(ChaosConfig::standard(7));
-        // Advancing every stream past `t` leaves the next fire strictly
-        // in the future — the invariant the epoch clamp relies on.
-        for t in 0..200 {
-            e.port_delay.fires(t);
-            e.drop_reinject.fires(t);
-            e.mshr_stall.fires(t);
-            e.dram_lockout.fires(t);
-            assert!(e.next_chaos_fire() > t);
-        }
-    }
 
     /// Drains the timing streams only (no machine handles needed) and
     /// records which cycles fired which kinds.

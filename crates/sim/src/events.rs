@@ -474,15 +474,11 @@ pub(crate) fn run_event(
         },
         stepped_cycles: sim.stepped_cycles,
         skipped_cycles: sim.skipped_cycles,
-        epoch_rounds: None,
-        epoch_cycles: None,
-        max_epoch: None,
         skipped_fraction: if sim.now.raw() > 0 {
             sim.skipped_cycles as f64 / sim.now.raw() as f64
         } else {
             0.0
         },
-        threads: 1,
     });
     let profile = k.prof.take().map(|p| {
         let l1: f64 = sim.cores.iter().map(|c| c.host_l1_seconds()).sum();

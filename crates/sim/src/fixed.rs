@@ -60,17 +60,9 @@ impl FixedLatencyMemory {
 
     /// Takes the next response due at or before `now`, if any.
     pub fn pop_due(&mut self, now: Cycle) -> Option<MemFetch> {
-        self.pop_due_at(now).map(|(_, fetch)| fetch)
-    }
-
-    /// Like [`pop_due`](FixedLatencyMemory::pop_due), but also returns
-    /// the cycle the response came due. The epoch engine pre-drains every
-    /// response due inside an epoch into per-core inboxes and needs the
-    /// due cycle to deliver each at its serial-equivalent local cycle.
-    pub fn pop_due_at(&mut self, now: Cycle) -> Option<(Cycle, MemFetch)> {
-        let due = self.pending.pop_due(now)?;
+        let (_, fetch) = self.pending.pop_due(now)?;
         self.loads_served += 1;
-        Some(due)
+        Some(fetch)
     }
 
     /// True once every submitted load has been returned.

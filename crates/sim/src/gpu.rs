@@ -9,12 +9,11 @@ use gpumem_noc::{Crossbar, Packet};
 use gpumem_simt::{KernelProgram, SimtCore};
 use gpumem_trace::TraceConfig;
 use gpumem_types::{
-    host_wall_clock, ComponentOccupancy, CtaId, Cycle, CycleStamp, Degradation, OldestFetch,
-    PartitionId, SimError, WedgeDiagnosis,
+    host_wall_clock, ComponentOccupancy, CtaId, Cycle, CycleStamp, OldestFetch, PartitionId,
+    SimError, WedgeDiagnosis,
 };
 
 use crate::chaos::{ChaosConfig, ChaosEngine};
-use crate::parallel::EpochPolicy;
 use crate::report::{build_report, HostPerf};
 use crate::watchdog::Watchdog;
 use crate::{FixedLatencyMemory, MemoryPartition, SimReport};
@@ -47,44 +46,13 @@ pub(crate) enum Backend {
     Fixed(FixedLatencyMemory),
 }
 
-/// When the event-horizon scan runs during [`GpuSimulator::run`].
-///
-/// Computing the global horizon touches every warp and queue; on a
-/// congestion-bound benchmark the scan almost never finds a skippable
-/// window, so paying it every cycle is pure overhead. The policy makes the
-/// scan *lazy*: the first attempt happens only after `lazy_start` stepped
-/// cycles, each failed attempt doubles the wait (capped at
-/// `2^max_shift`), and one successful jump resets the wait to zero —
-/// idle-bound benchmarks with long runs of consecutive skippable windows
-/// still skip them back to back.
-///
-/// The policy affects wall-clock time only, never simulation results:
-/// stepping through a skippable cycle is the reference semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SkipPolicy {
-    /// Stepped cycles before the first horizon scan is attempted.
-    pub lazy_start: u32,
-    /// Cap on the exponential backoff: failed attempts wait at most
-    /// `2^max_shift` cycles between scans.
-    pub max_shift: u32,
-}
-
-impl Default for SkipPolicy {
-    fn default() -> Self {
-        SkipPolicy {
-            lazy_start: 64,
-            max_shift: 10,
-        }
-    }
-}
-
 /// The assembled GPU.
 ///
 /// Construct with a validated [`GpuConfig`], a [`KernelProgram`] and a
 /// [`MemoryMode`], then call [`run`](GpuSimulator::run).
 pub struct GpuSimulator {
     pub(crate) cfg: GpuConfig,
-    pub(crate) program: Arc<dyn KernelProgram>,
+    program: Arc<dyn KernelProgram>,
     /// `program.grid_ctas()`, read once: dispatch and completion checks
     /// compare against it every cycle.
     pub(crate) grid_ctas: u32,
@@ -97,18 +65,14 @@ pub struct GpuSimulator {
     pub(crate) requests_injected: u64,
     pub(crate) stepped_cycles: u64,
     pub(crate) skipped_cycles: u64,
-    skip_policy: SkipPolicy,
     /// No-progress horizon in cycles; `None` disables the watchdog.
     pub(crate) watchdog_horizon: Option<u64>,
     /// Active fault-injection engine, if chaos is configured.
     pub(crate) chaos: Option<ChaosEngine>,
     /// Host wall-clock budget for a run; `None` disables the deadline.
     pub(crate) deadline_seconds: Option<f64>,
-    /// Set when the parallel engine caught a worker fault and finished the
-    /// run on the sequential engine.
-    pub(crate) degraded: Option<Degradation>,
     /// Set once [`enable_trace`](GpuSimulator::enable_trace) is called.
-    pub(crate) trace_cfg: Option<TraceConfig>,
+    trace_cfg: Option<TraceConfig>,
 }
 
 impl fmt::Debug for GpuSimulator {
@@ -170,11 +134,9 @@ impl GpuSimulator {
             requests_injected: 0,
             stepped_cycles: 0,
             skipped_cycles: 0,
-            skip_policy: SkipPolicy::default(),
             watchdog_horizon: None,
             chaos: None,
             deadline_seconds: None,
-            degraded: None,
             trace_cfg: None,
         }
     }
@@ -186,8 +148,8 @@ impl GpuSimulator {
     /// simulator that never calls this takes one never-taken branch per
     /// hook and produces a bit-identical report with the breakdown absent.
     ///
-    /// Tracing is engine-invariant: `run`, `run_stepped` and
-    /// `run_parallel` produce bit-identical breakdowns.
+    /// Tracing is engine-invariant: `run` and `run_stepped` produce
+    /// bit-identical breakdowns.
     pub fn enable_trace(&mut self, cfg: TraceConfig) {
         self.trace_cfg = Some(cfg);
         for core in &mut self.cores {
@@ -210,30 +172,23 @@ impl GpuSimulator {
         &self.cfg
     }
 
-    /// Overrides when [`run`](GpuSimulator::run) attempts event-horizon
-    /// scans. Affects wall-clock time only, never simulation results.
-    pub fn set_skip_policy(&mut self, policy: SkipPolicy) {
-        self.skip_policy = policy;
-    }
-
     /// Arms (or disarms with `None`) the no-progress watchdog: a run
     /// aborts with [`SimError::Wedged`] and a structured
     /// [`WedgeDiagnosis`] once no progress counter changes for `horizon`
     /// consecutive cycles. A horizon of 0 is clamped to 1.
     ///
-    /// Deterministic: serial, event-horizon and parallel engines observe
-    /// the same fingerprint sequence and trip at the same cycle. While a
-    /// watchdog is armed, event-horizon skipping is disabled (a wedged
-    /// machine has no future event, and the watchdog must count real
-    /// cycles).
+    /// Deterministic: the verdict depends only on the per-cycle
+    /// fingerprint sequence. While a watchdog is armed,
+    /// [`run`](GpuSimulator::run) steps cycle by cycle (a wedged machine
+    /// has no future event, and the watchdog must count real cycles).
     pub fn set_watchdog(&mut self, horizon: Option<u64>) {
         self.watchdog_horizon = horizon;
     }
 
     /// Installs a seeded fault-injection schedule (see [`ChaosConfig`]).
     /// A fully disabled config removes any active schedule. While chaos is
-    /// active, event-horizon skipping is disabled so injection cycles are
-    /// never jumped over.
+    /// active, [`run`](GpuSimulator::run) steps cycle by cycle so injection
+    /// cycles are never jumped over.
     pub fn set_chaos(&mut self, config: ChaosConfig) {
         self.chaos = config.any_fault_enabled().then(|| ChaosEngine::new(config));
     }
@@ -261,8 +216,8 @@ impl GpuSimulator {
     ///
     /// An armed watchdog or chaos schedule demands real per-cycle
     /// stepping (chaos injects at specific cycles; the watchdog counts
-    /// real cycles), so those runs fall back to the stepped loop with
-    /// horizon skipping, exactly as before.
+    /// real cycles), so those runs take the
+    /// [`run_stepped`](GpuSimulator::run_stepped) loop and never skip.
     ///
     /// # Errors
     ///
@@ -270,7 +225,7 @@ impl GpuSimulator {
     /// `max_cycles`.
     pub fn run(&mut self, max_cycles: u64) -> Result<SimReport, SimError> {
         if self.watchdog_horizon.is_some() || self.chaos.is_some() {
-            return self.run_inner(max_cycles, true);
+            return self.run_stepped(max_cycles);
         }
         crate::events::run_event(self, max_cycles, false).map(|(report, _)| report)
     }
@@ -293,20 +248,6 @@ impl GpuSimulator {
         Ok((report, profile.unwrap_or_default()))
     }
 
-    /// Runs on the legacy whole-machine event-horizon engine: per-cycle
-    /// stepping with lazy [`SkipPolicy`]-driven horizon jumps. Retained
-    /// for A/B comparison against the event-driven kernel and as the
-    /// engine behind watchdog/chaos runs; results are bit-identical to
-    /// both other serial engines.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Watchdog`] if completion is not reached within
-    /// `max_cycles`.
-    pub fn run_horizon(&mut self, max_cycles: u64) -> Result<SimReport, SimError> {
-        self.run_inner(max_cycles, true)
-    }
-
     /// Runs strictly cycle by cycle, never skipping. This is the reference
     /// semantics that [`run`](GpuSimulator::run) must reproduce exactly;
     /// the differential test suite executes every benchmark both ways and
@@ -317,25 +258,8 @@ impl GpuSimulator {
     /// [`SimError::Watchdog`] if completion is not reached within
     /// `max_cycles`.
     pub fn run_stepped(&mut self, max_cycles: u64) -> Result<SimReport, SimError> {
-        self.run_inner(max_cycles, false)
-    }
-
-    fn run_inner(&mut self, max_cycles: u64, skip: bool) -> Result<SimReport, SimError> {
         let wall_start = host_wall_clock();
-        // The watchdog and chaos both demand real per-cycle stepping:
-        // chaos injects at specific cycles, and a wedged machine reports
-        // `next_event() == None`, which skipping would misread as "jump to
-        // the budget".
         let mut watchdog = self.watchdog_horizon.map(Watchdog::new);
-        let mut skip = skip && watchdog.is_none() && self.chaos.is_none();
-        // Horizon scans run under the lazy policy (see [`SkipPolicy`]):
-        // wait `lazy_start` cycles before the first attempt, back off
-        // exponentially while attempts fail, resume scanning every cycle
-        // after one succeeds. Attempt timing affects only wall clock,
-        // never results — stepping a skippable cycle is the reference
-        // semantics anyway.
-        let mut backoff: u32 = self.skip_policy.lazy_start;
-        let mut failed_shift: u32 = 0;
         while !self.is_done() {
             if self.now.raw() >= max_cycles {
                 return Err(SimError::Watchdog {
@@ -363,37 +287,6 @@ impl GpuSimulator {
                 }
             }
             self.step()?;
-            if skip && !self.is_done() {
-                if backoff > 0 {
-                    backoff -= 1;
-                    continue;
-                }
-                // Jump to the event horizon, clamped so the watchdog above
-                // still fires at exactly `max_cycles`. A `None` horizon
-                // with work outstanding is a wedged machine: skip straight
-                // to the watchdog (each skipped cycle is provably a
-                // stall, so the counters remain exact).
-                let horizon = self
-                    .next_event()
-                    .map_or(max_cycles, |h| h.raw())
-                    .min(max_cycles);
-                if horizon > self.now.raw() {
-                    self.fast_forward_to(Cycle::new(horizon));
-                    failed_shift = 0;
-                    backoff = 0;
-                } else {
-                    failed_shift = (failed_shift + 1).min(self.skip_policy.max_shift);
-                    // Adaptive give-up: once the backoff is saturated and
-                    // not a single cycle has ever been skipped, this run
-                    // is congestion-bound end to end (the paper's §III
-                    // regime) and further scans are pure overhead —
-                    // disable them for the rest of the run.
-                    if failed_shift == self.skip_policy.max_shift && self.skipped_cycles == 0 {
-                        skip = false;
-                    }
-                    backoff = 1 << failed_shift;
-                }
-            }
         }
         self.check_conservation()?;
         let wall = wall_start.elapsed_seconds();
@@ -412,60 +305,8 @@ impl GpuSimulator {
             } else {
                 0.0
             },
-            threads: 1,
-            epoch_rounds: None,
-            epoch_cycles: None,
-            max_epoch: None,
         });
         Ok(report)
-    }
-
-    /// Runs cycle by cycle like [`run_stepped`](GpuSimulator::run_stepped)
-    /// but shards the machine across `threads` persistent worker threads:
-    /// cores (with their L1s) and memory partitions (L2 slice + DRAM
-    /// channel) step concurrently, with the crossbars the sole
-    /// synchronization boundary. With the default
-    /// [`EpochPolicy::Auto`] the engine free-runs shards through
-    /// multi-cycle epochs bounded by the crossbar hop latency and
-    /// synchronizes only at epoch boundaries (see
-    /// [`run_parallel_with`](GpuSimulator::run_parallel_with)).
-    ///
-    /// Deterministic by construction: every buffered injection is
-    /// committed in fixed shard order at the barrier, so the resulting
-    /// [`SimReport`] is bit-identical to `run_stepped` (modulo the
-    /// host-side [`SimReport::host`] block) for every `threads` value.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Watchdog`] if completion is not reached within
-    /// `max_cycles`.
-    pub fn run_parallel(&mut self, max_cycles: u64, threads: usize) -> Result<SimReport, SimError> {
-        self.run_parallel_with(max_cycles, threads, EpochPolicy::Auto)
-    }
-
-    /// [`run_parallel`](GpuSimulator::run_parallel) with an explicit
-    /// epoch policy: [`EpochPolicy::PerCycle`] barriers every cycle (the
-    /// pre-epoch engine, kept as the bit-identity degeneracy),
-    /// [`EpochPolicy::Fixed(n)`](EpochPolicy::Fixed) caps epochs at `n`
-    /// cycles, and [`EpochPolicy::Auto`] lets the engine pick the
-    /// largest provably-safe epoch each round. The policy only caps the
-    /// epoch length — safety clamps (cross-shard latency, chaos
-    /// schedules, watchdog horizon, CTA retirement, port headroom) are
-    /// always applied — so the report is bit-identical to
-    /// `run_stepped()` under every policy. `threads <= 1` runs the same
-    /// epoch engine on the calling thread with no barriers at all.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Watchdog`] if completion is not reached within
-    /// `max_cycles`.
-    pub fn run_parallel_with(
-        &mut self,
-        max_cycles: u64,
-        threads: usize,
-        policy: EpochPolicy,
-    ) -> Result<SimReport, SimError> {
-        crate::parallel::run(self, max_cycles, threads.max(1), policy)
     }
 
     /// The earliest cycle at or after [`now`](GpuSimulator::now) at which
@@ -615,8 +456,7 @@ impl GpuSimulator {
                 partitions,
             } => {
                 // Fault injection happens at the very start of the cycle,
-                // before any component acts — the same point the parallel
-                // coordinator applies it, so schedules are engine-identical.
+                // before any component acts.
                 if let Some(chaos) = &mut self.chaos {
                     chaos.apply(
                         now,
@@ -696,7 +536,7 @@ impl GpuSimulator {
         Ok(())
     }
 
-    pub(crate) fn dispatch_ctas(&mut self) {
+    fn dispatch_ctas(&mut self) {
         let grid = self.grid_ctas;
         if self.next_cta >= grid {
             return;
@@ -740,7 +580,7 @@ impl GpuSimulator {
         self.cores.iter().map(|c| c.stats().instructions).sum()
     }
 
-    pub(crate) fn expected_responses(&self) -> u64 {
+    fn expected_responses(&self) -> u64 {
         self.cores
             .iter()
             .map(|c| {
@@ -751,7 +591,7 @@ impl GpuSimulator {
     }
 
     /// The monotone progress counters the watchdog fingerprints.
-    pub(crate) fn progress_fingerprint(&self) -> crate::watchdog::ProgressFingerprint {
+    fn progress_fingerprint(&self) -> crate::watchdog::ProgressFingerprint {
         (
             self.total_instructions(),
             self.responses_delivered,
@@ -785,7 +625,7 @@ impl GpuSimulator {
     /// backpressure (in pipeline order, so the chain reads core →
     /// request network → partitions → response network), and the oldest
     /// in-flight fetch.
-    pub(crate) fn wedge_diagnosis(&self, wd: &Watchdog) -> WedgeDiagnosis {
+    fn wedge_diagnosis(&self, wd: &Watchdog) -> WedgeDiagnosis {
         let now = self.now;
         let pending_cores = self
             .cores
@@ -951,7 +791,7 @@ impl GpuSimulator {
             } => (partitions.as_slice(), Some(req_xbar), Some(resp_xbar)),
             Backend::Fixed(_) => (&[][..], None, None),
         };
-        let mut report = build_report(
+        build_report(
             self.program.name(),
             &self.mode.to_string(),
             self.now,
@@ -959,8 +799,6 @@ impl GpuSimulator {
             partitions,
             req_xbar,
             resp_xbar,
-        );
-        report.degraded = self.degraded.clone();
-        report
+        )
     }
 }

@@ -57,7 +57,6 @@ mod chaos;
 mod events;
 mod fixed;
 mod gpu;
-mod parallel;
 mod partition;
 mod report;
 mod sched;
@@ -66,8 +65,7 @@ mod watchdog;
 pub use chaos::ChaosConfig;
 pub use events::EngineProfile;
 pub use fixed::FixedLatencyMemory;
-pub use gpu::{GpuSimulator, MemoryMode, SkipPolicy};
-pub use parallel::EpochPolicy;
+pub use gpu::{GpuSimulator, MemoryMode};
 pub use partition::{L2Stats, MemoryPartition, PartitionTrace};
 pub use report::{DramReport, HostPerf, L1Report, L2Report, NocReport, SimReport};
 pub use sched::TimingWheel;
@@ -84,7 +82,7 @@ pub use gpumem_trace::{
 // The error taxonomy lives in `gpumem-types` (model crates construct the
 // variants directly); re-exported here so `gpumem_sim::SimError` keeps
 // working for downstream code that only sees run results.
-pub use gpumem_types::{ComponentOccupancy, Degradation, OldestFetch, SimError, WedgeDiagnosis};
+pub use gpumem_types::{ComponentOccupancy, OldestFetch, SimError, WedgeDiagnosis};
 
 // The kernel abstraction is part of this crate's public API (every
 // constructor takes one), so re-export it for downstream convenience.

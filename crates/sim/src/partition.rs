@@ -272,9 +272,9 @@ impl MemoryPartition {
     /// port on the request crossbar (`req_ej`), pushes responses into its
     /// input port on the response crossbar (`resp_in`).
     ///
-    /// Taking the two ports rather than whole crossbars is what makes a
-    /// partition shardable: these are the only pieces of interconnect
-    /// state it touches, and both are exclusively its own.
+    /// It takes the two ports rather than whole crossbars because these
+    /// are the only pieces of interconnect state it touches, and both are
+    /// exclusively its own.
     ///
     /// # Errors
     ///

@@ -85,17 +85,6 @@ pub struct HostPerf {
     /// `skipped_cycles / cycles` — how much of the simulated time was
     /// provably inert and skipped.
     pub skipped_fraction: f64,
-    /// Worker threads the run used (1 for the serial engines).
-    pub threads: u64,
-    /// Synchronization rounds the epoch parallel engine ran (absent for
-    /// the serial engines; one round covers one epoch or one legacy
-    /// per-cycle step).
-    pub epoch_rounds: Option<u64>,
-    /// Cycles covered by multi-cycle epochs (free-run, two barriers per
-    /// epoch) as opposed to legacy per-cycle rounds.
-    pub epoch_cycles: Option<u64>,
-    /// Largest safe epoch length the engine computed during the run.
-    pub max_epoch: Option<u64>,
 }
 
 /// Everything measured in one simulation run.
@@ -127,10 +116,6 @@ pub struct SimReport {
     /// Host-side throughput of the run (absent for mid-run snapshots;
     /// excluded from determinism comparisons).
     pub host: Option<HostPerf>,
-    /// Set when the parallel engine lost a worker mid-run and finished the
-    /// simulation on the sequential engine. The simulated results are still
-    /// exact; this records that the run took the slow path and why.
-    pub degraded: Option<gpumem_types::Degradation>,
     /// Per-stage fetch-lifecycle latency breakdown (present only when
     /// [`enable_trace`](crate::GpuSimulator::enable_trace) was called).
     pub latency_breakdown: Option<LatencyBreakdown>,
@@ -239,17 +224,15 @@ pub(crate) fn build_report(
         dram,
         noc,
         host: None,
-        degraded: None,
         latency_breakdown: build_breakdown(cores, partitions),
     }
 }
 
 /// Merges every core's trace collector (in core index order), folds in the
 /// DRAM write-path histograms and collects the occupancy series (cores
-/// first, then partitions, each in index order). Index order is engine-
-/// invariant — the parallel engine reassembles its shards back into global
-/// order before reporting — so the breakdown is bit-identical across
-/// engines. Returns `None` when tracing was never enabled.
+/// first, then partitions, each in index order), so the breakdown is
+/// bit-identical across engines. Returns `None` when tracing was never
+/// enabled.
 fn build_breakdown(cores: &[SimtCore], partitions: &[MemoryPartition]) -> Option<LatencyBreakdown> {
     let mut merged: Option<TraceCollector> = None;
     for c in cores {
@@ -304,7 +287,6 @@ mod tests {
             dram: None,
             noc: None,
             host: None,
-            degraded: None,
             latency_breakdown: None,
         };
         assert_eq!(r.avg_l1_miss_latency(), 0.0);
@@ -332,12 +314,7 @@ mod tests {
                 stepped_cycles: 6,
                 skipped_cycles: 4,
                 skipped_fraction: 0.4,
-                threads: 1,
-                epoch_rounds: Some(3),
-                epoch_cycles: Some(4),
-                max_epoch: Some(2),
             }),
-            degraded: None,
             latency_breakdown: None,
         };
         let json = serde_json::to_string(&r).unwrap();
@@ -347,6 +324,28 @@ mod tests {
         assert!(back.l2.is_some());
         assert_eq!(back.host.as_ref().map(|h| h.skipped_cycles), Some(4));
         assert!(back.latency_breakdown.is_none());
+    }
+
+    /// Result files written before the parallel engine was removed carry
+    /// `degraded` (null or an object) and `host.{threads, epoch_rounds,
+    /// epoch_cycles, max_epoch}`. The fixture is two such reports, emitted
+    /// by the last commit that had those fields (a 2-thread run and a
+    /// worker-panic run that degraded); both must still load, with the
+    /// dropped keys ignored and everything else intact.
+    #[test]
+    fn reports_written_before_the_parallel_engine_was_removed_still_load() {
+        let text = include_str!("../tests/fixtures/reports_before_two_engines.json");
+        for key in ["\"degraded\":{", "\"threads\":2", "\"epoch_rounds\":193"] {
+            assert!(text.contains(key), "fixture lost its legacy key {key}");
+        }
+        let reports: Vec<SimReport> = serde_json::from_str(text).unwrap();
+        assert_eq!(reports.len(), 2);
+        for r in &reports {
+            assert_eq!((r.cycles, r.instructions), (1108, 192));
+            assert_eq!(r.l1.stats.load_misses, 98);
+            assert_eq!(r.host.as_ref().map(|h| h.stepped_cycles), Some(1108));
+            assert!(!serde_json::to_string(r).unwrap().contains("degraded"));
+        }
     }
 
     fn traced_fetch(id: u64, issued: u64, returned: u64) -> gpumem_types::MemFetch {
@@ -382,7 +381,6 @@ mod tests {
             dram: None,
             noc: None,
             host: None,
-            degraded: None,
             latency_breakdown: Some(breakdown),
         };
         let json = serde_json::to_string(&r).unwrap();

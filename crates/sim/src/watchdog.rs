@@ -22,8 +22,7 @@ pub type ProgressFingerprint = (u64, u64, u64, u32);
 
 /// Detects a wedged simulation by watching a progress fingerprint.
 ///
-/// Deterministic: the verdict depends only on the observation sequence, so
-/// the serial and parallel engines trip it at exactly the same cycle.
+/// Deterministic: the verdict depends only on the observation sequence.
 #[derive(Debug, Clone)]
 pub struct Watchdog {
     horizon: u64,
@@ -65,30 +64,6 @@ impl Watchdog {
         }
         now.since(self.last_progress_cycle) >= self.horizon
     }
-
-    /// Closes a multi-cycle epoch the parallel engine free-ran without
-    /// per-cycle observations. `fingerprint` is the value at the epoch's
-    /// end boundary; `progress_at` is the cycle at which a per-cycle
-    /// [`observe`](Watchdog::observe) would first have seen the epoch's
-    /// last change (activity at cycle `t` shows up in the fingerprint
-    /// observed at `t + 1`), or `None` if the caller could not attribute
-    /// the change (then the end boundary `now` is used — never earlier
-    /// than the serial engine would record, so never a spurious trip).
-    ///
-    /// Never trips: the engine clamps epoch length so the horizon cannot
-    /// elapse strictly inside an epoch; the next boundary `observe`
-    /// performs the trip check against the progress cycle recorded here.
-    pub fn observe_epoch(
-        &mut self,
-        now: Cycle,
-        fingerprint: ProgressFingerprint,
-        progress_at: Option<Cycle>,
-    ) {
-        if self.last_fingerprint != Some(fingerprint) {
-            self.last_fingerprint = Some(fingerprint);
-            self.last_progress_cycle = progress_at.unwrap_or(now);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -116,29 +91,6 @@ mod tests {
         assert!(!wd.observe(Cycle::new(3), (1, 1, 0, 0)));
         assert!(wd.observe(Cycle::new(4), (1, 1, 0, 0)));
         assert_eq!(wd.last_progress_cycle(), Cycle::new(2));
-    }
-
-    #[test]
-    fn observe_epoch_backdates_progress_to_the_serial_cycle() {
-        let mut wd = Watchdog::new(5);
-        assert!(!wd.observe(Cycle::new(0), (0, 0, 0, 0)));
-        // Epoch [0, 4): one instruction retired at cycle 1, which serial
-        // observation would first see at cycle 2.
-        wd.observe_epoch(Cycle::new(4), (1, 0, 0, 0), Some(Cycle::new(2)));
-        assert_eq!(wd.last_progress_cycle(), Cycle::new(2));
-        // The boundary observe sees the same fingerprint: no progress,
-        // horizon measured from cycle 2 exactly as serial would.
-        assert!(!wd.observe(Cycle::new(4), (1, 0, 0, 0)));
-        assert!(!wd.observe(Cycle::new(6), (1, 0, 0, 0)));
-        assert!(wd.observe(Cycle::new(7), (1, 0, 0, 0)));
-    }
-
-    #[test]
-    fn observe_epoch_without_change_keeps_the_old_progress_cycle() {
-        let mut wd = Watchdog::new(10);
-        assert!(!wd.observe(Cycle::new(3), (7, 0, 0, 0)));
-        wd.observe_epoch(Cycle::new(9), (7, 0, 0, 0), None);
-        assert_eq!(wd.last_progress_cycle(), Cycle::new(3));
     }
 
     #[test]

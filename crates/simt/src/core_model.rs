@@ -101,19 +101,6 @@ struct CtaState {
     warp_slots: Vec<usize>,
 }
 
-/// Cycle lower bounds a core reports to the epoch-synchronized parallel
-/// engine (see [`SimtCore::epoch_bounds`]). Both are counted from "now":
-/// the event cannot happen for at least this many cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochBounds {
-    /// No resident CTA can retire (freeing a dispatch slot) sooner than
-    /// this. `u64::MAX` when no CTA is resident.
-    pub cta_retirement: u64,
-    /// No currently-unfinished warp can finish sooner than this. `0`
-    /// when every assigned warp has already finished.
-    pub warp_finish: u64,
-}
-
 /// Trace state owned by one core: the stage-histogram collector fed at the
 /// two completion points (response acceptance and ready-hit pop) plus the
 /// core's queue-occupancy probes. Lives behind an `Option<Box<_>>` so an
@@ -192,8 +179,8 @@ pub struct SimtCore {
     /// draining empty, which un-parks the decoded memory instructions (to
     /// zero). A scan that issues leaves the bound at or below `now`, so
     /// the next cycle scans again. Nothing outside the core reaches warp
-    /// state — chaos hooks and the parallel engine's port swaps act on the
-    /// interconnect and the partitions — so the list is complete.
+    /// state — chaos hooks act on the interconnect and the partitions —
+    /// so the list is complete.
     ready_lb: Cycle,
     /// Memoized stall classification. While `Some`, consecutive stalled
     /// cycles replay this class without rescanning the warp set; every
@@ -432,63 +419,6 @@ impl SimtCore {
             || !self.lsu_queue.is_empty()
             || self.l1.outstanding_misses() > 0
             || self.l1.peek_miss().is_some()
-    }
-
-    /// L1 misses queued for the interconnect but not yet injected. Each
-    /// pops into the request crossbar's ingress port one per cycle, so
-    /// the epoch engine budgets ingress headroom against this backlog.
-    pub fn l1_miss_queue_len(&self) -> usize {
-        self.l1.miss_queue_len()
-    }
-
-    /// L1 misses in flight past the interconnect (MSHR-held). Each needs
-    /// a distinct response-delivery cycle, bounding how soon this core
-    /// can drain to idle.
-    pub fn l1_outstanding_misses(&self) -> usize {
-        self.l1.outstanding_misses()
-    }
-
-    /// Conservative cycle lower bounds for the epoch-synchronized
-    /// parallel engine, derived from [`KernelProgram::warp_instr_count`].
-    ///
-    /// A warp can issue at most `issue_width` instructions per cycle (the
-    /// greedy-then-oldest loop may re-pick the same warp), so a warp with
-    /// `rem` instructions left cannot finish before
-    /// `ceil(rem / issue_width)` cycles from now, and a CTA cannot retire
-    /// before its slowest unfinished warp finishes. A retirement landing
-    /// on the last cycle of an epoch is tolerated: the serial engine
-    /// would dispatch into the freed slot no earlier than the next cycle,
-    /// which is the epoch boundary where the coordinator dispatches.
-    ///
-    /// Programs that do not implement the hint make every unfinished warp
-    /// count as 1 remaining instruction — always sound, never fast.
-    pub fn epoch_bounds(&self) -> EpochBounds {
-        let width = self.issue_width.max(1) as u64;
-        let mut cta_retirement = u64::MAX;
-        let mut warp_finish = 0u64;
-        for state in self.ctas.iter().flatten() {
-            // A fully-finished CTA may retire on any cycle's response
-            // drain, so it bounds retirement at 1.
-            let mut cta_bound = 1u64;
-            for &slot in &state.warp_slots {
-                let warp = &self.warps[slot];
-                if !warp.assigned || warp.finished {
-                    continue;
-                }
-                let rem = match self.program.warp_instr_count(warp.cta, warp.warp_in_cta) {
-                    Some(total) => u64::from(total.saturating_sub(warp.pc)).max(1),
-                    None => 1,
-                };
-                let bound = rem.div_ceil(width).max(1);
-                cta_bound = cta_bound.max(bound);
-                warp_finish = warp_finish.max(bound);
-            }
-            cta_retirement = cta_retirement.min(cta_bound);
-        }
-        EpochBounds {
-            cta_retirement,
-            warp_finish,
-        }
     }
 
     /// Next fill request to inject into the interconnect, if any.

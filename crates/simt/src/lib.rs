@@ -21,6 +21,6 @@ mod core_model;
 mod program;
 mod warp;
 
-pub use core_model::{CoreStats, EpochBounds, SimtCore, StallKind};
+pub use core_model::{CoreStats, SimtCore, StallKind};
 pub use program::{KernelProgram, WarpInstr};
 pub use warp::{WarpSlot, WarpState};

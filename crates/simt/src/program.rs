@@ -115,22 +115,6 @@ pub trait KernelProgram: Send + Sync {
     /// The instruction at `pc` for warp `warp` of CTA `cta`, or `None` once
     /// the warp has retired.
     fn instr(&self, cta: CtaId, warp: u32, pc: u32) -> Option<WarpInstr>;
-
-    /// Exact instruction-stream length for `warp` of `cta`: the smallest
-    /// `pc` at which [`instr`](KernelProgram::instr) returns `None`, when
-    /// the program can state it cheaply.
-    ///
-    /// The epoch-synchronized parallel engine uses this as a lower bound
-    /// on how many cycles remain before a warp can finish (and so before
-    /// a CTA can retire and free a dispatch slot). Returning `None` is
-    /// always safe — the engine falls back to the 1-cycle bound.
-    /// Implementations must not overstate the count: claiming more
-    /// instructions than `instr` actually serves would let the engine
-    /// free-run past a retirement it promised could not happen.
-    fn warp_instr_count(&self, cta: CtaId, warp: u32) -> Option<u32> {
-        let _ = (cta, warp);
-        None
-    }
 }
 
 #[cfg(test)]

@@ -45,7 +45,9 @@ pub use gpumem_types::{CellKey, SweepError};
 
 /// Salt folded into every [`CellKey`].
 ///
-/// Bump this when a simulator change alters results for unchanged
+/// Bump this when a simulator change alters results — or the canonical
+/// report JSON `result_digest` hashes — for unchanged
 /// configurations: old stores then miss cleanly instead of serving stale
-/// numbers as cache hits.
-pub const CODE_VERSION_SALT: &str = "gpumem-sweep-v1";
+/// numbers (or stale digests) as cache hits. v2: `SimReport` lost its
+/// `degraded` key.
+pub const CODE_VERSION_SALT: &str = "gpumem-sweep-v2";

@@ -115,9 +115,6 @@ fn execute_cell(
         match cell.engine {
             EngineChoice::Event => sim.run(cell.max_cycles),
             EngineChoice::Stepped => sim.run_stepped(cell.max_cycles),
-            EngineChoice::Parallel { threads, epoch } => {
-                sim.run_parallel_with(cell.max_cycles, threads, epoch)
-            }
         }
     })
 }

@@ -5,7 +5,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use gpumem_config::{DesignPoint, GpuConfig};
-use gpumem_sim::{EpochPolicy, MemoryMode};
+use gpumem_sim::MemoryMode;
 use gpumem_types::{CellKey, SweepError};
 use gpumem_workloads::{params_of, WorkloadKind, BENCHMARK_NAMES};
 use serde::{Deserialize, Serialize};
@@ -18,7 +18,7 @@ const TRACE_PREFIX: &str = "trace:";
 
 /// Which engine executes a cell.
 ///
-/// Every engine is bit-identical on the simulated results (the
+/// Both engines are bit-identical on the simulated results (the
 /// differential suite proves it), but the engine is still part of the cell
 /// key: a campaign that sweeps engines is asking precisely whether that
 /// invariance holds, so its cells must not collide.
@@ -28,54 +28,23 @@ pub enum EngineChoice {
     Event,
     /// The per-cycle stepped oracle.
     Stepped,
-    /// Epoch-synchronized sharded execution.
-    Parallel {
-        /// Worker threads inside the simulation.
-        threads: usize,
-        /// Epoch policy (`auto`, or a fixed cycle cap).
-        epoch: EpochPolicy,
-    },
 }
 
 impl EngineChoice {
-    /// Parses the spec spelling: `event`, `stepped` or
-    /// `parallel:<threads>:<auto|N>`.
+    /// Parses the spec spelling: `event` or `stepped`.
     pub fn parse(spec: &str) -> Option<EngineChoice> {
         match spec {
-            "event" => return Some(EngineChoice::Event),
-            "stepped" => return Some(EngineChoice::Stepped),
-            _ => {}
+            "event" => Some(EngineChoice::Event),
+            "stepped" => Some(EngineChoice::Stepped),
+            _ => None,
         }
-        let rest = spec.strip_prefix("parallel:")?;
-        let (threads, epoch) = rest.split_once(':')?;
-        let threads: usize = threads.parse().ok().filter(|&n| n > 0)?;
-        let epoch = match epoch {
-            "auto" => EpochPolicy::Auto,
-            n => {
-                let n: u64 = n.parse().ok().filter(|&n| n > 0)?;
-                if n == 1 {
-                    EpochPolicy::PerCycle
-                } else {
-                    EpochPolicy::Fixed(n)
-                }
-            }
-        };
-        Some(EngineChoice::Parallel { threads, epoch })
     }
 
     /// The canonical spelling, used in cell keys and progress output.
-    pub fn canonical(&self) -> String {
+    pub fn canonical(&self) -> &'static str {
         match self {
-            EngineChoice::Event => "event".to_owned(),
-            EngineChoice::Stepped => "stepped".to_owned(),
-            EngineChoice::Parallel { threads, epoch } => {
-                let e = match epoch {
-                    EpochPolicy::PerCycle => "1".to_owned(),
-                    EpochPolicy::Fixed(n) => n.to_string(),
-                    EpochPolicy::Auto => "auto".to_owned(),
-                };
-                format!("parallel:{threads}:{e}")
-            }
+            EngineChoice::Event => "event",
+            EngineChoice::Stepped => "stepped",
         }
     }
 }
@@ -231,9 +200,7 @@ impl SweepSpec {
         }
         for e in &self.engines {
             if EngineChoice::parse(e).is_none() {
-                return invalid(format!(
-                    "bad engine {e:?} (want `event`, `stepped` or `parallel:<threads>:<epoch>`)"
-                ));
+                return invalid(format!("bad engine {e:?} (want `event` or `stepped`)"));
             }
         }
         Ok(())
@@ -358,26 +325,17 @@ impl SweepCell {
         engine: EngineChoice,
         max_cycles: u64,
     ) -> SweepCell {
-        let workload_canonical = match &workload {
-            WorkloadKind::Synthetic(params) => format!(
-                "params={}",
-                serde_json::to_string(params).expect("params serialize")
-            ),
-            WorkloadKind::Traced(kernel) => {
-                format!("trace={}|seed={seed}", kernel.digest())
-            }
-        };
-        let canonical = format!(
-            "cfg={}|{}|mode={}|engine={}|max_cycles={}|salt={}",
-            serde_json::to_string(&cfg).expect("config serializes"),
-            workload_canonical,
+        let key = cell_key(
+            &cfg,
+            &workload,
+            seed,
             mode,
-            engine.canonical(),
+            engine,
             max_cycles,
             CODE_VERSION_SALT,
         );
         SweepCell {
-            key: CellKey::from_canonical(&canonical),
+            key,
             benchmark,
             design_point,
             seed,
@@ -400,6 +358,38 @@ impl SweepCell {
             self.seed
         )
     }
+}
+
+/// The content address [`SweepCell::new`] documents, under an explicit
+/// salt (always [`CODE_VERSION_SALT`] outside the stale-store test).
+fn cell_key(
+    cfg: &GpuConfig,
+    workload: &WorkloadKind,
+    seed: u64,
+    mode: MemoryMode,
+    engine: EngineChoice,
+    max_cycles: u64,
+    salt: &str,
+) -> CellKey {
+    let workload_canonical = match workload {
+        WorkloadKind::Synthetic(params) => format!(
+            "params={}",
+            serde_json::to_string(params).expect("params serialize")
+        ),
+        WorkloadKind::Traced(kernel) => {
+            format!("trace={}|seed={seed}", kernel.digest())
+        }
+    };
+    let canonical = format!(
+        "cfg={}|{}|mode={}|engine={}|max_cycles={}|salt={}",
+        serde_json::to_string(cfg).expect("config serializes"),
+        workload_canonical,
+        mode,
+        engine.canonical(),
+        max_cycles,
+        salt,
+    );
+    CellKey::from_canonical(&canonical)
 }
 
 #[cfg(test)]
@@ -461,28 +451,65 @@ mod tests {
         let err = bad.validate().unwrap_err();
         assert!(err.to_string().contains("nope"));
 
+        // The engine that spelling named is gone: a typed error naming
+        // the entry, not a panic.
         let mut bad = tiny_spec();
-        bad.engines = vec!["parallel:0:auto".into()];
-        assert!(bad.validate().is_err());
+        bad.engines = vec!["event".into(), "parallel:2:auto".into()];
+        let err = bad.validate().unwrap_err();
+        assert!(matches!(err, SweepError::SpecInvalid { .. }), "{err:?}");
+        assert!(err.to_string().contains("parallel:2:auto"));
+        assert!(bad.expand().is_err());
 
         let mut bad = tiny_spec();
         bad.modes = Vec::new();
         assert!(bad.validate().unwrap_err().to_string().contains("modes"));
     }
 
+    /// A store written before a salt bump holds digests of the old
+    /// canonical report JSON; serving one as a hit would break the
+    /// "same spec, same store digest" fixpoint. Its cells must simply not
+    /// be found: recomputed, and never quarantined as corrupt.
+    #[test]
+    fn cells_committed_under_the_previous_salt_are_plain_misses() {
+        use crate::{DiskStore, JournalEvent, Lookup, ResultStore};
+
+        let cell = tiny_spec().expand().unwrap().remove(0);
+        let old_key = cell_key(
+            &cell.cfg,
+            &cell.workload,
+            cell.seed,
+            cell.mode,
+            cell.engine,
+            cell.max_cycles,
+            "gpumem-sweep-v1",
+        );
+        assert_ne!(old_key, cell.key, "the salt must be part of the address");
+
+        let root = std::env::temp_dir().join(format!("gpumem-spec-salt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut store = ResultStore::open(&root).unwrap();
+        let report = gpumem_sim::SimReport::default();
+        store.commit(old_key, &cell.label(), 1, &report).unwrap();
+
+        let mut store = ResultStore::open(&root).unwrap();
+        assert!(matches!(
+            store.lookup(cell.key).unwrap(),
+            Lookup::Miss {
+                was_committed: false
+            }
+        ));
+        assert!(store.peek(old_key).unwrap().is_some(), "old cell untouched");
+        let journal = DiskStore::open(&root).unwrap().read_journal().unwrap();
+        assert!(journal.iter().all(|r| r.event != JournalEvent::Quarantine));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn engine_spellings_round_trip() {
-        for s in ["event", "stepped", "parallel:4:auto", "parallel:2:16"] {
+        for s in ["event", "stepped"] {
             let e = EngineChoice::parse(s).unwrap();
-            assert_eq!(e.canonical(), *s);
+            assert_eq!(e.canonical(), s);
         }
-        assert_eq!(
-            EngineChoice::parse("parallel:2:1"),
-            Some(EngineChoice::Parallel {
-                threads: 2,
-                epoch: EpochPolicy::PerCycle
-            })
-        );
         assert!(EngineChoice::parse("warp-drive").is_none());
     }
 

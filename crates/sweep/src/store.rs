@@ -44,14 +44,12 @@ pub enum Lookup {
 
 /// The digest of a simulated result, as 32 hex chars.
 ///
-/// Host-dependent fields — wall-clock throughput (`host`) and the
-/// degraded-path marker (`degraded`) — are blanked first: two runs of the
-/// same cell must digest identically even though the host behaved
+/// The host-dependent wall-clock block (`host`) is blanked first: two runs
+/// of the same cell must digest identically even though the host behaved
 /// differently, because the *simulated* numbers are bit-identical.
 pub fn result_digest(report: &SimReport) -> String {
     let mut canonical = report.clone();
     canonical.host = None;
-    canonical.degraded = None;
     let json = serde_json::to_string(&canonical).expect("report serializes");
     CellKey::from_canonical(&json).to_string()
 }

@@ -10,17 +10,17 @@
 //! [`OccupancyProbe`]s record per-component queue-depth time series on a
 //! deterministic cycle cadence.
 //!
-//! Design rules that keep traced runs bit-identical across all three
-//! engines (`run_stepped`, horizon-skip `run`, sharded `run_parallel`):
+//! Design rules that keep traced runs bit-identical across both engines
+//! (`run_stepped` and the event-driven `run`):
 //!
 //! * Components only *stamp* timestamps; histograms are recorded at a single
 //!   point — the owning core's response-acceptance path — from the fetch's
-//!   own completed timeline, so recording order never depends on thread
-//!   interleaving.
+//!   own completed timeline, so recording order never depends on which
+//!   components an engine chose to step.
 //! * Histogram merge is an element-wise sum (commutative + associative), and
 //!   the final report merges per-core collectors in core-index order.
 //! * Occupancy sampling is a pure function of the cycle number
-//!   (`now % cadence == 0`, sampled at pre-step state), so the horizon-skip
+//!   (`now % cadence == 0`, sampled at pre-step state), so the event-driven
 //!   engine can backfill skipped stretches with the frozen depth.
 //!
 //! The stage taxonomy telescopes: consecutive stamps partition the closed
@@ -284,7 +284,7 @@ impl Default for TraceConfig {
 
 /// A queue-depth time series sampled on the deterministic cadence.
 ///
-/// Sampling is a pure function of the cycle number, so the horizon-skip
+/// Sampling is a pure function of the cycle number, so the event-driven
 /// engine backfills skipped stretches (during which the machine is provably
 /// inert) with the frozen depth and stays bit-identical to per-cycle
 /// stepping.
@@ -380,10 +380,10 @@ struct SlowSeed {
     timeline: FetchTimeline,
 }
 
-/// Accumulates the latency breakdown for one shard-owned component (one
-/// SIMT core). Per-core collectors are merged in core-index order by the
-/// report builder; every operation is commutative, so the merged result is
-/// independent of engine and thread count.
+/// Accumulates the latency breakdown for one SIMT core. Per-core
+/// collectors are merged in core-index order by the report builder; every
+/// operation is commutative, so the merged result is independent of the
+/// engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceCollector {
     cfg: TraceConfig,

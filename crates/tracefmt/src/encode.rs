@@ -217,13 +217,6 @@ mod tests {
                 _ => None,
             }
         }
-        fn warp_instr_count(&self, cta: CtaId, warp: u32) -> Option<u32> {
-            if cta.index() < 2 && warp < 2 {
-                Some(5)
-            } else {
-                None
-            }
-        }
     }
 
     #[test]
@@ -237,7 +230,6 @@ mod tests {
         for cta in 0..2 {
             for warp in 0..2 {
                 let id = CtaId::new(cta);
-                assert_eq!(k.warp_instr_count(id, warp), Some(5));
                 for pc in 0..6 {
                     assert_eq!(
                         k.instr(id, warp, pc),
@@ -275,9 +267,6 @@ mod tests {
             }
             fn instr(&self, _: CtaId, _: u32, pc: u32) -> Option<WarpInstr> {
                 (pc == 0).then_some(WarpInstr::Alu { latency: 0 })
-            }
-            fn warp_instr_count(&self, _: CtaId, _: u32) -> Option<u32> {
-                Some(1)
             }
         }
         match encode_program(&Bad, 128) {

@@ -45,8 +45,8 @@ pub(crate) enum Op {
 ///
 /// Replay is deterministic by construction: the instruction stream is a
 /// table lookup, so `instr(cta, warp, pc)` is pure and the traced run is
-/// bit-identical across the event, stepped and parallel engines — exactly
-/// the property the synthetic generators already have.
+/// bit-identical across the event and stepped engines — exactly the
+/// property the synthetic generators already have.
 #[derive(Debug, Clone)]
 pub struct TracedKernel {
     pub(crate) name: String,
@@ -129,15 +129,6 @@ impl KernelProgram for TracedKernel {
         self.max_ctas_per_core
     }
 
-    fn warp_instr_count(&self, cta: CtaId, warp: u32) -> Option<u32> {
-        let w = self.warp_slot(cta, warp)?;
-        let (s, e) = (*self.starts.get(w)?, *self.starts.get(w + 1)?);
-        // Windows are built as prefix sums, so e >= s always holds; the
-        // exactness contract (never overstate) follows from `instr`
-        // decoding the same window.
-        Some(e.saturating_sub(s))
-    }
-
     fn instr(&self, cta: CtaId, warp: u32, pc: u32) -> Option<WarpInstr> {
         let w = self.warp_slot(cta, warp)?;
         let (s, e) = (*self.starts.get(w)?, *self.starts.get(w + 1)?);
@@ -211,12 +202,8 @@ mod tests {
     }
 
     #[test]
-    fn counts_are_exact_and_out_of_grid_is_none() {
+    fn out_of_grid_is_none() {
         let k = tiny();
-        assert_eq!(k.warp_instr_count(CtaId::new(0), 0), Some(2));
-        assert_eq!(k.warp_instr_count(CtaId::new(1), 0), Some(1));
-        assert_eq!(k.warp_instr_count(CtaId::new(2), 0), None);
-        assert_eq!(k.warp_instr_count(CtaId::new(0), 1), None);
         assert_eq!(k.instr(CtaId::new(2), 0, 0), None);
         assert_eq!(k.instr(CtaId::new(0), 1, 0), None);
         assert_eq!(k.instr(CtaId::new(0), 0, u32::MAX), None);

@@ -32,7 +32,8 @@
 //! ";
 //! let kernel = gpumem_tracefmt::parse_str(text).unwrap();
 //! assert_eq!(kernel.name(), "axpy");
-//! assert_eq!(kernel.warp_instr_count(gpumem_types::CtaId::new(0), 0), Some(2));
+//! assert!(kernel.instr(gpumem_types::CtaId::new(0), 0, 1).is_some());
+//! assert!(kernel.instr(gpumem_types::CtaId::new(0), 0, 2).is_none());
 //! ```
 
 #![forbid(unsafe_code)]

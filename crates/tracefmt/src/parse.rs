@@ -682,8 +682,8 @@ end
         assert_eq!(k.max_ctas_per_core(), usize::MAX);
         assert_eq!(k.shmem_bytes(), 2048);
         assert_eq!(k.line_bytes(), 128);
-        assert_eq!(k.warp_instr_count(CtaId::new(0), 0), Some(3));
-        assert_eq!(k.warp_instr_count(CtaId::new(1), 0), Some(1));
+        assert_eq!(k.instr(CtaId::new(0), 0, 3), None);
+        assert_eq!(k.instr(CtaId::new(1), 0, 1), None);
         assert_eq!(
             k.instr(CtaId::new(0), 0, 0),
             Some(WarpInstr::Load {

@@ -1,12 +1,11 @@
-//! Typed simulation errors, wedge diagnoses and degradation records.
+//! Typed simulation errors and wedge diagnoses.
 //!
 //! The model hot paths (queues, crossbar ports, MSHRs, DRAM) report
 //! invariant violations as [`SimError`] values instead of panicking, so a
-//! long sweep survives one bad run, a wedged machine produces a structured
-//! [`WedgeDiagnosis`] instead of hanging, and a parallel engine that loses
-//! a worker can downgrade to the sequential engine and record the
-//! [`Degradation`] in its report. The `no-panic-in-model` simlint rule
-//! keeps the model crates honest about this contract.
+//! long sweep survives one bad run and a wedged machine produces a
+//! structured [`WedgeDiagnosis`] instead of hanging. The
+//! `no-panic-in-model` simlint rule keeps the model crates honest about
+//! this contract.
 
 use std::fmt;
 
@@ -74,16 +73,6 @@ pub enum SimError {
         /// What the protocol expected vs what happened.
         detail: String,
     },
-    /// A parallel worker panicked mid-phase; shard state may be
-    /// inconsistent, so the run could not be resumed.
-    WorkerPanic {
-        /// Cycle the worker died in.
-        cycle: u64,
-        /// Shard-chunk index of the dead worker.
-        chunk: usize,
-        /// The panic payload, if it was a string.
-        message: String,
-    },
     /// The per-run wall-clock budget was exceeded (host time, not
     /// simulated time).
     DeadlineExceeded {
@@ -96,17 +85,14 @@ pub enum SimError {
 
 impl SimError {
     /// True when the failure depends on *host* conditions (wall-clock
-    /// load, a panicking worker thread) rather than on the simulated
-    /// machine. Host-dependent failures are worth retrying — the same
-    /// inputs can succeed on a quieter machine or a luckier schedule.
+    /// load) rather than on the simulated machine. Host-dependent
+    /// failures are worth retrying — the same inputs can succeed on a
+    /// quieter machine.
     /// Everything else is bit-reproducible from `(config, workload,
     /// engine)`: a wedge, a queue overflow or an expired cycle budget will
     /// fail the retry identically, so retry policies fail fast on them.
     pub fn is_host_dependent(&self) -> bool {
-        matches!(
-            self,
-            SimError::DeadlineExceeded { .. } | SimError::WorkerPanic { .. }
-        )
+        matches!(self, SimError::DeadlineExceeded { .. })
     }
 }
 
@@ -152,14 +138,6 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "port protocol violation in {component} at cycle {cycle}: {detail}"
-            ),
-            SimError::WorkerPanic {
-                cycle,
-                chunk,
-                message,
-            } => write!(
-                f,
-                "parallel worker for chunk {chunk} panicked at cycle {cycle}: {message}"
             ),
             SimError::DeadlineExceeded {
                 cycle,
@@ -265,15 +243,6 @@ impl fmt::Display for WedgeDiagnosis {
     }
 }
 
-/// A recorded downgrade from the parallel engine to the sequential one.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Degradation {
-    /// Cycle at which the parallel engine was abandoned.
-    pub at_cycle: u64,
-    /// Why (e.g. which worker died).
-    pub reason: String,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,12 +300,6 @@ mod tests {
             budget_seconds: 0.5
         }
         .is_host_dependent());
-        assert!(SimError::WorkerPanic {
-            cycle: 1,
-            chunk: 0,
-            message: "boom".into()
-        }
-        .is_host_dependent());
         // Deterministic failures reproduce bit-identically on retry.
         assert!(!SimError::Watchdog {
             cycle: 1,
@@ -350,16 +313,5 @@ mod tests {
             cycle: 1
         }
         .is_host_dependent());
-    }
-
-    #[test]
-    fn degradation_round_trips_through_serde() {
-        let d = Degradation {
-            at_cycle: 77,
-            reason: "worker panic in chunk 2".into(),
-        };
-        let json = serde_json::to_string(&d).unwrap();
-        let back: Degradation = serde_json::from_str(&json).unwrap();
-        assert_eq!(d, back);
     }
 }

@@ -135,8 +135,7 @@ impl Histogram {
 /// bucket 0 alongside 1). The bucket vector grows on demand, so an empty or
 /// low-latency histogram stays tiny; [`merge`](Log2Histogram::merge) is an
 /// element-wise sum and therefore commutative and associative — merging
-/// per-shard histograms in any order yields the same result, which is what
-/// makes the traced reports bit-identical across engines.
+/// per-core histograms in any order yields the same result.
 ///
 /// # Example
 ///

@@ -56,7 +56,7 @@ mod sweep;
 pub use addr::{Addr, LineAddr};
 pub use cycle::Cycle;
 pub use due::DueHeap;
-pub use error::{ComponentOccupancy, Degradation, OldestFetch, SimError, WedgeDiagnosis};
+pub use error::{ComponentOccupancy, OldestFetch, SimError, WedgeDiagnosis};
 pub use fetch::{AccessKind, CycleStamp, FetchId, FetchTimeline, MemFetch};
 pub use histogram::{Histogram, Log2Histogram};
 pub use host::{host_wall_clock, HostStopwatch};

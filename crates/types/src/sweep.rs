@@ -97,7 +97,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// The content address of one sweep cell: a 128-bit FNV-1a digest of the
 /// cell's canonical description (configuration, workload parameters, seed,
-/// engine, epoch policy and code-version salt).
+/// engine and code-version salt).
 ///
 /// Two cells with the same key are guaranteed to describe the same
 /// simulation, so a stored result can be served instead of recomputing.

@@ -38,8 +38,8 @@ impl WorkloadKind {
     /// Instantiates the kernel the engines will run.
     ///
     /// Both arms produce pure, repeatedly-callable programs, so a traced
-    /// workload replays bit-identically across the event, stepped and
-    /// parallel engines exactly like a synthetic one.
+    /// workload replays bit-identically across the event and stepped
+    /// engines exactly like a synthetic one.
     pub fn program(&self) -> Arc<dyn KernelProgram> {
         match self {
             WorkloadKind::Synthetic(p) => Arc::new(SyntheticKernel::new(p.clone())),
@@ -70,10 +70,12 @@ mod tests {
         for cta in 0..a.grid_ctas() {
             for warp in 0..a.warps_per_cta() {
                 let id = CtaId::new(cta);
-                assert_eq!(a.warp_instr_count(id, warp), b.warp_instr_count(id, warp));
-                let n = a.warp_instr_count(id, warp).expect("in grid");
-                for pc in 0..=n {
-                    assert_eq!(a.instr(id, warp, pc), b.instr(id, warp, pc));
+                for pc in 0.. {
+                    let instr = a.instr(id, warp, pc);
+                    assert_eq!(instr, b.instr(id, warp, pc));
+                    if instr.is_none() {
+                        break;
+                    }
                 }
             }
         }

@@ -141,18 +141,6 @@ impl KernelProgram for SyntheticKernel {
         self.params.max_ctas_per_core
     }
 
-    fn warp_instr_count(&self, _cta: CtaId, _warp: u32) -> Option<u32> {
-        // Every warp runs the same loop: `instr` returns `Some` exactly
-        // for pc < iters * instrs_per_iter, so the count is exact — the
-        // soundness requirement the epoch engine's retirement bound
-        // places on this hint.
-        Some(
-            self.params
-                .iters
-                .saturating_mul(self.params.instrs_per_iter()),
-        )
-    }
-
     fn instr(&self, cta: CtaId, warp: u32, pc: u32) -> Option<WarpInstr> {
         let p = &self.params;
         let body = p.instrs_per_iter();
@@ -211,18 +199,6 @@ mod tests {
         p.pattern = AccessPattern::Gather;
         p.reuse_fraction = 0.3;
         SyntheticKernel::new(p)
-    }
-
-    #[test]
-    fn warp_instr_count_is_exact() {
-        let k = kernel();
-        let cta = CtaId::new(1);
-        let total = k.warp_instr_count(cta, 1).unwrap();
-        assert!(total > 0);
-        for pc in 0..total {
-            assert!(k.instr(cta, 1, pc).is_some(), "pc {pc} under-counted");
-        }
-        assert!(k.instr(cta, 1, total).is_none(), "count overstated");
     }
 
     #[test]

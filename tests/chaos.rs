@@ -4,10 +4,9 @@
 //! The contract under test: for *any* [`ChaosConfig`] schedule a run
 //! either completes, returns a typed [`SimError`], or trips the watchdog
 //! within its horizon — it never hangs and never panics. Chaos schedules
-//! are seed-deterministic and engine-independent: the same seed produces
-//! bit-identical outcomes from the serial and sharded-parallel engines at
-//! every thread count, and a chaos-off run is bit-identical to a run with
-//! no chaos attached at all.
+//! are seed-deterministic: the same seed produces bit-identical outcomes
+//! through `run()` and `run_stepped()`, and a chaos-off run is
+//! bit-identical to a run with no chaos attached at all.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -93,14 +92,14 @@ fn canonical(outcome: &Result<SimReport, SimError>) -> String {
 
 proptest! {
     /// For any chaos schedule the run terminates with some outcome within
-    /// a hard wall-clock bound, and the serial and parallel engines agree
-    /// bit-for-bit on what that outcome is.
+    /// a hard wall-clock bound, and `run()` (which must fall back to
+    /// per-cycle stepping while chaos is armed) agrees bit-for-bit with
+    /// `run_stepped()` on what that outcome is.
     #[test]
     fn any_chaos_schedule_terminates_identically_on_every_engine(
         seed in 0u64..u64::MAX,
         intervals in (0u64..150, 0u64..150, 0u64..200, 0u64..200),
         durations in (1u64..48, 1u64..48, 1u64..96),
-        threads in 1usize..5,
         workload_seed in 0u64..u64::MAX,
     ) {
         let chaos = ChaosConfig {
@@ -113,17 +112,16 @@ proptest! {
             dram_lockout_interval: intervals.3,
             dram_lockout_duration: durations.2,
             wedge_at: None,
-            worker_panic_at: None,
         };
         let cfg = small_gpu();
         let program = tiny_kernel(workload_seed);
-        let (serial, parallel) = with_timeout(120, move || {
-            let serial = chaos_sim(&cfg, &program, chaos).run_stepped(CYCLE_CAP);
-            let parallel = chaos_sim(&cfg, &program, chaos).run_parallel(CYCLE_CAP, threads);
-            (canonical(&serial), canonical(&parallel))
+        let (stepped, event) = with_timeout(120, move || {
+            let stepped = chaos_sim(&cfg, &program, chaos).run_stepped(CYCLE_CAP);
+            let event = chaos_sim(&cfg, &program, chaos).run(CYCLE_CAP);
+            (canonical(&stepped), canonical(&event))
         });
         prop_assert_eq!(
-            serial, parallel,
+            stepped, event,
             "chaos schedule diverged between engines"
         );
     }
@@ -144,10 +142,6 @@ fn chaos_off_is_bit_identical_to_no_chaos() {
     assert_eq!(canonical(&stepped), reference);
     let skipping = chaos_sim(&cfg, &program, off).run(CYCLE_CAP);
     assert_eq!(canonical(&skipping), reference);
-    for threads in [1, 2, 4] {
-        let par = chaos_sim(&cfg, &program, off).run_parallel(CYCLE_CAP, threads);
-        assert_eq!(canonical(&par), reference, "{threads} threads");
-    }
 }
 
 #[test]
@@ -205,70 +199,11 @@ fn wedge_is_diagnosed_within_horizon_by_every_engine() {
         "a wedge strands at least one in-flight fetch"
     );
 
-    // The skipping and parallel engines must reach the very same error.
+    // The skipping engine must reach the very same error.
     let skipping = chaos_sim(&cfg, &program, chaos)
         .run(CYCLE_CAP)
         .expect_err("wedged");
     assert_eq!(skipping, err, "skipping engine diverged");
-    for threads in [1, 2, 4] {
-        let (cfg2, program2) = (cfg.clone(), Arc::clone(&program));
-        let par = with_timeout(120, move || {
-            chaos_sim(&cfg2, &program2, chaos).run_parallel(CYCLE_CAP, threads)
-        })
-        .expect_err("wedged");
-        assert_eq!(par, err, "parallel engine at {threads} threads diverged");
-    }
-}
-
-#[test]
-fn injected_worker_panic_degrades_to_the_sequential_engine() {
-    // The graceful-degradation fixture kills one worker mid-run; the
-    // parallel engine must absorb it, resume sequentially, record the
-    // downgrade, and still produce the exact reference report.
-    let cfg = small_gpu();
-    let program = suite_kernel("nw");
-    let mut reference = GpuSimulator::new(cfg.clone(), Arc::clone(&program), MemoryMode::Hierarchy);
-    let reference = reference.run_stepped(CYCLE_CAP).unwrap();
-    assert!(reference.degraded.is_none());
-
-    let mut chaos = ChaosConfig::disabled(11);
-    chaos.worker_panic_at = Some(300);
-    for threads in [2, 4] {
-        let (cfg2, program2) = (cfg.clone(), Arc::clone(&program));
-        let report = with_timeout(120, move || {
-            chaos_sim(&cfg2, &program2, chaos).run_parallel(CYCLE_CAP, threads)
-        })
-        .unwrap_or_else(|e| panic!("degraded run must still complete: {e}"));
-        let degraded = report
-            .degraded
-            .clone()
-            .expect("the downgrade must be recorded in the report");
-        assert!(degraded.at_cycle >= 300, "panic injected at cycle 300");
-        assert!(
-            degraded.reason.contains("sequential"),
-            "reason must say where the run went: {}",
-            degraded.reason
-        );
-        // Identical to the reference in every field except the host block
-        // and the degradation record itself.
-        let mut a = reference.clone();
-        let mut b = report;
-        a.host = None;
-        a.degraded = None;
-        b.host = None;
-        b.degraded = None;
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "degraded run diverged from the reference at {threads} threads"
-        );
-    }
-
-    // The serial engines ignore the fixture entirely.
-    let serial = chaos_sim(&cfg, &program, chaos)
-        .run_stepped(CYCLE_CAP)
-        .unwrap();
-    assert!(serial.degraded.is_none());
 }
 
 #[test]
@@ -283,10 +218,10 @@ fn zero_deadline_returns_a_typed_error() {
         }
         other => panic!("expected a deadline error, got {other:?}"),
     }
-    // The parallel engine honours the same budget.
+    // The event engine honours the same budget.
     let mut sim = GpuSimulator::new(cfg, program, MemoryMode::Hierarchy);
     sim.set_deadline_seconds(Some(0.0));
-    match sim.run_parallel(CYCLE_CAP, 2) {
+    match sim.run(CYCLE_CAP) {
         Err(SimError::DeadlineExceeded { .. }) => {}
         other => panic!("expected a deadline error, got {other:?}"),
     }

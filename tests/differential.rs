@@ -1,24 +1,16 @@
-//! Both alternative execution engines must be observationally invisible:
-//! for every benchmark and memory mode, [`GpuSimulator::run`] (which
-//! fast-forwards across provably inert cycles) and
-//! [`GpuSimulator::run_parallel`] (which shards each cycle across worker
-//! threads) must produce a [`SimReport`] that is bit-identical to
-//! [`GpuSimulator::run_stepped`] (the per-cycle serial reference
+//! The event-driven engine must be observationally invisible: for every
+//! benchmark, memory mode and machine shape, [`GpuSimulator::run`] (which
+//! fast-forwards across provably inert cycles and steps only the
+//! components that can act) must produce a [`SimReport`] that is
+//! bit-identical to [`GpuSimulator::run_stepped`] (the per-cycle reference
 //! semantics) in every field except the host-side wall-clock block.
-//!
-//! The thread counts exercised default to {1, 2, 4, 8} and can be
-//! overridden via `GPUMEM_DIFF_THREADS` (comma-separated), which is how
-//! the CI matrix pins specific counts. The epoch axis defaults to
-//! {1, 2, hop_latency, auto} and can be pinned the same way via
-//! `GPUMEM_DIFF_EPOCH`, so the full threads × epoch grid is covered
-//! across matrix legs.
 
 use std::sync::Arc;
 
 use gpumem::prelude::*;
 use gpumem::DEFAULT_MAX_CYCLES;
-use gpumem_sim::{EpochPolicy, KernelProgram, SimError};
-use gpumem_workloads::{params_of, SyntheticKernel, BENCHMARK_NAMES};
+use gpumem_sim::{KernelProgram, SimError};
+use gpumem_workloads::{extended_names, params_of, SyntheticKernel};
 
 fn small_gpu() -> GpuConfig {
     let mut cfg = GpuConfig::gtx480();
@@ -27,52 +19,21 @@ fn small_gpu() -> GpuConfig {
     cfg
 }
 
+/// The machine shapes every comparison runs on. The second funnels all
+/// traffic through one partition behind a single-cycle crossbar hop, so a
+/// component's wake-up lands on the cycle right after the event that
+/// caused it — the tightest coupling the event kernel's wake bounds see.
+fn machines() -> [(&'static str, GpuConfig); 2] {
+    let mut funnel = small_gpu();
+    funnel.num_cores = 2;
+    funnel.num_partitions = 1;
+    funnel.noc.hop_latency = 1;
+    [("3c/2p", small_gpu()), ("2c/1p/hop1", funnel)]
+}
+
 fn kernel(name: &str) -> Arc<dyn KernelProgram> {
     let p = params_of(name).unwrap().scaled(0.1);
     Arc::new(SyntheticKernel::new(p))
-}
-
-/// Thread counts the parallel comparisons run at.
-fn diff_threads() -> Vec<usize> {
-    match std::env::var("GPUMEM_DIFF_THREADS") {
-        Ok(s) => s
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("bad GPUMEM_DIFF_THREADS entry {t:?}"))
-            })
-            .collect(),
-        Err(_) => vec![1, 2, 4, 8],
-    }
-}
-
-/// Epoch policies the parallel comparisons run at, keyed by the
-/// `GPUMEM_DIFF_EPOCH` spelling used in the CI matrix: `1` and `2` are
-/// fixed epoch lengths, `hop_latency` is the configured cross-shard
-/// latency, `auto` lets the engine derive the length each round.
-fn diff_epochs(cfg: &GpuConfig) -> Vec<(String, EpochPolicy)> {
-    let parse = |s: &str| match s {
-        "1" => EpochPolicy::Fixed(1),
-        "2" => EpochPolicy::Fixed(2),
-        "hop_latency" => EpochPolicy::Fixed(cfg.noc.hop_latency),
-        "auto" => EpochPolicy::Auto,
-        other => panic!("bad GPUMEM_DIFF_EPOCH entry {other:?}"),
-    };
-    let spellings: Vec<String> = match std::env::var("GPUMEM_DIFF_EPOCH") {
-        Ok(s) => s.split(',').map(|t| t.trim().to_owned()).collect(),
-        Err(_) => ["1", "2", "hop_latency", "auto"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect(),
-    };
-    spellings
-        .into_iter()
-        .map(|s| {
-            let policy = parse(&s);
-            (s, policy)
-        })
-        .collect()
 }
 
 /// Serializes a report with the host block removed (it legitimately
@@ -82,68 +43,43 @@ fn canonical(mut report: SimReport) -> String {
     serde_json::to_string(&report).unwrap()
 }
 
-/// Runs one benchmark through every engine and asserts the reports
-/// serialize to the exact same JSON once the host block is removed. One
-/// stepped reference run serves all comparisons.
-fn assert_differential(cfg: &GpuConfig, name: &str, mode: MemoryMode) {
+/// Runs one benchmark through both engines and asserts the reports
+/// serialize to the exact same JSON once the host block is removed.
+fn assert_differential(shape: &str, cfg: &GpuConfig, name: &str, mode: MemoryMode) {
     let program = kernel(name);
     let mut stepped = GpuSimulator::new(cfg.clone(), Arc::clone(&program), mode);
     let reference = canonical(stepped.run_stepped(DEFAULT_MAX_CYCLES).unwrap());
     assert_eq!(
         stepped.skipped_cycles(),
         0,
-        "{name}/{mode}: reference run must never skip"
+        "{shape}/{name}/{mode}: reference run must never skip"
     );
 
-    let mut skipping = GpuSimulator::new(cfg.clone(), Arc::clone(&program), mode);
+    let mut skipping = GpuSimulator::new(cfg.clone(), program, mode);
     let skipped = canonical(skipping.run(DEFAULT_MAX_CYCLES).unwrap());
     assert_eq!(
         skipped, reference,
-        "{name}/{mode}: skipping run diverged from per-cycle reference"
+        "{shape}/{name}/{mode}: skipping run diverged from per-cycle reference"
     );
+}
 
-    for threads in diff_threads() {
-        for (spelling, policy) in diff_epochs(cfg) {
-            let mut par = GpuSimulator::new(cfg.clone(), Arc::clone(&program), mode);
-            let report = par
-                .run_parallel_with(DEFAULT_MAX_CYCLES, threads, policy)
-                .unwrap();
-            assert_eq!(
-                report.host.as_ref().map(|h| h.threads),
-                Some(threads.max(1) as u64),
-                "{name}/{mode}: host block must record the thread count"
-            );
-            assert!(
-                report
-                    .host
-                    .as_ref()
-                    .is_some_and(|h| h.epoch_rounds.is_some()),
-                "{name}/{mode}: host block must record epoch accounting"
-            );
-            assert_eq!(
-                canonical(report),
-                reference,
-                "{name}/{mode}: parallel run at {threads} threads, \
-                 epoch {spelling} diverged from per-cycle reference"
-            );
+/// Every workload of the extended suite on every machine shape.
+fn assert_suite_differential(mode: MemoryMode) {
+    for (shape, cfg) in machines() {
+        for name in extended_names() {
+            assert_differential(shape, &cfg, name, mode);
         }
     }
 }
 
 #[test]
 fn hierarchy_reports_are_bit_identical() {
-    let cfg = small_gpu();
-    for name in BENCHMARK_NAMES {
-        assert_differential(&cfg, name, MemoryMode::Hierarchy);
-    }
+    assert_suite_differential(MemoryMode::Hierarchy);
 }
 
 #[test]
 fn fixed_latency_reports_are_bit_identical() {
-    let cfg = small_gpu();
-    for name in BENCHMARK_NAMES {
-        assert_differential(&cfg, name, MemoryMode::FixedLatency(800));
-    }
+    assert_suite_differential(MemoryMode::FixedLatency(800));
 }
 
 #[test]
@@ -173,7 +109,7 @@ fn watchdog_fires_identically_under_skipping() {
     for mode in [MemoryMode::Hierarchy, MemoryMode::FixedLatency(800)] {
         let program = kernel("cfd");
         let a = GpuSimulator::new(cfg.clone(), Arc::clone(&program), mode).run(budget);
-        let b = GpuSimulator::new(cfg.clone(), Arc::clone(&program), mode).run_stepped(budget);
+        let b = GpuSimulator::new(cfg.clone(), program, mode).run_stepped(budget);
         let a = a.expect_err("budget too small to finish");
         let b = b.expect_err("budget too small to finish");
         assert_eq!(a, b, "{mode}: watchdog divergence");
@@ -181,10 +117,5 @@ fn watchdog_fires_identically_under_skipping() {
             SimError::Watchdog { cycle, .. } => assert_eq!(cycle, budget),
             other => panic!("expected a budget watchdog error, got {other}"),
         }
-        // The parallel engine restores the machine before diagnosing, so
-        // its watchdog error must be identical too.
-        let c = GpuSimulator::new(cfg.clone(), program, mode).run_parallel(budget, 4);
-        let c = c.expect_err("budget too small to finish");
-        assert_eq!(c, b, "{mode}: parallel watchdog divergence");
     }
 }

@@ -1,12 +1,15 @@
 //! Property tests for the event-horizon protocol: arbitrary interleavings
 //! of [`GpuSimulator::step`] and [`GpuSimulator::fast_forward_to`] must end
-//! in exactly the same [`SimReport`] as pure per-cycle stepping, and
-//! [`GpuSimulator::next_event`] must never name a cycle in the past.
+//! in exactly the same [`SimReport`] as pure per-cycle stepping,
+//! [`GpuSimulator::next_event`] must never name a cycle in the past, and
+//! the event kernel behind [`GpuSimulator::run`] must match
+//! [`GpuSimulator::run_stepped`] on generated workloads, not only on the
+//! named suite `tests/differential.rs` covers.
 
 use std::sync::Arc;
 
 use gpumem::prelude::*;
-use gpumem_sim::{EpochPolicy, KernelProgram};
+use gpumem_sim::KernelProgram;
 use gpumem_workloads::{AccessPattern, SyntheticKernel, WorkloadParams};
 use proptest::prelude::*;
 
@@ -105,9 +108,9 @@ fn assert_interleaving_invisible(p: &WorkloadParams, mode: MemoryMode, coin_seed
     prop_assert_eq!(ja, jb, "interleaved run diverged from stepped reference");
 }
 
-/// Runs `program` serially stepped and sharded over `threads` workers;
-/// final reports must serialize identically (host block excluded).
-fn assert_parallel_invisible(p: &WorkloadParams, mode: MemoryMode, threads: usize) {
+/// Runs `program` per-cycle stepped and on the event kernel; final
+/// reports must serialize identically (host block excluded).
+fn assert_event_kernel_invisible(p: &WorkloadParams, mode: MemoryMode) {
     let cfg = tiny_gpu();
     let program: Arc<dyn KernelProgram> = Arc::new(SyntheticKernel::new(p.clone()));
 
@@ -116,83 +119,38 @@ fn assert_parallel_invisible(p: &WorkloadParams, mode: MemoryMode, threads: usiz
         .run_stepped(CYCLE_CAP)
         .expect("reference run finishes");
     let mut sim = GpuSimulator::new(cfg, program, mode);
-    let mut b = sim
-        .run_parallel(CYCLE_CAP, threads)
-        .expect("parallel run finishes");
+    let mut b = sim.run(CYCLE_CAP).expect("event-kernel run finishes");
     a.host = None;
     b.host = None;
     let ja = serde_json::to_string(&a).unwrap();
     let jb = serde_json::to_string(&b).unwrap();
-    prop_assert_eq!(ja, jb, "parallel run diverged from stepped reference");
+    prop_assert_eq!(ja, jb, "event kernel diverged from stepped reference");
 }
 
 proptest! {
     #[test]
-    fn parallel_stepping_matches_serial_hierarchy(
+    fn event_kernel_matches_stepping_hierarchy(
         knobs in (1u32..4, 1u32..3, 1u32..6, 0u32..3, 1u32..9, 0u8..4),
         l1_reuse in 0.0f64..0.5,
         barrier in proptest::arbitrary::any::<bool>(),
-        threads in 1usize..6,
         seed in 0u64..u64::MAX,
     ) {
         let (ctas, warps, iters, loads, lines, pat) = knobs;
         let p = workload(ctas, warps, iters, loads, lines, pat, l1_reuse, barrier, seed);
-        assert_parallel_invisible(&p, MemoryMode::Hierarchy, threads);
-    }
-
-    /// Epoch-mailbox delivery order must be a function of the machine
-    /// alone, never of worker scheduling: the same workload sharded over
-    /// different worker counts (and so different shard→worker maps and
-    /// free-run interleavings) must produce byte-identical reports at the
-    /// same epoch policy, because mailboxes are drained in total
-    /// shard-id-then-cycle merge order at every barrier.
-    #[test]
-    fn epoch_mailbox_order_is_independent_of_worker_scheduling(
-        knobs in (1u32..4, 1u32..3, 1u32..6, 0u32..3, 1u32..9, 0u8..4),
-        l1_reuse in 0.0f64..0.5,
-        epoch in prop_oneof![
-            (2u64..10).prop_map(EpochPolicy::Fixed),
-            Just(EpochPolicy::Auto),
-        ],
-        seed in 0u64..u64::MAX,
-    ) {
-        let (ctas, warps, iters, loads, lines, pat) = knobs;
-        let p = workload(ctas, warps, iters, loads, lines, pat, l1_reuse, false, seed);
-        let cfg = tiny_gpu();
-        let program: Arc<dyn KernelProgram> = Arc::new(SyntheticKernel::new(p));
-        let mut baseline: Option<String> = None;
-        for threads in [1usize, 2, 3, 5] {
-            let mut sim = GpuSimulator::new(cfg.clone(), Arc::clone(&program), MemoryMode::Hierarchy);
-            let mut report = sim
-                .run_parallel_with(CYCLE_CAP, threads, epoch)
-                .expect("parallel run finishes");
-            report.host = None;
-            let json = serde_json::to_string(&report).unwrap();
-            match &baseline {
-                None => baseline = Some(json),
-                Some(want) => prop_assert_eq!(
-                    &json, want,
-                    "worker count {} reordered epoch-mailbox delivery under {:?}",
-                    threads, epoch
-                ),
-            }
-        }
+        assert_event_kernel_invisible(&p, MemoryMode::Hierarchy);
     }
 
     #[test]
-    fn parallel_stepping_matches_serial_fixed(
+    fn event_kernel_matches_stepping_fixed(
         knobs in (1u32..4, 1u32..3, 1u32..6, 0u32..3, 1u32..9, 0u8..4),
         latency in 0u64..1_000,
-        threads in 1usize..6,
         seed in 0u64..u64::MAX,
     ) {
         let (ctas, warps, iters, loads, lines, pat) = knobs;
         let p = workload(ctas, warps, iters, loads, lines, pat, 0.2, false, seed);
-        assert_parallel_invisible(&p, MemoryMode::FixedLatency(latency), threads);
+        assert_event_kernel_invisible(&p, MemoryMode::FixedLatency(latency));
     }
-}
 
-proptest! {
     #[test]
     fn interleaved_fast_forward_matches_stepping_hierarchy(
         knobs in (1u32..4, 1u32..3, 1u32..6, 0u32..3, 1u32..9, 0u8..4),

@@ -3,12 +3,11 @@
 //! This wires `cargo run -p gpumem-lint -- check` into `cargo test -q`: any
 //! nondeterminism hazard (unordered hash container, wall-clock read,
 //! environment read, thread-identity dependence), `unsafe` token, missing
-//! `#![forbid(unsafe_code)]`, unbalanced `take_ports`/`restore_ports`, or
-//! drift between `crates/config` and the paper's Table I manifest fails the
-//! build with `file:line` diagnostics — before any differential run could
-//! notice the symptom. The flow-sensitive simcheck tier rides in the same
-//! pass: shard-isolation for the epoch engine, fetch-slot leak freedom,
-//! and queue/credit deadlock freedom across the whole workspace.
+//! `#![forbid(unsafe_code)]`, or drift between `crates/config` and the
+//! paper's Table I manifest fails the build with `file:line` diagnostics —
+//! before any differential run could notice the symptom. The flow-sensitive simcheck tier rides in the same
+//! pass: fetch-slot leak freedom and queue/credit deadlock freedom across
+//! the whole workspace.
 
 use std::path::Path;
 
@@ -118,11 +117,7 @@ fn seeded_simcheck_violations_are_detected() {
     // workspace check uses.
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/lint/tests/fixtures");
     let mut inputs = Vec::new();
-    for name in [
-        "parallel_cross_shard.rs",
-        "arena_slot_leak.rs",
-        "credit_cycle.rs",
-    ] {
+    for name in ["arena_slot_leak.rs", "credit_cycle.rs"] {
         inputs.push(gpumem_lint::FileInput {
             label: name.to_owned(),
             source: std::fs::read_to_string(fixtures.join(name)).expect("fixture exists"),
@@ -130,7 +125,7 @@ fn seeded_simcheck_violations_are_detected() {
         });
     }
     let diags = gpumem_lint::lint_files(&inputs);
-    for rule in ["shard-isolation", "fetch-slot-leak", "queue-deadlock"] {
+    for rule in ["fetch-slot-leak", "queue-deadlock"] {
         assert!(
             diags.iter().any(|d| d.rule == rule),
             "{rule} did not fire on its seeded fixture:\n{}",

@@ -2,9 +2,9 @@
 //!
 //! Three guarantees back the latency-breakdown numbers:
 //!
-//! 1. **Merge insensitivity** — per-shard histograms combine to the same
-//!    result no matter how the shards are grouped or ordered, so the
-//!    parallel engine's reassembly cannot perturb the breakdown.
+//! 1. **Merge insensitivity** — per-core histograms combine to the same
+//!    result no matter how they are grouped or ordered, so the report
+//!    builder's merge order cannot perturb the breakdown.
 //! 2. **Observational transparency** — enabling tracing must not change a
 //!    single bit of the rest of the [`SimReport`]; the instrument cannot
 //!    disturb the experiment.
@@ -49,8 +49,8 @@ fn shard_strategy() -> impl Strategy<Value = Vec<Vec<u64>>> {
 proptest! {
     /// Folding per-shard histograms forward, backward, or recording every
     /// value into one histogram directly all yield identical state, so the
-    /// fixed shard ordering the engines use is a convention, not a
-    /// correctness requirement.
+    /// core-index merge order the report builder uses is a convention, not
+    /// a correctness requirement.
     #[test]
     fn histogram_merge_is_order_insensitive(shards in shard_strategy()) {
         let per_shard: Vec<Log2Histogram> = shards

@@ -2,9 +2,8 @@
 //! eight benchmarks plus the three ML kernels — encoded to the
 //! `gpumem-trace v1` text format, decoded back, and simulated must be
 //! bit-identical (full `SimReport`, host block stripped) to simulating
-//! the synthetic program directly, in both memory modes and on every
-//! engine: the per-cycle stepped oracle, the event-driven engine, and
-//! sharded parallel stepping at 1, 2, 4 and 8 threads.
+//! the synthetic program directly, in both memory modes and on both
+//! engines: the per-cycle stepped oracle and the event-driven engine.
 //!
 //! This is the trace frontend's core guarantee: a trace is a *complete*
 //! description of a workload, so replay admits no drift from the program
@@ -18,7 +17,7 @@ use gpumem_sim::{GpuSimulator, KernelProgram, SimReport};
 use gpumem_tracefmt::{encode_program, parse_str};
 use gpumem_workloads::{extended_names, params_of, SyntheticKernel};
 
-/// Small machine so the full grid (11 workloads × 2 modes × 7 runs × 2
+/// Small machine so the full grid (11 workloads × 2 modes × 2 engines × 2
 /// frontends) stays fast; shape mirrors the golden harness.
 fn small_gpu() -> GpuConfig {
     let mut cfg = GpuConfig::gtx480();
@@ -28,7 +27,6 @@ fn small_gpu() -> GpuConfig {
 }
 
 const SCALE: f64 = 0.05;
-const THREADS: &[usize] = &[1, 2, 4, 8];
 
 /// Full-report canonical form: only the host block (wall-clock
 /// throughput) may differ between engines and frontends.
@@ -47,12 +45,7 @@ fn run_engine(
     let mut sim = GpuSimulator::new(cfg.clone(), Arc::clone(program), mode);
     match engine {
         "stepped" => sim.run_stepped(DEFAULT_MAX_CYCLES),
-        "event" => sim.run(DEFAULT_MAX_CYCLES),
-        threads => sim.run_parallel_with(
-            DEFAULT_MAX_CYCLES,
-            threads.parse().expect("thread count"),
-            EpochPolicy::Auto,
-        ),
+        _ => sim.run(DEFAULT_MAX_CYCLES),
     }
     .unwrap_or_else(|e| panic!("{} / {mode} / {engine}: {e}", program.name()))
 }
@@ -69,9 +62,7 @@ fn check_mode(mode: MemoryMode) {
         );
 
         let reference = canonical(&run_engine(&cfg, &direct, mode, "stepped"));
-        let mut engines: Vec<String> = vec!["stepped".into(), "event".into()];
-        engines.extend(THREADS.iter().map(|n| n.to_string()));
-        for engine in &engines {
+        for engine in ["stepped", "event"] {
             for (frontend, program) in [("synthetic", &direct), ("traced", &traced)] {
                 let got = canonical(&run_engine(&cfg, program, mode, engine));
                 assert_eq!(
