@@ -10,7 +10,7 @@
 fn main() {
     use gpumem::prelude::*;
     let cfg = GpuConfig::gtx480();
-    // simlint::allow(no-env, reason = "host CLI argument parsing")
+    #[expect(clippy::disallowed_methods, reason = "host CLI argument parsing")]
     let args: Vec<String> = std::env::args().skip(1).collect();
     let names: Vec<&str> = if args.is_empty() {
         vec!["nn", "lbm", "cfd"]

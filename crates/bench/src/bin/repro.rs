@@ -81,6 +81,11 @@
 //! `--out FILE` (trace-gen only) writes the encoded trace to a file
 //! instead of stdout.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "host CLI: argument parsing, --json/--out files and trace inputs"
+)]
+
 use std::sync::Arc;
 
 use gpumem::experiments::ablation::{ablation_study, ablation_table};
@@ -132,7 +137,6 @@ fn parse_args() -> Args {
     let mut out = None;
     let mut targets = Vec::new();
     let mut command = "all".to_owned();
-    // simlint::allow(no-env, reason = "host CLI argument parsing")
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {

@@ -4,6 +4,8 @@
 //! exit codes and diagnostics are checked exactly as CI and users see
 //! them.
 
+#![expect(clippy::disallowed_methods, reason = "test harness")]
+
 use std::path::PathBuf;
 use std::process::{Command, Output};
 

@@ -165,7 +165,10 @@ impl L1Dcache {
     ///
     /// Hands the access back with the reason if it could not be accepted
     /// this cycle; it must be retried.
-    #[allow(clippy::result_large_err)] // the rejected fetch is handed back by design
+    #[expect(
+        clippy::result_large_err,
+        reason = "the rejected fetch is handed back by design"
+    )]
     pub fn access(
         &mut self,
         fetch: MemFetch,
@@ -280,7 +283,10 @@ impl L1Dcache {
     /// once per accepted access rather than once per stalled retry. The
     /// error paths are unreachable after `admit`; they hand the body back
     /// and stall rather than panic in the model hot path.
-    #[allow(clippy::result_large_err)]
+    #[expect(
+        clippy::result_large_err,
+        reason = "the rejected fetch is handed back by design"
+    )]
     fn place(
         &mut self,
         mut fetch: MemFetch,
@@ -335,7 +341,10 @@ impl L1Dcache {
     }
 
     /// Stamps `fetch` as leaving the L1 and queues it for the interconnect.
-    #[allow(clippy::result_large_err)]
+    #[expect(
+        clippy::result_large_err,
+        reason = "the rejected fetch is handed back by design"
+    )]
     fn send_down(
         &mut self,
         mut fetch: MemFetch,
@@ -445,6 +454,12 @@ impl L1Dcache {
         self.miss_queue.len()
     }
 
+    /// Fetch bodies parked in the arena (merged waiters and hits waiting
+    /// out the hit latency); zero once the cache has drained.
+    pub fn arena_slots(&self) -> usize {
+        self.arena.len()
+    }
+
     /// Tag-array hit/miss counters (demand accesses only).
     pub fn tag_stats(&self) -> (u64, u64) {
         (self.tags.hits(), self.tags.misses())
@@ -452,6 +467,10 @@ impl L1Dcache {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "tests discard the accept/refuse outcome on purpose"
+)]
 mod tests {
     use super::*;
     use gpumem_types::{CoreId, FetchId};

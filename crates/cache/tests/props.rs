@@ -1,5 +1,7 @@
 //! Property tests for the cache substrate.
 
+#![expect(clippy::disallowed_types, reason = "test harness")]
+
 use std::collections::{HashMap, HashSet};
 
 use gpumem_cache::{L1AccessOutcome, L1Dcache, MshrTable, ReplacementOutcome, TagArray};

@@ -409,23 +409,34 @@ mod tests {
 
     #[test]
     fn baseline_matches_table_i_values() {
+        // The paper's Table I baseline column and the §II structural
+        // parameters, one row each: a drifted constant fails with its row.
         let c = GpuConfig::gtx480();
-        // Table I (a) DRAM
-        assert_eq!(c.dram.scheduler_queue, 16);
-        assert_eq!(c.dram.banks, 16);
-        assert_eq!(c.dram.bus_bytes * 8, 32); // 32 bits
-                                              // Table I (b) L2
-        assert_eq!(c.l2.miss_queue, 8);
-        assert_eq!(c.l2.response_queue, 8);
-        assert_eq!(c.l2.mshr_entries, 32);
-        assert_eq!(c.l2.access_queue, 8);
-        assert_eq!(c.l2.data_port_bytes, 32);
-        assert_eq!(c.noc.flit_bytes, 4);
-        assert_eq!(c.l2.banks_per_partition, 2);
-        // Table I (c) L1
-        assert_eq!(c.l1.miss_queue, 8);
-        assert_eq!(c.l1.mshr_entries, 32);
-        assert_eq!(c.core.mem_pipeline_width, 10);
+        let rows: [(&str, usize, usize); 16] = [
+            ("I(a) Scheduler queue", c.dram.scheduler_queue, 16),
+            ("I(a) DRAM banks", c.dram.banks, 16),
+            ("I(a) Bus width (bits)", c.dram.bus_bytes as usize * 8, 32),
+            ("I(b) L2 access queue", c.l2.access_queue, 8),
+            ("I(b) L2 miss queue", c.l2.miss_queue, 8),
+            ("I(b) L2 response queue", c.l2.response_queue, 8),
+            ("I(b) MSHR (L2)", c.l2.mshr_entries, 32),
+            ("I(b) L2 banks", c.l2.banks_per_partition, 2),
+            (
+                "I(b) L2 data port (bytes)",
+                c.l2.data_port_bytes as usize,
+                32,
+            ),
+            ("I(b) Flit size (bytes)", c.noc.flit_bytes as usize, 4),
+            ("I(c) MSHR (L1D)", c.l1.mshr_entries, 32),
+            ("I(c) L1 miss queue", c.l1.miss_queue, 8),
+            ("I(c) Memory pipeline width", c.core.mem_pipeline_width, 10),
+            ("II SIMT cores", c.num_cores, 15),
+            ("II Memory partitions", c.num_partitions, 6),
+            ("II Cache-line size (bytes)", c.line_bytes as usize, 128),
+        ];
+        for (row, got, paper) in rows {
+            assert_eq!(got, paper, "Table {row}");
+        }
     }
 
     #[test]

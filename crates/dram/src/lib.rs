@@ -37,6 +37,12 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use
+)]
 #![warn(missing_docs)]
 
 use gpumem_config::{DramConfig, GpuConfig};
@@ -347,7 +353,6 @@ impl DramChannel {
     ///
     /// Hands the fetch back if that queue is full (the caller — the L2
     /// miss/writeback path — must retry, propagating backpressure upward).
-    #[allow(clippy::result_large_err)] // the rejected fetch is handed back by design
     pub fn try_push(&mut self, mut fetch: MemFetch, now: Cycle) -> Result<(), MemFetch> {
         if fetch.timeline.dram_arrive.is_none() {
             fetch.timeline.dram_arrive = CycleStamp::at(now);
@@ -600,6 +605,11 @@ impl DramChannel {
         self.in_flight
     }
 
+    /// Fetch bodies parked in the channel's arena; zero once idle.
+    pub fn arena_slots(&self) -> usize {
+        self.arena.len()
+    }
+
     /// Activity counters.
     pub fn stats(&self) -> &DramStats {
         &self.stats
@@ -637,6 +647,10 @@ impl DramChannel {
 /// Drains every request currently inside `channel`, advancing time until
 /// idle; returns completed reads in completion order. Test helper shared by
 /// this crate's tests and the integration suite.
+#[expect(
+    clippy::expect_used,
+    reason = "test-only drain helper; a broken channel invariant should abort the test"
+)]
 pub fn drain_channel(
     channel: &mut DramChannel,
     mut now: Cycle,
@@ -645,7 +659,6 @@ pub fn drain_channel(
     let mut out = Vec::new();
     let mut waited = 0;
     while !channel.is_idle() && waited < max_cycles {
-        // simlint::allow(no-panic-in-model, reason = "test-only drain helper; a broken channel invariant should abort the test")
         channel.tick(now).expect("channel invariant violated");
         channel.observe();
         while let Some(f) = channel.pop_return() {

@@ -110,7 +110,10 @@ impl IngressPort {
             return;
         }
         if let Some(pkt) = self.queue.pop() {
-            // Cannot fail: we just popped, so a slot is free.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "cannot fail: we just popped, so a slot is free"
+            )]
             let _ = self.queue.push(pkt);
         }
         self.refresh_head();
@@ -130,7 +133,10 @@ impl IngressPort {
     /// # Panics
     ///
     /// Panics if the packet's destination is out of range.
-    #[allow(clippy::result_large_err)] // the rejected packet is handed back by design
+    #[expect(
+        clippy::result_large_err,
+        reason = "the rejected packet is handed back by design"
+    )]
     pub fn try_inject(&mut self, packet: Packet) -> Result<(), Packet> {
         assert!(packet.dest < self.dest_limit, "destination out of range");
         let dest = packet.dest;
@@ -459,7 +465,10 @@ impl Crossbar {
     /// # Panics
     ///
     /// Panics if `port` or the packet's destination is out of range.
-    #[allow(clippy::result_large_err)] // the rejected packet is handed back by design
+    #[expect(
+        clippy::result_large_err,
+        reason = "the rejected packet is handed back by design"
+    )]
     pub fn try_inject(&mut self, port: usize, packet: Packet) -> Result<(), Packet> {
         self.ingress[port].try_inject(packet)
     }
@@ -690,6 +699,10 @@ impl Crossbar {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "tests discard the accept/refuse outcome on purpose"
+)]
 mod tests {
     use super::*;
     use gpumem_types::{AccessKind, CoreId, FetchId, LineAddr, MemFetch};

@@ -17,6 +17,12 @@
 //! miss queue feeding it — the paper's congestion-propagation effect ③.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use
+)]
 #![warn(missing_docs)]
 
 mod crossbar;

@@ -94,7 +94,10 @@ impl GpuSimulator {
     /// Panics if `cfg` fails [`GpuConfig::validate`], or if the program's
     /// CTAs need more warps than a core has slots.
     pub fn new(cfg: GpuConfig, program: Arc<dyn KernelProgram>, mode: MemoryMode) -> Self {
-        // simlint::allow(no-panic-in-model, reason = "constructor contract: new() documents the panic on an invalid config and runs before any simulation state exists")
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor contract: new() documents the panic on an invalid config and runs before any simulation state exists"
+        )]
         cfg.validate().expect("invalid GpuConfig");
         assert!(
             program.warps_per_cta() as usize <= cfg.core.max_warps,
@@ -601,10 +604,12 @@ impl GpuSimulator {
     }
 
     /// End-of-run conservation check: every unmerged L1 load miss must have
-    /// produced exactly one delivered response. A mismatch means a fetch
-    /// was dropped or duplicated somewhere in the hierarchy — an invariant
-    /// violation, reported as a leak rather than silently folded into the
-    /// statistics.
+    /// produced exactly one delivered response, and no fetch arena may
+    /// still hold a slot. A mismatch means a fetch was dropped or
+    /// duplicated somewhere in the hierarchy; a leftover slot is a body
+    /// orphaned on a path that never blocked completion (a store or
+    /// writeback, say). Either is an invariant violation, reported as a
+    /// leak rather than silently folded into the statistics.
     pub(crate) fn check_conservation(&self) -> Result<(), SimError> {
         let expected = self.expected_responses();
         if self.responses_delivered != expected {
@@ -617,7 +622,39 @@ impl GpuSimulator {
                 ),
             });
         }
+        let live = self.live_arena_slots();
+        if let Some(&(component, _, _)) = live.first() {
+            return Err(SimError::MshrLeak {
+                component,
+                cycle: self.now.raw(),
+                detail: format!("run completed but {}", describe_slots(&live)),
+            });
+        }
         Ok(())
+    }
+
+    /// Every fetch arena that still holds slots, in pipeline order — each
+    /// core's L1, then each L2 partition and its DRAM channel — as
+    /// `(component, holder, slots)`.
+    fn live_arena_slots(&self) -> Vec<(&'static str, String, usize)> {
+        let mut live: Vec<_> = self
+            .cores
+            .iter()
+            .enumerate()
+            .map(|(i, c)| ("l1d", format!("core {i} L1"), c.l1_arena_slots()))
+            .collect();
+        if let Backend::Hierarchy { partitions, .. } = &self.backend {
+            for (i, p) in partitions.iter().enumerate() {
+                live.push(("l2_partition", format!("partition {i}"), p.arena_slots()));
+                live.push((
+                    "dram",
+                    format!("partition {i} DRAM"),
+                    p.dram().arena_slots(),
+                ));
+            }
+        }
+        live.retain(|&(_, _, slots)| slots > 0);
+        live
     }
 
     /// Builds the structured wedge diagnosis the watchdog attaches to
@@ -729,6 +766,14 @@ impl GpuSimulator {
                 }
             }
         }
+        components.extend(
+            self.live_arena_slots()
+                .into_iter()
+                .map(|(_, holder, slots)| ComponentOccupancy {
+                    name: format!("{holder} arena"),
+                    pending: slots as u64,
+                }),
+        );
         let oldest_fetch = oldest.map(|(issued_at, id, core)| OldestFetch {
             id,
             core,
@@ -774,9 +819,15 @@ impl GpuSimulator {
                 format!("fixed_memory={} responses pending", mem.pending_responses())
             }
         };
+        let live = self.live_arena_slots();
+        let arenas = if live.is_empty() {
+            String::new()
+        } else {
+            format!("; {}", describe_slots(&live))
+        };
         format!(
-            "{}/{} CTAs dispatched, {} cores pending, {}",
-            self.next_cta, self.grid_ctas, pending_cores, backend
+            "{}/{} CTAs dispatched, {} cores pending, {}{}",
+            self.next_cta, self.grid_ctas, pending_cores, backend, arenas
         )
     }
 
@@ -801,4 +852,13 @@ impl GpuSimulator {
             resp_xbar,
         )
     }
+}
+
+/// Renders live arena slots as "partition 0 holds 1 slot, core 3 L1 holds
+/// 2 slots".
+fn describe_slots(live: &[(&'static str, String, usize)]) -> String {
+    live.iter()
+        .map(|(_, holder, n)| format!("{holder} holds {n} slot{}", if *n == 1 { "" } else { "s" }))
+        .collect::<Vec<_>>()
+        .join(", ")
 }

@@ -836,6 +836,13 @@ impl MemoryPartition {
         self.to_icnt.stats()
     }
 
+    /// Fetch bodies parked in the L2 arena (merged misses and load hits
+    /// in the bank pipeline); zero once the partition has drained. The
+    /// DRAM channel's own arena is [`DramChannel::arena_slots`].
+    pub(crate) fn arena_slots(&self) -> usize {
+        self.arena.len()
+    }
+
     /// The DRAM channel behind this partition.
     pub fn dram(&self) -> &DramChannel {
         &self.dram
@@ -934,5 +941,59 @@ impl MemoryPartition {
             .chain(self.to_icnt.iter())
             .chain(self.completions.iter().map(|&slot| &self.arena[slot]))
             .chain(self.dram.fetches())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use gpumem_simt::{KernelProgram, WarpInstr};
+    use gpumem_types::CtaId;
+
+    use super::*;
+    use crate::gpu::Backend;
+    use crate::{GpuSimulator, MemoryMode};
+
+    /// One warp, one load.
+    struct OneLoad;
+    impl KernelProgram for OneLoad {
+        fn name(&self) -> &str {
+            "one-load"
+        }
+        fn grid_ctas(&self) -> u32 {
+            1
+        }
+        fn warps_per_cta(&self) -> u32 {
+            1
+        }
+        fn instr(&self, _cta: CtaId, _warp: u32, pc: u32) -> Option<WarpInstr> {
+            (pc == 0).then(|| WarpInstr::load_line(LineAddr::new(7), 1))
+        }
+    }
+
+    #[test]
+    fn orphaned_slot_in_a_finished_run_is_a_named_leak() {
+        let mut sim =
+            GpuSimulator::new(GpuConfig::tiny(), Arc::new(OneLoad), MemoryMode::Hierarchy);
+        sim.run(100_000).expect("a clean run conserves");
+        assert!(sim.is_done());
+        // A writeback body parked and never taken: nothing waits on it, so
+        // completion is not blocked and only the slot count betrays it.
+        let Backend::Hierarchy { partitions, .. } = &mut sim.backend else {
+            unreachable!("built in hierarchy mode")
+        };
+        let orphan =
+            MemFetch::new_writeback(FetchId::new(0), LineAddr::new(7), PartitionId::new(0));
+        let _slot = partitions[0].arena.insert(orphan);
+        match sim.check_conservation() {
+            Err(SimError::MshrLeak {
+                component, detail, ..
+            }) => {
+                assert_eq!(component, "l2_partition");
+                assert!(detail.contains("partition 0 holds 1 slot"), "{detail}");
+            }
+            other => panic!("expected a named MshrLeak, got {other:?}"),
+        }
     }
 }

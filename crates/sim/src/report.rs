@@ -155,7 +155,6 @@ impl SimReport {
 }
 
 /// Assembles a [`SimReport`] from the live components (crate-internal).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn build_report(
     benchmark: &str,
     mode: &str,

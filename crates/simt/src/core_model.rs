@@ -421,6 +421,11 @@ impl SimtCore {
             || self.l1.peek_miss().is_some()
     }
 
+    /// Fetch bodies parked in this core's L1 arena; zero once drained.
+    pub fn l1_arena_slots(&self) -> usize {
+        self.l1.arena_slots()
+    }
+
     /// Next fill request to inject into the interconnect, if any.
     pub fn peek_memory_request(&self) -> Option<&MemFetch> {
         self.l1.peek_miss()

@@ -15,6 +15,12 @@
 //! exactly the property Fig. 1 of the paper sweeps.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use
+)]
 #![warn(missing_docs)]
 
 mod core_model;

@@ -1,10 +1,10 @@
 //! The disk layer: write-ahead journal, checksummed cell files, atomic
 //! renames, quarantine.
 //!
-//! Every filesystem touch of the sweep crate lives in this module — the
-//! `fs-outside-journal` simlint rule denies raw `std::fs` anywhere else in
-//! the crate, so the commit protocol below is the *only* way sweep state
-//! reaches disk:
+//! Every filesystem touch of the sweep crate lives in this module —
+//! `clippy.toml` denies `std::fs` everywhere else in the workspace, and the
+//! expectation below is the crate's only non-test exemption — so the
+//! commit protocol below is the *only* way sweep state reaches disk:
 //!
 //! 1. the result is written to `cells/<key>.json.tmp` and atomically
 //!    renamed over `cells/<key>.json`; the file's first line is an FNV
@@ -17,6 +17,12 @@
 //! record — the store treats the file as authoritative, so the work is not
 //! lost. A crash mid-append leaves a torn final journal line, which replay
 //! tolerates by stopping at the first unverifiable line.
+
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the sweep's one sanctioned disk layer"
+)]
 
 use std::fs;
 use std::io::Write as _;
@@ -352,5 +358,4 @@ fn parse_journal_line(line: &str) -> Option<JournalRecord> {
 }
 
 // Disk behaviour (torn tails, checksum rejection, crash injection) is
-// covered in `tests/disk.rs`: those tests need a scratch directory via
-// `std::env::temp_dir`, which simlint's no-env rule denies in src/.
+// covered in `tests/disk.rs`.

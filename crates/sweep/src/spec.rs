@@ -314,7 +314,10 @@ impl SweepCell {
     /// one byte of it does. Wall-clock deadlines are deliberately
     /// excluded: they bound *host* time and cannot change a completed
     /// result.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per cell field; the key is derived from them"
+    )]
     pub fn new(
         benchmark: String,
         design_point: String,
@@ -393,6 +396,7 @@ fn cell_key(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "test harness")]
 mod tests {
     use super::*;
 

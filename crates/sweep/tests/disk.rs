@@ -1,6 +1,8 @@
 //! Disk-layer tests: journal replay under torn tails and bit flips, cell
 //! checksum verification, quarantine, and the crash-injection metering.
 
+#![expect(clippy::disallowed_methods, reason = "test harness")]
+
 use std::fs;
 use std::path::PathBuf;
 

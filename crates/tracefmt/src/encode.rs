@@ -6,6 +6,11 @@
 //! and the round-trip must be bit-identical — the decoder and the
 //! generators are oracles for each other.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "the document is assembled with write! into a String, which cannot fail"
+)]
+
 use std::fmt::Write as _;
 
 use gpumem_simt::{KernelProgram, WarpInstr};

@@ -8,6 +8,8 @@
 //! line-numbered diagnostic (CI greps `repro run --trace-file` output for
 //! the same line numbers).
 
+#![expect(clippy::disallowed_methods, reason = "test harness")]
+
 use gpumem_tracefmt::{parse_reader, parse_str, TraceError};
 use proptest::prelude::*;
 

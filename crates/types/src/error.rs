@@ -3,9 +3,9 @@
 //! The model hot paths (queues, crossbar ports, MSHRs, DRAM) report
 //! invariant violations as [`SimError`] values instead of panicking, so a
 //! long sweep survives one bad run and a wedged machine produces a
-//! structured [`WedgeDiagnosis`] instead of hanging. The
-//! `no-panic-in-model` simlint rule keeps the model crates honest about
-//! this contract.
+//! structured [`WedgeDiagnosis`] instead of hanging. The model crates
+//! deny `clippy::{unwrap_used, expect_used, panic}` at their roots to keep
+//! them honest about this contract.
 
 use std::fmt;
 

@@ -3,11 +3,15 @@
 //! Simulation results must be a pure function of `(GpuConfig, workload,
 //! engine)` — the host wall clock may influence *throughput reporting only*
 //! (the `SimReport::host` block). To make that auditable, this module is the
-//! single place in the workspace allowed to read the clock; the `simlint`
-//! determinism pass (`cargo run -p gpumem-lint -- check`) denies
-//! `std::time::Instant` everywhere else.
+//! single place in the workspace allowed to read the clock: `clippy.toml`
+//! lists `std::time::Instant` under `disallowed-types`, and the expectation
+//! below is the only one that lifts it.
 
-// simlint::allow(no-wall-clock, reason = "the one sanctioned host-clock site")
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned host-clock site"
+)]
+
 use std::time::Instant;
 
 /// A monotonic stopwatch started by [`host_wall_clock`].
@@ -17,7 +21,6 @@ use std::time::Instant;
 /// simulation code.
 #[derive(Debug, Clone, Copy)]
 pub struct HostStopwatch {
-    // simlint::allow(no-wall-clock, reason = "the one sanctioned host-clock site")
     start: Instant,
 }
 
@@ -32,7 +35,6 @@ impl HostStopwatch {
 /// throughput reporting (cycles/sec in `SimReport::host`).
 pub fn host_wall_clock() -> HostStopwatch {
     HostStopwatch {
-        // simlint::allow(no-wall-clock, reason = "the one sanctioned host-clock site")
         start: Instant::now(),
     }
 }

@@ -88,6 +88,7 @@ impl<T> Slab<T> {
     /// # Panics
     ///
     /// Panics if the slab would exceed `u32::MAX` slots.
+    #[must_use = "a dropped SlotId orphans its slot for the rest of the run"]
     pub fn insert(&mut self, value: T) -> SlotId {
         self.len += 1;
         if let Some(idx) = self.free.pop() {

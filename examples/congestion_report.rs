@@ -13,6 +13,7 @@ use gpumem_workloads::{params_of, SyntheticKernel};
 use std::sync::Arc;
 
 fn main() {
+    #[expect(clippy::disallowed_methods, reason = "example CLI argument parsing")]
     let scale: f64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())

@@ -13,6 +13,7 @@ use gpumem_workloads::{params_of, SyntheticKernel};
 use std::sync::Arc;
 
 fn main() {
+    #[expect(clippy::disallowed_methods, reason = "example CLI argument parsing")]
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let scale: f64 = match args.first().and_then(|s| s.parse().ok()) {
         Some(s) => {

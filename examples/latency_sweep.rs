@@ -15,6 +15,7 @@ use gpumem_workloads::{params_of, SyntheticKernel};
 use std::sync::Arc;
 
 fn main() {
+    #[expect(clippy::disallowed_methods, reason = "example CLI argument parsing")]
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_else(|| "cfd".to_owned());
     let scale: f64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(0.5);

@@ -8,6 +8,7 @@
 use gpumem::prelude::*;
 
 fn main() {
+    #[expect(clippy::disallowed_methods, reason = "example CLI argument parsing")]
     let name = std::env::args().nth(1).unwrap_or_else(|| "sc".to_owned());
     let program = by_name(&name).unwrap_or_else(|| {
         eprintln!("unknown benchmark {name}; pick one of {BENCHMARK_NAMES:?}");

@@ -14,6 +14,8 @@
 //!
 //! and commit the rewritten files alongside the change that caused them.
 
+#![expect(clippy::disallowed_methods, reason = "test harness")]
+
 use std::path::PathBuf;
 use std::sync::Arc;
 

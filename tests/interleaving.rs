@@ -23,7 +23,7 @@ fn tiny_gpu() -> GpuConfig {
 }
 
 /// Builds a small but behaviourally varied workload from raw knobs.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one argument per workload knob")]
 fn workload(
     ctas: u32,
     warps_per_cta: u32,

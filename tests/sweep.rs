@@ -8,6 +8,8 @@
 //! kill are served as cache hits — proven with the recompute counters,
 //! not just the digests.
 
+#![expect(clippy::disallowed_methods, reason = "test harness")]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
