@@ -88,12 +88,10 @@
 
 use std::sync::Arc;
 
-use gpumem::experiments::ablation::{ablation_study, ablation_table};
-use gpumem::experiments::congestion::congestion_study;
-use gpumem::experiments::design_space::design_space_exploration;
-use gpumem::experiments::latency_tolerance::{latency_tolerance_profile, FIG1_LATENCIES};
+use gpumem::experiments::latency_tolerance::{self, FIG1_LATENCIES};
+use gpumem::experiments::{ablation, congestion, design_space};
 use gpumem::prelude::*;
-use gpumem::text;
+use gpumem::{text, RunSpec};
 use gpumem_sim::{chrome_trace_events, ChaosConfig, LatencyBreakdown, SimError, TraceConfig};
 use gpumem_simt::KernelProgram;
 
@@ -323,50 +321,73 @@ fn dump_json<T: serde::Serialize>(dir: &Option<String>, name: &str, value: &T) {
     }
 }
 
-fn run_fig1(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Option<String>) {
-    let mut profiles = Vec::new();
-    for program in programs {
-        eprintln!("fig1: sweeping {} ...", program.name());
-        let profile =
-            latency_tolerance_profile(cfg, program, &FIG1_LATENCIES).expect("fig1 sweep completes");
-        profiles.push(profile);
+/// The paper experiments `command` names (`all`: every one), planned as
+/// one batch so the runs they share — every benchmark's baseline — are
+/// simulated once, then each reduced, printed and dumped as `<name>.json`.
+fn run_experiments(
+    command: &str,
+    cfg: &GpuConfig,
+    programs: &[Arc<dyn KernelProgram>],
+    json: &Option<String>,
+) {
+    let plans: Vec<(&str, Vec<RunSpec>)> = gpumem::experiments::paper_plans(cfg, programs)
+        .into_iter()
+        .filter(|(name, _)| command == "all" || *name == command)
+        .collect();
+    let batch: Vec<RunSpec> = plans.iter().flat_map(|(_, p)| p.iter().cloned()).collect();
+    eprintln!(
+        "{command}: {} runs ({} distinct) ...",
+        batch.len(),
+        gpumem::distinct_runs(&batch)
+    );
+    let reports = run_plan(&batch, 0).unwrap_or_else(|e| panic!("{command}: {e}"));
+    let mut rest = &reports[..];
+    for (i, (name, plan)) in plans.iter().enumerate() {
+        let (reports, tail) = rest.split_at(plan.len());
+        rest = tail;
+        if i > 0 {
+            println!();
+        }
+        match *name {
+            "latency" => {
+                let study = congestion::reduce(reports);
+                println!("SECTION II — BASELINE MEMORY LATENCIES vs IDEAL");
+                println!("(ideal: L2 hit 120 cycles, DRAM 220 cycles via L2)");
+                println!("{:>10} {:>24}", "benchmark", "avg L1 miss latency (cyc)");
+                for r in &study.rows {
+                    println!("{:>10} {:>24.0}", r.benchmark, r.avg_l1_miss_latency);
+                }
+                let avg = study
+                    .rows
+                    .iter()
+                    .map(|r| r.avg_l1_miss_latency)
+                    .sum::<f64>()
+                    / study.rows.len().max(1) as f64;
+                println!("{:>10} {avg:>24.0}", "AVERAGE");
+                dump_json(json, name, &study);
+            }
+            "fig1" => {
+                let profiles = latency_tolerance::reduce(&FIG1_LATENCIES, reports);
+                println!("{}", text::fig1_table(&profiles));
+                dump_json(json, name, &profiles);
+            }
+            "congestion" => {
+                let study = congestion::reduce(reports);
+                println!("{}", text::congestion_table(&study));
+                dump_json(json, name, &study);
+            }
+            "dse" => {
+                let study = design_space::reduce(&DesignPoint::SECTION_IV, reports);
+                println!("{}", text::dse_table(&study));
+                dump_json(json, name, &study);
+            }
+            _ => {
+                let study = ablation::reduce(cfg, reports);
+                println!("{}", ablation::ablation_table(&study));
+                dump_json(json, name, &study);
+            }
+        }
     }
-    println!("{}", text::fig1_table(&profiles));
-    dump_json(json, "fig1", &profiles);
-}
-
-fn run_congestion(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Option<String>) {
-    eprintln!("congestion: running suite on baseline ...");
-    let study = congestion_study(cfg, programs).expect("congestion study completes");
-    println!("{}", text::congestion_table(&study));
-    dump_json(json, "congestion", &study);
-}
-
-fn run_dse(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Option<String>) {
-    eprintln!("dse: running suite over Section IV design points ...");
-    let study = design_space_exploration(cfg, programs, &DesignPoint::SECTION_IV)
-        .expect("design-space exploration completes");
-    println!("{}", text::dse_table(&study));
-    dump_json(json, "dse", &study);
-}
-
-fn run_latency(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Option<String>) {
-    eprintln!("latency: measuring loaded baseline latencies ...");
-    let study = congestion_study(cfg, programs).expect("baseline runs complete");
-    println!("SECTION II — BASELINE MEMORY LATENCIES vs IDEAL");
-    println!("(ideal: L2 hit 120 cycles, DRAM 220 cycles via L2)");
-    println!("{:>10} {:>24}", "benchmark", "avg L1 miss latency (cyc)");
-    for r in &study.rows {
-        println!("{:>10} {:>24.0}", r.benchmark, r.avg_l1_miss_latency);
-    }
-    let avg = study
-        .rows
-        .iter()
-        .map(|r| r.avg_l1_miss_latency)
-        .sum::<f64>()
-        / study.rows.len().max(1) as f64;
-    println!("{:>10} {avg:>24.0}", "AVERAGE");
-    dump_json(json, "latency", &study);
 }
 
 /// One row of the `perf` command: the same run executed strictly
@@ -1008,16 +1029,10 @@ fn run_sweep_cmd(args: &Args) -> ! {
     std::process::exit(if summary.failed > 0 { 1 } else { 0 })
 }
 
-fn run_ablation(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Option<String>) {
-    eprintln!("ablation: scaling each Table I row individually ...");
-    let study = ablation_study(cfg, programs).expect("ablation study completes");
-    println!("{}", ablation_table(&study));
-    dump_json(json, "ablation", &study);
-}
-
 fn main() {
     let args = parse_args();
     let cfg = GpuConfig::gtx480();
+    let json = &args.json_dir;
     if (args.scale - 1.0).abs() > f64::EPSILON {
         eprintln!(
             "note: workloads scaled by {} — numbers differ from EXPERIMENTS.md",
@@ -1026,23 +1041,21 @@ fn main() {
     }
     match args.command.as_str() {
         "table1" => println!("{}", text::table_i()),
-        "fig1" => run_fig1(&cfg, &programs_for(&args), &args.json_dir),
-        "congestion" => run_congestion(&cfg, &programs_for(&args), &args.json_dir),
-        "dse" => run_dse(&cfg, &programs_for(&args), &args.json_dir),
-        "ablation" => run_ablation(&cfg, &programs_for(&args), &args.json_dir),
+        "latency" | "fig1" | "congestion" | "dse" | "ablation" => {
+            run_experiments(&args.command, &cfg, &programs_for(&args), json);
+        }
         "perf" => {
             let programs = programs_for(&args);
             if args.profile {
-                run_profile(&cfg, &programs, &args.json_dir);
+                run_profile(&cfg, &programs, json);
             } else {
-                run_perf(&cfg, &programs, args.scale, &args.json_dir, args.repeat);
+                run_perf(&cfg, &programs, args.scale, json, args.repeat);
             }
         }
-        "trace" => run_trace(&cfg, &programs_for(&args), &args.json_dir),
+        "trace" => run_trace(&cfg, &programs_for(&args), json),
         "run" => run_run(&cfg, &args),
         "trace-gen" => run_trace_gen(&cfg, &args),
         "sweep" => run_sweep_cmd(&args),
-        "latency" => run_latency(&cfg, &programs_for(&args), &args.json_dir),
         "chaos" => {
             if args.wedge_self_test {
                 run_wedge_self_test(&cfg, args.scale, args.seeds);
@@ -1051,17 +1064,8 @@ fn main() {
             }
         }
         "all" => {
-            let programs = programs_for(&args);
             println!("{}", text::table_i());
-            run_latency(&cfg, &programs, &args.json_dir);
-            println!();
-            run_fig1(&cfg, &programs, &args.json_dir);
-            println!();
-            run_congestion(&cfg, &programs, &args.json_dir);
-            println!();
-            run_dse(&cfg, &programs, &args.json_dir);
-            println!();
-            run_ablation(&cfg, &programs, &args.json_dir);
+            run_experiments("all", &cfg, &programs_for(&args), json);
         }
         other => die(&format!("unknown command {other}")),
     }

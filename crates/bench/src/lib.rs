@@ -1,9 +1,8 @@
 //! Shared helpers for the `gpumem` benchmark harness.
 //!
 //! The `repro` binary ([`crate`]'s `src/bin/repro.rs`) regenerates every
-//! table and figure of the paper; the Criterion benches under `benches/`
-//! measure the same experiments on scaled-down workloads so `cargo bench`
-//! stays tractable.
+//! table and figure of the paper; the `substrate` Criterion bench times the
+//! simulator's building blocks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,17 +11,6 @@ use std::sync::Arc;
 
 use gpumem_simt::KernelProgram;
 use gpumem_workloads::{params_of, SyntheticKernel};
-
-/// The suite scaled down by `factor` (work only; per-iteration behaviour
-/// unchanged), for fast Criterion benches and smoke tests.
-///
-/// # Panics
-///
-/// Panics if any canonical benchmark name fails to resolve (cannot happen
-/// with the shipped suite).
-pub fn scaled_suite(factor: f64) -> Vec<Arc<dyn KernelProgram>> {
-    scaled_named_suite(&gpumem_workloads::BENCHMARK_NAMES, factor)
-}
 
 /// An arbitrary slice of canonical benchmark names, each scaled by
 /// `factor` — the building block behind `repro --suite seed|ml|extended`.
@@ -50,11 +38,6 @@ pub fn scaled_benchmark(name: &str, factor: f64) -> Option<Arc<dyn KernelProgram
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scaled_suite_has_eight() {
-        assert_eq!(scaled_suite(0.2).len(), 8);
-    }
 
     #[test]
     fn named_suite_covers_the_extended_family() {

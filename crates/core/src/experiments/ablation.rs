@@ -11,10 +11,10 @@
 use std::sync::Arc;
 
 use gpumem_config::{single_parameter_ablations, GpuConfig};
-use gpumem_sim::{KernelProgram, MemoryMode, SimError};
+use gpumem_sim::{KernelProgram, SimError, SimReport};
 use serde::{Deserialize, Serialize};
 
-use crate::run::{run_benchmarks_parallel, RunSpec};
+use crate::run::{run_plan, RunSpec};
 
 /// The measured effect of scaling one Table I row in isolation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -71,6 +71,31 @@ impl AblationStudy {
     }
 }
 
+/// The study's runs: every program on the baseline, then on each of
+/// [`single_parameter_ablations`]`(cfg)` in turn.
+pub fn plan(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>]) -> Vec<RunSpec> {
+    let ablations = single_parameter_ablations(cfg).into_iter();
+    super::variant_plan(cfg, programs, ablations.map(|a| a.config))
+}
+
+/// The study from the reports of [`plan`].
+pub fn reduce(cfg: &GpuConfig, reports: &[SimReport]) -> AblationStudy {
+    let ablations = single_parameter_ablations(cfg);
+    let (_, speedups) = super::speedups_over_baseline(reports, ablations.len());
+    let rows = ablations
+        .iter()
+        .zip(speedups)
+        .map(|(a, speedups)| AblationRow {
+            name: a.name.to_owned(),
+            section: a.section.to_owned(),
+            avg_speedup: super::mean_speedup(&speedups),
+            speedups,
+            cost_bits: a.cost_bits,
+        })
+        .collect();
+    AblationStudy { rows }
+}
+
 /// Runs the per-row ablation study over `programs`.
 ///
 /// # Errors
@@ -80,60 +105,7 @@ pub fn ablation_study(
     cfg: &GpuConfig,
     programs: &[Arc<dyn KernelProgram>],
 ) -> Result<AblationStudy, SimError> {
-    let ablations = single_parameter_ablations(cfg);
-    let mut specs: Vec<RunSpec> = Vec::with_capacity(programs.len() * (ablations.len() + 1));
-    for p in programs {
-        specs.push(RunSpec {
-            cfg: cfg.clone(),
-            program: Arc::clone(p),
-            mode: MemoryMode::Hierarchy,
-        });
-    }
-    for a in &ablations {
-        for p in programs {
-            specs.push(RunSpec {
-                cfg: a.config.clone(),
-                program: Arc::clone(p),
-                mode: MemoryMode::Hierarchy,
-            });
-        }
-    }
-    let reports = run_benchmarks_parallel(&specs)?;
-
-    let n = programs.len();
-    let baseline: Vec<(String, f64)> = reports[..n]
-        .iter()
-        .map(|r| (r.benchmark.clone(), r.ipc))
-        .collect();
-
-    let rows = ablations
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            let chunk = &reports[n * (i + 1)..n * (i + 2)];
-            let speedups: Vec<(String, f64)> = chunk
-                .iter()
-                .zip(&baseline)
-                .map(|(r, (name, base))| {
-                    (name.clone(), if *base > 0.0 { r.ipc / base } else { 1.0 })
-                })
-                .collect();
-            let avg = if speedups.is_empty() {
-                1.0
-            } else {
-                speedups.iter().map(|(_, s)| s).sum::<f64>() / speedups.len() as f64
-            };
-            AblationRow {
-                name: a.name.to_owned(),
-                section: a.section.to_owned(),
-                avg_speedup: avg,
-                speedups,
-                cost_bits: a.cost_bits,
-            }
-        })
-        .collect();
-
-    Ok(AblationStudy { rows })
+    Ok(reduce(cfg, &run_plan(&plan(cfg, programs), 0)?))
 }
 
 /// Renders the study as a ranked plain-text table.
@@ -188,6 +160,29 @@ mod tests {
         let ranked = study.ranked_by_cost_effectiveness();
         assert_eq!(ranked[0].name, "small-cheap");
         assert_eq!(study.best_single_row().unwrap().name, "big-expensive");
+    }
+
+    #[test]
+    fn reduce_names_and_averages_every_row() {
+        let cfg = GpuConfig::gtx480();
+        let ablations = single_parameter_ablations(&cfg);
+        // Two benchmarks with baseline IPCs 1 and 2; the i-th row (i from
+        // 1) runs them at 1 + i/10 and 2, so speedups 1 + i/10 and 1.
+        let mut reports = Vec::new();
+        for i in 0..=ablations.len() {
+            reports.push(crate::experiments::ipc_report(("a", 1.0 + i as f64 / 10.0)));
+            reports.push(crate::experiments::ipc_report(("b", 2.0)));
+        }
+        let study = reduce(&cfg, &reports);
+        assert_eq!(study.rows.len(), ablations.len());
+        for (i, (row, a)) in study.rows.iter().zip(&ablations).enumerate() {
+            let gain = (i + 1) as f64 / 10.0;
+            assert_eq!(row.name, a.name);
+            assert_eq!(row.cost_bits, a.cost_bits);
+            assert_eq!(row.speedups[1], ("b".into(), 1.0));
+            assert!((row.speedups[0].1 - (1.0 + gain)).abs() < 1e-12);
+            assert!((row.avg_speedup - (1.0 + gain / 2.0)).abs() < 1e-12);
+        }
     }
 
     #[test]

@@ -8,11 +8,11 @@
 use std::sync::Arc;
 
 use gpumem_config::GpuConfig;
-use gpumem_sim::{MemoryMode, SimError, SimReport};
+use gpumem_sim::{SimError, SimReport};
 use gpumem_simt::KernelProgram;
 use serde::{Deserialize, Serialize};
 
-use crate::run::{run_benchmarks_parallel, RunSpec};
+use crate::run::{run_plan, RunSpec};
 
 /// Congestion metrics for one benchmark on one configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -70,6 +70,28 @@ pub struct CongestionStudy {
     pub avg_dram_sched_full: f64,
 }
 
+/// The study's runs: every program once on the baseline hierarchy.
+pub fn plan(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>]) -> Vec<RunSpec> {
+    super::hierarchy_runs(cfg, programs)
+}
+
+/// The study from the reports of [`plan`].
+///
+/// # Panics
+///
+/// Panics on a fixed-latency report (see [`CongestionRow::from_report`]).
+pub fn reduce(reports: &[SimReport]) -> CongestionStudy {
+    let rows: Vec<CongestionRow> = reports.iter().map(CongestionRow::from_report).collect();
+    let n = rows.len().max(1) as f64;
+    let avg_l2_access_full = rows.iter().map(|r| r.l2_access_full).sum::<f64>() / n;
+    let avg_dram_sched_full = rows.iter().map(|r| r.dram_sched_full).sum::<f64>() / n;
+    CongestionStudy {
+        rows,
+        avg_l2_access_full,
+        avg_dram_sched_full,
+    }
+}
+
 /// Runs the congestion study: every benchmark on the baseline hierarchy.
 ///
 /// # Errors
@@ -79,49 +101,36 @@ pub fn congestion_study(
     cfg: &GpuConfig,
     programs: &[Arc<dyn KernelProgram>],
 ) -> Result<CongestionStudy, SimError> {
-    let specs: Vec<RunSpec> = programs
-        .iter()
-        .map(|p| RunSpec {
-            cfg: cfg.clone(),
-            program: Arc::clone(p),
-            mode: MemoryMode::Hierarchy,
-        })
-        .collect();
-    let reports = run_benchmarks_parallel(&specs)?;
-    let rows: Vec<CongestionRow> = reports.iter().map(CongestionRow::from_report).collect();
-    let n = rows.len().max(1) as f64;
-    let avg_l2_access_full = rows.iter().map(|r| r.l2_access_full).sum::<f64>() / n;
-    let avg_dram_sched_full = rows.iter().map(|r| r.dram_sched_full).sum::<f64>() / n;
-    Ok(CongestionStudy {
-        rows,
-        avg_l2_access_full,
-        avg_dram_sched_full,
-    })
+    Ok(reduce(&run_plan(&plan(cfg, programs), 0)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpumem_sim::{DramReport, L2Report};
 
     #[test]
-    fn averages_over_rows() {
-        let mk = |name: &str, l2: f64, dram: f64| CongestionRow {
-            benchmark: name.into(),
-            ipc: 1.0,
-            l2_access_full: l2,
-            dram_sched_full: dram,
-            l2_access_mean_occupancy: 0.0,
-            dram_sched_mean_occupancy: 0.0,
-            avg_l1_miss_latency: 0.0,
-            memory_stall_fraction: 0.0,
-        };
-        let rows = vec![mk("a", 0.4, 0.3), mk("b", 0.6, 0.5)];
-        let n = rows.len() as f64;
-        let study = CongestionStudy {
-            avg_l2_access_full: rows.iter().map(|r| r.l2_access_full).sum::<f64>() / n,
-            avg_dram_sched_full: rows.iter().map(|r| r.dram_sched_full).sum::<f64>() / n,
-            rows,
-        };
+    fn reduce_averages_the_rows() {
+        let mut reports = Vec::new();
+        for (name, l2_full, dram_full) in [("a", 4, 3), ("b", 6, 5)] {
+            let mut report = SimReport {
+                benchmark: name.into(),
+                ..SimReport::default()
+            };
+            // Ten cycles in use, `full` of them full.
+            let mut l2 = L2Report::default();
+            l2.access_queue.ticks_nonempty = 10;
+            l2.access_queue.ticks_full = l2_full;
+            let mut dram = DramReport::default();
+            dram.scheduler_queue.ticks_nonempty = 10;
+            dram.scheduler_queue.ticks_full = dram_full;
+            report.l2 = Some(l2);
+            report.dram = Some(dram);
+            reports.push(report);
+        }
+        let study = reduce(&reports);
+        assert_eq!(study.rows[1].benchmark, "b");
+        assert!((study.rows[0].l2_access_full - 0.4).abs() < 1e-12);
         assert!((study.avg_l2_access_full - 0.5).abs() < 1e-12);
         assert!((study.avg_dram_sched_full - 0.4).abs() < 1e-12);
     }

@@ -11,11 +11,11 @@
 use std::sync::Arc;
 
 use gpumem_config::{DesignPoint, GpuConfig};
-use gpumem_sim::{MemoryMode, SimError};
+use gpumem_sim::{SimError, SimReport};
 use gpumem_simt::KernelProgram;
 use serde::{Deserialize, Serialize};
 
-use crate::run::{run_benchmarks_parallel, RunSpec};
+use crate::run::{run_plan, RunSpec};
 
 /// Speedups of one design point over the baseline.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -30,10 +30,7 @@ impl DsePointResult {
     /// Arithmetic-mean speedup over the suite (the paper's "average
     /// speedup").
     pub fn average_speedup(&self) -> f64 {
-        if self.speedups.is_empty() {
-            return 1.0;
-        }
-        self.speedups.iter().map(|(_, s)| s).sum::<f64>() / self.speedups.len() as f64
+        super::mean_speedup(&self.speedups)
     }
 
     /// Geometric-mean speedup over the suite.
@@ -87,6 +84,29 @@ impl DseStudy {
     }
 }
 
+/// The study's runs: every program on the baseline, then on each design
+/// point in turn.
+pub fn plan(
+    cfg: &GpuConfig,
+    programs: &[Arc<dyn KernelProgram>],
+    points: &[DesignPoint],
+) -> Vec<RunSpec> {
+    super::variant_plan(cfg, programs, points.iter().map(|dp| dp.apply(cfg)))
+}
+
+/// The study from the reports of [`plan`].
+pub fn reduce(points: &[DesignPoint], reports: &[SimReport]) -> DseStudy {
+    let (baseline_ipc, speedups) = super::speedups_over_baseline(reports, points.len());
+    DseStudy {
+        baseline_ipc,
+        points: points
+            .iter()
+            .zip(speedups)
+            .map(|(&design, speedups)| DsePointResult { design, speedups })
+            .collect(),
+    }
+}
+
 /// Runs the design-space exploration: the baseline plus every design point
 /// in `points`, for every benchmark in `programs`.
 ///
@@ -98,55 +118,7 @@ pub fn design_space_exploration(
     programs: &[Arc<dyn KernelProgram>],
     points: &[DesignPoint],
 ) -> Result<DseStudy, SimError> {
-    // Flatten (design-point × benchmark) into one parallel batch, baseline
-    // first.
-    let mut specs: Vec<RunSpec> = Vec::with_capacity(programs.len() * (points.len() + 1));
-    for p in programs {
-        specs.push(RunSpec {
-            cfg: cfg.clone(),
-            program: Arc::clone(p),
-            mode: MemoryMode::Hierarchy,
-        });
-    }
-    for dp in points {
-        let scaled = dp.apply(cfg);
-        for p in programs {
-            specs.push(RunSpec {
-                cfg: scaled.clone(),
-                program: Arc::clone(p),
-                mode: MemoryMode::Hierarchy,
-            });
-        }
-    }
-    let reports = run_benchmarks_parallel(&specs)?;
-
-    let n = programs.len();
-    let baseline_ipc: Vec<(String, f64)> = reports[..n]
-        .iter()
-        .map(|r| (r.benchmark.clone(), r.ipc))
-        .collect();
-
-    let mut results = Vec::with_capacity(points.len());
-    for (i, dp) in points.iter().enumerate() {
-        let chunk = &reports[n * (i + 1)..n * (i + 2)];
-        let speedups = chunk
-            .iter()
-            .zip(&baseline_ipc)
-            .map(|(r, (name, base))| {
-                debug_assert_eq!(&r.benchmark, name);
-                (name.clone(), if *base > 0.0 { r.ipc / base } else { 1.0 })
-            })
-            .collect();
-        results.push(DsePointResult {
-            design: *dp,
-            speedups,
-        });
-    }
-
-    Ok(DseStudy {
-        baseline_ipc,
-        points: results,
-    })
+    Ok(reduce(points, &run_plan(&plan(cfg, programs, points), 0)?))
 }
 
 #[cfg(test)]
@@ -173,9 +145,28 @@ mod tests {
     }
 
     #[test]
-    fn degraded_lists_slowdowns() {
-        let p = point(DesignPoint::L1_ONLY, &[1.1, 0.9, 1.0]);
-        assert_eq!(p.degraded(), vec!["b1"]);
+    fn reduce_pairs_each_point_with_its_speedups() {
+        // Baseline, then L2-only, then L1-only, each over benchmarks a, b.
+        let reports = [
+            ("a", 1.0),
+            ("b", 2.0),
+            ("a", 1.5),
+            ("b", 5.0),
+            ("a", 0.5),
+            ("b", 2.0),
+        ]
+        .map(crate::experiments::ipc_report);
+        let study = reduce(&[DesignPoint::L2_ONLY, DesignPoint::L1_ONLY], &reports);
+        assert_eq!(
+            study.baseline_ipc,
+            vec![("a".into(), 1.0), ("b".into(), 2.0)]
+        );
+        let l2 = study.result_for(DesignPoint::L2_ONLY).unwrap();
+        assert_eq!(l2.speedups, vec![("a".into(), 1.5), ("b".into(), 2.5)]);
+        assert_eq!(l2.average_speedup(), 2.0);
+        let l1 = study.result_for(DesignPoint::L1_ONLY).unwrap();
+        assert_eq!(l1.average_speedup(), 0.75);
+        assert_eq!(l1.degraded(), vec!["a"]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Section II / Fig. 1: the latency tolerance profile.
 //!
-//! The baseline architecture is run once to obtain its IPC and its actual
-//! average L1 miss latency; then the memory hierarchy below the L1s is
+//! The baseline architecture is run to obtain its IPC and its actual
+//! average L1 miss latency; alongside it, the memory hierarchy below the L1s is
 //! replaced by a fixed-latency responder ([`gpumem_sim::MemoryMode::FixedLatency`])
 //! and the latency is swept. Each point's IPC is normalized to the
 //! baseline's, so the curve crosses 1.0 at the baseline's effective memory
@@ -10,11 +10,11 @@
 use std::sync::Arc;
 
 use gpumem_config::GpuConfig;
-use gpumem_sim::{MemoryMode, SimError};
+use gpumem_sim::{MemoryMode, SimError, SimReport};
 use gpumem_simt::KernelProgram;
 use serde::{Deserialize, Serialize};
 
-use crate::run::{run_benchmark, run_benchmarks_parallel, RunSpec};
+use crate::run::{run_plan, RunSpec};
 
 /// The x-axis points of the paper's Fig. 1: 0 to 800 cycles in steps of
 /// 50.
@@ -92,32 +92,41 @@ fn interpolate_intercept(points: &[LatencyPoint]) -> Option<f64> {
     None
 }
 
-/// Sweeps the latency-tolerance profile of one benchmark.
-///
-/// # Errors
-///
-/// Propagates the first watchdog failure from any run.
-pub fn latency_tolerance_profile(
+/// Fig. 1's runs: per program, the baseline hierarchy run and then one
+/// fixed-latency run per entry of `latencies`.
+pub fn plan(
     cfg: &GpuConfig,
-    program: &Arc<dyn KernelProgram>,
+    programs: &[Arc<dyn KernelProgram>],
     latencies: &[u64],
-) -> Result<LatencyProfile, SimError> {
-    let baseline = run_benchmark(cfg, program, MemoryMode::Hierarchy)?;
-    let baseline_ipc = baseline.ipc;
-
-    let specs: Vec<RunSpec> = latencies
-        .iter()
-        .map(|&l| RunSpec {
+) -> Vec<RunSpec> {
+    let mut plan = Vec::with_capacity(programs.len() * (latencies.len() + 1));
+    for program in programs {
+        let run = |mode| RunSpec {
             cfg: cfg.clone(),
             program: Arc::clone(program),
-            mode: MemoryMode::FixedLatency(l),
-        })
-        .collect();
-    let reports = run_benchmarks_parallel(&specs)?;
+            mode,
+        };
+        plan.push(run(MemoryMode::Hierarchy));
+        plan.extend(latencies.iter().map(|&l| run(MemoryMode::FixedLatency(l))));
+    }
+    plan
+}
 
+/// One profile per program from the reports of [`plan`].
+pub fn reduce(latencies: &[u64], reports: &[SimReport]) -> Vec<LatencyProfile> {
+    reports
+        .chunks(latencies.len() + 1)
+        .map(|runs| profile(latencies, &runs[0], &runs[1..]))
+        .collect()
+}
+
+/// A benchmark's curve: each fixed-latency run's IPC normalized to the
+/// baseline run's.
+fn profile(latencies: &[u64], baseline: &SimReport, fixed: &[SimReport]) -> LatencyProfile {
+    let baseline_ipc = baseline.ipc;
     let mut points: Vec<LatencyPoint> = latencies
         .iter()
-        .zip(&reports)
+        .zip(fixed)
         .map(|(&latency, r)| LatencyPoint {
             latency,
             ipc: r.ipc,
@@ -138,14 +147,28 @@ pub fn latency_tolerance_profile(
         .max()
         .unwrap_or(0);
 
-    Ok(LatencyProfile {
-        benchmark: program.name().to_owned(),
+    LatencyProfile {
+        benchmark: baseline.benchmark.clone(),
         baseline_ipc,
         baseline_avg_miss_latency: baseline.avg_l1_miss_latency(),
         baseline_intercept: interpolate_intercept(&points),
         plateau_end,
         points,
-    })
+    }
+}
+
+/// Sweeps the latency-tolerance profile of one benchmark.
+///
+/// # Errors
+///
+/// Propagates the first watchdog failure from any run.
+pub fn latency_tolerance_profile(
+    cfg: &GpuConfig,
+    program: &Arc<dyn KernelProgram>,
+    latencies: &[u64],
+) -> Result<LatencyProfile, SimError> {
+    let reports = run_plan(&plan(cfg, std::slice::from_ref(program), latencies), 0)?;
+    Ok(profile(latencies, &reports[0], &reports[1..]))
 }
 
 #[cfg(test)]
@@ -175,6 +198,39 @@ mod tests {
     fn intercept_none_when_curve_stays_above_one() {
         let pts = mk(&[(0, 3.0), (800, 1.2)]);
         assert_eq!(interpolate_intercept(&pts), None);
+    }
+
+    #[test]
+    fn reduce_normalizes_against_each_programs_baseline() {
+        // Two programs, each a baseline run then latencies 400 and 0
+        // (deliberately unsorted).
+        let reports = [
+            ("a", 2.0),
+            ("a", 1.0),
+            ("a", 4.0),
+            ("b", 1.0),
+            ("b", 0.5),
+            ("b", 3.0),
+        ]
+        .map(crate::experiments::ipc_report);
+        let profiles = reduce(&[400, 0], &reports);
+        let curve = |p: &LatencyProfile| -> Vec<(u64, f64, f64)> {
+            p.points
+                .iter()
+                .map(|q| (q.latency, q.ipc, q.normalized_ipc))
+                .collect()
+        };
+        assert_eq!(profiles.len(), 2);
+        let a = &profiles[0];
+        assert_eq!(a.benchmark, "a");
+        assert_eq!(a.baseline_ipc, 2.0);
+        assert_eq!(curve(a), [(0, 4.0, 2.0), (400, 1.0, 0.5)]);
+        // Crosses 1.0 two thirds of the way from 0 (2.0) to 400 (0.5).
+        assert!((a.baseline_intercept.unwrap() - 800.0 / 3.0).abs() < 1e-9);
+        assert_eq!(a.plateau_end, 0);
+        let b = &profiles[1];
+        assert_eq!(b.benchmark, "b");
+        assert_eq!(curve(b), [(0, 3.0, 3.0), (400, 0.5, 0.5)]);
     }
 
     #[test]

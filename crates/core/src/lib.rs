@@ -40,9 +40,8 @@ mod run;
 pub mod text;
 
 pub use run::{
-    retry_with_policy, run_benchmark, run_benchmarks_parallel, run_benchmarks_resilient,
-    run_benchmarks_resilient_with, Backoff, BatchOutcome, BenchmarkFailure, RetryPolicy, RunSpec,
-    DEFAULT_MAX_CYCLES,
+    distinct_runs, retry_with_policy, run_benchmark, run_plan, run_pool, Backoff, RetryPolicy,
+    RunSpec, DEFAULT_MAX_CYCLES,
 };
 
 /// Re-export of the configuration crate (baseline + Table I design space).
@@ -59,7 +58,7 @@ pub mod prelude {
     pub use crate::experiments::latency_tolerance::{
         latency_tolerance_profile, LatencyProfile, FIG1_LATENCIES,
     };
-    pub use crate::run::{run_benchmark, run_benchmarks_parallel, run_benchmarks_resilient};
+    pub use crate::run::{run_benchmark, run_plan};
     pub use gpumem_config::{DesignPoint, GpuConfig};
     pub use gpumem_sim::{GpuSimulator, MemoryMode, SimReport};
     pub use gpumem_workloads::{benchmarks, by_name, BENCHMARK_NAMES};

@@ -1,6 +1,7 @@
-//! Helpers for running benchmarks, serially or across threads.
+//! Running simulations: one at a time, or a whole plan on the worker pool.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
@@ -48,54 +49,125 @@ pub fn run_benchmark(
     GpuSimulator::new(cfg.clone(), Arc::clone(program), mode).run(DEFAULT_MAX_CYCLES)
 }
 
-/// Runs a batch of independent simulations across all available cores,
-/// preserving input order in the output.
+/// The one worker pool: runs `work` over `items` on `min(workers, n)`
+/// scoped threads (`workers == 0`: one per host core) and hands each
+/// result, tagged with its item's index, to `on_result` on the calling
+/// thread.
 ///
-/// # Errors
-///
-/// Returns the first [`SimError`] encountered (remaining runs still
-/// execute; their results are discarded).
-pub fn run_benchmarks_parallel(specs: &[RunSpec]) -> Result<Vec<SimReport>, SimError> {
-    let n = specs.len();
+/// Items are claimed in input order from an atomic index, so one worker
+/// visits them in order; with more workers results arrive in completion
+/// order and the index puts them back. Workers never wait for `on_result`
+/// (the sweep's commits sync to disk): finished results queue until it
+/// takes them. Once `on_result` returns [`ControlFlow::Break`] it is never
+/// called again, at most one more item starts per worker (one already
+/// past its stop check), and queued or in-flight results are dropped.
+pub fn run_pool<T, R>(
+    items: &[T],
+    workers: usize,
+    work: impl Fn(&T) -> R + Sync,
+    mut on_result: impl FnMut(usize, R) -> ControlFlow<()>,
+) where
+    T: Sync,
+    R: Send,
+{
+    let n = items.len();
     if n == 0 {
-        return Ok(Vec::new());
+        return;
     }
-    let workers = thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(n);
+    let workers = match workers {
+        0 => thread::available_parallelism().map_or(4, |p| p.get()),
+        w => w,
+    }
+    .min(n);
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Result<SimReport, SimError>)>();
+    let stop = AtomicBool::new(false);
+    let (tx, rx) = mpsc::channel::<(usize, R)>();
 
     thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            let (next, stop, work) = (&next, &stop, &work);
+            scope.spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n || tx.send((i, work(&items[i]))).is_err() {
+                        break;
+                    }
                 }
-                let spec = &specs[i];
-                let out = GpuSimulator::new(spec.cfg.clone(), Arc::clone(&spec.program), spec.mode)
-                    .run(DEFAULT_MAX_CYCLES);
-                tx.send((i, out)).expect("receiver outlives the scope");
             });
         }
+        drop(tx);
+        // Breaking out drops `rx`: a worker still simulating finds the
+        // channel closed when it tries to hand its result over, and the
+        // stop flag keeps the others from claiming more.
+        for (i, out) in rx {
+            if on_result(i, out).is_break() {
+                stop.store(true, Ordering::Release);
+                break;
+            }
+        }
     });
-    drop(tx);
+}
 
-    // Workers finish in arbitrary order; reassemble by index so the output
-    // order (and the index of the error returned, if any) depends only on
-    // the input.
-    let mut results: Vec<Option<Result<SimReport, SimError>>> = (0..n).map(|_| None).collect();
-    for (i, out) in rx {
-        results[i] = Some(out);
+/// Splits a plan into its distinct runs — entries with the same program
+/// (the same `Arc`), memory mode and configuration — as the plan index of
+/// each distinct run's first occurrence, and for every plan entry the
+/// position of its run among them.
+fn dedup(plan: &[RunSpec]) -> (Vec<usize>, Vec<usize>) {
+    let mut firsts: Vec<usize> = Vec::new();
+    let slots = plan
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            let same = |&f: &usize| {
+                let b = &plan[f];
+                a.mode == b.mode && Arc::ptr_eq(&a.program, &b.program) && a.cfg == b.cfg
+            };
+            firsts.iter().position(same).unwrap_or_else(|| {
+                firsts.push(i);
+                firsts.len() - 1
+            })
+        })
+        .collect();
+    (firsts, slots)
+}
+
+/// How many simulations [`run_plan`] performs for `plan`.
+pub fn distinct_runs(plan: &[RunSpec]) -> usize {
+    dedup(plan).0.len()
+}
+
+/// Runs a plan on [`run_pool`] and returns one report per entry, in plan
+/// order. An entry that repeats an earlier one (see [`distinct_runs`]) is
+/// simulated once and its report shared, so plans concatenated from
+/// several experiments pay for their common runs once.
+///
+/// # Errors
+///
+/// The first [`SimError`] to arrive; no further runs start after it.
+pub fn run_plan(plan: &[RunSpec], workers: usize) -> Result<Vec<SimReport>, SimError> {
+    let (firsts, slots) = dedup(plan);
+    let mut reports: Vec<Option<SimReport>> = vec![None; firsts.len()];
+    let mut error = None;
+    run_pool(
+        &firsts,
+        workers,
+        |&i| run_benchmark(&plan[i].cfg, &plan[i].program, plan[i].mode),
+        |d, out| match out {
+            Ok(report) => {
+                reports[d] = Some(report);
+                ControlFlow::Continue(())
+            }
+            Err(e) => {
+                error = Some(e);
+                ControlFlow::Break(())
+            }
+        },
+    );
+    match error {
+        Some(e) => Err(e),
+        None => Ok(slots.iter().filter_map(|&d| reports[d].clone()).collect()),
     }
-    results
-        .into_iter()
-        .map(|slot| slot.expect("every index was sent by a worker"))
-        .collect()
 }
 
 /// Deterministic seeded exponential backoff between retry attempts.
@@ -144,9 +216,9 @@ impl Backoff {
     }
 }
 
-/// How [`run_benchmarks_resilient_with`] (and the sweep orchestrator)
-/// respond to a failed attempt: up to `max_attempts` tries, separated by
-/// deterministic seeded exponential [`Backoff`].
+/// How the sweep orchestrator responds to a failed attempt: up to
+/// `max_attempts` tries, separated by deterministic seeded exponential
+/// [`Backoff`].
 ///
 /// Only *host-dependent* errors ([`SimError::is_host_dependent`]:
 /// a missed wall-clock deadline) are retried — a
@@ -172,8 +244,7 @@ impl RetryPolicy {
 }
 
 impl Default for RetryPolicy {
-    /// The historical [`run_benchmarks_resilient`] behaviour: one retry,
-    /// immediately.
+    /// One retry, immediately.
     fn default() -> Self {
         RetryPolicy::immediate(2)
     }
@@ -182,7 +253,7 @@ impl Default for RetryPolicy {
 /// Runs `attempt` under `policy`, retrying host-dependent failures with
 /// the policy's backoff. Returns how many attempts were made alongside the
 /// final outcome. `salt` keys the jitter stream (callers pass a stable
-/// per-work-item value, e.g. the batch index or a cell digest).
+/// per-work-item value, e.g. a cell digest).
 pub fn retry_with_policy<F>(
     policy: &RetryPolicy,
     salt: u64,
@@ -208,116 +279,6 @@ where
             }
         }
     }
-}
-
-/// One benchmark that could not be completed by [`run_benchmarks_resilient`],
-/// after exhausting its retry budget.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchmarkFailure {
-    /// Index into the input `specs` slice.
-    pub index: usize,
-    /// The benchmark's name.
-    pub benchmark: String,
-    /// How many attempts were actually made: 1 for a deterministic error
-    /// (which fails fast — a retry would reproduce it bit-identically),
-    /// up to the policy's `max_attempts` for host-dependent errors.
-    pub attempts: u32,
-    /// The typed error from the last attempt.
-    pub error: SimError,
-}
-
-/// Outcome of a resilient batch: reports in input order, with `None` at
-/// every index that failed, plus a structured record of each failure.
-#[derive(Debug, Clone)]
-pub struct BatchOutcome {
-    /// One slot per input spec, in input order.
-    pub reports: Vec<Option<SimReport>>,
-    /// Benchmarks that failed both attempts, in input order.
-    pub failures: Vec<BenchmarkFailure>,
-}
-
-impl BatchOutcome {
-    /// True when every benchmark in the batch completed.
-    pub fn all_ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// [`run_benchmarks_resilient_with`] under the historical default policy
-/// (one immediate retry for host-dependent failures).
-pub fn run_benchmarks_resilient(
-    specs: &[RunSpec],
-    max_cycles: u64,
-    deadline_seconds: Option<f64>,
-) -> BatchOutcome {
-    run_benchmarks_resilient_with(specs, max_cycles, deadline_seconds, &RetryPolicy::default())
-}
-
-/// Runs a batch of independent simulations across all available cores,
-/// degrading gracefully instead of failing the whole batch: each benchmark
-/// gets an optional per-run wall-clock budget (`deadline_seconds`), a
-/// host-dependent failure is retried under `policy` (deterministic errors
-/// fail fast — see [`RetryPolicy`]), and a benchmark that exhausts its
-/// budget is reported in [`BatchOutcome::failures`] while every other
-/// benchmark's report is still returned.
-pub fn run_benchmarks_resilient_with(
-    specs: &[RunSpec],
-    max_cycles: u64,
-    deadline_seconds: Option<f64>,
-    policy: &RetryPolicy,
-) -> BatchOutcome {
-    let n = specs.len();
-    if n == 0 {
-        return BatchOutcome {
-            reports: Vec::new(),
-            failures: Vec::new(),
-        };
-    }
-    let workers = thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(n);
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, u32, Result<SimReport, SimError>)>();
-
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let spec = &specs[i];
-                let (attempts, out) = retry_with_policy(policy, i as u64, || {
-                    let mut sim =
-                        GpuSimulator::new(spec.cfg.clone(), Arc::clone(&spec.program), spec.mode);
-                    sim.set_deadline_seconds(deadline_seconds);
-                    sim.run(max_cycles)
-                });
-                tx.send((i, attempts, out))
-                    .expect("receiver outlives the scope");
-            });
-        }
-    });
-    drop(tx);
-
-    let mut reports: Vec<Option<SimReport>> = (0..n).map(|_| None).collect();
-    let mut failures = Vec::new();
-    for (i, attempts, out) in rx {
-        match out {
-            Ok(report) => reports[i] = Some(report),
-            Err(error) => failures.push(BenchmarkFailure {
-                index: i,
-                benchmark: specs[i].program.name().to_owned(),
-                attempts,
-                error,
-            }),
-        }
-    }
-    failures.sort_by_key(|f| f.index);
-    BatchOutcome { reports, failures }
 }
 
 #[cfg(test)]
@@ -349,118 +310,54 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_and_preserves_order() {
-        let specs = vec![
-            tiny_spec(MemoryMode::Hierarchy),
-            tiny_spec(MemoryMode::FixedLatency(100)),
-            tiny_spec(MemoryMode::FixedLatency(0)),
-        ];
-        let par = run_benchmarks_parallel(&specs).unwrap();
-        assert_eq!(par.len(), 3);
-        for (spec, report) in specs.iter().zip(&par) {
-            let serial = run_benchmark(&spec.cfg, &spec.program, spec.mode).unwrap();
-            assert_eq!(serial.cycles, report.cycles, "determinism across threads");
-            assert_eq!(serial.instructions, report.instructions);
+    fn repeated_entries_are_simulated_once() {
+        let a = tiny_spec(MemoryMode::Hierarchy);
+        let b = tiny_spec(MemoryMode::FixedLatency(100));
+        // Same configuration and mode, but a different program `Arc`.
+        let c = tiny_spec(MemoryMode::Hierarchy);
+        let mut d = a.clone();
+        d.cfg.num_cores = 1;
+        let plan = vec![a.clone(), b.clone(), a.clone(), c, b, d, a];
+        assert_eq!(dedup(&plan), (vec![0, 1, 3, 5], vec![0, 1, 0, 2, 1, 3, 0]));
+        assert_eq!(distinct_runs(&plan), 4);
+        assert!(run_plan(&[], 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn pool_stops_after_break() {
+        let items: Vec<u32> = (0..64).collect();
+        for workers in [1, 2, 4] {
+            for k in [1, 3, 10] {
+                let broke = AtomicBool::new(false);
+                let started_after_break = AtomicUsize::new(0);
+                let mut delivered = 0;
+                run_pool(
+                    &items,
+                    workers,
+                    |&x| {
+                        if broke.load(Ordering::SeqCst) {
+                            started_after_break.fetch_add(1, Ordering::SeqCst);
+                        }
+                        thread::sleep(Duration::from_micros(200));
+                        x
+                    },
+                    |_, _| {
+                        delivered += 1;
+                        if delivered < k {
+                            return ControlFlow::Continue(());
+                        }
+                        broke.store(true, Ordering::SeqCst);
+                        ControlFlow::Break(())
+                    },
+                );
+                assert_eq!(delivered, k, "no callback after Break");
+                let late = started_after_break.into_inner();
+                assert!(
+                    late <= workers,
+                    "{late} items started after Break with {workers} workers"
+                );
+            }
         }
-        assert_eq!(par[1].mode, "fixed-latency(100)");
-        assert_eq!(par[2].mode, "fixed-latency(0)");
-    }
-
-    #[test]
-    fn empty_batch_is_ok() {
-        assert!(run_benchmarks_parallel(&[]).unwrap().is_empty());
-    }
-
-    /// A spec too big to finish inside a small cycle budget.
-    fn oversized_spec() -> RunSpec {
-        let mut spec = tiny_spec(MemoryMode::FixedLatency(400));
-        let mut p = WorkloadParams::template("big");
-        p.ctas = 64;
-        p.warps_per_cta = 2;
-        p.iters = 200;
-        p.working_set_lines = 2_000;
-        spec.program = Arc::new(SyntheticKernel::new(p));
-        spec
-    }
-
-    #[test]
-    fn resilient_batch_reports_partial_results() {
-        let specs = vec![
-            tiny_spec(MemoryMode::Hierarchy),
-            oversized_spec(),
-            tiny_spec(MemoryMode::FixedLatency(100)),
-        ];
-        // A budget the tiny specs clear easily and the oversized one
-        // cannot: the batch must still return the two good reports.
-        let out = run_benchmarks_resilient(&specs, 20_000, None);
-        assert!(!out.all_ok());
-        assert!(out.reports[0].is_some(), "tiny run must survive the batch");
-        assert!(out.reports[1].is_none(), "failed slot must stay empty");
-        assert!(out.reports[2].is_some());
-        assert_eq!(out.failures.len(), 1);
-        let failure = &out.failures[0];
-        assert_eq!(failure.index, 1);
-        assert_eq!(failure.benchmark, "big");
-        assert_eq!(
-            failure.attempts, 1,
-            "a deterministic cycle-budget failure must fail fast, not burn retries"
-        );
-        assert!(matches!(failure.error, SimError::Watchdog { .. }));
-    }
-
-    #[test]
-    fn resilient_batch_with_no_failures_matches_fail_fast() {
-        let specs = vec![
-            tiny_spec(MemoryMode::Hierarchy),
-            tiny_spec(MemoryMode::FixedLatency(100)),
-        ];
-        let out = run_benchmarks_resilient(&specs, DEFAULT_MAX_CYCLES, None);
-        assert!(out.all_ok());
-        let reference = run_benchmarks_parallel(&specs).unwrap();
-        for (slot, reference) in out.reports.iter().zip(&reference) {
-            let report = slot.as_ref().unwrap();
-            assert_eq!(report.cycles, reference.cycles);
-            assert_eq!(report.instructions, reference.instructions);
-        }
-    }
-
-    #[test]
-    fn zero_deadline_fails_every_benchmark_after_one_retry() {
-        let specs = vec![tiny_spec(MemoryMode::Hierarchy)];
-        let out = run_benchmarks_resilient(&specs, DEFAULT_MAX_CYCLES, Some(0.0));
-        assert!(out.reports[0].is_none());
-        assert_eq!(out.failures.len(), 1);
-        assert_eq!(
-            out.failures[0].attempts, 2,
-            "a host-dependent deadline miss uses the full default budget"
-        );
-        assert!(matches!(
-            out.failures[0].error,
-            SimError::DeadlineExceeded { .. }
-        ));
-    }
-
-    #[test]
-    fn retry_budget_applies_only_to_host_dependent_errors() {
-        // Host-dependent error: the whole budget is spent.
-        let specs = vec![tiny_spec(MemoryMode::Hierarchy)];
-        let out = run_benchmarks_resilient_with(
-            &specs,
-            DEFAULT_MAX_CYCLES,
-            Some(0.0),
-            &RetryPolicy::immediate(4),
-        );
-        assert_eq!(out.failures[0].attempts, 4);
-
-        // Deterministic error: one attempt, regardless of the budget.
-        let out = run_benchmarks_resilient_with(
-            &specs,
-            100, // budget far too small: a deterministic Watchdog error
-            None,
-            &RetryPolicy::immediate(4),
-        );
-        assert!(matches!(out.failures[0].error, SimError::Watchdog { .. }));
-        assert_eq!(out.failures[0].attempts, 1);
     }
 
     #[test]

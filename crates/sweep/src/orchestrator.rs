@@ -1,19 +1,18 @@
-//! The sweep executor: admission through the store, a bounded worker
-//! pool for the misses, and single-writer commit ordering.
+//! The sweep executor: admission through the store, the misses on
+//! [`gpumem::run_pool`], and single-writer commit ordering.
 //!
 //! Concurrency model: workers only *simulate* — every store mutation
 //! (journal appends, cell commits, quarantines) happens on the
 //! coordinating thread, so the write-ahead journal has exactly one writer
-//! and needs no locking. Workers stream `(index, attempts, result)` over a
-//! channel and the coordinator commits results in arrival order; the
+//! and needs no locking. The pool hands each `(attempts, result)` to the
+//! coordinator, which commits results in arrival order; the
 //! content-addressed store makes the commit order irrelevant to the final
 //! state.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread;
+use std::ops::ControlFlow;
+use std::sync::Arc;
 
-use gpumem::{retry_with_policy, RetryPolicy};
+use gpumem::{retry_with_policy, run_pool, RetryPolicy};
 use gpumem_sim::{GpuSimulator, SimError, SimReport};
 use gpumem_types::SweepError;
 use serde::{Deserialize, Serialize};
@@ -186,48 +185,17 @@ pub fn run_sweep(
         store.journal_cell_event(JournalEvent::Begin, cells[i].key, "")?;
     }
 
-    // Execution: workers simulate, the coordinator commits.
-    let workers = if opts.workers == 0 {
-        thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-    } else {
-        opts.workers
-    }
-    .min(misses.len().max(1));
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let (tx, rx) = mpsc::channel::<(usize, u32, Result<SimReport, SimError>)>();
+    // Execution: workers simulate on the shared pool; every commit happens
+    // here, on the coordinating thread. A crash stops new cells from
+    // starting and drops the in-flight ones uncommitted, as a dead process
+    // would.
     let mut crash: Option<SweepError> = None;
-
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (next, stop) = (&next, &stop);
-            let (cells, misses) = (&cells, &misses);
-            let retry = &opts.retry;
-            let deadline = spec.deadline_seconds;
-            scope.spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let slot = next.fetch_add(1, Ordering::Relaxed);
-                if slot >= misses.len() {
-                    break;
-                }
-                let idx = misses[slot];
-                let (attempts, out) = execute_cell(&cells[idx], deadline, retry);
-                if tx.send((idx, attempts, out)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-
-        for (idx, attempts, out) in rx {
-            if crash.is_some() {
-                continue; // crashed: drain without committing, as a dead process would
-            }
+    run_pool(
+        &misses,
+        opts.workers,
+        |&idx| execute_cell(&cells[idx], spec.deadline_seconds, &opts.retry),
+        |slot, (attempts, out)| {
+            let idx = misses[slot];
             outcomes[idx].attempts = attempts;
             let result = match out {
                 Ok(report) => store.commit(cells[idx].key, &outcomes[idx].label, attempts, &report),
@@ -258,14 +226,15 @@ pub fn run_sweep(
                             attempts
                         );
                     }
+                    ControlFlow::Continue(())
                 }
                 Err(e) => {
-                    stop.store(true, Ordering::Relaxed);
                     crash = Some(e);
+                    ControlFlow::Break(())
                 }
             }
-        }
-    });
+        },
+    );
 
     if let Some(e) = crash {
         return Err(e);

@@ -52,23 +52,35 @@ fn different_seeds_change_gather_behaviour() {
     assert_ne!(a.cycles, b.cycles);
 }
 
+/// Full report JSON without the host block (wall-clock times differ).
+fn canonical(report: &gpumem_sim::SimReport) -> String {
+    let mut r = report.clone();
+    r.host = None;
+    serde_json::to_string(&r).unwrap()
+}
+
 #[test]
 fn parallel_runner_is_deterministic() {
-    // Thread scheduling must not leak into results.
+    // Thread scheduling must not leak into results: one worker and the
+    // host's full width give the same reports, in plan order.
     let cfg = small_gpu();
-    let specs: Vec<gpumem::RunSpec> = ["cfd", "dwt2d", "nn", "sc"]
+    let plan: Vec<gpumem::RunSpec> = ["cfd", "dwt2d", "nn", "sc"]
         .iter()
-        .map(|n| gpumem::RunSpec {
-            cfg: cfg.clone(),
-            program: kernel(n, 0),
-            mode: MemoryMode::Hierarchy,
+        .flat_map(|n| {
+            let program = kernel(n, 0);
+            [MemoryMode::Hierarchy, MemoryMode::FixedLatency(200)].map(|mode| gpumem::RunSpec {
+                cfg: cfg.clone(),
+                program: Arc::clone(&program),
+                mode,
+            })
         })
         .collect();
-    let first = run_benchmarks_parallel(&specs).unwrap();
-    let second = run_benchmarks_parallel(&specs).unwrap();
-    for (a, b) in first.iter().zip(&second) {
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.instructions, b.instructions);
+    let serial: Vec<String> = run_plan(&plan, 1).unwrap().iter().map(canonical).collect();
+    let parallel: Vec<String> = run_plan(&plan, 0).unwrap().iter().map(canonical).collect();
+    assert_eq!(serial.len(), plan.len());
+    for (i, spec) in plan.iter().enumerate() {
+        assert!(serial[i].contains(&format!("\"benchmark\":\"{}\"", spec.program.name())));
+        assert_eq!(serial[i], parallel[i], "plan entry {i} ({spec:?})");
     }
 }
 

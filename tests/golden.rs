@@ -157,3 +157,46 @@ fn results_files_match_golden_digest() {
     digest.push_str("}\n");
     check_snapshot("results_digest", &digest);
 }
+
+/// The §III per-benchmark table in EXPERIMENTS.md prints the committed
+/// `results/congestion.json`: every row's queue-full percentages must
+/// match the JSON at the table's precision, row for row.
+#[test]
+fn experiments_md_congestion_table_matches_results() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let json = std::fs::read_to_string(root.join("results/congestion.json")).unwrap();
+    let study: CongestionStudy = serde_json::from_str(&json).unwrap();
+    let doc = std::fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap();
+    let section = doc
+        .split("\n## ")
+        .find(|s| s.starts_with("Section III"))
+        .expect("EXPERIMENTS.md has a Section III");
+    let rows: Vec<Vec<&str>> = section
+        .lines()
+        .skip_while(|l| !l.starts_with("| benchmark |"))
+        .skip(2) // header and separator
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| l.trim_matches('|').split('|').map(str::trim).collect())
+        .collect();
+    let pct = |x: f64| format!("{:.1}%", 100.0 * x);
+    let expected: Vec<[String; 3]> = study
+        .rows
+        .iter()
+        .map(|r| {
+            [
+                r.benchmark.clone(),
+                pct(r.l2_access_full),
+                pct(r.dram_sched_full),
+            ]
+        })
+        .collect();
+    let printed: Vec<[String; 3]> = rows
+        .iter()
+        .map(|cells| [cells[0], cells[2], cells[3]].map(str::to_owned))
+        .collect();
+    assert_eq!(
+        printed, expected,
+        "EXPERIMENTS.md §III (benchmark, L2 access full, DRAM sched full) \
+         drifted from results/congestion.json"
+    );
+}

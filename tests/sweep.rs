@@ -317,6 +317,36 @@ fn deterministic_failures_fail_fast_and_commit_nothing() {
 }
 
 #[test]
+fn missed_deadlines_spend_the_whole_retry_budget_and_commit_nothing() {
+    // A zero wall-clock budget: every attempt misses its deadline, a
+    // host-dependent failure, so each cell is retried until the policy's
+    // budget runs out.
+    let mut spec = tiny_spec();
+    spec.deadline_seconds = Some(0.0);
+    let opts = SweepOptions {
+        retry: RetryPolicy::immediate(3),
+        ..opts()
+    };
+    let dir = scratch("deadline");
+    let summary = run_sweep(&spec, &dir, &opts).unwrap();
+    assert_eq!(summary.failed, 4);
+    assert_eq!(summary.attempts_total, 12);
+    for o in &summary.outcomes {
+        assert_eq!(o.status, CellStatus::Failed);
+        assert_eq!(o.attempts, 3, "{}", o.label);
+        assert!(o.detail.contains("wall-clock budget"), "{}", o.detail);
+        assert!(o.result_digest.is_none());
+    }
+    assert!(cell_digests(&spec, &dir).iter().all(|d| d.is_none()));
+
+    // Nothing was cached: a re-run attempts every cell again.
+    let again = run_sweep(&spec, &dir, &opts).unwrap();
+    assert_eq!(again.failed, 4);
+    assert_eq!(again.attempts_total, 12);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn engine_axis_cells_agree_on_result_digests() {
     // The engines differ only in host strategy, never in simulated
     // results — swept side by side, their cells must carry distinct keys
