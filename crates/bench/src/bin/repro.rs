@@ -15,12 +15,12 @@
 //! * `table1`     — prints Table I itself (configuration values)
 //! * `latency`    — Section II baseline-vs-ideal latency comparison
 //! * `ablation`   — Section V future work: per-row ablation + cost ranking
-//! * `perf`       — host throughput: the per-cycle stepped oracle vs the
-//!   event-driven engine behind `run()` (cycles/sec, skipped fraction,
-//!   speedup). A table for people; regressions are gated by the
-//!   `benchmark/` ledger, not here. With `--profile` instead runs the
-//!   event-driven engine with host-time instrumentation and prints
-//!   per-component attribution (scheduler, cores, L1, crossbars,
+//! * `perf`       — host throughput: the per-cycle stepped oracle vs
+//!   `run()`, which jumps the whole machine over inert cycles
+//!   (cycles/sec, skipped fraction, speedup). A table for people;
+//!   regressions are gated by the `benchmark/` ledger, not here. With
+//!   `--profile` instead runs `run()` with host-time instrumentation and
+//!   prints per-component attribution (run loop, cores, L1, crossbars,
 //!   partitions, DRAM).
 //! * `chaos`      — deterministic fault-injection sweep: each seed expands
 //!   into a bit-identical fault schedule (crossbar port holds and
@@ -37,8 +37,8 @@
 //!   `--json DIR` also exports the slowest fetches as Chrome trace-event
 //!   JSON (`trace_<benchmark>.json`, loadable in `chrome://tracing`).
 //! * `run`        — executes the named workloads (and/or `--trace-file`
-//!   traces) through both engines — event-driven `run()` and the
-//!   per-cycle `run_stepped()` oracle — and requires the two reports to be
+//!   traces) through both `run()`, which jumps over inert cycles, and the
+//!   per-cycle `run_stepped()` oracle, and requires the two reports to be
 //!   bit-identical (full canonical JSON, host block stripped). A
 //!   malformed trace file is a diagnosed, non-zero exit naming the
 //!   offending line, never a panic.
@@ -391,7 +391,7 @@ fn run_experiments(
 }
 
 /// One row of the `perf` command: the same run executed strictly
-/// per-cycle and on the event-driven engine.
+/// per-cycle and with `run()`'s jumps to the next event.
 #[derive(serde::Serialize)]
 struct PerfRow {
     benchmark: String,
@@ -523,17 +523,16 @@ struct ProfileRow {
     profile: gpumem_sim::EngineProfile,
 }
 
-/// The `perf --profile` study: runs the event-driven engine with
-/// host-time instrumentation and attributes wall time to components
-/// (scheduler, cores, L1, crossbars, partitions, DRAM), so perf work
+/// The `perf --profile` study: runs `run()` with host-time
+/// instrumentation and attributes wall time to components (run loop,
+/// cores, L1, crossbars, partitions, DRAM), so perf work
 /// starts from data rather than guesses. The instrumented runs pay for
 /// their own stopwatches — absolute wall times here are slightly above
 /// the uninstrumented sweep's, but the *shares* are what matter.
 fn run_profile(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Option<String>) {
-    println!("PER-COMPONENT HOST-TIME ATTRIBUTION — event-driven engine");
-    println!("(awake%: fraction of executed cycles each component class actually ran)");
+    println!("PER-COMPONENT HOST-TIME ATTRIBUTION — run()");
     println!(
-        "{:>10} {:>18} {:>8} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>10} {:>9} {:>7} {:>7} {:>7}",
+        "{:>10} {:>18} {:>8} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>10} {:>9}",
         "benchmark",
         "mode",
         "wall_s",
@@ -543,12 +542,8 @@ fn run_profile(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Opti
         "xbar%",
         "parts%",
         "DRAM%",
-        "other%",
         "executed",
         "skipped",
-        "cores",
-        "parts",
-        "xbars"
     );
     let mut rows = Vec::new();
     for mode in [MemoryMode::Hierarchy, MemoryMode::FixedLatency(800)] {
@@ -558,18 +553,8 @@ fn run_profile(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Opti
                 .run_profiled(gpumem::DEFAULT_MAX_CYCLES)
                 .expect("profiled run completes");
             let pct = |s: f64| 100.0 * s / p.wall_seconds.max(1e-12);
-            let other = p.wall_seconds
-                - p.scheduler_seconds
-                - p.cores_seconds
-                - p.l1_seconds
-                - p.crossbar_seconds
-                - p.partitions_seconds
-                - p.dram_seconds;
-            let awake = |runs: u64, per_cycle: u64| {
-                100.0 * runs as f64 / (p.executed_cycles.max(1) * per_cycle.max(1)) as f64
-            };
             println!(
-                "{:>10} {:>18} {:>8.3} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>10} {:>9} {:>6.1} {:>6.1} {:>6.1}",
+                "{:>10} {:>18} {:>8.3} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>10} {:>9}",
                 report.benchmark,
                 report.mode,
                 p.wall_seconds,
@@ -579,12 +564,8 @@ fn run_profile(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Opti
                 pct(p.crossbar_seconds),
                 pct(p.partitions_seconds),
                 pct(p.dram_seconds),
-                pct(other.max(0.0)),
                 p.executed_cycles,
                 p.skipped_cycles,
-                awake(p.core_runs, cfg.num_cores as u64),
-                awake(p.partition_runs, cfg.num_partitions as u64),
-                awake(p.req_xbar_ticks + p.resp_xbar_ticks, 2),
             );
             rows.push(ProfileRow {
                 benchmark: report.benchmark.clone(),
@@ -822,8 +803,8 @@ fn run_trace(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Option
 }
 
 /// The `run` command: every selected workload — named synthetics and/or
-/// `--trace-file` traces — executed through the event-driven engine and
-/// the per-cycle stepped oracle, with the two reports required to be
+/// `--trace-file` traces — executed through `run()` and the per-cycle
+/// stepped oracle, with the two reports required to be
 /// bit-identical (full canonical JSON, host block stripped). This is the
 /// deterministic-replay gate the trace frontend promises: a trace admits
 /// no engine-dependent behaviour.
@@ -840,7 +821,7 @@ fn run_run(cfg: &GpuConfig, args: &Args) -> ! {
     if programs.is_empty() {
         die("run needs at least one workload name or --trace-file FILE");
     }
-    println!("CROSS-ENGINE BIT-IDENTITY — stepped oracle vs event engine");
+    println!("CROSS-ENGINE BIT-IDENTITY — stepped oracle vs run()");
     let mut failed = false;
     for mode in [MemoryMode::Hierarchy, MemoryMode::FixedLatency(800)] {
         for program in &programs {
@@ -848,12 +829,12 @@ fn run_run(cfg: &GpuConfig, args: &Args) -> ! {
                 .run_stepped(gpumem::DEFAULT_MAX_CYCLES)
                 .expect("stepped run completes");
             let reference = trace_canonical(&stepped);
-            let event = GpuSimulator::new(cfg.clone(), Arc::clone(program), mode)
+            let skipping = GpuSimulator::new(cfg.clone(), Arc::clone(program), mode)
                 .run(gpumem::DEFAULT_MAX_CYCLES)
-                .expect("event run completes");
-            if trace_canonical(&event) != reference {
+                .expect("skipping run completes");
+            if trace_canonical(&skipping) != reference {
                 eprintln!(
-                    "error: {} / {mode}: event engine diverged from the stepped oracle",
+                    "error: {} / {mode}: run() diverged from the stepped oracle",
                     program.name()
                 );
                 failed = true;

@@ -129,7 +129,7 @@ struct Pending {
 
 /// The first cycle FR-FCFS may pick `p`: its front-end latency has elapsed
 /// and its bank is idle. Shared by the scan bound and
-/// [`DramChannel::next_event`], so the event kernel's wake-up and the scan
+/// [`DramChannel::next_event`], so the run loop's jump target and the scan
 /// gate cannot diverge.
 fn schedulable_at(p: &Pending, banks: &[Bank]) -> Cycle {
     p.ready_at.max(banks[p.bank].busy_until)

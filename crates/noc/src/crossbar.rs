@@ -201,15 +201,6 @@ pub struct EgressPort {
 }
 
 impl EgressPort {
-    /// Running count of packets popped from this port's ejection queue.
-    /// A change signals that a receiver returned a credit (the engine
-    /// uses this to re-arm a sleeping crossbar).
-    pub fn ejected_count(&self) -> u64 {
-        self.ejected
-    }
-}
-
-impl EgressPort {
     fn new(cfg: &NocConfig) -> Self {
         EgressPort {
             streaming: None,
@@ -580,14 +571,13 @@ impl Crossbar {
     /// packets queued but every wanted output out of credits — reports
     /// the earliest in-flight arrival (or `None`): ticking it would move
     /// nothing, and the events that unblock it (a receiver popping an
-    /// ejection queue, a fresh injection) re-arm it from outside.
+    /// ejection queue, a fresh injection) are the caller's to see.
     /// [`fast_forward`](Crossbar::fast_forward) replays the per-cycle
     /// credit-stall accounting such a window accrues.
     ///
     /// Chaos-held inputs are treated as visible here, which can only
     /// produce spurious wake-ups (a tick that moves nothing is
-    /// stat-identical to a skipped cycle); chaos runs use the stepped
-    /// engine anyway.
+    /// stat-identical to a skipped cycle); chaos runs never skip anyway.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let wanted = self.wanted_outputs(None);
         let mut earliest: Option<Cycle> = None;
@@ -623,17 +613,6 @@ impl Crossbar {
         }
         self.account_stalls_many(now, cycles);
         self.observe_many(cycles);
-    }
-
-    /// Counts this cycle's credit stalls without ticking: the stall side
-    /// of a tick that [`next_event`](Crossbar::next_event) proved would
-    /// move nothing. The engine calls this when a later pipeline stage is
-    /// about to mutate a sleeping crossbar mid-cycle: the stall must be
-    /// charged against the pre-mutation state the skipped tick would have
-    /// seen, while the end-of-cycle occupancy observation happens after
-    /// the mutation.
-    pub fn account_stalls(&mut self, now: Cycle) {
-        self.account_stalls_many(now, 1);
     }
 
     fn account_stalls_many(&mut self, now: Cycle, cycles: u64) {

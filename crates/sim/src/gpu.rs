@@ -9,12 +9,12 @@ use gpumem_noc::{Crossbar, Packet};
 use gpumem_simt::{KernelProgram, SimtCore};
 use gpumem_trace::TraceConfig;
 use gpumem_types::{
-    host_wall_clock, ComponentOccupancy, CtaId, Cycle, CycleStamp, OldestFetch, PartitionId,
-    SimError, WedgeDiagnosis,
+    host_wall_clock, ComponentOccupancy, CtaId, Cycle, CycleStamp, HostStopwatch, OldestFetch,
+    PartitionId, SimError, WedgeDiagnosis,
 };
 
 use crate::chaos::{ChaosConfig, ChaosEngine};
-use crate::report::{build_report, HostPerf};
+use crate::report::{build_report, lap, Bucket, HostPerf, StageClock};
 use crate::watchdog::Watchdog;
 use crate::{FixedLatencyMemory, MemoryPartition, SimReport};
 
@@ -73,6 +73,20 @@ pub struct GpuSimulator {
     pub(crate) deadline_seconds: Option<f64>,
     /// Set once [`enable_trace`](GpuSimulator::enable_trace) is called.
     trace_cfg: Option<TraceConfig>,
+    /// The stage clock [`step`](GpuSimulator::step) laps during
+    /// [`run_profiled`](GpuSimulator::run_profiled).
+    prof: Option<Box<StageClock>>,
+    /// True while a run jumps to the next event. Such a run also parks
+    /// every core that can never act again (see [`core_finished`]).
+    jumping: bool,
+    /// Bit `c` is set while core `c` is parked (`GpuConfig::validate` caps
+    /// `num_cores` at 64): `step` and
+    /// `fast_forward_to` skip it, and its per-cycle accounting is replayed
+    /// in one `fast_forward` when the run ends.
+    parked: u64,
+    /// Per parked core, the cycle it parked from and `stepped_cycles` at
+    /// that point.
+    parked_at: Vec<(Cycle, u64)>,
 }
 
 impl fmt::Debug for GpuSimulator {
@@ -124,6 +138,7 @@ impl GpuSimulator {
             },
             MemoryMode::FixedLatency(latency) => Backend::Fixed(FixedLatencyMemory::new(latency)),
         };
+        let parked_at = vec![(Cycle::ZERO, 0); cfg.num_cores];
         GpuSimulator {
             cfg,
             grid_ctas: program.grid_ctas(),
@@ -141,6 +156,10 @@ impl GpuSimulator {
             chaos: None,
             deadline_seconds: None,
             trace_cfg: None,
+            prof: None,
+            jumping: false,
+            parked: 0,
+            parked_at,
         }
     }
 
@@ -209,35 +228,33 @@ impl GpuSimulator {
         self.now
     }
 
-    /// Runs until the kernel completes and the memory system drains, on
-    /// the event-driven kernel: a timing wheel wakes only the components
-    /// that have work, and sleeping components are caught up in closed
-    /// form (see `crates/sim/src/events.rs`). The engine choice is
+    /// Runs until the kernel completes and the memory system drains.
+    ///
+    /// This is the [`run_stepped`](GpuSimulator::run_stepped) loop plus a
+    /// whole-machine jump: before each [`step`](GpuSimulator::step), if
+    /// [`next_event`](GpuSimulator::next_event) lies in the future the
+    /// clock jumps there (clamped to `max_cycles`) with
+    /// [`fast_forward_to`](GpuSimulator::fast_forward_to). The jump is
     /// observationally invisible: every [`SimReport`] field except the
     /// host-side [`SimReport::host`] block is bit-identical to
-    /// [`run_stepped`](GpuSimulator::run_stepped).
+    /// `run_stepped`.
     ///
-    /// An armed watchdog or chaos schedule demands real per-cycle
-    /// stepping (chaos injects at specific cycles; the watchdog counts
-    /// real cycles), so those runs take the
-    /// [`run_stepped`](GpuSimulator::run_stepped) loop and never skip.
+    /// An armed watchdog or chaos schedule turns the jump off (chaos
+    /// injects at specific cycles; the watchdog counts real cycles), so
+    /// those runs step every cycle.
     ///
     /// # Errors
     ///
     /// [`SimError::Watchdog`] if completion is not reached within
     /// `max_cycles`.
     pub fn run(&mut self, max_cycles: u64) -> Result<SimReport, SimError> {
-        if self.watchdog_horizon.is_some() || self.chaos.is_some() {
-            return self.run_stepped(max_cycles);
-        }
-        crate::events::run_event(self, max_cycles, false).map(|(report, _)| report)
+        self.run_loop(max_cycles, true, false)
     }
 
-    /// Runs on the event-driven kernel with per-component host-time
-    /// attribution enabled, returning the profile alongside the report.
-    /// Simulation results are bit-identical to [`run`](GpuSimulator::run);
-    /// only host-side timing is collected. Requires no watchdog and no
-    /// chaos schedule to be armed.
+    /// [`run`](GpuSimulator::run) with per-stage host-time attribution,
+    /// returning the profile alongside the report. Simulation results are
+    /// bit-identical to `run`, chaos and watchdog included; only
+    /// host-side timing is collected.
     ///
     /// # Errors
     ///
@@ -247,7 +264,50 @@ impl GpuSimulator {
         &mut self,
         max_cycles: u64,
     ) -> Result<(SimReport, crate::EngineProfile), SimError> {
-        let (report, profile) = crate::events::run_event(self, max_cycles, true)?;
+        for core in &mut self.cores {
+            core.enable_host_profile();
+        }
+        if let Backend::Hierarchy { partitions, .. } = &mut self.backend {
+            for p in partitions.iter_mut() {
+                p.enable_host_profile();
+            }
+        }
+        let (stepped0, skipped0) = (self.stepped_cycles, self.skipped_cycles);
+        let report = self.run_loop(max_cycles, true, true)?;
+        let executed = self.stepped_cycles - stepped0;
+        let (nparts, xbar_ticks) = match &self.backend {
+            Backend::Hierarchy { partitions, .. } => (partitions.len() as u64, executed),
+            Backend::Fixed(_) => (0, 0),
+        };
+        let l1: f64 = self.cores.iter().map(|c| c.host_l1_seconds()).sum();
+        let profile = self.prof.take().map(|clock| {
+            // The model hooks' shares are carved out of the stage that
+            // encloses them, so the buckets sum to the clock's laps.
+            let l1 = l1.min(clock.cores);
+            let dram = match &self.backend {
+                Backend::Hierarchy { partitions, .. } => partitions
+                    .iter()
+                    .map(|p| p.host_dram_seconds())
+                    .sum::<f64>()
+                    .min(clock.parts),
+                Backend::Fixed(_) => 0.0,
+            };
+            crate::EngineProfile {
+                wall_seconds: report.host.as_ref().map_or(0.0, |h| h.wall_seconds),
+                scheduler_seconds: clock.sched,
+                cores_seconds: clock.cores - l1,
+                l1_seconds: l1,
+                crossbar_seconds: clock.xbar,
+                partitions_seconds: clock.parts - dram,
+                dram_seconds: dram + clock.mem,
+                executed_cycles: executed,
+                skipped_cycles: self.skipped_cycles - skipped0,
+                core_runs: executed * self.cores.len() as u64 - clock.parked_core_cycles,
+                partition_runs: executed * nparts,
+                req_xbar_ticks: xbar_ticks,
+                resp_xbar_ticks: xbar_ticks,
+            }
+        });
         Ok((report, profile.unwrap_or_default()))
     }
 
@@ -261,8 +321,56 @@ impl GpuSimulator {
     /// [`SimError::Watchdog`] if completion is not reached within
     /// `max_cycles`.
     pub fn run_stepped(&mut self, max_cycles: u64) -> Result<SimReport, SimError> {
+        self.run_loop(max_cycles, false, false)
+    }
+
+    /// The one run loop behind [`run`](GpuSimulator::run),
+    /// [`run_stepped`](GpuSimulator::run_stepped) and
+    /// [`run_profiled`](GpuSimulator::run_profiled). With `jump`, a
+    /// machine whose next event lies in the future jumps to it instead of
+    /// stepping, and finished cores are parked until the run ends (never
+    /// while a watchdog or chaos schedule is armed); with `profile`,
+    /// [`step`](GpuSimulator::step) laps a stage clock left in `self.prof`.
+    fn run_loop(
+        &mut self,
+        max_cycles: u64,
+        jump: bool,
+        profile: bool,
+    ) -> Result<SimReport, SimError> {
         let wall_start = host_wall_clock();
+        self.prof = profile.then(|| Box::new(StageClock::new(wall_start)));
+        self.jumping = jump && self.watchdog_horizon.is_none() && self.chaos.is_none();
+        let outcome = self.run_cycles(max_cycles, wall_start);
+        self.unpark();
+        outcome?;
+        self.check_conservation()?;
+        lap(&mut self.prof, Bucket::Sched);
+        let wall = wall_start.elapsed_seconds();
+        let mut report = self.report();
+        report.host = Some(HostPerf {
+            wall_seconds: wall,
+            cycles_per_sec: if wall > 0.0 {
+                self.now.raw() as f64 / wall
+            } else {
+                0.0
+            },
+            stepped_cycles: self.stepped_cycles,
+            skipped_cycles: self.skipped_cycles,
+            skipped_fraction: if self.now.raw() > 0 {
+                self.skipped_cycles as f64 / self.now.raw() as f64
+            } else {
+                0.0
+            },
+        });
+        Ok(report)
+    }
+
+    /// [`run_loop`](GpuSimulator::run_loop)'s cycles: steps (and, while
+    /// `self.jumping`, jumps) until the machine is done or a budget,
+    /// deadline, watchdog or step error ends the run.
+    fn run_cycles(&mut self, max_cycles: u64, wall_start: HostStopwatch) -> Result<(), SimError> {
         let mut watchdog = self.watchdog_horizon.map(Watchdog::new);
+        let max = Cycle::new(max_cycles);
         while !self.is_done() {
             if self.now.raw() >= max_cycles {
                 return Err(SimError::Watchdog {
@@ -289,27 +397,39 @@ impl GpuSimulator {
                     });
                 }
             }
+            if self.jumping {
+                match self.next_event() {
+                    Some(t) if t <= self.now => {}
+                    ev => {
+                        // Clamped to the budget, so a wedged or
+                        // budget-bound machine ends on the same watchdog
+                        // error stepping reaches.
+                        self.fast_forward_to(ev.map_or(max, |t| t.min(max)));
+                        continue;
+                    }
+                }
+            }
             self.step()?;
         }
-        self.check_conservation()?;
-        let wall = wall_start.elapsed_seconds();
-        let mut report = self.report();
-        report.host = Some(HostPerf {
-            wall_seconds: wall,
-            cycles_per_sec: if wall > 0.0 {
-                self.now.raw() as f64 / wall
-            } else {
-                0.0
-            },
-            stepped_cycles: self.stepped_cycles,
-            skipped_cycles: self.skipped_cycles,
-            skipped_fraction: if self.now.raw() > 0 {
-                self.skipped_cycles as f64 / self.now.raw() as f64
-            } else {
-                0.0
-            },
-        });
-        Ok(report)
+        Ok(())
+    }
+
+    /// Ends parking: replays every parked core's per-cycle accounting up
+    /// to `now`, as if it had been stepped, and charges the stepped cycles
+    /// it sat out to the stage clock.
+    fn unpark(&mut self) {
+        self.jumping = false;
+        let now = self.now;
+        for (c, core) in self.cores.iter_mut().enumerate() {
+            if self.parked & 1 << c != 0 {
+                let (since, stepped) = self.parked_at[c];
+                core.fast_forward(since, now.raw() - since.raw());
+                if let Some(clock) = self.prof.as_deref_mut() {
+                    clock.parked_core_cycles += self.stepped_cycles - stepped;
+                }
+            }
+        }
+        self.parked = 0;
     }
 
     /// The earliest cycle at or after [`now`](GpuSimulator::now) at which
@@ -408,8 +528,10 @@ impl GpuSimulator {
             return;
         }
         let now = self.now;
-        for core in &mut self.cores {
-            core.fast_forward(now, cycles);
+        for (c, core) in self.cores.iter_mut().enumerate() {
+            if self.parked & 1 << c == 0 {
+                core.fast_forward(now, cycles);
+            }
         }
         match &mut self.backend {
             Backend::Hierarchy {
@@ -451,6 +573,8 @@ impl GpuSimulator {
     pub fn step(&mut self) -> Result<(), SimError> {
         self.dispatch_ctas();
         let now = self.now;
+        let park = self.jumping && self.next_cta >= self.grid_ctas;
+        let parked = self.parked;
 
         match &mut self.backend {
             Backend::Hierarchy {
@@ -468,6 +592,7 @@ impl GpuSimulator {
                         partitions,
                     );
                 }
+                lap(&mut self.prof, Bucket::Sched);
                 for (p_idx, p) in partitions.iter_mut().enumerate() {
                     p.cycle(
                         now,
@@ -475,10 +600,15 @@ impl GpuSimulator {
                         resp_xbar.ingress_mut(p_idx),
                     )?;
                 }
+                lap(&mut self.prof, Bucket::Parts);
                 req_xbar.tick(now)?;
                 resp_xbar.tick(now)?;
+                lap(&mut self.prof, Bucket::Xbar);
 
                 for (c, core) in self.cores.iter_mut().enumerate() {
+                    if parked & 1 << c != 0 {
+                        continue;
+                    }
                     // One L1 fill per cycle from the response network.
                     if let Some(pkt) = resp_xbar.pop_ejected(c) {
                         core.accept_response(pkt.fetch, now);
@@ -508,21 +638,33 @@ impl GpuSimulator {
                         self.requests_injected += 1;
                     }
                     core.observe();
+                    if park && core_finished(core, now) {
+                        self.parked |= 1 << c;
+                        self.parked_at[c] = (now.next(), self.stepped_cycles + 1);
+                    }
                 }
+                lap(&mut self.prof, Bucket::Cores);
                 for p in partitions.iter_mut() {
                     p.observe();
                 }
+                lap(&mut self.prof, Bucket::Parts);
                 req_xbar.observe();
                 resp_xbar.observe();
+                lap(&mut self.prof, Bucket::Xbar);
             }
             Backend::Fixed(mem) => {
+                lap(&mut self.prof, Bucket::Sched);
                 // Deliver all due responses (unlimited fill bandwidth).
                 while let Some(fetch) = mem.pop_due(now) {
                     let idx = fetch.core.index();
                     self.cores[idx].accept_response(fetch, now);
                     self.responses_delivered += 1;
                 }
-                for core in self.cores.iter_mut() {
+                lap(&mut self.prof, Bucket::Mem);
+                for (c, core) in self.cores.iter_mut().enumerate() {
+                    if parked & 1 << c != 0 {
+                        continue;
+                    }
                     core.cycle(now);
                     while let Some(mut fetch) = core.pop_memory_request() {
                         fetch.timeline.icnt_inject = CycleStamp::at(now);
@@ -530,7 +672,12 @@ impl GpuSimulator {
                         mem.submit(fetch, now);
                     }
                     core.observe();
+                    if park && core_finished(core, now) {
+                        self.parked |= 1 << c;
+                        self.parked_at[c] = (now.next(), self.stepped_cycles + 1);
+                    }
                 }
+                lap(&mut self.prof, Bucket::Cores);
             }
         }
 
@@ -852,6 +999,14 @@ impl GpuSimulator {
             resp_xbar,
         )
     }
+}
+
+/// True when `core`, observed at the end of cycle `now` with every CTA of
+/// the grid already dispatched, can never act again: no CTA is left on it
+/// and nothing is in flight, so no response or CTA can wake it. Each of
+/// its remaining cycles is then one `fast_forward` cycle.
+fn core_finished(core: &SimtCore, now: Cycle) -> bool {
+    core.all_ctas_retired() && !core.has_pending_memory() && core.next_event(now.next()).is_none()
 }
 
 /// Renders live arena slots as "partition 0 holds 1 slot, core 3 L1 holds

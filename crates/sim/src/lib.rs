@@ -18,6 +18,13 @@
 //! occupancy statistics (the Section III congestion metrics), latency
 //! distributions and per-component counters.
 //!
+//! There is one run loop. [`GpuSimulator::step`] advances the whole
+//! machine one cycle; [`GpuSimulator::run`] steps, and whenever
+//! [`GpuSimulator::next_event`] lies in the future it jumps the whole
+//! machine there with [`GpuSimulator::fast_forward_to`].
+//! [`GpuSimulator::run_stepped`] is the same loop with the jump off: the
+//! per-cycle reference the differential tests compare against.
+//!
 //! # Example
 //!
 //! ```
@@ -60,21 +67,17 @@
 #![warn(missing_docs)]
 
 mod chaos;
-mod events;
 mod fixed;
 mod gpu;
 mod partition;
 mod report;
-mod sched;
 mod watchdog;
 
 pub use chaos::ChaosConfig;
-pub use events::EngineProfile;
 pub use fixed::FixedLatencyMemory;
 pub use gpu::{GpuSimulator, MemoryMode};
 pub use partition::{L2Stats, MemoryPartition, PartitionTrace};
-pub use report::{DramReport, HostPerf, L1Report, L2Report, NocReport, SimReport};
-pub use sched::TimingWheel;
+pub use report::{DramReport, EngineProfile, HostPerf, L1Report, L2Report, NocReport, SimReport};
 pub use watchdog::{ProgressFingerprint, Watchdog};
 
 // The observability layer's public surface, re-exported so downstream code

@@ -5,7 +5,7 @@ use gpumem_dram::DramStats;
 use gpumem_noc::{Crossbar, CrossbarStats};
 use gpumem_simt::{CoreStats, SimtCore};
 use gpumem_trace::{LatencyBreakdown, OccupancySeries, Stage, TraceCollector};
-use gpumem_types::{Cycle, LatencyStats, QueueStats};
+use gpumem_types::{Cycle, HostStopwatch, LatencyStats, QueueStats};
 use serde::{Deserialize, Serialize};
 
 use crate::{L2Stats, MemoryPartition};
@@ -80,11 +80,115 @@ pub struct HostPerf {
     pub cycles_per_sec: f64,
     /// Cycles advanced one at a time through the full per-cycle loop.
     pub stepped_cycles: u64,
-    /// Cycles crossed in bulk by event-horizon fast-forwarding.
+    /// Cycles crossed in bulk by jumps to the next event.
     pub skipped_cycles: u64,
     /// `skipped_cycles / cycles` — how much of the simulated time was
     /// provably inert and skipped.
     pub skipped_fraction: f64,
+}
+
+/// Host-time attribution for one run, reported by
+/// [`GpuSimulator::run_profiled`](crate::GpuSimulator::run_profiled) and
+/// surfaced by `repro perf --profile`.
+///
+/// Buckets are measured at the stage boundaries of
+/// [`step`](crate::GpuSimulator::step); the L1 and DRAM shares are
+/// measured by hooks inside the core and partition models and subtracted
+/// from their enclosing stage, so the six buckets partition at most
+/// `wall_seconds`.
+#[derive(Debug, Clone, Default, Serialize)]
+pub struct EngineProfile {
+    /// Total wall time of the run.
+    pub wall_seconds: f64,
+    /// The run loop itself: `next_event`, the whole-machine jump, CTA
+    /// dispatch, liveness and conservation checks — everything not
+    /// attributed to a component stage.
+    pub scheduler_seconds: f64,
+    /// SIMT core stages (issue, scoreboard, LSU) excluding the L1 share.
+    pub cores_seconds: f64,
+    /// L1 data-cache work (hit wake-up, port access, fills).
+    pub l1_seconds: f64,
+    /// Request + response crossbar ticks and observation.
+    pub crossbar_seconds: f64,
+    /// Memory-partition stages (L2 queues, banks, MSHRs) excluding DRAM.
+    pub partitions_seconds: f64,
+    /// DRAM channel work (or the fixed-latency memory in fixed mode).
+    pub dram_seconds: f64,
+    /// Cycles the loop executed with [`step`](crate::GpuSimulator::step).
+    pub executed_cycles: u64,
+    /// Cycles crossed by the whole-machine jump, without host work.
+    pub skipped_cycles: u64,
+    /// Core-cycles run: `executed_cycles × num_cores`, less the executed
+    /// cycles that finished cores sat out parked (a core with no CTA left
+    /// once the whole grid is dispatched, and nothing in flight).
+    pub core_runs: u64,
+    /// Partition-cycles run: `executed_cycles × num_partitions` in
+    /// hierarchy mode, 0 in fixed-latency mode.
+    pub partition_runs: u64,
+    /// Request-crossbar ticks: `executed_cycles` in hierarchy mode, 0 in
+    /// fixed-latency mode.
+    pub req_xbar_ticks: u64,
+    /// Response-crossbar ticks: `executed_cycles` in hierarchy mode, 0 in
+    /// fixed-latency mode.
+    pub resp_xbar_ticks: u64,
+}
+
+/// The stage of [`step`](crate::GpuSimulator::step) a profiling lap is
+/// charged to.
+#[derive(Clone, Copy)]
+pub(crate) enum Bucket {
+    Sched,
+    Cores,
+    Xbar,
+    Parts,
+    Mem,
+}
+
+/// The stopwatch of a profiled run: host seconds per [`Bucket`], lapped
+/// at stage boundaries.
+pub(crate) struct StageClock {
+    sw: HostStopwatch,
+    last: f64,
+    pub(crate) sched: f64,
+    pub(crate) cores: f64,
+    pub(crate) xbar: f64,
+    pub(crate) parts: f64,
+    pub(crate) mem: f64,
+    /// Stepped cycles that parked cores sat out.
+    pub(crate) parked_core_cycles: u64,
+}
+
+impl StageClock {
+    /// A clock whose first lap counts from `sw`'s start.
+    pub(crate) fn new(sw: HostStopwatch) -> Self {
+        StageClock {
+            sw,
+            last: 0.0,
+            sched: 0.0,
+            cores: 0.0,
+            xbar: 0.0,
+            parts: 0.0,
+            mem: 0.0,
+            parked_core_cycles: 0,
+        }
+    }
+}
+
+/// Charges the time since the previous lap to `bucket`, if profiling.
+#[inline]
+pub(crate) fn lap(clock: &mut Option<Box<StageClock>>, bucket: Bucket) {
+    if let Some(c) = clock {
+        let t = c.sw.elapsed_seconds();
+        let d = t - c.last;
+        c.last = t;
+        match bucket {
+            Bucket::Sched => c.sched += d,
+            Bucket::Cores => c.cores += d,
+            Bucket::Xbar => c.xbar += d,
+            Bucket::Parts => c.parts += d,
+            Bucket::Mem => c.mem += d,
+        }
+    }
 }
 
 /// Everything measured in one simulation run.

@@ -94,9 +94,9 @@ fn minimal_queues_everywhere_still_complete() {
         cfg.validate().unwrap();
         for program in &programs {
             let name = program.name();
-            // run() goes through the event engine; the stepped oracle runs
-            // under the watchdog, so a wedge there fails by its blocked
-            // chain rather than by the cycle budget.
+            // run() jumps over inert cycles; the stepped oracle runs under
+            // the watchdog, so a wedge there fails by its blocked chain
+            // rather than by the cycle budget.
             let mut event =
                 GpuSimulator::new(cfg.clone(), Arc::clone(program), MemoryMode::Hierarchy);
             let event_report = event

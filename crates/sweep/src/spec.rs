@@ -24,7 +24,7 @@ const TRACE_PREFIX: &str = "trace:";
 /// invariance holds, so its cells must not collide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineChoice {
-    /// The event-driven kernel behind `GpuSimulator::run`.
+    /// `GpuSimulator::run`: the stepped loop plus jumps to the next event.
     Event,
     /// The per-cycle stepped oracle.
     Stepped,
@@ -114,8 +114,8 @@ pub struct SweepSpec {
 
 impl SweepSpec {
     /// The paper's §V design-space grid: every benchmark × the Section IV
-    /// design points (plus baseline) on the full hierarchy, one seed, the
-    /// event engine.
+    /// design points (plus baseline) on the full hierarchy, one seed,
+    /// `GpuSimulator::run`.
     pub fn section_v(scale: f64) -> SweepSpec {
         SweepSpec {
             name: "section-v".to_owned(),

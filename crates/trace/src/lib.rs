@@ -10,18 +10,18 @@
 //! [`OccupancyProbe`]s record per-component queue-depth time series on a
 //! deterministic cycle cadence.
 //!
-//! Design rules that keep traced runs bit-identical across both engines
-//! (`run_stepped` and the event-driven `run`):
+//! Design rules that keep traced runs bit-identical whether or not the run
+//! loop jumps over inert cycles (`run` vs `run_stepped`):
 //!
 //! * Components only *stamp* timestamps; histograms are recorded at a single
 //!   point — the owning core's response-acceptance path — from the fetch's
 //!   own completed timeline, so recording order never depends on which
-//!   components an engine chose to step.
+//!   cycles were stepped and which were jumped.
 //! * Histogram merge is an element-wise sum (commutative + associative), and
 //!   the final report merges per-core collectors in core-index order.
 //! * Occupancy sampling is a pure function of the cycle number
-//!   (`now % cadence == 0`, sampled at pre-step state), so the event-driven
-//!   engine can backfill skipped stretches with the frozen depth.
+//!   (`now % cadence == 0`, sampled at pre-step state), so a jump can
+//!   backfill the skipped stretch with the frozen depth.
 //!
 //! The stage taxonomy telescopes: consecutive stamps partition the closed
 //! interval `issued..returned`, so the per-fetch stage durations sum
@@ -284,10 +284,9 @@ impl Default for TraceConfig {
 
 /// A queue-depth time series sampled on the deterministic cadence.
 ///
-/// Sampling is a pure function of the cycle number, so the event-driven
-/// engine backfills skipped stretches (during which the machine is provably
-/// inert) with the frozen depth and stays bit-identical to per-cycle
-/// stepping.
+/// Sampling is a pure function of the cycle number, so a jump over a
+/// skipped stretch (during which the machine is provably inert) backfills
+/// it with the frozen depth and stays bit-identical to per-cycle stepping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OccupancyProbe {
     cadence: u64,

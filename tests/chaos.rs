@@ -207,6 +207,36 @@ fn wedge_is_diagnosed_within_horizon_by_every_engine() {
 }
 
 #[test]
+fn profiled_runs_honour_chaos_and_the_watchdog() {
+    // run_profiled is the run loop with a stage clock: it must inject the
+    // same faults and fire the same watchdog as the stepped oracle.
+    let cfg = small_gpu();
+    let program = suite_kernel("cfd");
+    let run = |chaos, horizon, profiled| {
+        let mut sim = chaos_sim(&cfg, &program, chaos);
+        sim.set_watchdog(Some(horizon));
+        if profiled {
+            canonical(&sim.run_profiled(CYCLE_CAP).map(|(report, _)| report))
+        } else {
+            canonical(&sim.run_stepped(CYCLE_CAP))
+        }
+    };
+
+    let chaos = ChaosConfig::standard(7);
+    let reference = run(chaos, HORIZON, false);
+    assert!(reference.starts_with('{'), "{reference}");
+    assert_eq!(run(chaos, HORIZON, true), reference);
+
+    let wedged = ChaosConfig {
+        wedge_at: Some(500),
+        ..chaos
+    };
+    let reference = run(wedged, 2_000, false);
+    assert!(reference.starts_with("Wedged"), "{reference}");
+    assert_eq!(run(wedged, 2_000, true), reference);
+}
+
+#[test]
 fn zero_deadline_returns_a_typed_error() {
     let cfg = small_gpu();
     let program = suite_kernel("nn");
@@ -218,7 +248,7 @@ fn zero_deadline_returns_a_typed_error() {
         }
         other => panic!("expected a deadline error, got {other:?}"),
     }
-    // The event engine honours the same budget.
+    // run() honours the same budget.
     let mut sim = GpuSimulator::new(cfg, program, MemoryMode::Hierarchy);
     sim.set_deadline_seconds(Some(0.0));
     match sim.run(CYCLE_CAP) {

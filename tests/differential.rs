@@ -1,9 +1,11 @@
-//! The event-driven engine must be observationally invisible: for every
-//! benchmark, memory mode and machine shape, [`GpuSimulator::run`] (which
-//! fast-forwards across provably inert cycles and steps only the
-//! components that can act) must produce a [`SimReport`] that is
-//! bit-identical to [`GpuSimulator::run_stepped`] (the per-cycle reference
-//! semantics) in every field except the host-side wall-clock block.
+//! The whole-machine jump must be observationally invisible: for every
+//! benchmark, memory mode and machine shape, [`GpuSimulator::run`] (the
+//! run loop with jumps to [`GpuSimulator::next_event`] across provably
+//! inert cycles) must produce a [`SimReport`] that is bit-identical to
+//! [`GpuSimulator::run_stepped`] (the same loop with the jump off, the
+//! per-cycle reference semantics) in every field except the host-side
+//! wall-clock block. [`GpuSimulator::run_profiled`] is the same loop again
+//! with a stage clock, and must agree too.
 
 use std::sync::Arc;
 
@@ -21,8 +23,8 @@ fn small_gpu() -> GpuConfig {
 
 /// The machine shapes every comparison runs on. The second funnels all
 /// traffic through one partition behind a single-cycle crossbar hop, so a
-/// component's wake-up lands on the cycle right after the event that
-/// caused it — the tightest coupling the event kernel's wake bounds see.
+/// component's next event lands on the cycle right after the event that
+/// caused it — the tightest coupling `next_event` has to see.
 fn machines() -> [(&'static str, GpuConfig); 2] {
     let mut funnel = small_gpu();
     funnel.num_cores = 2;
@@ -99,23 +101,92 @@ fn fixed_latency_runs_actually_skip() {
     assert!(host.skipped_fraction > 0.0 && host.skipped_fraction < 1.0);
 }
 
+/// The midpoint of the first window `run()` would jump across: stepping
+/// from cycle 0, the first `now` whose `next_event()` lies at least two
+/// cycles ahead.
+fn first_jump_midpoint(program: &Arc<dyn KernelProgram>, mode: MemoryMode) -> u64 {
+    let mut sim = GpuSimulator::new(small_gpu(), Arc::clone(program), mode);
+    loop {
+        let now = sim.now().raw();
+        if let Some(ev) = sim.next_event() {
+            if ev.raw() > now + 1 {
+                return now + (ev.raw() - now) / 2;
+            }
+        }
+        assert!(!sim.is_done(), "{mode}: finished without a jump window");
+        sim.step().unwrap();
+    }
+}
+
 #[test]
 fn watchdog_fires_identically_under_skipping() {
-    // The horizon is clamped to the watchdog budget, so an aborted run
-    // must report the same cycle, instruction count and liveness detail
-    // either way.
+    // The jump is clamped to the budget, so an aborted run must report the
+    // same cycle, instruction count and liveness detail either way. `nw` at
+    // a 1600-cycle miss latency skips most of its cycles; its budget lands
+    // inside a jump window, so an unclamped jump would overshoot it.
     let cfg = small_gpu();
-    let budget = 2_000;
-    for mode in [MemoryMode::Hierarchy, MemoryMode::FixedLatency(800)] {
-        let program = kernel("cfd");
+    let nw_fixed = MemoryMode::FixedLatency(1600);
+    let cases = [
+        ("cfd", MemoryMode::Hierarchy, 2_000),
+        ("cfd", MemoryMode::FixedLatency(800), 2_000),
+        ("nw", nw_fixed, first_jump_midpoint(&kernel("nw"), nw_fixed)),
+    ];
+    for (name, mode, budget) in cases {
+        let program = kernel(name);
         let a = GpuSimulator::new(cfg.clone(), Arc::clone(&program), mode).run(budget);
         let b = GpuSimulator::new(cfg.clone(), program, mode).run_stepped(budget);
         let a = a.expect_err("budget too small to finish");
         let b = b.expect_err("budget too small to finish");
-        assert_eq!(a, b, "{mode}: watchdog divergence");
+        assert_eq!(a, b, "{name}/{mode}: watchdog divergence");
         match a {
             SimError::Watchdog { cycle, .. } => assert_eq!(cycle, budget),
             other => panic!("expected a budget watchdog error, got {other}"),
         }
+    }
+}
+
+#[test]
+fn profiled_runs_match_run_and_account_every_cycle() {
+    let cfg = small_gpu();
+    let (cores, partitions) = (cfg.num_cores as u64, cfg.num_partitions as u64);
+    for mode in [MemoryMode::Hierarchy, MemoryMode::FixedLatency(800)] {
+        let program = kernel("nw");
+        let plain = GpuSimulator::new(cfg.clone(), Arc::clone(&program), mode)
+            .run(DEFAULT_MAX_CYCLES)
+            .unwrap();
+        let (report, p) = GpuSimulator::new(cfg.clone(), program, mode)
+            .run_profiled(DEFAULT_MAX_CYCLES)
+            .unwrap();
+        assert_eq!(p.executed_cycles + p.skipped_cycles, report.cycles);
+        assert_eq!(canonical(report), canonical(plain), "{mode}: report");
+
+        let (parts, xbar) = match mode {
+            MemoryMode::Hierarchy => (p.executed_cycles * partitions, p.executed_cycles),
+            MemoryMode::FixedLatency(_) => (0, 0),
+        };
+        // Less than every core every cycle: `nw` leaves a core without a
+        // CTA, and a core with nothing left to do sits the run out.
+        assert!(p.core_runs > 0, "{mode}");
+        assert!(p.core_runs < p.executed_cycles * cores, "{mode}");
+        assert_eq!(p.partition_runs, parts, "{mode}");
+        assert_eq!(
+            (p.req_xbar_ticks, p.resp_xbar_ticks),
+            (xbar, xbar),
+            "{mode}"
+        );
+
+        let buckets = [
+            p.scheduler_seconds,
+            p.cores_seconds,
+            p.l1_seconds,
+            p.crossbar_seconds,
+            p.partitions_seconds,
+            p.dram_seconds,
+        ];
+        assert!(buckets.iter().all(|&s| s >= 0.0), "{mode}: {p:?}");
+        assert!(
+            buckets.iter().sum::<f64>() <= p.wall_seconds,
+            "{mode}: {p:?}"
+        );
     }
 }

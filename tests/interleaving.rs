@@ -2,7 +2,7 @@
 //! of [`GpuSimulator::step`] and [`GpuSimulator::fast_forward_to`] must end
 //! in exactly the same [`SimReport`] as pure per-cycle stepping,
 //! [`GpuSimulator::next_event`] must never name a cycle in the past, and
-//! the event kernel behind [`GpuSimulator::run`] must match
+//! [`GpuSimulator::run`] (which makes those jumps itself) must match
 //! [`GpuSimulator::run_stepped`] on generated workloads, not only on the
 //! named suite `tests/differential.rs` covers.
 
@@ -108,9 +108,9 @@ fn assert_interleaving_invisible(p: &WorkloadParams, mode: MemoryMode, coin_seed
     prop_assert_eq!(ja, jb, "interleaved run diverged from stepped reference");
 }
 
-/// Runs `program` per-cycle stepped and on the event kernel; final
-/// reports must serialize identically (host block excluded).
-fn assert_event_kernel_invisible(p: &WorkloadParams, mode: MemoryMode) {
+/// Runs `program` with `run_stepped()` and with `run()`; final reports
+/// must serialize identically (host block excluded).
+fn assert_jumps_invisible(p: &WorkloadParams, mode: MemoryMode) {
     let cfg = tiny_gpu();
     let program: Arc<dyn KernelProgram> = Arc::new(SyntheticKernel::new(p.clone()));
 
@@ -119,12 +119,12 @@ fn assert_event_kernel_invisible(p: &WorkloadParams, mode: MemoryMode) {
         .run_stepped(CYCLE_CAP)
         .expect("reference run finishes");
     let mut sim = GpuSimulator::new(cfg, program, mode);
-    let mut b = sim.run(CYCLE_CAP).expect("event-kernel run finishes");
+    let mut b = sim.run(CYCLE_CAP).expect("skipping run finishes");
     a.host = None;
     b.host = None;
     let ja = serde_json::to_string(&a).unwrap();
     let jb = serde_json::to_string(&b).unwrap();
-    prop_assert_eq!(ja, jb, "event kernel diverged from stepped reference");
+    prop_assert_eq!(ja, jb, "run() diverged from stepped reference");
 }
 
 proptest! {
@@ -137,7 +137,7 @@ proptest! {
     ) {
         let (ctas, warps, iters, loads, lines, pat) = knobs;
         let p = workload(ctas, warps, iters, loads, lines, pat, l1_reuse, barrier, seed);
-        assert_event_kernel_invisible(&p, MemoryMode::Hierarchy);
+        assert_jumps_invisible(&p, MemoryMode::Hierarchy);
     }
 
     #[test]
@@ -148,7 +148,7 @@ proptest! {
     ) {
         let (ctas, warps, iters, loads, lines, pat) = knobs;
         let p = workload(ctas, warps, iters, loads, lines, pat, 0.2, false, seed);
-        assert_event_kernel_invisible(&p, MemoryMode::FixedLatency(latency));
+        assert_jumps_invisible(&p, MemoryMode::FixedLatency(latency));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! eight benchmarks plus the three ML kernels — encoded to the
 //! `gpumem-trace v1` text format, decoded back, and simulated must be
 //! bit-identical (full `SimReport`, host block stripped) to simulating
-//! the synthetic program directly, in both memory modes and on both
-//! engines: the per-cycle stepped oracle and the event-driven engine.
+//! the synthetic program directly, in both memory modes and through both
+//! `run_stepped()` (the per-cycle oracle) and `run()` (which jumps over
+//! inert cycles).
 //!
 //! This is the trace frontend's core guarantee: a trace is a *complete*
 //! description of a workload, so replay admits no drift from the program
