@@ -51,7 +51,7 @@ fn sweep_with_unknown_workload_spec_is_typed_exit_2() {
     std::fs::write(
         &spec,
         r#"{"name":"bad","scale":0.1,"workloads":["nonesuch"],"design_points":["baseline"],
-           "seeds":[0],"modes":["hierarchy"],"engines":["event"],"max_cycles":1000000,
+           "seeds":[0],"modes":["hierarchy"],"max_cycles":1000000,
            "deadline_seconds":null}"#,
     )
     .unwrap();
@@ -99,19 +99,43 @@ fn run_rejects_unknown_benchmarks_and_empty_worklists() {
     assert!(stderr_of(&out).contains("needs at least one workload"));
 }
 
-/// The parallel engine's flags and the ratio gates are gone; an old
-/// invocation must be refused loudly, not silently run something else.
+/// The parallel engine's flags, the ratio gates and the `perf` command
+/// are gone; an old invocation must be refused loudly, not silently run
+/// something else.
 #[test]
 fn removed_flags_are_unknown_arguments() {
     for args in [
         &["run", "gemm", "--threads", "2"][..],
         &["perf", "--floor", "0.9"][..],
+        &["perf"][..],
+        &["run", "gemm", "--repeat", "3"][..],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
         assert!(
             stderr_of(&out).contains("unknown argument"),
             "{args:?}: {}",
+            stderr_of(&out)
+        );
+    }
+}
+
+/// `--scale` takes what `SweepSpec::validate` takes: a finite number
+/// above zero. Anything else would shrink every workload to one CTA or,
+/// for infinity, never finish.
+#[test]
+fn scale_must_be_a_positive_finite_number() {
+    for scale in ["0", "-1", "nan", "inf"] {
+        let out = repro(&["run", "gemm", "--scale", scale]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--scale {scale}: {}",
+            stderr_of(&out)
+        );
+        assert!(
+            stderr_of(&out).contains("--scale needs a positive number"),
+            "--scale {scale}: {}",
             stderr_of(&out)
         );
     }
@@ -134,8 +158,8 @@ fn trace_gen_round_trips_through_run_bit_identically() {
     let text = std::fs::read_to_string(&trace).unwrap();
     assert!(text.starts_with("gpumem-trace v1\n"));
 
-    // The traced replay and the synthetic original run side by side
-    // through both engines; `run` exits non-zero on any divergence.
+    // The traced replay and the synthetic original run side by side and
+    // must print the same line.
     let out = repro(&[
         "run",
         "gemm",

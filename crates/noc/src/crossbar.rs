@@ -566,21 +566,23 @@ impl Crossbar {
     /// is pending.
     ///
     /// `Some(now)` whenever a tick would act: an output is mid-stream, an
-    /// in-flight packet has arrived, or an output holding a credit has a
-    /// head-of-queue packet addressed to it. A credit-starved crossbar —
-    /// packets queued but every wanted output out of credits — reports
-    /// the earliest in-flight arrival (or `None`): ticking it would move
-    /// nothing, and the events that unblock it (a receiver popping an
-    /// ejection queue, a fresh injection) are the caller's to see.
+    /// in-flight packet has arrived, or an output holding a credit has an
+    /// unheld head-of-queue packet addressed to it. A credit-starved
+    /// crossbar — packets queued but every wanted output out of credits —
+    /// reports the earliest in-flight arrival or hold expiry (or `None`):
+    /// ticking it would move nothing, and the events that unblock it (a
+    /// receiver popping an ejection queue, a fresh injection) are the
+    /// caller's to see.
     /// [`fast_forward`](Crossbar::fast_forward) replays the per-cycle
     /// credit-stall accounting such a window accrues.
     ///
-    /// Chaos-held inputs are treated as visible here, which can only
-    /// produce spurious wake-ups (a tick that moves nothing is
-    /// stat-identical to a skipped cycle); chaos runs never skip anyway.
+    /// A chaos-held input is invisible until its hold expires, as in
+    /// [`tick`](Crossbar::tick), and that expiry is itself an event when
+    /// the input has a head packet: from then on the packet competes for
+    /// its output, or counts credit stalls. A permanent
+    /// (`Cycle::NEVER`) hold never expires.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let wanted = self.wanted_outputs(None);
-        let mut earliest: Option<Cycle> = None;
+        let (wanted, mut earliest) = self.wanted_outputs(now);
         for (out_idx, out) in self.egress.iter().enumerate() {
             if out.streaming.is_some() {
                 return Some(now);
@@ -616,7 +618,7 @@ impl Crossbar {
     }
 
     fn account_stalls_many(&mut self, now: Cycle, cycles: u64) {
-        let wanted = self.wanted_outputs(Some(now));
+        let (wanted, _) = self.wanted_outputs(now);
         let starved = self
             .egress
             .iter()
@@ -626,13 +628,20 @@ impl Crossbar {
         self.fabric.credit_stall_cycles += starved * cycles;
     }
 
-    /// Mask of the outputs some input's head packet targets. With
-    /// `unheld_at`, inputs under a chaos hold at that cycle are skipped.
-    fn wanted_outputs(&self, unheld_at: Option<Cycle>) -> u64 {
-        self.ingress
-            .iter()
-            .filter(|q| q.head_dest != usize::MAX && !unheld_at.is_some_and(|now| q.held(now)))
-            .fold(0, |mask, q| mask | 1 << q.head_dest)
+    /// Mask of the outputs some input's head packet targets, skipping
+    /// inputs under a chaos hold at `now`, and the earliest cycle such a
+    /// hold over a head packet expires.
+    fn wanted_outputs(&self, now: Cycle) -> (u64, Option<Cycle>) {
+        let mut wanted = 0u64;
+        let mut expiry: Option<Cycle> = None;
+        for q in self.ingress.iter().filter(|q| q.head_dest != usize::MAX) {
+            if !q.held(now) {
+                wanted |= 1 << q.head_dest;
+            } else if q.held_until != Cycle::NEVER {
+                expiry = Some(expiry.map_or(q.held_until, |e| e.min(q.held_until)));
+            }
+        }
+        (wanted, expiry)
     }
 
     /// True if no packet is anywhere inside the crossbar (for liveness and
@@ -896,6 +905,55 @@ mod tests {
         run(&mut x, Cycle::new(5), 10);
         assert!(x.pop_ejected(0).is_some());
         assert!(x.is_idle());
+    }
+
+    /// Drives `xbar` from `from` to `end` the way the simulator's run loop
+    /// does: tick while [`Crossbar::next_event`] says a tick would act,
+    /// otherwise fast-forward to that event (or to `end`).
+    fn run_jumping(xbar: &mut Crossbar, from: Cycle, end: Cycle) {
+        let mut now = from;
+        while now < end {
+            match xbar.next_event(now) {
+                Some(t) if t <= now => {
+                    xbar.tick(now).unwrap();
+                    xbar.observe();
+                    now = now.next();
+                }
+                ev => {
+                    let target = ev.map_or(end, |t| t.min(end));
+                    xbar.fast_forward(now, target - now);
+                    now = target;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hold_expiry_inside_a_jump_window_counts_its_credit_stalls() {
+        let setup = || {
+            let mut x = Crossbar::new(2, 1, &cfg());
+            // Input 1 takes both of output 0's ejection credits; nothing
+            // ever pops them.
+            x.try_inject(1, pkt(1, 0, 1)).unwrap();
+            x.try_inject(1, pkt(2, 0, 1)).unwrap();
+            let now = run(&mut x, Cycle::ZERO, 4);
+            // Input 0's packet for output 0 is held for 10 cycles, then
+            // stalls on the missing credit every cycle.
+            x.try_inject(0, pkt(3, 0, 1)).unwrap();
+            x.ingress_ports_mut()[0].chaos_hold(now + 10);
+            (x, now)
+        };
+        let (mut stepped, start) = setup();
+        run(&mut stepped, start, 40);
+        let (mut jumped, _) = setup();
+        run_jumping(&mut jumped, start, start + 40);
+        assert_eq!(stepped.stats().credit_stall_cycles, 30);
+        assert_eq!(jumped.stats(), stepped.stats());
+        assert_eq!(jumped.input_queue_stats(), stepped.input_queue_stats());
+        assert_eq!(
+            jumped.ejection_queue_stats(),
+            stepped.ejection_queue_stats()
+        );
     }
 
     #[test]

@@ -113,7 +113,7 @@ impl EventStream {
         }
     }
 
-    /// Number of events due at `now` (catching up if the clock jumped).
+    /// Number of events due at `now`.
     fn fires(&mut self, now: u64) -> u32 {
         let mut n = 0;
         while self.interval > 0 && self.next_at <= now {
@@ -134,9 +134,9 @@ fn gap(rng: &mut SimRng, interval: u64) -> u64 {
 /// Expands a [`ChaosConfig`] into concrete per-cycle fault applications.
 ///
 /// [`GpuSimulator::step`](crate::GpuSimulator::step) calls
-/// [`apply`](ChaosEngine::apply) exactly once per cycle at the cycle
-/// start, handing over the machine's chaos touch-points in global
-/// port/partition order.
+/// [`apply`](ChaosEngine::apply) at the start of every stepped cycle,
+/// handing over the machine's chaos touch-points in global port/partition
+/// order; a jumping run stops at [`next_fire`](ChaosEngine::next_fire).
 #[derive(Debug, Clone)]
 pub(crate) struct ChaosEngine {
     config: ChaosConfig,
@@ -162,6 +162,26 @@ impl ChaosEngine {
             config,
             wedge_applied: false,
         }
+    }
+
+    /// The earliest cycle at which [`apply`](ChaosEngine::apply) injects
+    /// anything: the next fire of an enabled stream, or the wedge while it
+    /// is pending. A jumping run never crosses it, so every fault lands on
+    /// the cycle it would land on under per-cycle stepping.
+    pub(crate) fn next_fire(&self) -> Option<Cycle> {
+        let wedge = self.config.wedge_at.filter(|_| !self.wedge_applied);
+        [
+            &self.port_delay,
+            &self.drop_reinject,
+            &self.mshr_stall,
+            &self.dram_lockout,
+        ]
+        .into_iter()
+        .filter(|s| s.interval > 0)
+        .map(|s| s.next_at)
+        .chain(wedge)
+        .min()
+        .map(Cycle::new)
     }
 
     /// Applies every fault due at `now`. `req_ins` / `resp_ins` are the

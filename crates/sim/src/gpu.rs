@@ -200,17 +200,17 @@ impl GpuSimulator {
     /// consecutive cycles. A horizon of 0 is clamped to 1.
     ///
     /// Deterministic: the verdict depends only on the per-cycle
-    /// fingerprint sequence. While a watchdog is armed,
-    /// [`run`](GpuSimulator::run) steps cycle by cycle (a wedged machine
-    /// has no future event, and the watchdog must count real cycles).
+    /// fingerprint sequence. [`run`](GpuSimulator::run) never jumps past
+    /// the cycle the watchdog would trip at, so it trips on the same cycle
+    /// with the same diagnosis as per-cycle stepping.
     pub fn set_watchdog(&mut self, horizon: Option<u64>) {
         self.watchdog_horizon = horizon;
     }
 
     /// Installs a seeded fault-injection schedule (see [`ChaosConfig`]).
-    /// A fully disabled config removes any active schedule. While chaos is
-    /// active, [`run`](GpuSimulator::run) steps cycle by cycle so injection
-    /// cycles are never jumped over.
+    /// A fully disabled config removes any active schedule. Each fault is
+    /// an event: [`run`](GpuSimulator::run) never jumps over an injection
+    /// cycle.
     pub fn set_chaos(&mut self, config: ChaosConfig) {
         self.chaos = config.any_fault_enabled().then(|| ChaosEngine::new(config));
     }
@@ -233,15 +233,13 @@ impl GpuSimulator {
     /// This is the [`run_stepped`](GpuSimulator::run_stepped) loop plus a
     /// whole-machine jump: before each [`step`](GpuSimulator::step), if
     /// [`next_event`](GpuSimulator::next_event) lies in the future the
-    /// clock jumps there (clamped to `max_cycles`) with
+    /// clock jumps there (clamped to `max_cycles` and to the cycle an
+    /// armed watchdog trips at) with
     /// [`fast_forward_to`](GpuSimulator::fast_forward_to). The jump is
     /// observationally invisible: every [`SimReport`] field except the
-    /// host-side [`SimReport::host`] block is bit-identical to
-    /// `run_stepped`.
-    ///
-    /// An armed watchdog or chaos schedule turns the jump off (chaos
-    /// injects at specific cycles; the watchdog counts real cycles), so
-    /// those runs step every cycle.
+    /// host-side [`SimReport::host`] block — and every error, wedge
+    /// diagnosis included — is bit-identical to `run_stepped`, with or
+    /// without chaos.
     ///
     /// # Errors
     ///
@@ -328,9 +326,9 @@ impl GpuSimulator {
     /// [`run_stepped`](GpuSimulator::run_stepped) and
     /// [`run_profiled`](GpuSimulator::run_profiled). With `jump`, a
     /// machine whose next event lies in the future jumps to it instead of
-    /// stepping, and finished cores are parked until the run ends (never
-    /// while a watchdog or chaos schedule is armed); with `profile`,
-    /// [`step`](GpuSimulator::step) laps a stage clock left in `self.prof`.
+    /// stepping, and finished cores are parked until the run ends; with
+    /// `profile`, [`step`](GpuSimulator::step) laps a stage clock left in
+    /// `self.prof`.
     fn run_loop(
         &mut self,
         max_cycles: u64,
@@ -339,7 +337,7 @@ impl GpuSimulator {
     ) -> Result<SimReport, SimError> {
         let wall_start = host_wall_clock();
         self.prof = profile.then(|| Box::new(StageClock::new(wall_start)));
-        self.jumping = jump && self.watchdog_horizon.is_none() && self.chaos.is_none();
+        self.jumping = jump;
         let outcome = self.run_cycles(max_cycles, wall_start);
         self.unpark();
         outcome?;
@@ -398,15 +396,17 @@ impl GpuSimulator {
                 }
             }
             if self.jumping {
-                match self.next_event() {
-                    Some(t) if t <= self.now => {}
-                    ev => {
-                        // Clamped to the budget, so a wedged or
-                        // budget-bound machine ends on the same watchdog
-                        // error stepping reaches.
-                        self.fast_forward_to(ev.map_or(max, |t| t.min(max)));
-                        continue;
-                    }
+                // Clamped to the budget and to the cycle an armed watchdog
+                // trips at, so a wedged or budget-bound machine ends on
+                // the same error stepping reaches.
+                let mut target = self.next_event().map_or(max, |t| t.min(max));
+                if let Some(wd) = &watchdog {
+                    let trips_at = wd.last_progress_cycle().raw().saturating_add(wd.horizon());
+                    target = target.min(Cycle::new(trips_at));
+                }
+                if target > self.now {
+                    self.fast_forward_to(target);
+                    continue;
                 }
             }
             self.step()?;
@@ -472,7 +472,10 @@ impl GpuSimulator {
                 resp_xbar,
                 partitions,
             } => {
-                if fold(req_xbar.next_event(now), &mut earliest)
+                if fold(
+                    self.chaos.as_ref().and_then(ChaosEngine::next_fire),
+                    &mut earliest,
+                ) || fold(req_xbar.next_event(now), &mut earliest)
                     || fold(resp_xbar.next_event(now), &mut earliest)
                 {
                     return Some(now);

@@ -89,7 +89,7 @@ pub struct HostPerf {
 
 /// Host-time attribution for one run, reported by
 /// [`GpuSimulator::run_profiled`](crate::GpuSimulator::run_profiled) and
-/// surfaced by `repro perf --profile`.
+/// surfaced by `repro run --profile`.
 ///
 /// Buckets are measured at the stage boundaries of
 /// [`step`](crate::GpuSimulator::step); the L1 and DRAM shares are

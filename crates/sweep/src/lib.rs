@@ -1,7 +1,7 @@
 //! Crash-safe design-space sweep orchestrator.
 //!
 //! The paper's experiments are grids: benchmarks × design points ×
-//! (sometimes) engines and seeds. Re-running a whole grid because the host
+//! (sometimes) memory modes and seeds. Re-running a whole grid because the host
 //! died 90% of the way through is wasteful and — worse — invites *partial*
 //! reruns whose provenance nobody can reconstruct. This crate makes a sweep
 //! a first-class, resumable artifact:
@@ -10,8 +10,8 @@
 //!   [`SweepCell`]s, each content-addressed by a [`CellKey`] — a 128-bit
 //!   FNV digest of everything the simulated result is a pure function of
 //!   (canonical config JSON, workload parameters — or, for `trace:<path>`
-//!   workloads, the trace file's byte digest — memory mode, engine,
-//!   cycle budget and [`CODE_VERSION_SALT`]).
+//!   workloads, the trace file's byte digest — memory mode, cycle
+//!   budget and [`CODE_VERSION_SALT`]).
 //! * [`ResultStore`] persists completed cells under `cells/<key>.json`
 //!   with a checksum header, committed via write-temp-then-atomic-rename
 //!   and recorded in an append-only write-ahead journal (`journal.log`).
@@ -38,7 +38,7 @@ mod store;
 
 pub use journal::{DiskStore, JournalEvent, JournalRecord};
 pub use orchestrator::{run_sweep, CellOutcome, CellStatus, SweepOptions, SweepSummary};
-pub use spec::{parse_design_point, parse_mode, EngineChoice, SweepCell, SweepSpec};
+pub use spec::{parse_design_point, parse_mode, SweepCell, SweepSpec};
 pub use store::{CellEnvelope, Lookup, ResultStore};
 
 pub use gpumem_types::{CellKey, SweepError};
@@ -49,5 +49,5 @@ pub use gpumem_types::{CellKey, SweepError};
 /// report JSON `result_digest` hashes — for unchanged
 /// configurations: old stores then miss cleanly instead of serving stale
 /// numbers (or stale digests) as cache hits. v2: `SimReport` lost its
-/// `degraded` key.
-pub const CODE_VERSION_SALT: &str = "gpumem-sweep-v2";
+/// `degraded` key. v3: the key lost its `engine=` field.
+pub const CODE_VERSION_SALT: &str = "gpumem-sweep-v3";

@@ -18,7 +18,7 @@ use gpumem_types::SweepError;
 use serde::{Deserialize, Serialize};
 
 use crate::journal::JournalEvent;
-use crate::spec::{EngineChoice, SweepCell, SweepSpec};
+use crate::spec::{SweepCell, SweepSpec};
 use crate::store::{Lookup, ResultStore};
 
 /// Knobs for one [`run_sweep`] invocation (everything here is about *how*
@@ -101,7 +101,7 @@ impl SweepSummary {
     }
 }
 
-/// Executes one cell, honouring its engine choice, under a retry policy.
+/// Executes one cell under a retry policy.
 fn execute_cell(
     cell: &SweepCell,
     deadline_seconds: Option<f64>,
@@ -111,10 +111,7 @@ fn execute_cell(
     retry_with_policy(retry, cell.key.lo, || {
         let mut sim = GpuSimulator::new(cell.cfg.clone(), Arc::clone(&program), cell.mode);
         sim.set_deadline_seconds(deadline_seconds);
-        match cell.engine {
-            EngineChoice::Event => sim.run(cell.max_cycles),
-            EngineChoice::Stepped => sim.run_stepped(cell.max_cycles),
-        }
+        sim.run(cell.max_cycles)
     })
 }
 

@@ -16,39 +16,6 @@ use crate::CODE_VERSION_SALT;
 /// The spec spelling of a trace-file workload: `trace:<path>`.
 const TRACE_PREFIX: &str = "trace:";
 
-/// Which engine executes a cell.
-///
-/// Both engines are bit-identical on the simulated results (the
-/// differential suite proves it), but the engine is still part of the cell
-/// key: a campaign that sweeps engines is asking precisely whether that
-/// invariance holds, so its cells must not collide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// `GpuSimulator::run`: the stepped loop plus jumps to the next event.
-    Event,
-    /// The per-cycle stepped oracle.
-    Stepped,
-}
-
-impl EngineChoice {
-    /// Parses the spec spelling: `event` or `stepped`.
-    pub fn parse(spec: &str) -> Option<EngineChoice> {
-        match spec {
-            "event" => Some(EngineChoice::Event),
-            "stepped" => Some(EngineChoice::Stepped),
-            _ => None,
-        }
-    }
-
-    /// The canonical spelling, used in cell keys and progress output.
-    pub fn canonical(&self) -> &'static str {
-        match self {
-            EngineChoice::Event => "event",
-            EngineChoice::Stepped => "stepped",
-        }
-    }
-}
-
 /// Parses a Section IV design-point label (`baseline`, `L1`, `L2`, `DRAM`,
 /// `L1+L2`, `L2+DRAM`, `L1+DRAM`, `L1+L2+DRAM`).
 pub fn parse_design_point(label: &str) -> Option<DesignPoint> {
@@ -85,7 +52,9 @@ pub fn parse_mode(spec: &str) -> Option<MemoryMode> {
 /// Serialized as plain JSON (every field explicit — the offline serde
 /// stand-in has no defaulting) and stored inside the results store as
 /// `spec.json`, which is what makes `repro sweep --resume <dir>` possible
-/// without re-supplying the spec.
+/// without re-supplying the spec. Unknown keys are ignored, so an older
+/// spec's `engines` axis still parses: every cell runs
+/// `GpuSimulator::run`, whose results never depended on it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// Campaign name (free-form, printed in summaries).
@@ -104,8 +73,6 @@ pub struct SweepSpec {
     pub seeds: Vec<u64>,
     /// Memory modes (see [`parse_mode`]).
     pub modes: Vec<String>,
-    /// Engines (see [`EngineChoice::parse`]).
-    pub engines: Vec<String>,
     /// Per-cell cycle budget (watchdog).
     pub max_cycles: u64,
     /// Optional per-cell wall-clock deadline in seconds.
@@ -127,7 +94,6 @@ impl SweepSpec {
                 .collect(),
             seeds: vec![0],
             modes: vec!["hierarchy".to_owned()],
-            engines: vec!["event".to_owned()],
             max_cycles: gpumem::DEFAULT_MAX_CYCLES,
             deadline_seconds: None,
         }
@@ -171,7 +137,6 @@ impl SweepSpec {
             ("design_points", self.design_points.len()),
             ("seeds", self.seeds.len()),
             ("modes", self.modes.len()),
-            ("engines", self.engines.len()),
         ] {
             if len == 0 {
                 return invalid(format!("axis `{axis}` is empty"));
@@ -198,16 +163,11 @@ impl SweepSpec {
                 return invalid(format!("bad mode {m:?} (want `hierarchy` or `fixed:<N>`)"));
             }
         }
-        for e in &self.engines {
-            if EngineChoice::parse(e).is_none() {
-                return invalid(format!("bad engine {e:?} (want `event` or `stepped`)"));
-            }
-        }
         Ok(())
     }
 
     /// Expands the grid into concrete cells, in deterministic axis order
-    /// (workload-major, then design point, mode, engine, seed). Trace
+    /// (workload-major, then design point, mode, seed). Trace
     /// workloads are read and decoded here — once per spec entry, shared
     /// by every cell they expand into.
     ///
@@ -227,28 +187,24 @@ impl SweepSpec {
                 let cfg = dp.apply(&baseline);
                 for m in &self.modes {
                     let mode = parse_mode(m).expect("validated above");
-                    for e in &self.engines {
-                        let engine = EngineChoice::parse(e).expect("validated above");
-                        for &seed in &self.seeds {
-                            let workload = match &base {
-                                WorkloadKind::Synthetic(p) => {
-                                    let mut params = p.clone();
-                                    params.seed = params.seed.wrapping_add(seed);
-                                    WorkloadKind::Synthetic(params)
-                                }
-                                traced => traced.clone(),
-                            };
-                            cells.push(SweepCell::new(
-                                w.clone(),
-                                d.clone(),
-                                seed,
-                                cfg.clone(),
-                                workload,
-                                mode,
-                                engine,
-                                self.max_cycles,
-                            ));
-                        }
+                    for &seed in &self.seeds {
+                        let workload = match &base {
+                            WorkloadKind::Synthetic(p) => {
+                                let mut params = p.clone();
+                                params.seed = params.seed.wrapping_add(seed);
+                                WorkloadKind::Synthetic(params)
+                            }
+                            traced => traced.clone(),
+                        };
+                        cells.push(SweepCell::new(
+                            w.clone(),
+                            d.clone(),
+                            seed,
+                            cfg.clone(),
+                            workload,
+                            mode,
+                            self.max_cycles,
+                        ));
                     }
                 }
             }
@@ -296,8 +252,6 @@ pub struct SweepCell {
     pub workload: WorkloadKind,
     /// Memory mode.
     pub mode: MemoryMode,
-    /// Executing engine.
-    pub engine: EngineChoice,
     /// Cycle budget.
     pub max_cycles: u64,
 }
@@ -305,7 +259,7 @@ pub struct SweepCell {
 impl SweepCell {
     /// Builds the cell and computes its content address: an FNV digest of
     /// the canonical workload description, the configuration JSON, the
-    /// mode, the engine, the cycle budget and the crate's
+    /// mode, the cycle budget and the crate's
     /// [`CODE_VERSION_SALT`] — everything the simulated result is a pure
     /// function of. A synthetic workload canonicalizes as its parameter
     /// JSON (so pre-existing stores keep their keys); a traced workload as
@@ -314,10 +268,6 @@ impl SweepCell {
     /// one byte of it does. Wall-clock deadlines are deliberately
     /// excluded: they bound *host* time and cannot change a completed
     /// result.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one argument per cell field; the key is derived from them"
-    )]
     pub fn new(
         benchmark: String,
         design_point: String,
@@ -325,18 +275,9 @@ impl SweepCell {
         cfg: GpuConfig,
         workload: WorkloadKind,
         mode: MemoryMode,
-        engine: EngineChoice,
         max_cycles: u64,
     ) -> SweepCell {
-        let key = cell_key(
-            &cfg,
-            &workload,
-            seed,
-            mode,
-            engine,
-            max_cycles,
-            CODE_VERSION_SALT,
-        );
+        let key = cell_key(&cfg, &workload, seed, mode, max_cycles, CODE_VERSION_SALT);
         SweepCell {
             key,
             benchmark,
@@ -345,7 +286,6 @@ impl SweepCell {
             cfg,
             workload,
             mode,
-            engine,
             max_cycles,
         }
     }
@@ -353,12 +293,8 @@ impl SweepCell {
     /// Human-readable cell label for progress streams and summaries.
     pub fn label(&self) -> String {
         format!(
-            "{}/{}/{}/{}/seed{}",
-            self.benchmark,
-            self.design_point,
-            self.mode,
-            self.engine.canonical(),
-            self.seed
+            "{}/{}/{}/seed{}",
+            self.benchmark, self.design_point, self.mode, self.seed
         )
     }
 }
@@ -370,7 +306,6 @@ fn cell_key(
     workload: &WorkloadKind,
     seed: u64,
     mode: MemoryMode,
-    engine: EngineChoice,
     max_cycles: u64,
     salt: &str,
 ) -> CellKey {
@@ -384,11 +319,10 @@ fn cell_key(
         }
     };
     let canonical = format!(
-        "cfg={}|{}|mode={}|engine={}|max_cycles={}|salt={}",
+        "cfg={}|{}|mode={}|max_cycles={}|salt={}",
         serde_json::to_string(cfg).expect("config serializes"),
         workload_canonical,
         mode,
-        engine.canonical(),
         max_cycles,
         salt,
     );
@@ -408,7 +342,6 @@ mod tests {
             design_points: vec!["baseline".into(), "L2".into()],
             seeds: vec![0],
             modes: vec!["hierarchy".into()],
-            engines: vec!["event".into()],
             max_cycles: 1_000_000,
             deadline_seconds: None,
         }
@@ -455,15 +388,6 @@ mod tests {
         let err = bad.validate().unwrap_err();
         assert!(err.to_string().contains("nope"));
 
-        // The engine that spelling named is gone: a typed error naming
-        // the entry, not a panic.
-        let mut bad = tiny_spec();
-        bad.engines = vec!["event".into(), "parallel:2:auto".into()];
-        let err = bad.validate().unwrap_err();
-        assert!(matches!(err, SweepError::SpecInvalid { .. }), "{err:?}");
-        assert!(err.to_string().contains("parallel:2:auto"));
-        assert!(bad.expand().is_err());
-
         let mut bad = tiny_spec();
         bad.modes = Vec::new();
         assert!(bad.validate().unwrap_err().to_string().contains("modes"));
@@ -483,9 +407,8 @@ mod tests {
             &cell.workload,
             cell.seed,
             cell.mode,
-            cell.engine,
             cell.max_cycles,
-            "gpumem-sweep-v1",
+            "gpumem-sweep-v2",
         );
         assert_ne!(old_key, cell.key, "the salt must be part of the address");
 
@@ -506,15 +429,6 @@ mod tests {
         let journal = DiskStore::open(&root).unwrap().read_journal().unwrap();
         assert!(journal.iter().all(|r| r.event != JournalEvent::Quarantine));
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn engine_spellings_round_trip() {
-        for s in ["event", "stepped"] {
-            let e = EngineChoice::parse(s).unwrap();
-            assert_eq!(e.canonical(), s);
-        }
-        assert!(EngineChoice::parse("warp-drive").is_none());
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl SimError {
     /// failures are worth retrying — the same inputs can succeed on a
     /// quieter machine.
     /// Everything else is bit-reproducible from `(config, workload,
-    /// engine)`: a wedge, a queue overflow or an expired cycle budget will
+    /// memory mode)`: a wedge, a queue overflow or an expired cycle budget will
     /// fail the retry identically, so retry policies fail fast on them.
     pub fn is_host_dependent(&self) -> bool {
         matches!(self, SimError::DeadlineExceeded { .. })

@@ -1,7 +1,7 @@
 //! Host-side wall-clock access, confined to one auditable site.
 //!
 //! Simulation results must be a pure function of `(GpuConfig, workload,
-//! engine)` — the host wall clock may influence *throughput reporting only*
+//! memory mode)` — the host wall clock may influence *throughput reporting only*
 //! (the `SimReport::host` block). To make that auditable, this module is the
 //! single place in the workspace allowed to read the clock: `clippy.toml`
 //! lists `std::time::Instant` under `disallowed-types`, and the expectation

@@ -1,7 +1,7 @@
 //! Content-addressed sweep-cell keys and typed sweep-orchestration errors.
 //!
 //! A design-space sweep runs hundreds of `(DesignPoint × workload × seed ×
-//! engine)` cells, each of which is a pure function of its inputs. The
+//! memory mode)` cells, each of which is a pure function of its inputs. The
 //! orchestrator (`gpumem-sweep`) content-addresses every cell with a
 //! [`CellKey`] — a 128-bit FNV-1a digest of the cell's canonical
 //! description — so a completed cell can be recognized and served from the
@@ -97,7 +97,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// The content address of one sweep cell: a 128-bit FNV-1a digest of the
 /// cell's canonical description (configuration, workload parameters, seed,
-/// engine and code-version salt).
+/// memory mode, cycle budget and code-version salt).
 ///
 /// Two cells with the same key are guaranteed to describe the same
 /// simulation, so a stored result can be served instead of recomputing.
@@ -184,7 +184,7 @@ pub enum SweepError {
         detail: String,
     },
     /// A sweep spec failed validation (unknown benchmark, bad design-point
-    /// label, malformed engine string, empty axis…).
+    /// label, malformed memory mode, empty axis…).
     SpecInvalid {
         /// What was wrong.
         detail: String,

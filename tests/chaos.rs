@@ -92,8 +92,8 @@ fn canonical(outcome: &Result<SimReport, SimError>) -> String {
 
 proptest! {
     /// For any chaos schedule the run terminates with some outcome within
-    /// a hard wall-clock bound, and `run()` (which must fall back to
-    /// per-cycle stepping while chaos is armed) agrees bit-for-bit with
+    /// a hard wall-clock bound, and `run()` (which jumps, but never over an
+    /// injection cycle or past the watchdog) agrees bit-for-bit with
     /// `run_stepped()` on what that outcome is.
     #[test]
     fn any_chaos_schedule_terminates_identically_on_every_engine(
@@ -125,6 +125,22 @@ proptest! {
             "chaos schedule diverged between engines"
         );
     }
+}
+
+#[test]
+fn armed_runs_jump_and_match_the_stepped_oracle() {
+    // `nw` waits on memory most of the time: under chaos and an armed
+    // watchdog, run() must still jump between injections, and land on the
+    // stepped oracle's report.
+    let cfg = small_gpu();
+    let program = suite_kernel("nw");
+    let mut jumping = chaos_sim(&cfg, &program, ChaosConfig::standard(0))
+        .run(CYCLE_CAP)
+        .unwrap();
+    let host = jumping.host.take().expect("run() fills host perf");
+    assert!(host.skipped_cycles > 0, "no cycles skipped under chaos");
+    let stepped = chaos_sim(&cfg, &program, ChaosConfig::standard(0)).run_stepped(CYCLE_CAP);
+    assert_eq!(canonical(&Ok(jumping)), canonical(&stepped));
 }
 
 #[test]

@@ -5,13 +5,14 @@
 //! [`GpuSimulator::run_stepped`] (the same loop with the jump off, the
 //! per-cycle reference semantics) in every field except the host-side
 //! wall-clock block. [`GpuSimulator::run_profiled`] is the same loop again
-//! with a stage clock, and must agree too.
+//! with a stage clock, and must agree too, and so must traced runs, whose
+//! latency breakdown a jump backfills.
 
 use std::sync::Arc;
 
 use gpumem::prelude::*;
 use gpumem::DEFAULT_MAX_CYCLES;
-use gpumem_sim::{KernelProgram, SimError};
+use gpumem_sim::{ChaosConfig, KernelProgram, SimError, TraceConfig};
 use gpumem_workloads::{extended_names, params_of, SyntheticKernel};
 
 fn small_gpu() -> GpuConfig {
@@ -45,11 +46,19 @@ fn canonical(mut report: SimReport) -> String {
     serde_json::to_string(&report).unwrap()
 }
 
-/// Runs one benchmark through both engines and asserts the reports
-/// serialize to the exact same JSON once the host block is removed.
-fn assert_differential(shape: &str, cfg: &GpuConfig, name: &str, mode: MemoryMode) {
+/// Runs one benchmark through `run_stepped()` and `run()`, with fetch
+/// tracing on if `traced`, and asserts the reports serialize to the exact
+/// same JSON once the host block is removed.
+fn assert_differential(shape: &str, cfg: &GpuConfig, name: &str, mode: MemoryMode, traced: bool) {
     let program = kernel(name);
-    let mut stepped = GpuSimulator::new(cfg.clone(), Arc::clone(&program), mode);
+    let sim = |program| {
+        let mut sim = GpuSimulator::new(cfg.clone(), program, mode);
+        if traced {
+            sim.enable_trace(TraceConfig::default());
+        }
+        sim
+    };
+    let mut stepped = sim(Arc::clone(&program));
     let reference = canonical(stepped.run_stepped(DEFAULT_MAX_CYCLES).unwrap());
     assert_eq!(
         stepped.skipped_cycles(),
@@ -57,7 +66,7 @@ fn assert_differential(shape: &str, cfg: &GpuConfig, name: &str, mode: MemoryMod
         "{shape}/{name}/{mode}: reference run must never skip"
     );
 
-    let mut skipping = GpuSimulator::new(cfg.clone(), program, mode);
+    let mut skipping = sim(program);
     let skipped = canonical(skipping.run(DEFAULT_MAX_CYCLES).unwrap());
     assert_eq!(
         skipped, reference,
@@ -66,22 +75,27 @@ fn assert_differential(shape: &str, cfg: &GpuConfig, name: &str, mode: MemoryMod
 }
 
 /// Every workload of the extended suite on every machine shape.
-fn assert_suite_differential(mode: MemoryMode) {
+fn assert_suite_differential(mode: MemoryMode, traced: bool) {
     for (shape, cfg) in machines() {
         for name in extended_names() {
-            assert_differential(shape, &cfg, name, mode);
+            assert_differential(shape, &cfg, name, mode, traced);
         }
     }
 }
 
 #[test]
 fn hierarchy_reports_are_bit_identical() {
-    assert_suite_differential(MemoryMode::Hierarchy);
+    assert_suite_differential(MemoryMode::Hierarchy, false);
 }
 
 #[test]
 fn fixed_latency_reports_are_bit_identical() {
-    assert_suite_differential(MemoryMode::FixedLatency(800));
+    assert_suite_differential(MemoryMode::FixedLatency(800), false);
+}
+
+#[test]
+fn traced_hierarchy_reports_are_bit_identical() {
+    assert_suite_differential(MemoryMode::Hierarchy, true);
 }
 
 #[test]
@@ -143,6 +157,30 @@ fn watchdog_fires_identically_under_skipping() {
             other => panic!("expected a budget watchdog error, got {other}"),
         }
     }
+
+    // Chaos wedges the response network: `nw` then sleeps until the
+    // no-progress watchdog trips, and only the clamp to that cycle keeps
+    // the jump from running on into the budget.
+    let wedged = || {
+        let mut sim = GpuSimulator::new(cfg.clone(), kernel("nw"), MemoryMode::Hierarchy);
+        sim.set_chaos(ChaosConfig {
+            wedge_at: Some(500),
+            ..ChaosConfig::standard(0)
+        });
+        sim.set_watchdog(Some(2_000));
+        sim
+    };
+    let mut jumping = wedged();
+    let a = jumping.run(DEFAULT_MAX_CYCLES).expect_err("wedged");
+    let b = wedged()
+        .run_stepped(DEFAULT_MAX_CYCLES)
+        .expect_err("wedged");
+    assert_eq!(a, b, "nw/wedged: watchdog divergence");
+    match a {
+        SimError::Wedged { diagnosis } => assert_eq!(diagnosis.horizon, 2_000),
+        other => panic!("expected a wedge diagnosis, got {other}"),
+    }
+    assert!(jumping.skipped_cycles() > 0, "the wedged run never jumped");
 }
 
 #[test]

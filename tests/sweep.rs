@@ -40,7 +40,6 @@ fn tiny_spec() -> SweepSpec {
         design_points: vec!["baseline".into(), "L2".into()],
         seeds: vec![0],
         modes: vec!["hierarchy".into()],
-        engines: vec!["event".into()],
         max_cycles: 50_000_000,
         deadline_seconds: None,
     }
@@ -347,28 +346,18 @@ fn missed_deadlines_spend_the_whole_retry_budget_and_commit_nothing() {
 }
 
 #[test]
-fn engine_axis_cells_agree_on_result_digests() {
-    // The engines differ only in host strategy, never in simulated
-    // results — swept side by side, their cells must carry distinct keys
-    // but identical result digests.
-    let mut spec = tiny_spec();
-    spec.workloads = vec!["nn".into()];
-    spec.design_points = vec!["baseline".into()];
-    spec.engines = vec!["event".into(), "stepped".into()];
-    let dir = scratch("engines");
-    let summary = run_sweep(&spec, &dir, &opts()).unwrap();
-    assert_eq!(summary.cells, 2);
-    assert_eq!(summary.failed, 0);
-    let digests: Vec<_> = summary
-        .outcomes
-        .iter()
-        .map(|o| o.result_digest.clone().unwrap())
-        .collect();
-    assert_eq!(digests[0], digests[1], "stepped diverged from event");
-    let keys: std::collections::BTreeSet<_> =
-        summary.outcomes.iter().map(|o| o.key.clone()).collect();
-    assert_eq!(keys.len(), 2, "engine choice must stay part of the address");
-    let _ = fs::remove_dir_all(&dir);
+fn legacy_engines_axis_parses_and_expands_to_the_same_keys() {
+    // Specs written while the engine was a sweep axis still name it. The
+    // key is ignored: such a spec expands to exactly the cells of the same
+    // spec without it.
+    let legacy = r#"{"name":"crash-matrix","scale":0.02,"workloads":["nn","sc"],
+        "design_points":["baseline","L2"],"seeds":[0],"modes":["hierarchy"],
+        "engines":["event","stepped"],"max_cycles":50000000,"deadline_seconds":null}"#;
+    let spec = SweepSpec::from_json(legacy).unwrap();
+    assert_eq!(spec, tiny_spec());
+    let keys =
+        |spec: &SweepSpec| -> Vec<_> { spec.expand().unwrap().iter().map(|c| c.key).collect() };
+    assert_eq!(keys(&spec), keys(&tiny_spec()));
 }
 
 proptest! {
