@@ -7,6 +7,8 @@
 //! cargo run --release -p gpumem-bench --bin probe [bench ...]
 //! ```
 
+#![forbid(unsafe_code)]
+
 fn main() {
     use gpumem::prelude::*;
     let cfg = GpuConfig::gtx480();

@@ -46,10 +46,9 @@
 //!   `--scale`); `--resume DIR` re-runs whatever spec the store already
 //!   holds, serving committed cells as cache hits; `--query DIR` lists the
 //!   store's committed digests without simulating anything. `--workers N`
-//!   bounds the pool, `--retries N` and `--backoff-ms N` set the retry
-//!   budget for host-dependent failures (deterministic failures never
-//!   retry). Exit status: 0 on success, 1 if any cell failed, 2 on a bad
-//!   spec or store.
+//!   bounds the pool. Each cell runs once, bounded by the spec's
+//!   `max_cycles`; a failed cell is reported and not cached. Exit status:
+//!   0 on success, 1 if any cell failed, 2 on a bad spec or store.
 //! * `all`        — `table1` and the five paper experiments above
 //!   (default)
 //!
@@ -72,6 +71,7 @@
 //! `--out FILE` (trace-gen only) writes the encoded trace to a file
 //! instead of stdout.
 
+#![forbid(unsafe_code)]
 #![expect(
     clippy::disallowed_methods,
     reason = "host CLI: argument parsing, --json/--out files and trace inputs"
@@ -85,6 +85,7 @@ use gpumem::prelude::*;
 use gpumem::{text, RunSpec};
 use gpumem_sim::{chrome_trace_events, ChaosConfig, LatencyBreakdown, SimError, TraceConfig};
 use gpumem_simt::KernelProgram;
+use gpumem_workloads::WorkloadKind;
 
 struct Args {
     scale: f64,
@@ -97,8 +98,6 @@ struct Args {
     resume: Option<String>,
     query: Option<String>,
     workers: usize,
-    retries: u32,
-    backoff_ms: u64,
     suite: String,
     trace_files: Vec<String>,
     out: Option<String>,
@@ -117,8 +116,6 @@ fn parse_args() -> Args {
     let mut resume = None;
     let mut query = None;
     let mut workers = 0;
-    let mut retries = 2;
-    let mut backoff_ms = 0;
     let mut suite_choice = "seed".to_owned();
     let mut trace_files = Vec::new();
     let mut out = None;
@@ -174,19 +171,6 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--workers needs a count (0 = one per core)"));
             }
-            "--retries" => {
-                retries = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("--retries needs a positive attempt budget"));
-            }
-            "--backoff-ms" => {
-                backoff_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--backoff-ms needs a millisecond count"));
-            }
             "--suite" => {
                 suite_choice = it
                     .next()
@@ -227,8 +211,6 @@ fn parse_args() -> Args {
         resume,
         query,
         workers,
-        retries,
-        backoff_ms,
         suite: suite_choice,
         trace_files,
         out,
@@ -242,7 +224,7 @@ fn die(msg: &str) -> ! {
     eprintln!(
         "usage: repro [--scale F] [--quick] [--json DIR] [--profile] [--seeds N] \
          [--wedge-self-test] [--spec FILE] [--store DIR] [--resume DIR] [--query DIR] \
-         [--workers N] [--retries N] [--backoff-ms N] [--suite seed|ml|extended] \
+         [--workers N] [--suite seed|ml|extended] \
          [--trace-file FILE]... [--out FILE] \
          [fig1|congestion|dse|table1|latency|ablation|chaos|trace|run|trace-gen|sweep|all] \
          [WORKLOAD]..."
@@ -259,12 +241,16 @@ fn suite_names(choice: &str) -> Vec<&'static str> {
     }
 }
 
+/// The synthetic workload `name` at `scale`, or `None` for an unknown name.
+fn scaled(name: &str, scale: f64) -> Option<Arc<dyn KernelProgram>> {
+    gpumem_workloads::params_of(name).map(|p| WorkloadKind::Synthetic(p.scaled(scale)).program())
+}
+
 fn suite(scale: f64, choice: &str) -> Vec<Arc<dyn KernelProgram>> {
-    if choice == "seed" && (scale - 1.0).abs() < f64::EPSILON {
-        benchmarks()
-    } else {
-        gpumem_bench::scaled_named_suite(&suite_names(choice), scale)
-    }
+    suite_names(choice)
+        .iter()
+        .map(|n| scaled(n, scale).expect("canonical name"))
+        .collect()
 }
 
 /// Reads and decodes one `gpumem-trace v1` file as a workload. Any
@@ -647,8 +633,7 @@ fn run_run(cfg: &GpuConfig, args: &Args) {
         .targets
         .iter()
         .map(|name| {
-            gpumem_bench::scaled_benchmark(name, args.scale)
-                .unwrap_or_else(|| die(&format!("unknown benchmark {name:?}")))
+            scaled(name, args.scale).unwrap_or_else(|| die(&format!("unknown benchmark {name:?}")))
         })
         .collect();
     programs.extend(args.trace_files.iter().map(|p| load_trace(p)));
@@ -685,8 +670,8 @@ fn run_trace_gen(cfg: &GpuConfig, args: &Args) -> ! {
     let [name] = args.targets.as_slice() else {
         die("trace-gen needs exactly one workload name");
     };
-    let program = gpumem_bench::scaled_benchmark(name, args.scale)
-        .unwrap_or_else(|| die(&format!("unknown benchmark {name:?}")));
+    let program =
+        scaled(name, args.scale).unwrap_or_else(|| die(&format!("unknown benchmark {name:?}")));
     let text = gpumem_tracefmt::encode_program(program.as_ref(), cfg.line_bytes)
         .unwrap_or_else(|e| die(&e.to_string()));
     match &args.out {
@@ -734,15 +719,10 @@ fn run_sweep_cmd(args: &Args) -> ! {
             .unwrap_or_else(|| fail(format!("{dir} has no spec.json; pass --spec")))
     };
     let with_trace_files = |mut spec: SweepSpec| -> SweepSpec {
-        // Idempotent: a stored spec may already carry the trace workload
-        // (e.g. `--resume` with the same `--trace-file` flags), and a
-        // duplicate entry would double-count its cells.
-        for path in &args.trace_files {
-            let workload = format!("trace:{path}");
-            if !spec.workloads.contains(&workload) {
-                spec.workloads.push(workload);
-            }
-        }
+        // A stored spec may already carry the trace workload (`--resume`
+        // with the same `--trace-file` flags): `expand` keeps one cell per key.
+        spec.workloads
+            .extend(args.trace_files.iter().map(|path| format!("trace:{path}")));
         spec
     };
 
@@ -787,26 +767,17 @@ fn run_sweep_cmd(args: &Args) -> ! {
     };
     let opts = SweepOptions {
         workers: args.workers,
-        retry: gpumem::RetryPolicy {
-            max_attempts: args.retries,
-            backoff: gpumem::Backoff {
-                base_ms: args.backoff_ms,
-                max_ms: args.backoff_ms.saturating_mul(16),
-                seed: 0xC0FFEE,
-            },
-        },
         progress: true,
         crash_after_journal_bytes: None,
     };
     eprintln!(
-        "sweep {}: {} into {store_dir} ({} attempt(s) per host-dependent failure)",
+        "sweep {}: {} into {store_dir}",
         spec.name,
         if args.resume.is_some() {
             "resuming"
         } else {
             "running"
         },
-        args.retries
     );
     let summary = gpumem_sweep::run_sweep(&spec, std::path::Path::new(&store_dir), &opts)
         .unwrap_or_else(|e| fail(e.to_string()));
@@ -823,13 +794,8 @@ fn run_sweep_cmd(args: &Args) -> ! {
         );
     }
     println!(
-        "cells: {}  cache hits: {}  computed: {}  recomputed: {}  failed: {}  attempts: {}",
-        summary.cells,
-        summary.cache_hits,
-        summary.computed,
-        summary.recomputed,
-        summary.failed,
-        summary.attempts_total,
+        "cells: {}  cache hits: {}  computed: {}  recomputed: {}  failed: {}",
+        summary.cells, summary.cache_hits, summary.computed, summary.recomputed, summary.failed,
     );
     println!("simulations run: {}", summary.simulations_run());
     println!("store digest: {}", summary.store_digest);

@@ -99,9 +99,9 @@ fn run_rejects_unknown_benchmarks_and_empty_worklists() {
     assert!(stderr_of(&out).contains("needs at least one workload"));
 }
 
-/// The parallel engine's flags, the ratio gates and the `perf` command
-/// are gone; an old invocation must be refused loudly, not silently run
-/// something else.
+/// The parallel engine's flags, the ratio gates, the `perf` command and
+/// the sweep's retry flags are gone; an old invocation must be refused
+/// loudly, not silently run something else.
 #[test]
 fn removed_flags_are_unknown_arguments() {
     for args in [
@@ -109,6 +109,8 @@ fn removed_flags_are_unknown_arguments() {
         &["perf", "--floor", "0.9"][..],
         &["perf"][..],
         &["run", "gemm", "--repeat", "3"][..],
+        &["sweep", "--retries", "3"][..],
+        &["sweep", "--backoff-ms", "10"][..],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));

@@ -459,11 +459,6 @@ impl L1Dcache {
     pub fn arena_slots(&self) -> usize {
         self.arena.len()
     }
-
-    /// Tag-array hit/miss counters (demand accesses only).
-    pub fn tag_stats(&self) -> (u64, u64) {
-        (self.tags.hits(), self.tags.misses())
-    }
 }
 
 #[cfg(test)]
@@ -630,7 +625,7 @@ mod tests {
         cfg.l1.mshr_entries = 1;
         let mut c = L1Dcache::new(&cfg);
         let _ = c.access(load(1, 1), Cycle::ZERO);
-        assert_eq!(c.tag_stats(), (0, 1));
+        assert_eq!(c.stats().load_misses, 1);
         // Line 2 needs the only register, held by line 1 for 50 cycles.
         let mut head = Some(load(2, 2));
         for t in 1..=50 {
@@ -640,8 +635,8 @@ mod tests {
         }
         assert_eq!(c.stats().mshr_full_stalls, 50);
         assert_eq!(
-            c.tag_stats(),
-            (0, 1),
+            c.stats().load_misses,
+            1,
             "a refused retry is not a demand miss"
         );
         let req = c.pop_miss().unwrap();
@@ -649,7 +644,6 @@ mod tests {
         let accepted = c.access_head(&mut head, Cycle::new(52));
         assert_eq!(accepted, Some(Ok(L1AccessOutcome::Miss { merged: false })));
         assert!(head.is_none(), "an accepted access leaves the retry slot");
-        assert_eq!(c.tag_stats(), (0, 2));
         assert_eq!(c.stats().load_misses, 2);
         assert_eq!(c.access_head(&mut head, Cycle::new(53)), None);
     }

@@ -84,9 +84,7 @@ pub struct MshrTable<W> {
     /// always ends at a vacant bucket and chains stay short.
     buckets: Box<[Bucket<W>]>,
     len: usize,
-    peak_occupancy: usize,
     merges: u64,
-    allocations: u64,
 }
 
 impl<W> MshrTable<W> {
@@ -110,9 +108,7 @@ impl<W> MshrTable<W> {
             max_merge,
             buckets,
             len: 0,
-            peak_occupancy: 0,
             merges: 0,
-            allocations: 0,
         }
     }
 
@@ -191,8 +187,6 @@ impl<W> MshrTable<W> {
                 bucket.waiters.clear();
                 bucket.waiters.push(waiter);
                 self.len += 1;
-                self.allocations += 1;
-                self.peak_occupancy = self.peak_occupancy.max(self.len);
                 Ok(MshrAllocation::NewEntry)
             }
         }
@@ -232,25 +226,9 @@ impl<W> MshrTable<W> {
         &self.buckets[hole].waiters
     }
 
-    /// Highest simultaneous occupancy seen.
-    pub fn peak_occupancy(&self) -> usize {
-        self.peak_occupancy
-    }
-
-    /// Total fresh entries ever allocated.
-    pub fn allocations(&self) -> u64 {
-        self.allocations
-    }
-
     /// Total merged accesses ever absorbed.
     pub fn merges(&self) -> u64 {
         self.merges
-    }
-
-    /// Iterates over the lines currently outstanding, in no particular
-    /// order.
-    pub fn outstanding_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.buckets.iter().filter_map(|b| b.line)
     }
 }
 
@@ -301,22 +279,9 @@ mod tests {
         m.allocate(LineAddr::new(1), 0).unwrap();
         m.allocate(LineAddr::new(2), 0).unwrap();
         m.allocate(LineAddr::new(1), 0).unwrap();
-        assert_eq!(m.allocations(), 2);
         assert_eq!(m.merges(), 1);
-        assert_eq!(m.peak_occupancy(), 2);
         m.complete(LineAddr::new(1));
         assert_eq!(m.len(), 1);
-        assert_eq!(m.peak_occupancy(), 2);
-    }
-
-    #[test]
-    fn outstanding_lines_iterates() {
-        let mut m: MshrTable<u8> = MshrTable::new(4, 2);
-        m.allocate(LineAddr::new(9), 0).unwrap();
-        m.allocate(LineAddr::new(4), 0).unwrap();
-        let mut lines: Vec<_> = m.outstanding_lines().collect();
-        lines.sort();
-        assert_eq!(lines, vec![LineAddr::new(4), LineAddr::new(9)]);
     }
 
     #[test]

@@ -132,7 +132,7 @@ impl TagArray {
 
     /// The hit half of [`access`](Self::access) for a caller that already
     /// [`probe`](Self::probe)d `way`: refreshes LRU and counts the hit.
-    pub fn record_hit(&mut self, set: usize, way: usize, now: Cycle) {
+    pub(crate) fn record_hit(&mut self, set: usize, way: usize, now: Cycle) {
         self.set_slice_mut(set)[way].last_use = now.raw();
         self.hits += 1;
     }
@@ -140,7 +140,7 @@ impl TagArray {
     /// The miss half of [`access`](Self::access), for a caller whose
     /// [`probe`](Self::probe) missed and who may yet refuse the access:
     /// counts one demand miss.
-    pub fn record_miss(&mut self) {
+    pub(crate) fn record_miss(&mut self) {
         self.misses += 1;
     }
 
@@ -161,12 +161,6 @@ impl TagArray {
         } else {
             false
         }
-    }
-
-    /// Returns whether a resident line is dirty, or `None` if absent.
-    pub fn is_dirty(&self, set: usize, line: LineAddr) -> Option<bool> {
-        self.probe(set, line)
-            .map(|way| self.set_slice(set)[way].dirty)
     }
 
     /// Installs `line` into `set`, evicting the LRU way if no invalid way
@@ -282,9 +276,7 @@ mod tests {
         let mut t = TagArray::new(1, 1);
         let l = LineAddr::new(7);
         t.fill(0, l, Cycle::new(1));
-        assert_eq!(t.is_dirty(0, l), Some(false));
         assert!(t.mark_dirty(0, l));
-        assert_eq!(t.is_dirty(0, l), Some(true));
         match t.fill(0, LineAddr::new(8), Cycle::new(2)) {
             ReplacementOutcome::Evicted(e) => {
                 assert_eq!(e.line, l);
@@ -292,8 +284,6 @@ mod tests {
             }
             other => panic!("expected dirty eviction, got {other:?}"),
         }
-        // New line starts clean.
-        assert_eq!(t.is_dirty(0, LineAddr::new(8)), Some(false));
     }
 
     #[test]
@@ -324,7 +314,6 @@ mod tests {
     fn mark_dirty_on_absent_line_is_false() {
         let mut t = TagArray::new(1, 1);
         assert!(!t.mark_dirty(0, LineAddr::new(9)));
-        assert_eq!(t.is_dirty(0, LineAddr::new(9)), None);
     }
 
     #[test]

@@ -21,11 +21,6 @@ impl ConfigError {
             constraint: constraint.into(),
         }
     }
-
-    /// The offending parameter's name.
-    pub fn param(&self) -> &'static str {
-        self.param
-    }
 }
 
 impl fmt::Display for ConfigError {
@@ -43,7 +38,6 @@ mod tests {
     #[test]
     fn display_names_parameter() {
         let e = ConfigError::new("l2.access_queue", "must be positive");
-        assert_eq!(e.param(), "l2.access_queue");
         assert!(e.to_string().contains("l2.access_queue"));
         assert!(e.to_string().contains("must be positive"));
     }

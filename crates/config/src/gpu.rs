@@ -355,11 +355,6 @@ impl GpuConfig {
         Ok(())
     }
 
-    /// Number of flits a packet of `bytes` occupies on the interconnect.
-    pub fn flits_for(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.noc.flit_bytes)
-    }
-
     /// Cycles the L2 data port needs to move one cache line.
     pub fn l2_port_cycles(&self) -> u64 {
         self.line_bytes.div_ceil(self.l2.data_port_bytes)
@@ -370,19 +365,6 @@ impl GpuConfig {
     pub fn dram_burst_cycles(&self) -> u64 {
         self.line_bytes
             .div_ceil(self.dram.bus_bytes * self.dram.data_rate)
-    }
-
-    /// Total L1 data-cache capacity per core in bytes.
-    pub fn l1_bytes(&self) -> u64 {
-        self.l1.sets as u64 * self.l1.assoc as u64 * self.line_bytes
-    }
-
-    /// Total L2 capacity across all partitions in bytes.
-    pub fn l2_total_bytes(&self) -> u64 {
-        self.num_partitions as u64
-            * self.l2.sets_per_partition as u64
-            * self.l2.assoc as u64
-            * self.line_bytes
     }
 }
 
@@ -403,8 +385,9 @@ mod tests {
         c.validate().unwrap();
         assert_eq!(c.num_cores, 15);
         assert_eq!(c.num_partitions, 6);
-        assert_eq!(c.l1_bytes(), 16 * 1024);
-        assert_eq!(c.l2_total_bytes(), 768 * 1024);
+        assert_eq!(c.l1.sets * c.l1.assoc * c.line_bytes as usize, 16 * 1024);
+        let l2_lines = c.num_partitions * c.l2.sets_per_partition * c.l2.assoc;
+        assert_eq!(l2_lines * c.line_bytes as usize, 768 * 1024);
     }
 
     #[test]
@@ -442,40 +425,47 @@ mod tests {
     #[test]
     fn derived_cycle_counts() {
         let c = GpuConfig::gtx480();
-        assert_eq!(c.flits_for(136), 34); // read response at 4 B flits
-        assert_eq!(c.flits_for(8), 2); // read request
         assert_eq!(c.l2_port_cycles(), 4); // 128 B / 32 B
         assert_eq!(c.dram_burst_cycles(), 4); // 128 B / (4 B × 8)
+    }
+
+    /// Asserts that `validate` rejects `c` naming `param`.
+    fn rejects(c: &GpuConfig, param: &str) {
+        let msg = c.validate().unwrap_err().to_string();
+        assert!(
+            msg.starts_with(&format!("invalid config: {param} ")),
+            "{msg}"
+        );
     }
 
     #[test]
     fn validate_rejects_bad_geometry() {
         let mut c = GpuConfig::gtx480();
         c.l1.sets = 33;
-        assert_eq!(c.validate().unwrap_err().param(), "l1.sets");
+        rejects(&c, "l1.sets");
 
         let mut c = GpuConfig::gtx480();
         c.num_cores = 0;
-        assert_eq!(c.validate().unwrap_err().param(), "num_cores");
+        rejects(&c, "num_cores");
 
         let mut c = GpuConfig::gtx480();
         c.core.max_warps = MAX_MASK_WIDTH + 1;
-        assert_eq!(c.validate().unwrap_err().param(), "core.max_warps");
+        rejects(&c, "core.max_warps");
         c.core.max_warps = MAX_MASK_WIDTH;
         c.num_partitions = MAX_MASK_WIDTH + 1;
-        assert_eq!(c.validate().unwrap_err().param(), "num_partitions");
+        rejects(&c, "num_partitions");
 
         let mut c = GpuConfig::gtx480();
         c.l2.data_port_bytes = 256;
-        assert_eq!(c.validate().unwrap_err().param(), "l2.data_port_bytes");
+        rejects(&c, "l2.data_port_bytes");
 
         let mut c = GpuConfig::gtx480();
         c.noc.flit_bytes = 3;
-        assert_eq!(c.validate().unwrap_err().param(), "noc.flit_bytes");
+        rejects(&c, "noc.flit_bytes");
 
         let mut c = GpuConfig::gtx480();
         c.dram.row_bytes = 64;
-        assert_eq!(c.validate().unwrap_err().param(), "dram.row_bytes");
+        rejects(&c, "dram.row_bytes");
     }
 
     #[test]

@@ -11,10 +11,10 @@
 use std::sync::Arc;
 
 use gpumem_config::{single_parameter_ablations, GpuConfig};
-use gpumem_sim::{KernelProgram, SimError, SimReport};
+use gpumem_sim::{KernelProgram, SimReport};
 use serde::{Deserialize, Serialize};
 
-use crate::run::{run_plan, RunSpec};
+use crate::run::RunSpec;
 
 /// The measured effect of scaling one Table I row in isolation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -34,7 +34,7 @@ pub struct AblationRow {
 impl AblationRow {
     /// Speedup gain (speedup − 1) per kilobit of estimated cost — the
     /// cost-effectiveness figure of merit.
-    pub fn gain_per_kbit(&self) -> f64 {
+    pub(crate) fn gain_per_kbit(&self) -> f64 {
         if self.cost_bits == 0 {
             return 0.0;
         }
@@ -51,7 +51,7 @@ pub struct AblationStudy {
 
 impl AblationStudy {
     /// Rows ranked by cost-effectiveness, best first.
-    pub fn ranked_by_cost_effectiveness(&self) -> Vec<&AblationRow> {
+    pub(crate) fn ranked_by_cost_effectiveness(&self) -> Vec<&AblationRow> {
         let mut ranked: Vec<&AblationRow> = self.rows.iter().collect();
         ranked.sort_by(|a, b| {
             b.gain_per_kbit()
@@ -59,15 +59,6 @@ impl AblationStudy {
                 .expect("finite figures of merit")
         });
         ranked
-    }
-
-    /// The row with the highest raw speedup.
-    pub fn best_single_row(&self) -> Option<&AblationRow> {
-        self.rows.iter().max_by(|a, b| {
-            a.avg_speedup
-                .partial_cmp(&b.avg_speedup)
-                .expect("finite speedups")
-        })
     }
 }
 
@@ -94,18 +85,6 @@ pub fn reduce(cfg: &GpuConfig, reports: &[SimReport]) -> AblationStudy {
         })
         .collect();
     AblationStudy { rows }
-}
-
-/// Runs the per-row ablation study over `programs`.
-///
-/// # Errors
-///
-/// Propagates the first watchdog failure from any run.
-pub fn ablation_study(
-    cfg: &GpuConfig,
-    programs: &[Arc<dyn KernelProgram>],
-) -> Result<AblationStudy, SimError> {
-    Ok(reduce(cfg, &run_plan(&plan(cfg, programs), 0)?))
 }
 
 /// Renders the study as a ranked plain-text table.
@@ -159,7 +138,6 @@ mod tests {
         };
         let ranked = study.ranked_by_cost_effectiveness();
         assert_eq!(ranked[0].name, "small-cheap");
-        assert_eq!(study.best_single_row().unwrap().name, "big-expensive");
     }
 
     #[test]

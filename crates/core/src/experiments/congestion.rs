@@ -42,7 +42,7 @@ impl CongestionRow {
     /// # Panics
     ///
     /// Panics if the report lacks L2/DRAM sections (fixed-latency mode).
-    pub fn from_report(report: &SimReport) -> Self {
+    pub(crate) fn from_report(report: &SimReport) -> Self {
         let l2 = report.l2.as_ref().expect("hierarchy-mode report");
         let dram = report.dram.as_ref().expect("hierarchy-mode report");
         CongestionRow {
@@ -79,7 +79,7 @@ pub fn plan(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>]) -> Vec<RunSpec
 ///
 /// # Panics
 ///
-/// Panics on a fixed-latency report (see [`CongestionRow::from_report`]).
+/// Panics on a fixed-latency report, which has no L2 or DRAM section.
 pub fn reduce(reports: &[SimReport]) -> CongestionStudy {
     let rows: Vec<CongestionRow> = reports.iter().map(CongestionRow::from_report).collect();
     let n = rows.len().max(1) as f64;

@@ -34,7 +34,7 @@ impl DsePointResult {
     }
 
     /// Geometric-mean speedup over the suite.
-    pub fn geomean_speedup(&self) -> f64 {
+    pub(crate) fn geomean_speedup(&self) -> f64 {
         if self.speedups.is_empty() {
             return 1.0;
         }

@@ -39,10 +39,7 @@ pub mod experiments;
 mod run;
 pub mod text;
 
-pub use run::{
-    distinct_runs, retry_with_policy, run_benchmark, run_plan, run_pool, Backoff, RetryPolicy,
-    RunSpec, DEFAULT_MAX_CYCLES,
-};
+pub use run::{distinct_runs, run_benchmark, run_plan, run_pool, RunSpec, DEFAULT_MAX_CYCLES};
 
 /// Re-export of the configuration crate (baseline + Table I design space).
 pub use gpumem_config as config;

@@ -323,11 +323,6 @@ impl DramChannel {
         self.queue.entries.len()
     }
 
-    /// Cycles one line transfer occupies the data bus.
-    pub fn burst_cycles(&self) -> u64 {
-        self.burst_cycles
-    }
-
     /// (bank, row) decoding of a line address for this channel.
     pub fn map_address(&self, line: gpumem_types::LineAddr) -> (usize, u64) {
         let local_line = line.index() / self.stride;
@@ -531,11 +526,6 @@ impl DramChannel {
             .map(|&slot| &self.arena[slot])
     }
 
-    /// Peeks the next completed read.
-    pub fn peek_return(&self) -> Option<&MemFetch> {
-        self.return_queue.front().map(|&slot| &self.arena[slot])
-    }
-
     /// Per-cycle statistics bookkeeping; call once per cycle.
     pub fn observe(&mut self) {
         self.queue.entries.observe();
@@ -644,36 +634,31 @@ impl DramChannel {
     }
 }
 
-/// Drains every request currently inside `channel`, advancing time until
-/// idle; returns completed reads in completion order. Test helper shared by
-/// this crate's tests and the integration suite.
-#[expect(
-    clippy::expect_used,
-    reason = "test-only drain helper; a broken channel invariant should abort the test"
-)]
-pub fn drain_channel(
-    channel: &mut DramChannel,
-    mut now: Cycle,
-    max_cycles: u64,
-) -> (Vec<MemFetch>, Cycle) {
-    let mut out = Vec::new();
-    let mut waited = 0;
-    while !channel.is_idle() && waited < max_cycles {
-        channel.tick(now).expect("channel invariant violated");
-        channel.observe();
-        while let Some(f) = channel.pop_return() {
-            out.push(f);
-        }
-        now = now.next();
-        waited += 1;
-    }
-    (out, now)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpumem_types::{CoreId, FetchId, LineAddr};
+
+    /// Drains every request currently inside `channel`, advancing time until
+    /// idle; returns completed reads in completion order.
+    fn drain_channel(
+        channel: &mut DramChannel,
+        mut now: Cycle,
+        max_cycles: u64,
+    ) -> (Vec<MemFetch>, Cycle) {
+        let mut out = Vec::new();
+        let mut waited = 0;
+        while !channel.is_idle() && waited < max_cycles {
+            channel.tick(now).expect("channel invariant violated");
+            channel.observe();
+            while let Some(f) = channel.pop_return() {
+                out.push(f);
+            }
+            now = now.next();
+            waited += 1;
+        }
+        (out, now)
+    }
 
     fn channel() -> DramChannel {
         DramChannel::new(&GpuConfig::gtx480(), 0)
@@ -800,10 +785,14 @@ mod tests {
         let base = GpuConfig::gtx480();
         let mut wide_cfg = base.clone();
         wide_cfg.dram.bus_bytes = 8;
-        let narrow = DramChannel::new(&base, 0);
-        let wide = DramChannel::new(&wide_cfg, 0);
-        assert_eq!(narrow.burst_cycles(), 4); // 128 B / (4 B × 8)
-        assert_eq!(wide.burst_cycles(), 2); // 128 B / (8 B × 8)
+        let bus_cycles = |cfg: &GpuConfig| {
+            let mut d = DramChannel::new(cfg, 0);
+            d.try_push(load(1, 0), Cycle::ZERO).unwrap();
+            drain_channel(&mut d, Cycle::ZERO, 10_000);
+            d.stats().bus_busy_cycles
+        };
+        assert_eq!(bus_cycles(&base), 4); // 128 B / (4 B × 8)
+        assert_eq!(bus_cycles(&wide_cfg), 2); // 128 B / (8 B × 8)
     }
 
     #[test]
@@ -828,7 +817,7 @@ mod tests {
             drain_channel(&mut s, Cycle::ZERO, 20_000).1
         };
         // Overlapped, but by at least one extra burst.
-        assert!(end.raw() >= single_req_time.raw() + d.burst_cycles() - 2);
+        assert!(end.raw() >= single_req_time.raw() + cfg.dram_burst_cycles() - 2);
         assert!(end.raw() < single_req_time.raw() * 2);
     }
 
@@ -847,7 +836,7 @@ mod tests {
             now = now.next();
         }
         // Only one return fits; the other completion is held.
-        assert!(d.peek_return().is_some());
+        assert_eq!(d.return_queue.len(), 1);
         assert!(!d.is_idle());
         // Drain and finish.
         let mut got = 0;

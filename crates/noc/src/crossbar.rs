@@ -173,7 +173,7 @@ impl IngressPort {
     }
 
     /// Occupancy statistics of this input buffer.
-    pub fn queue_stats(&self) -> QueueStats {
+    pub(crate) fn queue_stats(&self) -> QueueStats {
         self.queue.stats()
     }
 }
@@ -245,11 +245,6 @@ impl EgressPort {
     /// Batch bookkeeping for `cycles` quiescent cycles.
     pub fn observe_many(&mut self, cycles: u64) {
         self.ejection.observe_many(cycles);
-    }
-
-    /// Occupancy statistics of this ejection queue.
-    pub fn queue_stats(&self) -> QueueStats {
-        self.ejection.stats()
     }
 }
 
@@ -426,16 +421,6 @@ impl Crossbar {
                 .collect(),
             egress: (0..outputs).map(|_| EgressPort::new(cfg)).collect(),
         }
-    }
-
-    /// Number of input ports.
-    pub fn num_inputs(&self) -> usize {
-        self.ingress.len()
-    }
-
-    /// Number of output ports.
-    pub fn num_outputs(&self) -> usize {
-        self.egress.len()
     }
 
     /// True if input `port` can accept a packet this cycle.
@@ -672,15 +657,6 @@ impl Crossbar {
         let mut s = QueueStats::default();
         for q in &self.ingress {
             s.merge(&q.queue_stats());
-        }
-        s
-    }
-
-    /// Merged occupancy statistics over all ejection queues.
-    pub fn ejection_queue_stats(&self) -> QueueStats {
-        let mut s = QueueStats::default();
-        for o in &self.egress {
-            s.merge(&o.queue_stats());
         }
         s
     }
@@ -950,10 +926,10 @@ mod tests {
         assert_eq!(stepped.stats().credit_stall_cycles, 30);
         assert_eq!(jumped.stats(), stepped.stats());
         assert_eq!(jumped.input_queue_stats(), stepped.input_queue_stats());
-        assert_eq!(
-            jumped.ejection_queue_stats(),
-            stepped.ejection_queue_stats()
-        );
+        let ejection = |x: &Crossbar| -> Vec<QueueStats> {
+            x.egress.iter().map(|o| o.ejection.stats()).collect()
+        };
+        assert_eq!(ejection(&jumped), ejection(&stepped));
     }
 
     #[test]

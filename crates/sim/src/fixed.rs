@@ -28,8 +28,6 @@ use gpumem_types::{Cycle, DueHeap, MemFetch};
 pub struct FixedLatencyMemory {
     latency: u64,
     pending: DueHeap<MemFetch>,
-    loads_served: u64,
-    stores_sunk: u64,
 }
 
 impl FixedLatencyMemory {
@@ -38,8 +36,6 @@ impl FixedLatencyMemory {
         FixedLatencyMemory {
             latency,
             pending: DueHeap::new(),
-            loads_served: 0,
-            stores_sunk: 0,
         }
     }
 
@@ -53,16 +49,12 @@ impl FixedLatencyMemory {
     pub fn submit(&mut self, fetch: MemFetch, now: Cycle) {
         if fetch.kind.is_load() {
             self.pending.push(now + self.latency, fetch);
-        } else {
-            self.stores_sunk += 1;
         }
     }
 
     /// Takes the next response due at or before `now`, if any.
     pub fn pop_due(&mut self, now: Cycle) -> Option<MemFetch> {
-        let (_, fetch) = self.pending.pop_due(now)?;
-        self.loads_served += 1;
-        Some(fetch)
+        self.pending.pop_due(now).map(|(_, fetch)| fetch)
     }
 
     /// True once every submitted load has been returned.
@@ -71,7 +63,7 @@ impl FixedLatencyMemory {
     }
 
     /// Loads submitted but not yet returned.
-    pub fn pending_responses(&self) -> usize {
+    pub(crate) fn pending_responses(&self) -> usize {
         self.pending.len()
     }
 
@@ -85,16 +77,6 @@ impl FixedLatencyMemory {
     /// due), or `None` when nothing is outstanding.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         self.pending.next_due().map(|at| at.max(now))
-    }
-
-    /// Loads answered so far.
-    pub fn loads_served(&self) -> u64 {
-        self.loads_served
-    }
-
-    /// Stores absorbed so far.
-    pub fn stores_sunk(&self) -> u64 {
-        self.stores_sunk
     }
 }
 
@@ -129,8 +111,6 @@ mod tests {
         let mut m = FixedLatencyMemory::new(10);
         m.submit(fetch(1, AccessKind::Store), Cycle::ZERO);
         assert!(m.is_idle());
-        assert_eq!(m.stores_sunk(), 1);
-        assert_eq!(m.loads_served(), 0);
     }
 
     #[test]

@@ -9,8 +9,8 @@ use gpumem_noc::{Crossbar, Packet};
 use gpumem_simt::{KernelProgram, SimtCore};
 use gpumem_trace::TraceConfig;
 use gpumem_types::{
-    host_wall_clock, ComponentOccupancy, CtaId, Cycle, CycleStamp, HostStopwatch, OldestFetch,
-    PartitionId, SimError, WedgeDiagnosis,
+    host_wall_clock, ComponentOccupancy, CtaId, Cycle, CycleStamp, OldestFetch, PartitionId,
+    SimError, WedgeDiagnosis,
 };
 
 use crate::chaos::{ChaosConfig, ChaosEngine};
@@ -69,10 +69,6 @@ pub struct GpuSimulator {
     pub(crate) watchdog_horizon: Option<u64>,
     /// Active fault-injection engine, if chaos is configured.
     pub(crate) chaos: Option<ChaosEngine>,
-    /// Host wall-clock budget for a run; `None` disables the deadline.
-    pub(crate) deadline_seconds: Option<f64>,
-    /// Set once [`enable_trace`](GpuSimulator::enable_trace) is called.
-    trace_cfg: Option<TraceConfig>,
     /// The stage clock [`step`](GpuSimulator::step) laps during
     /// [`run_profiled`](GpuSimulator::run_profiled).
     prof: Option<Box<StageClock>>,
@@ -154,8 +150,6 @@ impl GpuSimulator {
             skipped_cycles: 0,
             watchdog_horizon: None,
             chaos: None,
-            deadline_seconds: None,
-            trace_cfg: None,
             prof: None,
             jumping: false,
             parked: 0,
@@ -173,7 +167,6 @@ impl GpuSimulator {
     /// Tracing is engine-invariant: `run` and `run_stepped` produce
     /// bit-identical breakdowns.
     pub fn enable_trace(&mut self, cfg: TraceConfig) {
-        self.trace_cfg = Some(cfg);
         for core in &mut self.cores {
             core.enable_trace(&cfg);
         }
@@ -182,11 +175,6 @@ impl GpuSimulator {
                 p.enable_trace(&cfg);
             }
         }
-    }
-
-    /// The active trace configuration, if tracing was enabled.
-    pub fn trace_config(&self) -> Option<&TraceConfig> {
-        self.trace_cfg.as_ref()
     }
 
     /// The configuration in use.
@@ -213,14 +201,6 @@ impl GpuSimulator {
     /// cycle.
     pub fn set_chaos(&mut self, config: ChaosConfig) {
         self.chaos = config.any_fault_enabled().then(|| ChaosEngine::new(config));
-    }
-
-    /// Bounds the host wall-clock time of a run; checked every 1024
-    /// stepped cycles, exceeding it aborts with
-    /// [`SimError::DeadlineExceeded`]. `None` disables the deadline.
-    /// Affects only *whether* a run finishes, never its simulated results.
-    pub fn set_deadline_seconds(&mut self, seconds: Option<f64>) {
-        self.deadline_seconds = seconds;
     }
 
     /// Current simulated cycle.
@@ -338,7 +318,7 @@ impl GpuSimulator {
         let wall_start = host_wall_clock();
         self.prof = profile.then(|| Box::new(StageClock::new(wall_start)));
         self.jumping = jump;
-        let outcome = self.run_cycles(max_cycles, wall_start);
+        let outcome = self.run_cycles(max_cycles);
         self.unpark();
         outcome?;
         self.check_conservation()?;
@@ -365,8 +345,8 @@ impl GpuSimulator {
 
     /// [`run_loop`](GpuSimulator::run_loop)'s cycles: steps (and, while
     /// `self.jumping`, jumps) until the machine is done or a budget,
-    /// deadline, watchdog or step error ends the run.
-    fn run_cycles(&mut self, max_cycles: u64, wall_start: HostStopwatch) -> Result<(), SimError> {
+    /// watchdog or step error ends the run.
+    fn run_cycles(&mut self, max_cycles: u64) -> Result<(), SimError> {
         let mut watchdog = self.watchdog_horizon.map(Watchdog::new);
         let max = Cycle::new(max_cycles);
         while !self.is_done() {
@@ -376,16 +356,6 @@ impl GpuSimulator {
                     instructions: self.total_instructions(),
                     detail: self.liveness_detail(),
                 });
-            }
-            if self.deadline_seconds.is_some() && self.stepped_cycles.is_multiple_of(1024) {
-                if let Some(budget) = self.deadline_seconds {
-                    if wall_start.elapsed_seconds() > budget {
-                        return Err(SimError::DeadlineExceeded {
-                            cycle: self.now.raw(),
-                            budget_seconds: budget,
-                        });
-                    }
-                }
             }
             if let Some(wd) = &mut watchdog {
                 if wd.observe(self.now, self.progress_fingerprint()) {

@@ -220,8 +220,8 @@ impl MemoryPartition {
         }
     }
 
-    /// Starts attributing host wall time spent in the DRAM channel to
-    /// [`host_dram_seconds`](MemoryPartition::host_dram_seconds).
+    /// Starts attributing host wall time spent in the DRAM channel to the
+    /// partition's DRAM host-time counter, which `run_profiled` reads.
     /// Timing-model-invisible; enable before running.
     pub fn enable_host_profile(&mut self) {
         self.host_profile = true;
@@ -229,7 +229,7 @@ impl MemoryPartition {
 
     /// Host seconds spent inside the DRAM channel since profiling was
     /// enabled.
-    pub fn host_dram_seconds(&self) -> f64 {
+    pub(crate) fn host_dram_seconds(&self) -> f64 {
         self.host_dram_seconds
     }
 
@@ -821,18 +821,13 @@ impl MemoryPartition {
         self.miss_queue.stats()
     }
 
-    /// Occupancy of the writeback queue towards the DRAM write scheduler.
-    pub fn wb_queue_stats(&self) -> QueueStats {
-        self.wb_queue.stats()
-    }
-
     /// Occupancy of the L2 response queue.
-    pub fn response_queue_stats(&self) -> QueueStats {
+    pub(crate) fn response_queue_stats(&self) -> QueueStats {
         self.response_queue.stats()
     }
 
     /// Occupancy of the response path towards the interconnect.
-    pub fn to_icnt_queue_stats(&self) -> QueueStats {
+    pub(crate) fn to_icnt_queue_stats(&self) -> QueueStats {
         self.to_icnt.stats()
     }
 
@@ -850,20 +845,20 @@ impl MemoryPartition {
 
     /// Fault injection: stall the MSHR miss path (as if the table were
     /// full) until `until`.
-    pub fn chaos_stall_mshr(&mut self, until: Cycle) {
+    pub(crate) fn chaos_stall_mshr(&mut self, until: Cycle) {
         self.chaos_mshr_until = until;
     }
 
     /// Fault injection: lock the DRAM channel intake (in-service requests
     /// still complete) until `until`.
-    pub fn chaos_lock_dram(&mut self, until: Cycle) {
+    pub(crate) fn chaos_lock_dram(&mut self, until: Cycle) {
         self.chaos_dram_until = until;
     }
 
     /// Pipeline-ordered occupancy of every stage in this partition, for
     /// liveness reporting and wedge diagnosis. Stages with zero pending
     /// work are included so the breakdown has a stable shape.
-    pub fn pending_breakdown(&self) -> Vec<(&'static str, u64)> {
+    pub(crate) fn pending_breakdown(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("l2_access", self.access_queue.len() as u64),
             (
@@ -881,7 +876,7 @@ impl MemoryPartition {
 
     /// Total physical fetches resident in this partition (MSHR waiter
     /// handles are excluded — their bodies are counted where they sit).
-    pub fn pending_requests(&self) -> u64 {
+    pub(crate) fn pending_requests(&self) -> u64 {
         (self.access_queue.len()
             + self.miss_pipeline.len()
             + self.miss_queue.len()
@@ -894,7 +889,7 @@ impl MemoryPartition {
 
     /// Pipeline-ordered names of the stages currently unable to accept
     /// work — the raw material for a wedge diagnosis blocked chain.
-    pub fn blocked_stages(&self, now: Cycle) -> Vec<&'static str> {
+    pub(crate) fn blocked_stages(&self, now: Cycle) -> Vec<&'static str> {
         let mut blocked = Vec::new();
         if self.access_queue.is_full() {
             blocked.push("l2_access(full)");

@@ -239,15 +239,6 @@ impl SimReport {
             .map(|l2| l2.access_queue.full_fraction_of_usage())
     }
 
-    /// Fraction of its usage lifetime the (aggregated) DRAM scheduler
-    /// queue was full — the paper's second Section III headline number
-    /// (39%).
-    pub fn dram_queue_full_fraction(&self) -> Option<f64> {
-        self.dram
-            .as_ref()
-            .map(|d| d.scheduler_queue.full_fraction_of_usage())
-    }
-
     /// Fraction of issue cycles lost to memory stalls.
     pub fn memory_stall_fraction(&self) -> f64 {
         if self.core.cycles == 0 {
@@ -394,7 +385,6 @@ mod tests {
         };
         assert_eq!(r.avg_l1_miss_latency(), 0.0);
         assert_eq!(r.l2_access_queue_full_fraction(), None);
-        assert_eq!(r.dram_queue_full_fraction(), None);
         assert_eq!(r.memory_stall_fraction(), 0.0);
     }
 

@@ -95,7 +95,6 @@ impl CoreStats {
 
 #[derive(Debug)]
 struct CtaState {
-    cta: CtaId,
     live_warps: u32,
     barrier_arrived: u32,
     warp_slots: Vec<usize>,
@@ -330,13 +329,8 @@ impl SimtCore {
     }
 
     /// CTAs currently resident.
-    pub fn resident_ctas(&self) -> usize {
+    pub(crate) fn resident_ctas(&self) -> usize {
         self.ctas.iter().filter(|c| c.is_some()).count()
-    }
-
-    /// Ids of the CTAs currently resident (diagnostics).
-    pub fn resident_cta_ids(&self) -> Vec<CtaId> {
-        self.ctas.iter().flatten().map(|c| c.cta).collect()
     }
 
     /// True if another CTA can be accepted (free CTA slot and enough free
@@ -372,7 +366,6 @@ impl SimtCore {
         self.free_warps -= warp_slots.len();
         self.free_cta_slots -= 1;
         self.ctas[slot] = Some(CtaState {
-            cta,
             live_warps: warp_slots.len() as u32,
             barrier_arrived: 0,
             warp_slots,

@@ -127,11 +127,6 @@ impl WarpSlot {
         }
         false
     }
-
-    /// Number of loads still in flight.
-    pub fn loads_in_flight(&self) -> usize {
-        self.outstanding.len()
-    }
 }
 
 #[cfg(test)]
@@ -170,7 +165,7 @@ mod tests {
         assert!(w.blocked_on_memory());
         assert!(w.complete_access(tag));
         assert!(!w.blocked_on_memory());
-        assert_eq!(w.loads_in_flight(), 0);
+        assert_eq!(w.outstanding.len(), 0);
     }
 
     #[test]
@@ -180,7 +175,7 @@ mod tests {
         w.pc += 1;
         let t1 = w.post_load(5, 1);
         assert_ne!(t0, t1);
-        assert_eq!(w.loads_in_flight(), 2);
+        assert_eq!(w.outstanding.len(), 2);
         // At pc 1: t0's consume_pc is 1 → blocked.
         assert!(w.blocked_on_memory());
         w.complete_access(t0);

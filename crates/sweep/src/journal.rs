@@ -42,7 +42,7 @@ pub enum JournalEvent {
     Commit,
     /// A cell file failed checksum verification and was moved aside.
     Quarantine,
-    /// A cell failed with a simulator error (after retries, if eligible).
+    /// A cell failed with a simulator error.
     Failed,
     /// A sweep run finished; `detail` carries the store digest.
     Done,
@@ -78,7 +78,7 @@ fn io_err(path: &Path, e: &std::io::Error) -> SweepError {
 /// # Errors
 ///
 /// [`SweepError::Io`] if the file cannot be read.
-pub fn read_trace_file(path: &Path) -> Result<String, SweepError> {
+pub(crate) fn read_trace_file(path: &Path) -> Result<String, SweepError> {
     fs::read_to_string(path).map_err(|e| io_err(path, &e))
 }
 
@@ -320,7 +320,7 @@ impl DiskStore {
     /// # Errors
     ///
     /// [`SweepError::Io`] on filesystem failure.
-    pub fn write_text_atomic(&self, path: &Path, content: &str) -> Result<(), SweepError> {
+    pub(crate) fn write_text_atomic(&self, path: &Path, content: &str) -> Result<(), SweepError> {
         let tmp = path.with_extension("tmp");
         {
             let mut file = fs::File::create(&tmp).map_err(|e| io_err(&tmp, &e))?;
@@ -336,7 +336,7 @@ impl DiskStore {
     /// # Errors
     ///
     /// [`SweepError::Io`] on real read failure.
-    pub fn read_text(&self, path: &Path) -> Result<Option<String>, SweepError> {
+    pub(crate) fn read_text(&self, path: &Path) -> Result<Option<String>, SweepError> {
         match fs::read_to_string(path) {
             Ok(t) => Ok(Some(t)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),

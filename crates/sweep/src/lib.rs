@@ -11,16 +11,15 @@
 //!   FNV digest of everything the simulated result is a pure function of
 //!   (canonical config JSON, workload parameters — or, for `trace:<path>`
 //!   workloads, the trace file's byte digest — memory mode, cycle
-//!   budget and [`CODE_VERSION_SALT`]).
+//!   budget and `CODE_VERSION_SALT`).
 //! * [`ResultStore`] persists completed cells under `cells/<key>.json`
 //!   with a checksum header, committed via write-temp-then-atomic-rename
 //!   and recorded in an append-only write-ahead journal (`journal.log`).
 //!   Corrupt or truncated entries are detected on read, quarantined, and
 //!   recomputed — never served.
 //! * [`run_sweep`] executes the missing cells through a bounded worker
-//!   pool with per-cell deadlines and a deterministic retry budget
-//!   ([`gpumem::RetryPolicy`]); deterministic simulator errors fail fast,
-//!   only host-dependent ones retry.
+//!   pool, each bounded by its spec's cycle budget; a simulator error
+//!   marks the cell failed and leaves it uncached.
 //!
 //! Killing the process at *any* point — including mid-write, which the
 //! crash-injection hooks in [`SweepOptions`] emulate at adversarially
@@ -38,7 +37,7 @@ mod store;
 
 pub use journal::{DiskStore, JournalEvent, JournalRecord};
 pub use orchestrator::{run_sweep, CellOutcome, CellStatus, SweepOptions, SweepSummary};
-pub use spec::{parse_design_point, parse_mode, SweepCell, SweepSpec};
+pub use spec::{SweepCell, SweepSpec};
 pub use store::{CellEnvelope, Lookup, ResultStore};
 
 pub use gpumem_types::{CellKey, SweepError};
@@ -50,4 +49,4 @@ pub use gpumem_types::{CellKey, SweepError};
 /// configurations: old stores then miss cleanly instead of serving stale
 /// numbers (or stale digests) as cache hits. v2: `SimReport` lost its
 /// `degraded` key. v3: the key lost its `engine=` field.
-pub const CODE_VERSION_SALT: &str = "gpumem-sweep-v3";
+pub(crate) const CODE_VERSION_SALT: &str = "gpumem-sweep-v3";

@@ -4,15 +4,13 @@
 //! Concurrency model: workers only *simulate* — every store mutation
 //! (journal appends, cell commits, quarantines) happens on the
 //! coordinating thread, so the write-ahead journal has exactly one writer
-//! and needs no locking. The pool hands each `(attempts, result)` to the
-//! coordinator, which commits results in arrival order; the
-//! content-addressed store makes the commit order irrelevant to the final
-//! state.
+//! and needs no locking. The pool hands each result to the coordinator,
+//! which commits results in arrival order; the content-addressed store
+//! makes the commit order irrelevant to the final state.
 
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
-use gpumem::{retry_with_policy, run_pool, RetryPolicy};
+use gpumem::run_pool;
 use gpumem_sim::{GpuSimulator, SimError, SimReport};
 use gpumem_types::SweepError;
 use serde::{Deserialize, Serialize};
@@ -28,8 +26,6 @@ use crate::store::{Lookup, ResultStore};
 pub struct SweepOptions {
     /// Worker threads for cell execution; 0 means one per host core.
     pub workers: usize,
-    /// Retry budget and backoff for host-dependent failures.
-    pub retry: RetryPolicy,
     /// Stream per-cell progress lines to stderr.
     pub progress: bool,
     /// Crash-injection hook for the recovery tests: tear the journal at
@@ -46,7 +42,7 @@ pub enum CellStatus {
     Computed,
     /// Simulated again because a previous commit was lost or corrupt.
     Recomputed,
-    /// The simulator returned an error (after retries, if eligible).
+    /// The simulator returned an error.
     Failed,
 }
 
@@ -59,8 +55,6 @@ pub struct CellOutcome {
     pub label: String,
     /// How the cell was satisfied.
     pub status: CellStatus,
-    /// Simulation attempts this run made for the cell (0 for cache hits).
-    pub attempts: u32,
     /// Digest of the cell's result; absent for failures.
     pub result_digest: Option<String>,
     /// Error text for failures, empty otherwise.
@@ -82,10 +76,8 @@ pub struct SweepSummary {
     /// `computed` counting, not overlapping it — a cell is one or the
     /// other).
     pub recomputed: usize,
-    /// Cells that failed after exhausting their retry eligibility.
+    /// Cells whose simulation returned an error.
     pub failed: usize,
-    /// Simulation attempts across all cells this run.
-    pub attempts_total: u64,
     /// Digest over every committed cell of the grid (see
     /// [`ResultStore::store_digest`]).
     pub store_digest: String,
@@ -101,18 +93,9 @@ impl SweepSummary {
     }
 }
 
-/// Executes one cell under a retry policy.
-fn execute_cell(
-    cell: &SweepCell,
-    deadline_seconds: Option<f64>,
-    retry: &RetryPolicy,
-) -> (u32, Result<SimReport, SimError>) {
-    let program: Arc<dyn gpumem_simt::KernelProgram> = cell.workload.program();
-    retry_with_policy(retry, cell.key.lo, || {
-        let mut sim = GpuSimulator::new(cell.cfg.clone(), Arc::clone(&program), cell.mode);
-        sim.set_deadline_seconds(deadline_seconds);
-        sim.run(cell.max_cycles)
-    })
+/// Simulates one cell.
+fn execute_cell(cell: &SweepCell) -> Result<SimReport, SimError> {
+    GpuSimulator::new(cell.cfg.clone(), cell.workload.program(), cell.mode).run(cell.max_cycles)
 }
 
 /// Runs (or resumes — the two are the same operation) a sweep over the
@@ -150,7 +133,6 @@ pub fn run_sweep(
             key: c.key.to_string(),
             label: c.label(),
             status: CellStatus::CacheHit,
-            attempts: 0,
             result_digest: None,
             detail: String::new(),
         })
@@ -190,12 +172,11 @@ pub fn run_sweep(
     run_pool(
         &misses,
         opts.workers,
-        |&idx| execute_cell(&cells[idx], spec.deadline_seconds, &opts.retry),
-        |slot, (attempts, out)| {
+        |&idx| execute_cell(&cells[idx]),
+        |slot, out| {
             let idx = misses[slot];
-            outcomes[idx].attempts = attempts;
             let result = match out {
-                Ok(report) => store.commit(cells[idx].key, &outcomes[idx].label, attempts, &report),
+                Ok(report) => store.commit(cells[idx].key, &outcomes[idx].label, 1, &report),
                 Err(error) => {
                     let detail = error.to_string();
                     outcomes[idx].status = CellStatus::Failed;
@@ -212,7 +193,7 @@ pub fn run_sweep(
                     }
                     if opts.progress {
                         eprintln!(
-                            "cell {} {} {} (attempts {})",
+                            "cell {} {} {}",
                             outcomes[idx].key,
                             outcomes[idx].label,
                             match outcomes[idx].status {
@@ -220,7 +201,6 @@ pub fn run_sweep(
                                 CellStatus::Recomputed => "recomputed",
                                 _ => "computed",
                             },
-                            attempts
                         );
                     }
                     ControlFlow::Continue(())
@@ -248,12 +228,10 @@ pub fn run_sweep(
         computed: 0,
         recomputed: 0,
         failed: 0,
-        attempts_total: 0,
         store_digest,
         outcomes,
     };
     for o in &summary.outcomes {
-        summary.attempts_total += u64::from(o.attempts);
         match o.status {
             CellStatus::CacheHit => summary.cache_hits += 1,
             CellStatus::Computed => summary.computed += 1,

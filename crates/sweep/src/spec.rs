@@ -1,6 +1,7 @@
 //! Sweep specifications: the grid of cells a campaign covers, and the
 //! canonical content address of each cell.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -18,7 +19,7 @@ const TRACE_PREFIX: &str = "trace:";
 
 /// Parses a Section IV design-point label (`baseline`, `L1`, `L2`, `DRAM`,
 /// `L1+L2`, `L2+DRAM`, `L1+DRAM`, `L1+L2+DRAM`).
-pub fn parse_design_point(label: &str) -> Option<DesignPoint> {
+pub(crate) fn parse_design_point(label: &str) -> Option<DesignPoint> {
     let dp = match label {
         "baseline" => DesignPoint::BASELINE,
         "L1" => DesignPoint::L1_ONLY,
@@ -38,7 +39,7 @@ pub fn parse_design_point(label: &str) -> Option<DesignPoint> {
 }
 
 /// Parses a memory-mode spelling: `hierarchy` or `fixed:<latency>`.
-pub fn parse_mode(spec: &str) -> Option<MemoryMode> {
+pub(crate) fn parse_mode(spec: &str) -> Option<MemoryMode> {
     if spec == "hierarchy" {
         return Some(MemoryMode::Hierarchy);
     }
@@ -67,16 +68,15 @@ pub struct SweepSpec {
     /// recorded instruction stream has no scale knob) and are
     /// content-addressed by the trace's byte digest, not its path.
     pub workloads: Vec<String>,
-    /// Design-point labels (see [`parse_design_point`]).
+    /// Design-point labels: `baseline`, `L1`, `L2`, `DRAM`, `L1+L2`,
+    /// `L2+DRAM`, `L1+DRAM` or `L1+L2+DRAM`.
     pub design_points: Vec<String>,
     /// Workload seed offsets; 0 is the benchmark's canonical seed.
     pub seeds: Vec<u64>,
-    /// Memory modes (see [`parse_mode`]).
+    /// Memory modes: `hierarchy` or `fixed:<latency>`.
     pub modes: Vec<String>,
     /// Per-cell cycle budget (watchdog).
     pub max_cycles: u64,
-    /// Optional per-cell wall-clock deadline in seconds.
-    pub deadline_seconds: Option<f64>,
 }
 
 impl SweepSpec {
@@ -95,7 +95,6 @@ impl SweepSpec {
             seeds: vec![0],
             modes: vec!["hierarchy".to_owned()],
             max_cycles: gpumem::DEFAULT_MAX_CYCLES,
-            deadline_seconds: None,
         }
     }
 
@@ -114,7 +113,7 @@ impl SweepSpec {
     }
 
     /// Renders the spec as the JSON stored in the results store.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("spec serializes")
     }
 
@@ -167,7 +166,9 @@ impl SweepSpec {
     }
 
     /// Expands the grid into concrete cells, in deterministic axis order
-    /// (workload-major, then design point, mode, seed). Trace
+    /// (workload-major, then design point, mode, seed). A cell whose key
+    /// repeats an earlier one — a repeated axis entry, or two trace files
+    /// with the same bytes — is kept once, at its first position. Trace
     /// workloads are read and decoded here — once per spec entry, shared
     /// by every cell they expand into.
     ///
@@ -180,6 +181,7 @@ impl SweepSpec {
         self.validate()?;
         let baseline = GpuConfig::gtx480();
         let mut cells = Vec::new();
+        let mut seen = BTreeSet::new();
         for w in &self.workloads {
             let base = self.resolve_workload(w)?;
             for d in &self.design_points {
@@ -196,7 +198,7 @@ impl SweepSpec {
                             }
                             traced => traced.clone(),
                         };
-                        cells.push(SweepCell::new(
+                        let cell = SweepCell::new(
                             w.clone(),
                             d.clone(),
                             seed,
@@ -204,7 +206,10 @@ impl SweepSpec {
                             workload,
                             mode,
                             self.max_cycles,
-                        ));
+                        );
+                        if seen.insert(cell.key) {
+                            cells.push(cell);
+                        }
                     }
                 }
             }
@@ -260,14 +265,12 @@ impl SweepCell {
     /// Builds the cell and computes its content address: an FNV digest of
     /// the canonical workload description, the configuration JSON, the
     /// mode, the cycle budget and the crate's
-    /// [`CODE_VERSION_SALT`] — everything the simulated result is a pure
+    /// `CODE_VERSION_SALT` — everything the simulated result is a pure
     /// function of. A synthetic workload canonicalizes as its parameter
     /// JSON (so pre-existing stores keep their keys); a traced workload as
     /// its trace-byte digest plus the seed axis value, so moving or
     /// renaming a trace file does not orphan its results, while editing
-    /// one byte of it does. Wall-clock deadlines are deliberately
-    /// excluded: they bound *host* time and cannot change a completed
-    /// result.
+    /// one byte of it does.
     pub fn new(
         benchmark: String,
         design_point: String,
@@ -343,7 +346,6 @@ mod tests {
             seeds: vec![0],
             modes: vec!["hierarchy".into()],
             max_cycles: 1_000_000,
-            deadline_seconds: None,
         }
     }
 
@@ -354,6 +356,23 @@ mod tests {
         let keys: std::collections::BTreeSet<String> =
             cells.iter().map(|c| c.key.to_string()).collect();
         assert_eq!(keys.len(), 4, "cell keys must be pairwise distinct");
+
+        // Repeated axis entries name the same cells: each is kept once.
+        let dup = SweepSpec {
+            workloads: vec!["sc".into(), "sc".into()],
+            design_points: vec!["baseline".into()],
+            seeds: vec![0, 0],
+            modes: vec!["hierarchy".into(), "fixed:0".into()],
+            ..tiny_spec()
+        };
+        let labels: Vec<String> = dup.expand().unwrap().iter().map(|c| c.label()).collect();
+        assert_eq!(
+            labels,
+            [
+                "sc/baseline/hierarchy/seed0",
+                "sc/baseline/fixed-latency(0)/seed0"
+            ]
+        );
     }
 
     #[test]

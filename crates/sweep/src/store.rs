@@ -18,10 +18,10 @@ pub struct CellEnvelope {
     pub key: String,
     /// Human-readable cell label (benchmark/design point/…).
     pub label: String,
-    /// Digest of the simulated result (see [`result_digest`]).
+    /// Digest of the simulated result, `host` block blanked.
     pub result_digest: String,
-    /// Attempts the committing run needed (1 unless a host-dependent
-    /// failure was retried).
+    /// Simulation attempts behind the commit: [`run_sweep`](crate::run_sweep)
+    /// runs each cell once and records 1.
     pub attempts: u32,
     /// The simulated result itself.
     pub report: SimReport,
@@ -47,7 +47,7 @@ pub enum Lookup {
 /// The host-dependent wall-clock block (`host`) is blanked first: two runs
 /// of the same cell must digest identically even though the host behaved
 /// differently, because the *simulated* numbers are bit-identical.
-pub fn result_digest(report: &SimReport) -> String {
+pub(crate) fn result_digest(report: &SimReport) -> String {
     let mut canonical = report.clone();
     canonical.host = None;
     let json = serde_json::to_string(&canonical).expect("report serializes");
@@ -123,7 +123,11 @@ impl ResultStore {
     ///
     /// [`SweepError::InjectedCrash`] / [`SweepError::Io`] from the
     /// journal append.
-    pub fn journal_event(&mut self, event: JournalEvent, detail: &str) -> Result<(), SweepError> {
+    pub(crate) fn journal_event(
+        &mut self,
+        event: JournalEvent,
+        detail: &str,
+    ) -> Result<(), SweepError> {
         self.disk.append_journal(event, None, detail)
     }
 
@@ -133,7 +137,7 @@ impl ResultStore {
     ///
     /// [`SweepError::InjectedCrash`] / [`SweepError::Io`] from the
     /// journal append.
-    pub fn journal_cell_event(
+    pub(crate) fn journal_cell_event(
         &mut self,
         event: JournalEvent,
         key: CellKey,
@@ -270,7 +274,7 @@ impl ResultStore {
     /// # Errors
     ///
     /// [`SweepError::Io`] on filesystem failure.
-    pub fn save_spec(&self, spec: &SweepSpec) -> Result<(), SweepError> {
+    pub(crate) fn save_spec(&self, spec: &SweepSpec) -> Result<(), SweepError> {
         let path = self.disk.root().join("spec.json");
         self.disk.write_text_atomic(&path, &spec.to_json())
     }

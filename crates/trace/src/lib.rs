@@ -170,7 +170,7 @@ impl Stage {
     /// True for stages that lie on a load's `issued..returned` path and so
     /// participate in the stage-sum ↔ end-to-end reconciliation (the DRAM
     /// write-path stages do not: writes never return).
-    pub fn on_load_path(self) -> bool {
+    pub(crate) fn on_load_path(self) -> bool {
         !matches!(self, Stage::WbQueue | Stage::WbService)
     }
 
@@ -342,16 +342,6 @@ impl OccupancyProbe {
     /// The sampling cadence.
     pub fn cadence(&self) -> u64 {
         self.cadence
-    }
-
-    /// Consumes the probe into a named series for the report.
-    pub fn into_series(self, component: String, queue: &'static str) -> OccupancySeries {
-        OccupancySeries {
-            component,
-            queue: queue.to_owned(),
-            cadence: self.cadence,
-            samples: self.samples,
-        }
     }
 
     /// Snapshots the probe into a named series without consuming it (the
@@ -679,16 +669,6 @@ impl LatencyBreakdown {
             && self.monotone_violations == 0
             && self.unknown_pairs == 0
             && self.incomplete_fetches == 0
-    }
-
-    /// Fraction of load-path cycles attributed to queueing (the paper's
-    /// congestion share), or 0.0 if nothing was traced.
-    pub fn queueing_fraction(&self) -> f64 {
-        if self.stage_total_cycles == 0 {
-            0.0
-        } else {
-            self.queueing_cycles as f64 / self.stage_total_cycles as f64
-        }
     }
 }
 

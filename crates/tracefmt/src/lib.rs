@@ -53,7 +53,4 @@ mod parse;
 pub use encode::encode_program;
 pub use error::TraceError;
 pub use kernel::TracedKernel;
-pub use parse::{
-    parse_reader, parse_str, MAGIC, MAX_LINE_BYTES, MAX_TOTAL_INSTRS, MAX_TOTAL_WARPS,
-    MAX_WARP_INSTRS,
-};
+pub use parse::{parse_reader, parse_str};

@@ -37,16 +37,16 @@ use crate::error::TraceError;
 use crate::kernel::{Op, TracedKernel};
 
 /// The required first significant line of every trace.
-pub const MAGIC: &str = "gpumem-trace v1";
+pub(crate) const MAGIC: &str = "gpumem-trace v1";
 
 /// Longest accepted input line, in bytes (including the newline).
-pub const MAX_LINE_BYTES: usize = 64 * 1024;
+pub(crate) const MAX_LINE_BYTES: usize = 64 * 1024;
 /// Most warps (`grid × warps_per_cta`) a trace may declare.
-pub const MAX_TOTAL_WARPS: u64 = 1 << 20;
+pub(crate) const MAX_TOTAL_WARPS: u64 = 1 << 20;
 /// Most instructions a single warp block may carry.
-pub const MAX_WARP_INSTRS: u64 = 1 << 22;
+pub(crate) const MAX_WARP_INSTRS: u64 = 1 << 22;
 /// Most decoded instructions across the whole trace.
-pub const MAX_TOTAL_INSTRS: u64 = 1 << 26;
+pub(crate) const MAX_TOTAL_INSTRS: u64 = 1 << 26;
 
 /// Decodes a complete trace held in memory. Equivalent to
 /// [`parse_reader`] over the string's bytes.

@@ -110,14 +110,6 @@ impl LineAddr {
     }
 }
 
-impl Addr {
-    /// Byte offset of this address within its cache line.
-    #[inline]
-    pub const fn byte_offset(self, line_bytes: u64) -> u64 {
-        self.0 % line_bytes
-    }
-}
-
 impl fmt::Display for LineAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "L{:#x}", self.0)
@@ -146,7 +138,6 @@ mod tests {
     #[test]
     fn offsets() {
         assert_eq!(Addr::new(10).offset(6), Addr::new(16));
-        assert_eq!(Addr::new(0x87).byte_offset(128), 7);
     }
 
     #[test]

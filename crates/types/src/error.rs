@@ -73,27 +73,6 @@ pub enum SimError {
         /// What the protocol expected vs what happened.
         detail: String,
     },
-    /// The per-run wall-clock budget was exceeded (host time, not
-    /// simulated time).
-    DeadlineExceeded {
-        /// Simulated cycle reached when the budget ran out.
-        cycle: u64,
-        /// The configured budget in seconds.
-        budget_seconds: f64,
-    },
-}
-
-impl SimError {
-    /// True when the failure depends on *host* conditions (wall-clock
-    /// load) rather than on the simulated machine. Host-dependent
-    /// failures are worth retrying — the same inputs can succeed on a
-    /// quieter machine.
-    /// Everything else is bit-reproducible from `(config, workload,
-    /// memory mode)`: a wedge, a queue overflow or an expired cycle budget will
-    /// fail the retry identically, so retry policies fail fast on them.
-    pub fn is_host_dependent(&self) -> bool {
-        matches!(self, SimError::DeadlineExceeded { .. })
-    }
 }
 
 impl fmt::Display for SimError {
@@ -138,13 +117,6 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "port protocol violation in {component} at cycle {cycle}: {detail}"
-            ),
-            SimError::DeadlineExceeded {
-                cycle,
-                budget_seconds,
-            } => write!(
-                f,
-                "wall-clock budget of {budget_seconds:.1}s exceeded at cycle {cycle}"
             ),
         }
     }
@@ -291,27 +263,5 @@ mod tests {
         assert!(s.contains("resp_xbar.ingress(held) -> l2_to_icnt(full)"));
         assert!(s.contains("waiting 520 cycles"));
         assert!(s.contains("l2_to_icnt=8"));
-    }
-
-    #[test]
-    fn host_dependence_split_matches_the_retry_contract() {
-        assert!(SimError::DeadlineExceeded {
-            cycle: 1,
-            budget_seconds: 0.5
-        }
-        .is_host_dependent());
-        // Deterministic failures reproduce bit-identically on retry.
-        assert!(!SimError::Watchdog {
-            cycle: 1,
-            instructions: 0,
-            detail: String::new()
-        }
-        .is_host_dependent());
-        assert!(!SimError::QueueOverflow {
-            component: "l2",
-            queue: "access",
-            cycle: 1
-        }
-        .is_host_dependent());
     }
 }

@@ -234,7 +234,7 @@ pub struct MemFetch {
 impl MemFetch {
     /// Size in bytes of a request/response control header on the
     /// interconnect (GPGPU-Sim's default).
-    pub const CONTROL_BYTES: u64 = 8;
+    pub(crate) const CONTROL_BYTES: u64 = 8;
 
     /// Creates a new fetch originating at `core`.
     pub fn new(id: FetchId, kind: AccessKind, line: LineAddr, core: CoreId) -> Self {

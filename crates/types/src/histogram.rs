@@ -77,11 +77,6 @@ impl Histogram {
         self.buckets.len()
     }
 
-    /// Width of each bucket.
-    pub fn bucket_width(&self) -> u64 {
-        self.bucket_width
-    }
-
     /// Samples beyond the last bucket.
     pub fn overflow(&self) -> u64 {
         self.overflow
@@ -169,18 +164,12 @@ impl Log2Histogram {
     /// Bucket index for `value`: `floor(log2(value))`, with 0 mapped to
     /// bucket 0.
     #[inline]
-    pub fn bucket_of(value: u64) -> usize {
+    pub(crate) fn bucket_of(value: u64) -> usize {
         if value == 0 {
             0
         } else {
             63 - value.leading_zeros() as usize
         }
-    }
-
-    /// Lower bound of bucket `idx` (inclusive).
-    #[inline]
-    pub fn bucket_floor(idx: usize) -> u64 {
-        1u64 << idx.min(63)
     }
 
     /// Records one sample. Count and sum saturate instead of wrapping.
@@ -325,7 +314,6 @@ mod tests {
         assert_eq!(Log2Histogram::bucket_of(1023), 9);
         assert_eq!(Log2Histogram::bucket_of(1024), 10);
         assert_eq!(Log2Histogram::bucket_of(u64::MAX), 63);
-        assert_eq!(Log2Histogram::bucket_floor(3), 8);
     }
 
     #[test]

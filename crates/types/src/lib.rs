@@ -23,7 +23,7 @@
 //! # Example
 //!
 //! ```
-//! use gpumem_types::{Addr, Cycle, SimQueue};
+//! use gpumem_types::{Cycle, SimQueue};
 //!
 //! let mut q: SimQueue<u32> = SimQueue::new("l2_access", 8);
 //! q.push(41).unwrap();
@@ -31,8 +31,6 @@
 //! assert_eq!(q.pop(), Some(41));
 //! assert_eq!(q.stats().ticks_nonempty, 1);
 //!
-//! let a = Addr::new(0x1234);
-//! assert_eq!(a.byte_offset(128), 0x34);
 //! assert_eq!(Cycle::ZERO + 5, Cycle::new(5));
 //! ```
 

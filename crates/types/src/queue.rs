@@ -66,15 +66,6 @@ impl QueueStats {
         }
     }
 
-    /// Fraction of all observed cycles in which the queue was full.
-    pub fn full_fraction_of_total(&self) -> f64 {
-        if self.ticks == 0 {
-            0.0
-        } else {
-            self.ticks_full as f64 / self.ticks as f64
-        }
-    }
-
     /// Mean occupancy over all observed cycles.
     pub fn mean_occupancy(&self) -> f64 {
         if self.ticks == 0 {
@@ -270,15 +261,6 @@ impl<T> SimQueue<T> {
         }
     }
 
-    /// Mutable peek at the head.
-    pub fn front_mut(&mut self) -> Option<&mut T> {
-        if self.len == 0 {
-            None
-        } else {
-            self.slots[self.head].as_mut()
-        }
-    }
-
     /// Iterates over queued elements from head to tail.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         (0..self.len).map(|pos| {
@@ -393,7 +375,6 @@ mod tests {
         assert_eq!(s.ticks_full, 2);
         assert_eq!(s.occupancy_sum, 5); // 0 + 1 + 2 + 2
         assert!((s.full_fraction_of_usage() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((s.full_fraction_of_total() - 0.5).abs() < 1e-12);
         assert!((s.mean_occupancy() - 1.25).abs() < 1e-12);
     }
 
@@ -416,7 +397,6 @@ mod tests {
     fn unused_queue_reports_zero() {
         let q = SimQueue::<u8>::new("t", 2);
         assert_eq!(q.stats().full_fraction_of_usage(), 0.0);
-        assert_eq!(q.stats().full_fraction_of_total(), 0.0);
         assert_eq!(q.stats().mean_occupancy(), 0.0);
     }
 
@@ -530,9 +510,8 @@ mod tests {
         q.push(10).unwrap();
         q.push(20).unwrap();
         assert_eq!(q.front(), Some(&10));
-        *q.front_mut().unwrap() += 1;
         let v: Vec<_> = q.iter().copied().collect();
-        assert_eq!(v, vec![11, 20]);
+        assert_eq!(v, vec![10, 20]);
         assert_eq!(q.free(), 1);
     }
 }

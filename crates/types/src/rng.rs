@@ -77,7 +77,7 @@ impl SimRng {
     }
 
     /// Uniform float in `[0, 1)`.
-    pub fn gen_f64(&mut self) -> f64 {
+    pub(crate) fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

@@ -133,7 +133,7 @@ impl<T> Slab<T> {
     /// # Panics
     ///
     /// Panics if `id` is vacant.
-    pub fn get_mut(&mut self, id: SlotId) -> &mut T {
+    pub(crate) fn get_mut(&mut self, id: SlotId) -> &mut T {
         self.slots[id.0 as usize]
             .as_mut()
             .expect("get_mut() of vacant slab slot")

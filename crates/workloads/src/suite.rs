@@ -298,6 +298,10 @@ mod tests {
             assert!(k.grid_ctas() > 0);
             assert!(k.instr(CtaId::new(0), 0, 0).is_some());
         }
+        // Scale 1.0 is the identity, so callers need no unscaled path.
+        assert!(extended_names()
+            .into_iter()
+            .all(|n| params_of(n).is_some_and(|p| p.scaled(1.0) == p)));
     }
 
     #[test]

@@ -14,7 +14,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use gpumem::RetryPolicy;
 use gpumem_sweep::{run_sweep, CellStatus, ResultStore, SweepOptions, SweepSpec};
 use proptest::prelude::*;
 
@@ -41,7 +40,6 @@ fn tiny_spec() -> SweepSpec {
         seeds: vec![0],
         modes: vec!["hierarchy".into()],
         max_cycles: 50_000_000,
-        deadline_seconds: None,
     }
 }
 
@@ -51,7 +49,6 @@ fn tiny_spec() -> SweepSpec {
 fn opts() -> SweepOptions {
     SweepOptions {
         workers: 1,
-        retry: RetryPolicy::immediate(2),
         progress: false,
         crash_after_journal_bytes: None,
     }
@@ -88,7 +85,6 @@ fn fresh_run_then_resume_is_all_cache_hits_and_bit_identical() {
     let second = run_sweep(&spec, &dir, &opts()).unwrap();
     assert_eq!(second.cache_hits, 4);
     assert_eq!(second.simulations_run(), 0);
-    assert_eq!(second.attempts_total, 0);
     assert_eq!(second.store_digest, first.store_digest);
     for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
         assert_eq!(a.result_digest, b.result_digest);
@@ -300,10 +296,6 @@ fn deterministic_failures_fail_fast_and_commit_nothing() {
     assert_eq!(summary.cache_hits, 0);
     for o in &summary.outcomes {
         assert_eq!(o.status, CellStatus::Failed);
-        assert_eq!(
-            o.attempts, 1,
-            "a deterministic failure must not burn the retry budget"
-        );
         assert!(o.result_digest.is_none());
     }
     assert!(cell_digests(&spec, &dir).iter().all(|d| d.is_none()));
@@ -316,48 +308,45 @@ fn deterministic_failures_fail_fast_and_commit_nothing() {
 }
 
 #[test]
-fn missed_deadlines_spend_the_whole_retry_budget_and_commit_nothing() {
-    // A zero wall-clock budget: every attempt misses its deadline, a
-    // host-dependent failure, so each cell is retried until the policy's
-    // budget runs out.
-    let mut spec = tiny_spec();
-    spec.deadline_seconds = Some(0.0);
-    let opts = SweepOptions {
-        retry: RetryPolicy::immediate(3),
-        ..opts()
-    };
-    let dir = scratch("deadline");
-    let summary = run_sweep(&spec, &dir, &opts).unwrap();
-    assert_eq!(summary.failed, 4);
-    assert_eq!(summary.attempts_total, 12);
-    for o in &summary.outcomes {
-        assert_eq!(o.status, CellStatus::Failed);
-        assert_eq!(o.attempts, 3, "{}", o.label);
-        assert!(o.detail.contains("wall-clock budget"), "{}", o.detail);
-        assert!(o.result_digest.is_none());
-    }
-    assert!(cell_digests(&spec, &dir).iter().all(|d| d.is_none()));
-
-    // Nothing was cached: a re-run attempts every cell again.
-    let again = run_sweep(&spec, &dir, &opts).unwrap();
-    assert_eq!(again.failed, 4);
-    assert_eq!(again.attempts_total, 12);
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn legacy_engines_axis_parses_and_expands_to_the_same_keys() {
-    // Specs written while the engine was a sweep axis still name it. The
-    // key is ignored: such a spec expands to exactly the cells of the same
-    // spec without it.
+    // Specs written while the engine was a sweep axis, or while a cell
+    // had a wall-clock budget, still name them. Both keys are ignored:
+    // such a spec expands to exactly the cells of the same spec without
+    // them.
     let legacy = r#"{"name":"crash-matrix","scale":0.02,"workloads":["nn","sc"],
         "design_points":["baseline","L2"],"seeds":[0],"modes":["hierarchy"],
-        "engines":["event","stepped"],"max_cycles":50000000,"deadline_seconds":null}"#;
+        "engines":["event","stepped"],"max_cycles":50000000,"deadline_seconds":5.0}"#;
     let spec = SweepSpec::from_json(legacy).unwrap();
     assert_eq!(spec, tiny_spec());
     let keys =
         |spec: &SweepSpec| -> Vec<_> { spec.expand().unwrap().iter().map(|c| c.key).collect() };
     assert_eq!(keys(&spec), keys(&tiny_spec()));
+}
+
+#[test]
+fn repeated_axis_entries_are_simulated_once() {
+    let spec = SweepSpec {
+        workloads: vec!["sc".into(), "sc".into()],
+        design_points: vec!["baseline".into()],
+        seeds: vec![0, 0],
+        modes: vec!["hierarchy".into(), "fixed:0".into()],
+        ..tiny_spec()
+    };
+    let dir = scratch("dup");
+    let summary = run_sweep(&spec, &dir, &opts()).unwrap();
+    assert_eq!(summary.cells, 2);
+    assert_eq!(summary.simulations_run(), 2);
+
+    let distinct = SweepSpec {
+        workloads: vec!["sc".into()],
+        seeds: vec![0],
+        ..spec
+    };
+    let other = scratch("dup-distinct");
+    let reference = run_sweep(&distinct, &other, &opts()).unwrap();
+    assert_eq!(summary.store_digest, reference.store_digest);
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&other);
 }
 
 proptest! {
