@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! repro [--scale F] [--quick] [--json DIR] [--profile] [--seeds N]
-//!       [--wedge-self-test] [--suite seed|ml|extended]
-//!       [--trace-file FILE]... [--out FILE]
+//!       [--wedge-self-test] [--suite seed|ml|extended] [--store DIR]
+//!       [--workers N] [--trace-file FILE]... [--out FILE]
 //!       [fig1|congestion|dse|table1|latency|ablation|chaos|trace|run|
 //!        trace-gen|sweep|all] [WORKLOAD]...
 //! ```
@@ -31,6 +31,8 @@
 //! * `run`        — simulates the named workloads (and/or `--trace-file`
 //!   traces) once per memory mode and prints cycles, instructions and the
 //!   fraction of cycles the machine had nothing to do and jumped over.
+//!   With `--json DIR` also writes each run's full report as
+//!   `run_<workload>_<hierarchy|fixed800>.json` (every component counter).
 //!   With `--profile` instead prints per-component host-time attribution
 //!   (run loop, cores, L1, crossbars, partitions, DRAM). A malformed trace
 //!   file is a diagnosed, non-zero exit naming the offending line, never
@@ -51,6 +53,14 @@
 //!   0 on success, 1 if any cell failed, 2 on a bad spec or store.
 //! * `all`        — `table1` and the five paper experiments above
 //!   (default)
+//!
+//! The five experiment commands run their plan as one batch through a
+//! content-addressed results store (`gpumem_sweep::run_plan`): `--store
+//! DIR` keeps it, so a re-run simulates nothing, a killed run resumes and
+//! `dse` shares its cells with `sweep`'s §V grid at the same `--scale`;
+//! without `--store` the store is temporary and removed on exit. stderr
+//! ends with the cell count, cache hits and `simulations run: N`.
+//! `--workers N` bounds the pool for experiments and sweeps alike.
 //!
 //! `--scale F` (F > 0) scales the workloads (grid × F, iterations × √F)
 //! for quick runs; the shipped EXPERIMENTS.md numbers use the full scale
@@ -77,6 +87,7 @@
     reason = "host CLI: argument parsing, --json/--out files and trace inputs"
 )]
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use gpumem::experiments::latency_tolerance::{self, FIG1_LATENCIES};
@@ -242,11 +253,11 @@ fn suite_names(choice: &str) -> Vec<&'static str> {
 }
 
 /// The synthetic workload `name` at `scale`, or `None` for an unknown name.
-fn scaled(name: &str, scale: f64) -> Option<Arc<dyn KernelProgram>> {
-    gpumem_workloads::params_of(name).map(|p| WorkloadKind::Synthetic(p.scaled(scale)).program())
+fn scaled(name: &str, scale: f64) -> Option<WorkloadKind> {
+    gpumem_workloads::params_of(name).map(|p| WorkloadKind::Synthetic(p.scaled(scale)))
 }
 
-fn suite(scale: f64, choice: &str) -> Vec<Arc<dyn KernelProgram>> {
+fn suite(scale: f64, choice: &str) -> Vec<WorkloadKind> {
     suite_names(choice)
         .iter()
         .map(|n| scaled(n, scale).expect("canonical name"))
@@ -257,13 +268,13 @@ fn suite(scale: f64, choice: &str) -> Vec<Arc<dyn KernelProgram>> {
 /// failure — unreadable file or malformed trace — is a diagnosed exit 2;
 /// the parser's typed errors carry the offending line number, so the
 /// message pinpoints the defect without a stack trace.
-fn load_trace(path: &str) -> Arc<dyn KernelProgram> {
+fn load_trace(path: &str) -> WorkloadKind {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("error: cannot read trace {path}: {e}");
         std::process::exit(2)
     });
     match gpumem_tracefmt::parse_str(&text) {
-        Ok(kernel) => Arc::new(kernel),
+        Ok(kernel) => WorkloadKind::Traced(Arc::new(kernel)),
         Err(e) => {
             eprintln!("error: {path}: {e}");
             std::process::exit(2)
@@ -273,10 +284,10 @@ fn load_trace(path: &str) -> Arc<dyn KernelProgram> {
 
 /// The workload list a suite command iterates: the selected synthetic
 /// family at `--scale`, plus one traced workload per `--trace-file`.
-fn programs_for(args: &Args) -> Vec<Arc<dyn KernelProgram>> {
-    let mut programs = suite(args.scale, &args.suite);
-    programs.extend(args.trace_files.iter().map(|p| load_trace(p)));
-    programs
+fn workloads_for(args: &Args) -> Vec<WorkloadKind> {
+    let mut workloads = suite(args.scale, &args.suite);
+    workloads.extend(args.trace_files.iter().map(|p| load_trace(p)));
+    workloads
 }
 
 fn dump_json<T: serde::Serialize>(dir: &Option<String>, name: &str, value: &T) {
@@ -289,26 +300,55 @@ fn dump_json<T: serde::Serialize>(dir: &Option<String>, name: &str, value: &T) {
     }
 }
 
+/// A results store that lives for one command: removed when dropped.
+struct TempStore(PathBuf);
+
+impl Drop for TempStore {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// The paper experiments `command` names (`all`: every one), planned as
-/// one batch so the runs they share — every benchmark's baseline — are
-/// simulated once, then each reduced, printed and dumped as `<name>.json`.
-fn run_experiments(
-    command: &str,
-    cfg: &GpuConfig,
-    programs: &[Arc<dyn KernelProgram>],
-    json: &Option<String>,
-) {
-    let plans: Vec<(&str, Vec<RunSpec>)> = gpumem::experiments::paper_plans(cfg, programs)
+/// one batch and run through the results store at `--store` (a temporary
+/// one without it), so the runs they share — every benchmark's baseline,
+/// and any cell an earlier command committed there — are simulated once;
+/// then each is reduced, printed and dumped as `<name>.json`.
+fn run_experiments(command: &str, cfg: &GpuConfig, args: &Args) {
+    let json = &args.json_dir;
+    let workloads = workloads_for(args);
+    let plans: Vec<(&str, Vec<RunSpec>)> = gpumem::experiments::paper_plans(cfg, &workloads)
         .into_iter()
         .filter(|(name, _)| command == "all" || *name == command)
         .collect();
     let batch: Vec<RunSpec> = plans.iter().flat_map(|(_, p)| p.iter().cloned()).collect();
+    let _temp;
+    let store = match &args.store {
+        Some(dir) => PathBuf::from(dir),
+        None => {
+            let dir = std::env::temp_dir().join(format!("gpumem-repro-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            _temp = TempStore(dir.clone());
+            dir
+        }
+    };
     eprintln!(
-        "{command}: {} runs ({} distinct) ...",
+        "{command}: {} runs into {} ...",
         batch.len(),
-        gpumem::distinct_runs(&batch)
+        store.display()
     );
-    let reports = run_plan(&batch, 0).unwrap_or_else(|e| panic!("{command}: {e}"));
+    let opts = gpumem_sweep::SweepOptions {
+        workers: args.workers,
+        ..Default::default()
+    };
+    let (reports, summary) =
+        gpumem_sweep::run_plan(&batch, &store, &opts).unwrap_or_else(|e| panic!("{command}: {e}"));
+    eprintln!(
+        "cells: {}  cache hits: {}  simulations run: {}",
+        summary.cells,
+        summary.cache_hits,
+        summary.simulations_run()
+    );
     let mut rest = &reports[..];
     for (i, (name, plan)) in plans.iter().enumerate() {
         let (reports, tail) = rest.split_at(plan.len());
@@ -373,7 +413,7 @@ struct ProfileRow {
 /// starts from data rather than guesses. The instrumented runs pay for
 /// their own stopwatches — absolute wall times here are slightly above
 /// the uninstrumented sweep's, but the *shares* are what matter.
-fn run_profile(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Option<String>) {
+fn run_profile(cfg: &GpuConfig, workloads: &[WorkloadKind], json: &Option<String>) {
     println!("PER-COMPONENT HOST-TIME ATTRIBUTION — run()");
     println!(
         "{:>10} {:>18} {:>8} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>10} {:>9}",
@@ -391,9 +431,9 @@ fn run_profile(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Opti
     );
     let mut rows = Vec::new();
     for mode in [MemoryMode::Hierarchy, MemoryMode::FixedLatency(800)] {
-        for program in programs {
-            eprintln!("profile: {} / {mode} ...", program.name());
-            let (report, p) = GpuSimulator::new(cfg.clone(), Arc::clone(program), mode)
+        for workload in workloads {
+            eprintln!("profile: {} / {mode} ...", workload.name());
+            let (report, p) = GpuSimulator::new(cfg.clone(), workload.program(), mode)
                 .run_profiled(gpumem::DEFAULT_MAX_CYCLES)
                 .expect("profiled run completes");
             let pct = |s: f64| 100.0 * s / p.wall_seconds.max(1e-12);
@@ -430,10 +470,7 @@ const CHAOS_HORIZON: u64 = 10_000;
 /// every other command. Chaos only perturbs the memory hierarchy, so the
 /// sweep runs in [`MemoryMode::Hierarchy`].
 fn chaos_kernel(scale: f64) -> Arc<dyn KernelProgram> {
-    let p = gpumem_workloads::params_of("cfd")
-        .expect("known benchmark")
-        .scaled(scale);
-    Arc::new(gpumem_workloads::SyntheticKernel::new(p))
+    scaled("cfd", scale).expect("known benchmark").program()
 }
 
 fn chaos_run(
@@ -549,12 +586,6 @@ struct TraceRow {
     breakdown: LatencyBreakdown,
 }
 
-fn traced_sim(cfg: &GpuConfig, program: &Arc<dyn KernelProgram>) -> GpuSimulator {
-    let mut sim = GpuSimulator::new(cfg.clone(), Arc::clone(program), MemoryMode::Hierarchy);
-    sim.enable_trace(TraceConfig::default());
-    sim
-}
-
 fn print_breakdown(name: &str, bd: &LatencyBreakdown) {
     println!(
         "\n{name}: {} fetches traced, mean end-to-end {:.1} cycles (min {}, max {})",
@@ -585,12 +616,14 @@ fn print_breakdown(name: &str, bd: &LatencyBreakdown) {
 /// Fetch-lifecycle latency breakdown over the suite: per-stage tables, the
 /// §III queueing-vs-service split and the stage-sum reconciliation
 /// invariant.
-fn run_trace(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Option<String>) {
+fn run_trace(cfg: &GpuConfig, workloads: &[WorkloadKind], json: &Option<String>) {
     println!("FETCH-LIFECYCLE LATENCY BREAKDOWN — §III queueing vs service decomposition");
     let mut rows = Vec::new();
-    for program in programs {
-        eprintln!("trace: {} ...", program.name());
-        let report = traced_sim(cfg, program)
+    for workload in workloads {
+        eprintln!("trace: {} ...", workload.name());
+        let mut sim = GpuSimulator::new(cfg.clone(), workload.program(), MemoryMode::Hierarchy);
+        sim.enable_trace(TraceConfig::default());
+        let report = sim
             .run(gpumem::DEFAULT_MAX_CYCLES)
             .expect("traced run completes");
         let bd = report.latency_breakdown.expect("tracing was enabled");
@@ -599,7 +632,7 @@ fn run_trace(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Option
                 "error: {}: stage sums do not reconcile with end-to-end latency \
                  (stages {} vs end-to-end {}, {} monotone violations, {} unknown pairs, \
                  {} incomplete)",
-                program.name(),
+                workload.name(),
                 bd.stage_total_cycles,
                 bd.end_to_end_total_cycles,
                 bd.monotone_violations,
@@ -608,14 +641,14 @@ fn run_trace(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Option
             );
             std::process::exit(1);
         }
-        print_breakdown(program.name(), &bd);
+        print_breakdown(workload.name(), &bd);
         dump_json(
             json,
-            &format!("trace_{}", program.name()),
+            &format!("trace_{}", workload.name()),
             &chrome_trace_events(&bd.slowest),
         );
         rows.push(TraceRow {
-            benchmark: program.name().to_owned(),
+            benchmark: workload.name().to_owned(),
             breakdown: bd,
         });
     }
@@ -627,36 +660,43 @@ fn run_trace(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>], json: &Option
 /// `--trace-file` traces — simulated through `run()` in both memory modes.
 /// Each line reports cycles, instructions and the skipped fraction: the
 /// share of cycles in which no component could act, so `run()` jumped
-/// over them. With `--profile`, the per-component host-time table instead.
+/// over them. With `--json DIR`, each run's full report is also written as
+/// `run_<workload>_<mode>.json` (`mode`: `hierarchy` or `fixed800`). With
+/// `--profile`, the per-component host-time table instead.
 fn run_run(cfg: &GpuConfig, args: &Args) {
-    let mut programs: Vec<Arc<dyn KernelProgram>> = args
+    let mut workloads: Vec<WorkloadKind> = args
         .targets
         .iter()
         .map(|name| {
             scaled(name, args.scale).unwrap_or_else(|| die(&format!("unknown benchmark {name:?}")))
         })
         .collect();
-    programs.extend(args.trace_files.iter().map(|p| load_trace(p)));
-    if programs.is_empty() {
+    workloads.extend(args.trace_files.iter().map(|p| load_trace(p)));
+    if workloads.is_empty() {
         die("run needs at least one workload name or --trace-file FILE");
     }
     if args.profile {
-        run_profile(cfg, &programs, &args.json_dir);
+        run_profile(cfg, &workloads, &args.json_dir);
         return;
     }
-    for mode in [MemoryMode::Hierarchy, MemoryMode::FixedLatency(800)] {
-        for program in &programs {
-            let report = GpuSimulator::new(cfg.clone(), Arc::clone(program), mode)
+    for (mode, tag) in [
+        (MemoryMode::Hierarchy, "hierarchy"),
+        (MemoryMode::FixedLatency(800), "fixed800"),
+    ] {
+        for workload in &workloads {
+            let report = GpuSimulator::new(cfg.clone(), workload.program(), mode)
                 .run(gpumem::DEFAULT_MAX_CYCLES)
                 .expect("run completes");
             let skipped = report.host.as_ref().map_or(0.0, |h| h.skipped_fraction);
             println!(
                 "run {:>10} / {mode}: {} cycles, {} instructions, {:.1}% skipped",
-                program.name(),
+                workload.name(),
                 report.cycles,
                 report.instructions,
                 100.0 * skipped,
             );
+            let name = format!("run_{}_{tag}", workload.name());
+            dump_json(&args.json_dir, &name, &report);
         }
     }
 }
@@ -670,9 +710,9 @@ fn run_trace_gen(cfg: &GpuConfig, args: &Args) -> ! {
     let [name] = args.targets.as_slice() else {
         die("trace-gen needs exactly one workload name");
     };
-    let program =
+    let workload =
         scaled(name, args.scale).unwrap_or_else(|| die(&format!("unknown benchmark {name:?}")));
-    let text = gpumem_tracefmt::encode_program(program.as_ref(), cfg.line_bytes)
+    let text = gpumem_tracefmt::encode_program(workload.program().as_ref(), cfg.line_bytes)
         .unwrap_or_else(|e| die(&e.to_string()));
     match &args.out {
         Some(path) => {
@@ -815,9 +855,9 @@ fn main() {
     match args.command.as_str() {
         "table1" => println!("{}", text::table_i()),
         "latency" | "fig1" | "congestion" | "dse" | "ablation" => {
-            run_experiments(&args.command, &cfg, &programs_for(&args), json);
+            run_experiments(&args.command, &cfg, &args);
         }
-        "trace" => run_trace(&cfg, &programs_for(&args), json),
+        "trace" => run_trace(&cfg, &workloads_for(&args), json),
         "run" => run_run(&cfg, &args),
         "trace-gen" => run_trace_gen(&cfg, &args),
         "sweep" => run_sweep_cmd(&args),
@@ -830,7 +870,7 @@ fn main() {
         }
         "all" => {
             println!("{}", text::table_i());
-            run_experiments("all", &cfg, &programs_for(&args), json);
+            run_experiments("all", &cfg, &args);
         }
         other => die(&format!("unknown command {other}")),
     }

@@ -183,3 +183,38 @@ fn trace_gen_round_trips_through_run_bit_identically() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `run --json DIR` writes each run's full report, so every component
+/// counter of a run can be inspected without a separate tool.
+#[test]
+fn run_json_writes_each_runs_full_report() {
+    let dir = scratch("run-json");
+    let out = repro(&[
+        "run",
+        "nn",
+        "--scale",
+        "0.05",
+        "--json",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    for (mode, label, hierarchy) in [
+        ("hierarchy", "hierarchy", true),
+        ("fixed800", "fixed-latency(800)", false),
+    ] {
+        let path = dir.join(format!("run_nn_{mode}.json"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let report: gpumem_sim::SimReport = serde_json::from_str(&text).unwrap();
+        assert_eq!(report.benchmark, "nn");
+        assert_eq!(report.mode, label);
+        assert!(
+            stdout.contains(&format!("/ {label}: {} cycles", report.cycles)),
+            "{mode}: stdout and report disagree:\n{stdout}"
+        );
+        assert_eq!(report.l2.is_some(), hierarchy, "{mode}");
+        assert_eq!(report.dram.is_some(), hierarchy, "{mode}");
+        assert_eq!(report.noc.is_some(), hierarchy, "{mode}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

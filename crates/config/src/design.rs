@@ -10,7 +10,7 @@ use crate::GpuConfig;
 /// Whether a Table I parameter *increases* peak throughput (`Plus`, shown as
 /// '+' in the paper) or *enables* the level to achieve its existing peak
 /// throughput (`Equal`, shown as '=').
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParamType {
     /// '+': raises the peak throughput of the level.
     Plus,
@@ -29,7 +29,7 @@ impl fmt::Display for ParamType {
 
 /// One row of the paper's Table I ("Consolidated design space to mitigate
 /// congestion").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableRow {
     /// Which subsection the row belongs to: "DRAM", "L2 Cache" or
     /// "L1 Cache".

@@ -8,10 +8,9 @@
 //! speedup is measured, and the rows are ranked by speedup gain per unit
 //! of estimated hardware cost.
 
-use std::sync::Arc;
-
 use gpumem_config::{single_parameter_ablations, GpuConfig};
-use gpumem_sim::{KernelProgram, SimReport};
+use gpumem_sim::SimReport;
+use gpumem_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
 
 use crate::run::RunSpec;
@@ -62,11 +61,11 @@ impl AblationStudy {
     }
 }
 
-/// The study's runs: every program on the baseline, then on each of
+/// The study's runs: every workload on the baseline, then on each of
 /// [`single_parameter_ablations`]`(cfg)` in turn.
-pub fn plan(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>]) -> Vec<RunSpec> {
+pub fn plan(cfg: &GpuConfig, workloads: &[WorkloadKind]) -> Vec<RunSpec> {
     let ablations = single_parameter_ablations(cfg).into_iter();
-    super::variant_plan(cfg, programs, ablations.map(|a| a.config))
+    super::variant_plan(cfg, workloads, ablations.map(|a| a.config))
 }
 
 /// The study from the reports of [`plan`].

@@ -5,14 +5,12 @@
 //! non-empty): **46%** for the L2 access queues and **39%** for the DRAM
 //! scheduler queues, averaged over the suite.
 
-use std::sync::Arc;
-
 use gpumem_config::GpuConfig;
-use gpumem_sim::{SimError, SimReport};
-use gpumem_simt::KernelProgram;
+use gpumem_sim::SimReport;
+use gpumem_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
 
-use crate::run::{run_plan, RunSpec};
+use crate::run::RunSpec;
 
 /// Congestion metrics for one benchmark on one configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -70,9 +68,9 @@ pub struct CongestionStudy {
     pub avg_dram_sched_full: f64,
 }
 
-/// The study's runs: every program once on the baseline hierarchy.
-pub fn plan(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>]) -> Vec<RunSpec> {
-    super::hierarchy_runs(cfg, programs)
+/// The study's runs: every workload once on the baseline hierarchy.
+pub fn plan(cfg: &GpuConfig, workloads: &[WorkloadKind]) -> Vec<RunSpec> {
+    super::hierarchy_runs(cfg, workloads)
 }
 
 /// The study from the reports of [`plan`].
@@ -90,18 +88,6 @@ pub fn reduce(reports: &[SimReport]) -> CongestionStudy {
         avg_l2_access_full,
         avg_dram_sched_full,
     }
-}
-
-/// Runs the congestion study: every benchmark on the baseline hierarchy.
-///
-/// # Errors
-///
-/// Propagates the first watchdog failure from any run.
-pub fn congestion_study(
-    cfg: &GpuConfig,
-    programs: &[Arc<dyn KernelProgram>],
-) -> Result<CongestionStudy, SimError> {
-    Ok(reduce(&run_plan(&plan(cfg, programs), 0)?))
 }
 
 #[cfg(test)]

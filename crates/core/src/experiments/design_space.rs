@@ -8,14 +8,12 @@
 //! of their parts (synergy), and isolated L1 scaling *degrading* some
 //! benchmarks.
 
-use std::sync::Arc;
-
 use gpumem_config::{DesignPoint, GpuConfig};
-use gpumem_sim::{SimError, SimReport};
-use gpumem_simt::KernelProgram;
+use gpumem_sim::SimReport;
+use gpumem_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
 
-use crate::run::{run_plan, RunSpec};
+use crate::run::RunSpec;
 
 /// Speedups of one design point over the baseline.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -84,14 +82,10 @@ impl DseStudy {
     }
 }
 
-/// The study's runs: every program on the baseline, then on each design
+/// The study's runs: every workload on the baseline, then on each design
 /// point in turn.
-pub fn plan(
-    cfg: &GpuConfig,
-    programs: &[Arc<dyn KernelProgram>],
-    points: &[DesignPoint],
-) -> Vec<RunSpec> {
-    super::variant_plan(cfg, programs, points.iter().map(|dp| dp.apply(cfg)))
+pub fn plan(cfg: &GpuConfig, workloads: &[WorkloadKind], points: &[DesignPoint]) -> Vec<RunSpec> {
+    super::variant_plan(cfg, workloads, points.iter().map(|dp| dp.apply(cfg)))
 }
 
 /// The study from the reports of [`plan`].
@@ -105,20 +99,6 @@ pub fn reduce(points: &[DesignPoint], reports: &[SimReport]) -> DseStudy {
             .map(|(&design, speedups)| DsePointResult { design, speedups })
             .collect(),
     }
-}
-
-/// Runs the design-space exploration: the baseline plus every design point
-/// in `points`, for every benchmark in `programs`.
-///
-/// # Errors
-///
-/// Propagates the first watchdog failure from any run.
-pub fn design_space_exploration(
-    cfg: &GpuConfig,
-    programs: &[Arc<dyn KernelProgram>],
-    points: &[DesignPoint],
-) -> Result<DseStudy, SimError> {
-    Ok(reduce(points, &run_plan(&plan(cfg, programs, points), 0)?))
 }
 
 #[cfg(test)]

@@ -7,14 +7,12 @@
 //! baseline's, so the curve crosses 1.0 at the baseline's effective memory
 //! latency — the paper's shaded intercept region.
 
-use std::sync::Arc;
-
 use gpumem_config::GpuConfig;
-use gpumem_sim::{MemoryMode, SimError, SimReport};
-use gpumem_simt::KernelProgram;
+use gpumem_sim::{MemoryMode, SimReport};
+use gpumem_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
 
-use crate::run::{run_plan, RunSpec};
+use crate::run::RunSpec;
 
 /// The x-axis points of the paper's Fig. 1: 0 to 800 cycles in steps of
 /// 50.
@@ -65,16 +63,6 @@ impl LatencyProfile {
             .map(|p| p.normalized_ipc)
             .fold(0.0, f64::max)
     }
-
-    /// True if the baseline sits beyond the plateau — i.e. reducing memory
-    /// latency would measurably improve performance (the paper's central
-    /// observation ① for most benchmarks).
-    pub fn baseline_beyond_plateau(&self) -> bool {
-        match self.baseline_intercept {
-            Some(x) => x > self.plateau_end as f64,
-            None => true, // baseline latency above the entire sweep
-        }
-    }
 }
 
 fn interpolate_intercept(points: &[LatencyPoint]) -> Option<f64> {
@@ -92,18 +80,14 @@ fn interpolate_intercept(points: &[LatencyPoint]) -> Option<f64> {
     None
 }
 
-/// Fig. 1's runs: per program, the baseline hierarchy run and then one
+/// Fig. 1's runs: per workload, the baseline hierarchy run and then one
 /// fixed-latency run per entry of `latencies`.
-pub fn plan(
-    cfg: &GpuConfig,
-    programs: &[Arc<dyn KernelProgram>],
-    latencies: &[u64],
-) -> Vec<RunSpec> {
-    let mut plan = Vec::with_capacity(programs.len() * (latencies.len() + 1));
-    for program in programs {
+pub fn plan(cfg: &GpuConfig, workloads: &[WorkloadKind], latencies: &[u64]) -> Vec<RunSpec> {
+    let mut plan = Vec::with_capacity(workloads.len() * (latencies.len() + 1));
+    for workload in workloads {
         let run = |mode| RunSpec {
             cfg: cfg.clone(),
-            program: Arc::clone(program),
+            workload: workload.clone(),
             mode,
         };
         plan.push(run(MemoryMode::Hierarchy));
@@ -112,7 +96,7 @@ pub fn plan(
     plan
 }
 
-/// One profile per program from the reports of [`plan`].
+/// One profile per workload from the reports of [`plan`].
 pub fn reduce(latencies: &[u64], reports: &[SimReport]) -> Vec<LatencyProfile> {
     reports
         .chunks(latencies.len() + 1)
@@ -155,20 +139,6 @@ fn profile(latencies: &[u64], baseline: &SimReport, fixed: &[SimReport]) -> Late
         plateau_end,
         points,
     }
-}
-
-/// Sweeps the latency-tolerance profile of one benchmark.
-///
-/// # Errors
-///
-/// Propagates the first watchdog failure from any run.
-pub fn latency_tolerance_profile(
-    cfg: &GpuConfig,
-    program: &Arc<dyn KernelProgram>,
-    latencies: &[u64],
-) -> Result<LatencyProfile, SimError> {
-    let reports = run_plan(&plan(cfg, std::slice::from_ref(program), latencies), 0)?;
-    Ok(profile(latencies, &reports[0], &reports[1..]))
 }
 
 #[cfg(test)]
@@ -244,6 +214,5 @@ mod tests {
             baseline_intercept: Some(400.0),
         };
         assert_eq!(profile.peak_normalized_ipc(), 4.0);
-        assert!(profile.baseline_beyond_plateau());
     }
 }

@@ -10,14 +10,13 @@
 //! Each experiment is a `plan` (the [`RunSpec`]s it needs, built without
 //! simulating) and a pure `reduce` from the plan's reports, in plan order,
 //! to its study; `reduce` takes the parameters `plan` took, minus the
-//! programs. The named entry points (`congestion_study`, …) are
-//! plan → [`run_plan`](crate::run_plan) → reduce.
-
-use std::sync::Arc;
+//! workloads. `gpumem_sweep::run_plan` runs a plan through a results store,
+//! so a plan's cells are cached and shared with every sweep over the same
+//! store.
 
 use gpumem_config::{DesignPoint, GpuConfig};
 use gpumem_sim::{MemoryMode, SimReport};
-use gpumem_simt::KernelProgram;
+use gpumem_workloads::WorkloadKind;
 
 use crate::run::RunSpec;
 
@@ -26,28 +25,28 @@ pub mod congestion;
 pub mod design_space;
 pub mod latency_tolerance;
 
-/// Every program once on `cfg`'s full hierarchy, in input order.
-fn hierarchy_runs(cfg: &GpuConfig, programs: &[Arc<dyn KernelProgram>]) -> Vec<RunSpec> {
-    programs
+/// Every workload once on `cfg`'s full hierarchy, in input order.
+fn hierarchy_runs(cfg: &GpuConfig, workloads: &[WorkloadKind]) -> Vec<RunSpec> {
+    workloads
         .iter()
-        .map(|p| RunSpec {
+        .map(|w| RunSpec {
             cfg: cfg.clone(),
-            program: Arc::clone(p),
+            workload: w.clone(),
             mode: MemoryMode::Hierarchy,
         })
         .collect()
 }
 
-/// The baseline runs, then every program on each variant configuration in
+/// The baseline runs, then every workload on each variant configuration in
 /// turn: the layout [`speedups_over_baseline`] reads back.
 fn variant_plan(
     cfg: &GpuConfig,
-    programs: &[Arc<dyn KernelProgram>],
+    workloads: &[WorkloadKind],
     variants: impl IntoIterator<Item = GpuConfig>,
 ) -> Vec<RunSpec> {
-    let mut plan = hierarchy_runs(cfg, programs);
+    let mut plan = hierarchy_runs(cfg, workloads);
     for variant in variants {
-        plan.extend(hierarchy_runs(&variant, programs));
+        plan.extend(hierarchy_runs(&variant, workloads));
     }
     plan
 }
@@ -96,16 +95,16 @@ fn mean_speedup(speedups: &[(String, f64)]) -> f64 {
 /// the §V ablation.
 pub fn paper_plans(
     cfg: &GpuConfig,
-    programs: &[Arc<dyn KernelProgram>],
+    workloads: &[WorkloadKind],
 ) -> [(&'static str, Vec<RunSpec>); 5] {
     let latencies = &latency_tolerance::FIG1_LATENCIES;
     let points = &DesignPoint::SECTION_IV;
     [
-        ("latency", congestion::plan(cfg, programs)),
-        ("fig1", latency_tolerance::plan(cfg, programs, latencies)),
-        ("congestion", congestion::plan(cfg, programs)),
-        ("dse", design_space::plan(cfg, programs, points)),
-        ("ablation", ablation::plan(cfg, programs)),
+        ("latency", congestion::plan(cfg, workloads)),
+        ("fig1", latency_tolerance::plan(cfg, workloads, latencies)),
+        ("congestion", congestion::plan(cfg, workloads)),
+        ("dse", design_space::plan(cfg, workloads, points)),
+        ("ablation", ablation::plan(cfg, workloads)),
     ]
 }
 
@@ -117,24 +116,5 @@ fn ipc_report((benchmark, ipc): (&str, f64)) -> SimReport {
         benchmark: benchmark.into(),
         ipc,
         ..SimReport::default()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::run::distinct_runs;
-
-    #[test]
-    fn paper_plan_shares_the_baseline_runs() {
-        let programs = gpumem_workloads::benchmarks();
-        let plans = paper_plans(&GpuConfig::gtx480(), &programs);
-        let plan: Vec<RunSpec> = plans.into_iter().flat_map(|(_, p)| p).collect();
-        // Per benchmark: 1 (§II) + 1 + 17 (Fig. 1) + 1 (§III)
-        // + 1 + 5 (§IV) + 1 + 13 (§V) = 40 entries, of which the five
-        // baseline runs are one: 36 simulations. No §IV design point
-        // scales exactly one Table I row, so none equals an ablation.
-        assert_eq!(plan.len(), 8 * 40);
-        assert_eq!(distinct_runs(&plan), 8 * 36);
     }
 }

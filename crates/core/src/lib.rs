@@ -39,7 +39,7 @@ pub mod experiments;
 mod run;
 pub mod text;
 
-pub use run::{distinct_runs, run_benchmark, run_plan, run_pool, RunSpec, DEFAULT_MAX_CYCLES};
+pub use run::{run_benchmark, run_pool, RunSpec, DEFAULT_MAX_CYCLES};
 
 /// Re-export of the configuration crate (baseline + Table I design space).
 pub use gpumem_config as config;
@@ -50,12 +50,10 @@ pub use gpumem_workloads as workloads;
 
 /// One-line imports for the common API surface.
 pub mod prelude {
-    pub use crate::experiments::congestion::{congestion_study, CongestionStudy};
-    pub use crate::experiments::design_space::{design_space_exploration, DseStudy};
-    pub use crate::experiments::latency_tolerance::{
-        latency_tolerance_profile, LatencyProfile, FIG1_LATENCIES,
-    };
-    pub use crate::run::{run_benchmark, run_plan};
+    pub use crate::experiments::congestion::CongestionStudy;
+    pub use crate::experiments::design_space::DseStudy;
+    pub use crate::experiments::latency_tolerance::{LatencyProfile, FIG1_LATENCIES};
+    pub use crate::run::run_benchmark;
     pub use gpumem_config::{DesignPoint, GpuConfig};
     pub use gpumem_sim::{GpuSimulator, MemoryMode, SimReport};
     pub use gpumem_workloads::{benchmarks, by_name, BENCHMARK_NAMES};

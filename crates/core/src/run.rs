@@ -1,4 +1,4 @@
-//! Running simulations: one at a time, or a whole plan on the worker pool.
+//! Running simulations: one at a time, or many on the worker pool.
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -8,29 +8,21 @@ use std::thread;
 use gpumem_config::GpuConfig;
 use gpumem_sim::{GpuSimulator, MemoryMode, SimError, SimReport};
 use gpumem_simt::KernelProgram;
+use gpumem_workloads::WorkloadKind;
 
 /// Default watchdog budget: generous enough for every suite benchmark at
 /// every design point, small enough to catch deadlocks quickly.
 pub const DEFAULT_MAX_CYCLES: u64 = 50_000_000;
 
-/// One simulation to run: a configuration, a kernel and a memory mode.
-#[derive(Clone)]
+/// One simulation to run: a configuration, a workload and a memory mode.
+#[derive(Debug, Clone)]
 pub struct RunSpec {
     /// GPU configuration (baseline or a Table I design point).
     pub cfg: GpuConfig,
-    /// The kernel to execute.
-    pub program: Arc<dyn KernelProgram>,
+    /// The workload to execute.
+    pub workload: WorkloadKind,
     /// Memory backend.
     pub mode: MemoryMode,
-}
-
-impl std::fmt::Debug for RunSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunSpec")
-            .field("program", &self.program.name())
-            .field("mode", &self.mode)
-            .finish_non_exhaustive()
-    }
 }
 
 /// Runs one benchmark to completion.
@@ -107,74 +99,14 @@ pub fn run_pool<T, R>(
     });
 }
 
-/// Splits a plan into its distinct runs — entries with the same program
-/// (the same `Arc`), memory mode and configuration — as the plan index of
-/// each distinct run's first occurrence, and for every plan entry the
-/// position of its run among them.
-fn dedup(plan: &[RunSpec]) -> (Vec<usize>, Vec<usize>) {
-    let mut firsts: Vec<usize> = Vec::new();
-    let slots = plan
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            let same = |&f: &usize| {
-                let b = &plan[f];
-                a.mode == b.mode && Arc::ptr_eq(&a.program, &b.program) && a.cfg == b.cfg
-            };
-            firsts.iter().position(same).unwrap_or_else(|| {
-                firsts.push(i);
-                firsts.len() - 1
-            })
-        })
-        .collect();
-    (firsts, slots)
-}
-
-/// How many simulations [`run_plan`] performs for `plan`.
-pub fn distinct_runs(plan: &[RunSpec]) -> usize {
-    dedup(plan).0.len()
-}
-
-/// Runs a plan on [`run_pool`] and returns one report per entry, in plan
-/// order. An entry that repeats an earlier one (see [`distinct_runs`]) is
-/// simulated once and its report shared, so plans concatenated from
-/// several experiments pay for their common runs once.
-///
-/// # Errors
-///
-/// The first [`SimError`] to arrive; no further runs start after it.
-pub fn run_plan(plan: &[RunSpec], workers: usize) -> Result<Vec<SimReport>, SimError> {
-    let (firsts, slots) = dedup(plan);
-    let mut reports: Vec<Option<SimReport>> = vec![None; firsts.len()];
-    let mut error = None;
-    run_pool(
-        &firsts,
-        workers,
-        |&i| run_benchmark(&plan[i].cfg, &plan[i].program, plan[i].mode),
-        |d, out| match out {
-            Ok(report) => {
-                reports[d] = Some(report);
-                ControlFlow::Continue(())
-            }
-            Err(e) => {
-                error = Some(e);
-                ControlFlow::Break(())
-            }
-        },
-    );
-    match error {
-        Some(e) => Err(e),
-        None => Ok(slots.iter().filter_map(|&d| reports[d].clone()).collect()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpumem_workloads::{SyntheticKernel, WorkloadParams};
     use std::time::Duration;
 
-    fn tiny_spec(mode: MemoryMode) -> RunSpec {
+    #[test]
+    fn serial_run_completes() {
         let mut cfg = GpuConfig::tiny();
         cfg.num_cores = 2;
         let mut p = WorkloadParams::template("t");
@@ -182,33 +114,10 @@ mod tests {
         p.warps_per_cta = 2;
         p.iters = 4;
         p.working_set_lines = 2_000;
-        RunSpec {
-            cfg,
-            program: Arc::new(SyntheticKernel::new(p)),
-            mode,
-        }
-    }
-
-    #[test]
-    fn serial_run_completes() {
-        let spec = tiny_spec(MemoryMode::Hierarchy);
-        let report = run_benchmark(&spec.cfg, &spec.program, spec.mode).unwrap();
+        let program: Arc<dyn KernelProgram> = Arc::new(SyntheticKernel::new(p));
+        let report = run_benchmark(&cfg, &program, MemoryMode::Hierarchy).unwrap();
         assert!(report.instructions > 0);
         assert_eq!(report.benchmark, "t");
-    }
-
-    #[test]
-    fn repeated_entries_are_simulated_once() {
-        let a = tiny_spec(MemoryMode::Hierarchy);
-        let b = tiny_spec(MemoryMode::FixedLatency(100));
-        // Same configuration and mode, but a different program `Arc`.
-        let c = tiny_spec(MemoryMode::Hierarchy);
-        let mut d = a.clone();
-        d.cfg.num_cores = 1;
-        let plan = vec![a.clone(), b.clone(), a.clone(), c, b, d, a];
-        assert_eq!(dedup(&plan), (vec![0, 1, 3, 5], vec![0, 1, 0, 2, 1, 3, 0]));
-        assert_eq!(distinct_runs(&plan), 4);
-        assert!(run_plan(&[], 0).unwrap().is_empty());
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!   recomputed — never served.
 //! * [`run_sweep`] executes the missing cells through a bounded worker
 //!   pool, each bounded by its spec's cycle budget; a simulator error
-//!   marks the cell failed and leaves it uncached.
+//!   marks the cell failed and leaves it uncached. [`run_plan`] does the
+//!   same for an experiment plan (`gpumem::RunSpec`s), so the paper's
+//!   experiments share cells with every sweep over the same store.
 //!
 //! Killing the process at *any* point — including mid-write, which the
 //! crash-injection hooks in [`SweepOptions`] emulate at adversarially
@@ -36,7 +38,7 @@ mod spec;
 mod store;
 
 pub use journal::{DiskStore, JournalEvent, JournalRecord};
-pub use orchestrator::{run_sweep, CellOutcome, CellStatus, SweepOptions, SweepSummary};
+pub use orchestrator::{run_plan, run_sweep, CellOutcome, CellStatus, SweepOptions, SweepSummary};
 pub use spec::{SweepCell, SweepSpec};
 pub use store::{CellEnvelope, Lookup, ResultStore};
 

@@ -1,5 +1,6 @@
 //! The sweep executor: admission through the store, the misses on
-//! [`gpumem::run_pool`], and single-writer commit ordering.
+//! [`gpumem::run_pool`], and single-writer commit ordering — shared by
+//! spec grids ([`run_sweep`]) and experiment plans ([`run_plan`]).
 //!
 //! Concurrency model: workers only *simulate* — every store mutation
 //! (journal appends, cell commits, quarantines) happens on the
@@ -8,9 +9,11 @@
 //! which commits results in arrival order; the content-addressed store
 //! makes the commit order irrelevant to the final state.
 
+use std::collections::BTreeMap;
 use std::ops::ControlFlow;
+use std::path::Path;
 
-use gpumem::run_pool;
+use gpumem::{run_pool, RunSpec, DEFAULT_MAX_CYCLES};
 use gpumem_sim::{GpuSimulator, SimError, SimReport};
 use gpumem_types::SweepError;
 use serde::{Deserialize, Serialize};
@@ -64,7 +67,7 @@ pub struct CellOutcome {
 /// What a sweep run did, cell by cell and in aggregate.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepSummary {
-    /// Campaign name from the spec.
+    /// Campaign name from the spec (`plan` for [`run_plan`]).
     pub name: String,
     /// Total cells in the expanded grid.
     pub cells: usize,
@@ -116,14 +119,90 @@ fn execute_cell(cell: &SweepCell) -> Result<SimReport, SimError> {
 /// sweep; they are reported in the summary.
 pub fn run_sweep(
     spec: &SweepSpec,
-    store_dir: &std::path::Path,
+    store_dir: &Path,
     opts: &SweepOptions,
 ) -> Result<SweepSummary, SweepError> {
     let cells = spec.expand()?;
     let mut store = ResultStore::open(store_dir)?;
     store.save_spec(spec)?;
+    execute(&mut store, &spec.name, &cells, opts)
+}
+
+/// The cells of an experiment plan, one per distinct [`CellKey`]
+/// (first occurrence order), and for every plan entry the index of its
+/// cell. Plan cells carry the design-point label `plan`: a plan's
+/// configurations are arbitrary, and the label is not part of the key.
+///
+/// [`CellKey`]: gpumem_types::CellKey
+fn plan_cells(plan: &[RunSpec]) -> (Vec<SweepCell>, Vec<usize>) {
+    let mut cells: Vec<SweepCell> = Vec::new();
+    let mut index = BTreeMap::new();
+    let slots = plan
+        .iter()
+        .map(|run| {
+            let cell = SweepCell::new(
+                run.workload.name().to_owned(),
+                "plan".to_owned(),
+                0,
+                run.cfg.clone(),
+                run.workload.clone(),
+                run.mode,
+                DEFAULT_MAX_CYCLES,
+            );
+            *index.entry(cell.key).or_insert_with(|| {
+                cells.push(cell);
+                cells.len() - 1
+            })
+        })
+        .collect();
+    (cells, slots)
+}
+
+/// Runs an experiment plan over the store at `store_dir` and returns one
+/// report per plan entry, in plan order, read back from the store.
+///
+/// Entries are content-addressed exactly like [`SweepSpec`] cells at seed
+/// 0 and [`DEFAULT_MAX_CYCLES`]: entries with the same key — within the
+/// plan, or committed by an earlier plan or sweep over the same store —
+/// are simulated at most once. The summary's outcomes are per distinct
+/// cell, in first-occurrence order.
+///
+/// # Errors
+///
+/// As [`run_sweep`], plus [`SweepError::CellFailed`] for the first cell
+/// whose simulation failed (a plan's reduction needs every report).
+pub fn run_plan(
+    plan: &[RunSpec],
+    store_dir: &Path,
+    opts: &SweepOptions,
+) -> Result<(Vec<SimReport>, SweepSummary), SweepError> {
+    let (cells, slots) = plan_cells(plan);
+    let mut store = ResultStore::open(store_dir)?;
+    let summary = execute(&mut store, "plan", &cells, opts)?;
+    let mut reports = Vec::with_capacity(cells.len());
+    for (cell, outcome) in cells.iter().zip(&summary.outcomes) {
+        let env = store
+            .peek(cell.key)?
+            .ok_or_else(|| SweepError::CellFailed {
+                cell: cell.key,
+                detail: outcome.detail.clone(),
+            })?;
+        reports.push(env.report);
+    }
+    let reports = slots.iter().map(|&i| reports[i].clone()).collect();
+    Ok((reports, summary))
+}
+
+/// Admission, write-ahead journal, execution and commit of `cells` (keys
+/// pairwise distinct) over an open store.
+fn execute(
+    store: &mut ResultStore,
+    name: &str,
+    cells: &[SweepCell],
+    opts: &SweepOptions,
+) -> Result<SweepSummary, SweepError> {
     store.set_crash_after(opts.crash_after_journal_bytes);
-    store.journal_event(JournalEvent::Opened, &spec.name)?;
+    store.journal_event(JournalEvent::Opened, name)?;
 
     // Admission: decide hit/miss for every cell up front (serial — the
     // store has one writer, and lookups are cheap next to simulations).
@@ -222,7 +301,7 @@ pub fn run_sweep(
     store.journal_event(JournalEvent::Done, &store_digest)?;
 
     let mut summary = SweepSummary {
-        name: spec.name.clone(),
+        name: name.to_owned(),
         cells: cells.len(),
         cache_hits: 0,
         computed: 0,
@@ -240,4 +319,46 @@ pub fn run_sweep(
         }
     }
     Ok(summary)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    use gpumem::experiments::{design_space, paper_plans};
+    use gpumem_config::{DesignPoint, GpuConfig};
+    use gpumem_workloads::{params_of, WorkloadKind, BENCHMARK_NAMES};
+
+    fn suite(scale: f64) -> Vec<WorkloadKind> {
+        BENCHMARK_NAMES
+            .iter()
+            .map(|n| WorkloadKind::Synthetic(params_of(n).unwrap().scaled(scale)))
+            .collect()
+    }
+
+    #[test]
+    fn paper_plans_share_the_baseline_cells() {
+        let plans = paper_plans(&GpuConfig::gtx480(), &suite(1.0));
+        let plan: Vec<RunSpec> = plans.into_iter().flat_map(|(_, p)| p).collect();
+        let (cells, slots) = plan_cells(&plan);
+        // Per benchmark: 1 (§II) + 1 + 17 (Fig. 1) + 1 (§III)
+        // + 1 + 5 (§IV) + 1 + 13 (§V) = 40 entries, of which the five
+        // baseline runs are one: 36 cells. No §IV design point scales
+        // exactly one Table I row, so none equals an ablation.
+        assert_eq!(plan.len(), 8 * 40);
+        assert_eq!(slots.len(), plan.len());
+        assert_eq!(cells.len(), 8 * 36);
+    }
+
+    #[test]
+    fn section_iv_plan_and_section_v_grid_share_every_key() {
+        let points = DesignPoint::SECTION_IV;
+        let plan = design_space::plan(&GpuConfig::gtx480(), &suite(0.4), &points);
+        let plan_keys: BTreeSet<_> = plan_cells(&plan).0.iter().map(|c| c.key).collect();
+        let grid = SweepSpec::section_v(0.4).expand().unwrap();
+        let grid_keys: BTreeSet<_> = grid.iter().map(|c| c.key).collect();
+        assert_eq!(plan_keys.len(), 8 * 6);
+        assert_eq!(plan_keys, grid_keys);
+    }
 }

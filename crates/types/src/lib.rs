@@ -15,7 +15,7 @@
 //! * [`SimQueue`] — a bounded FIFO instrumented with the occupancy
 //!   statistics the paper's Section III is built on (how often is a queue
 //!   *full* during its *usage lifetime*).
-//! * [`LatencyStats`] / [`Histogram`] — latency accounting for the paper's
+//! * [`LatencyStats`] / [`Log2Histogram`] — latency accounting for the paper's
 //!   Section II latency-tolerance analysis.
 //! * [`SimRng`] — a small deterministic PRNG so that every simulation is
 //!   exactly reproducible from a seed.
@@ -56,7 +56,7 @@ pub use cycle::Cycle;
 pub use due::DueHeap;
 pub use error::{ComponentOccupancy, OldestFetch, SimError, WedgeDiagnosis};
 pub use fetch::{AccessKind, CycleStamp, FetchId, FetchTimeline, MemFetch};
-pub use histogram::{Histogram, Log2Histogram};
+pub use histogram::Log2Histogram;
 pub use host::{host_wall_clock, HostStopwatch};
 pub use ids::{CoreId, CtaId, PartitionId, WarpId};
 pub use latency::LatencyStats;

@@ -4,8 +4,6 @@
 //! invariant), so workload generators use this small self-contained
 //! xoshiro256** implementation rather than a thread-seeded source.
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic xoshiro256** PRNG seeded via SplitMix64.
 ///
 /// # Example
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let x = a.gen_range(10);
 /// assert!(x < 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     state: [u64; 4],
 }

@@ -178,6 +178,14 @@ pub enum SweepError {
         /// What was wrong.
         detail: String,
     },
+    /// A cell's simulation failed, so a plan that needs its report cannot
+    /// be reduced. Sweeps report failed cells in their summary instead.
+    CellFailed {
+        /// The failed cell.
+        cell: CellKey,
+        /// The simulator's error, rendered.
+        detail: String,
+    },
     /// The crash-injection harness reached its configured journal offset:
     /// the orchestrator aborted exactly as if the process had been killed
     /// there (a partial journal record may be on disk).
@@ -198,6 +206,7 @@ impl fmt::Display for SweepError {
                 write!(f, "corrupt cell {cell}: {detail}")
             }
             SweepError::SpecInvalid { detail } => write!(f, "invalid sweep spec: {detail}"),
+            SweepError::CellFailed { cell, detail } => write!(f, "cell {cell} failed: {detail}"),
             SweepError::InjectedCrash { journal_bytes } => {
                 write!(f, "injected crash after {journal_bytes} journal bytes")
             }

@@ -1,6 +1,6 @@
 //! Property tests for the foundational types.
 
-use gpumem_types::{Histogram, LatencyStats, QueueStats, SimQueue, SimRng};
+use gpumem_types::{LatencyStats, QueueStats, SimQueue, SimRng};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -110,29 +110,6 @@ proptest! {
         prop_assert!(s.pops <= s.pushes);
         let f = s.full_fraction_of_usage();
         prop_assert!((0.0..=1.0).contains(&f));
-    }
-
-    /// Histogram never loses samples and quantiles are monotone.
-    #[test]
-    fn histogram_conserves_samples(
-        width in 1u64..100,
-        buckets in 1usize..20,
-        samples in prop::collection::vec(0u64..10_000, 0..200),
-    ) {
-        let mut h = Histogram::new(width, buckets);
-        for &s in &samples {
-            h.record(s);
-        }
-        let mut total = h.overflow();
-        for i in 0..h.num_buckets() {
-            total += h.bucket_count(i);
-        }
-        prop_assert_eq!(total, samples.len() as u64);
-        if !samples.is_empty() {
-            let q50 = h.quantile_upper_bound(0.5).unwrap();
-            let q90 = h.quantile_upper_bound(0.9).unwrap();
-            prop_assert!(q50 <= q90);
-        }
     }
 
     /// LatencyStats mean lies between min and max; merging equals pooling.

@@ -7,16 +7,20 @@ use proptest::prelude::*;
 
 fn arbitrary_params() -> impl Strategy<Value = WorkloadParams> {
     let shape = (
-        1u32..20, // ctas
-        1u32..8,  // warps_per_cta
-        1u32..12, // iters
-        0u32..10, // alu
-        0u32..4,  // shared
-        0u32..4,  // loads
-        0u32..3,  // stores
-        1u32..6,  // k_min
-        0u32..8,  // k_extra
-        1u32..8,  // consume
+        (
+            1u32..20, // ctas
+            1u32..8,  // warps_per_cta
+            1u32..12, // iters
+            0u32..10, // alu
+            0u32..4,  // shared
+        ),
+        (
+            0u32..4, // loads
+            0u32..3, // stores
+            1u32..6, // k_min
+            0u32..8, // k_extra
+            1u32..8, // consume
+        ),
     );
     let flavour = (
         0u64..4,                   // pattern selector
@@ -28,7 +32,7 @@ fn arbitrary_params() -> impl Strategy<Value = WorkloadParams> {
     );
     (shape, flavour).prop_map(
         |(
-            (ctas, wpc, iters, alu, shared, loads, stores, kmin, kextra, consume),
+            ((ctas, wpc, iters, alu, shared), (loads, stores, kmin, kextra, consume)),
             (pat, reuse, l1r, ws, barrier, seed),
         )| {
             let mut p = WorkloadParams::template("prop");

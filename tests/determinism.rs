@@ -1,10 +1,13 @@
 //! Reproducibility: identical inputs must give bit-identical results.
 
+#![expect(clippy::disallowed_methods, reason = "test harness")]
+
 use std::sync::Arc;
 
 use gpumem::prelude::*;
 use gpumem_sim::{KernelProgram, MemoryMode};
-use gpumem_workloads::{params_of, SyntheticKernel};
+use gpumem_sweep::SweepOptions;
+use gpumem_workloads::{params_of, SyntheticKernel, WorkloadKind};
 
 fn small_gpu() -> GpuConfig {
     let mut cfg = GpuConfig::gtx480();
@@ -62,24 +65,39 @@ fn canonical(report: &gpumem_sim::SimReport) -> String {
 #[test]
 fn parallel_runner_is_deterministic() {
     // Thread scheduling must not leak into results: one worker and the
-    // host's full width give the same reports, in plan order.
+    // host's full width, each into its own store, give the same reports,
+    // in plan order.
     let cfg = small_gpu();
     let plan: Vec<gpumem::RunSpec> = ["cfd", "dwt2d", "nn", "sc"]
         .iter()
         .flat_map(|n| {
-            let program = kernel(n, 0);
+            let workload = WorkloadKind::Synthetic(params_of(n).unwrap().scaled(0.1));
             [MemoryMode::Hierarchy, MemoryMode::FixedLatency(200)].map(|mode| gpumem::RunSpec {
                 cfg: cfg.clone(),
-                program: Arc::clone(&program),
+                workload: workload.clone(),
                 mode,
             })
         })
         .collect();
-    let serial: Vec<String> = run_plan(&plan, 1).unwrap().iter().map(canonical).collect();
-    let parallel: Vec<String> = run_plan(&plan, 0).unwrap().iter().map(canonical).collect();
+    let run = |workers: usize| -> Vec<String> {
+        let dir = std::env::temp_dir().join(format!(
+            "gpumem-determinism-{}-{workers}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = SweepOptions {
+            workers,
+            ..SweepOptions::default()
+        };
+        let (reports, _) = gpumem_sweep::run_plan(&plan, &dir, &opts).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        reports.iter().map(canonical).collect()
+    };
+    let serial = run(1);
+    let parallel = run(0);
     assert_eq!(serial.len(), plan.len());
     for (i, spec) in plan.iter().enumerate() {
-        assert!(serial[i].contains(&format!("\"benchmark\":\"{}\"", spec.program.name())));
+        assert!(serial[i].contains(&format!("\"benchmark\":\"{}\"", spec.workload.name())));
         assert_eq!(serial[i], parallel[i], "plan entry {i} ({spec:?})");
     }
 }

@@ -1,23 +1,53 @@
 //! Integration tests of the paper's three experiments on a scaled-down
-//! suite: the qualitative claims must hold at every scale.
+//! suite: the qualitative claims must hold at every scale. Each runs its
+//! plan through a throwaway results store and reduces the reports.
 
-use std::sync::Arc;
+#![expect(clippy::disallowed_methods, reason = "test harness")]
 
-use gpumem::experiments::congestion::congestion_study;
-use gpumem::experiments::design_space::design_space_exploration;
-use gpumem::experiments::latency_tolerance::latency_tolerance_profile;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use gpumem::experiments::{congestion, design_space, latency_tolerance};
 use gpumem::prelude::*;
-use gpumem_sim::KernelProgram;
-use gpumem_workloads::{params_of, SyntheticKernel};
+use gpumem::RunSpec;
+use gpumem_sweep::SweepOptions;
+use gpumem_workloads::{params_of, WorkloadKind};
 
-fn quick_suite(names: &[&str]) -> Vec<Arc<dyn KernelProgram>> {
+fn quick_suite(names: &[&str]) -> Vec<WorkloadKind> {
     names
         .iter()
-        .map(|n| {
-            Arc::new(SyntheticKernel::new(params_of(n).unwrap().scaled(0.12)))
-                as Arc<dyn KernelProgram>
-        })
+        .map(|n| WorkloadKind::Synthetic(params_of(n).unwrap().scaled(0.12)))
         .collect()
+}
+
+/// The plan's reports, in plan order, from a fresh store.
+fn run(plan: &[RunSpec]) -> Vec<SimReport> {
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "gpumem-experiments-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (reports, _) = gpumem_sweep::run_plan(plan, &dir, &SweepOptions::default()).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    reports
+}
+
+fn latency_tolerance_profile(
+    cfg: &GpuConfig,
+    workload: WorkloadKind,
+    latencies: &[u64],
+) -> LatencyProfile {
+    let reports = run(&latency_tolerance::plan(cfg, &[workload], latencies));
+    latency_tolerance::reduce(latencies, &reports).remove(0)
+}
+
+fn design_space_exploration(
+    cfg: &GpuConfig,
+    suite: &[WorkloadKind],
+    points: &[DesignPoint],
+) -> DseStudy {
+    design_space::reduce(points, &run(&design_space::plan(cfg, suite, points)))
 }
 
 fn small_gpu() -> GpuConfig {
@@ -30,8 +60,8 @@ fn small_gpu() -> GpuConfig {
 #[test]
 fn latency_tolerance_curve_is_monotonically_damaging() {
     let cfg = small_gpu();
-    let program = quick_suite(&["nn"]).pop().unwrap();
-    let profile = latency_tolerance_profile(&cfg, &program, &[0, 100, 200, 400, 800]).unwrap();
+    let workload = quick_suite(&["nn"]).pop().unwrap();
+    let profile = latency_tolerance_profile(&cfg, workload, &[0, 100, 200, 400, 800]);
     // Normalized IPC must not increase with latency (small tolerance for
     // scheduling noise).
     for w in profile.points.windows(2) {
@@ -53,9 +83,9 @@ fn latency_intercept_tracks_measured_baseline_latency() {
     // baseline's effective memory latency. Verify the intercept is within
     // 25% of the directly measured average miss latency.
     let cfg = small_gpu();
-    let program = quick_suite(&["sc"]).pop().unwrap();
+    let workload = quick_suite(&["sc"]).pop().unwrap();
     let lats: Vec<u64> = (0..=16).map(|i| i * 50).collect();
-    let profile = latency_tolerance_profile(&cfg, &program, &lats).unwrap();
+    let profile = latency_tolerance_profile(&cfg, workload, &lats);
     let intercept = profile
         .baseline_intercept
         .expect("baseline latency inside sweep range");
@@ -70,8 +100,8 @@ fn latency_intercept_tracks_measured_baseline_latency() {
 #[test]
 fn compute_bound_kernel_is_latency_tolerant() {
     let cfg = small_gpu();
-    let program = quick_suite(&["leukocyte"]).pop().unwrap();
-    let profile = latency_tolerance_profile(&cfg, &program, &[0, 200, 400]).unwrap();
+    let workload = quick_suite(&["leukocyte"]).pop().unwrap();
+    let profile = latency_tolerance_profile(&cfg, workload, &[0, 200, 400]);
     // leukocyte's curve is nearly flat: peak gain small.
     assert!(
         profile.peak_normalized_ipc() < 2.0,
@@ -83,7 +113,10 @@ fn compute_bound_kernel_is_latency_tolerant() {
 #[test]
 fn congestion_study_reports_congested_queues() {
     let cfg = small_gpu();
-    let study = congestion_study(&cfg, &quick_suite(&["nn", "cfd", "lbm"])).unwrap();
+    let study = congestion::reduce(&run(&congestion::plan(
+        &cfg,
+        &quick_suite(&["nn", "cfd", "lbm"]),
+    )));
     assert_eq!(study.rows.len(), 3);
     assert!(study.avg_l2_access_full > 0.05, "L2 queues should congest");
     for r in &study.rows {
@@ -101,7 +134,7 @@ fn congestion_study_reports_congested_queues() {
 fn dse_reproduces_the_papers_qualitative_claims() {
     let cfg = small_gpu();
     let suite = quick_suite(&["nn", "sc", "lbm", "dwt2d"]);
-    let study = design_space_exploration(&cfg, &suite, &DesignPoint::SECTION_IV).unwrap();
+    let study = design_space_exploration(&cfg, &suite, &DesignPoint::SECTION_IV);
 
     let avg = |dp| {
         study
@@ -138,7 +171,7 @@ fn dse_reproduces_the_papers_qualitative_claims() {
 fn dse_baseline_ipcs_are_positive_and_named() {
     let cfg = small_gpu();
     let suite = quick_suite(&["nn", "nw"]);
-    let study = design_space_exploration(&cfg, &suite, &[DesignPoint::L2_ONLY]).unwrap();
+    let study = design_space_exploration(&cfg, &suite, &[DesignPoint::L2_ONLY]);
     assert_eq!(study.baseline_ipc.len(), 2);
     assert_eq!(study.baseline_ipc[0].0, "nn");
     assert!(study.baseline_ipc.iter().all(|(_, ipc)| *ipc > 0.0));

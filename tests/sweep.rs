@@ -6,7 +6,8 @@
 //! make a resumed sweep serve a corrupt result or end on a different
 //! store digest than an uninterrupted run. Cells whose files survived the
 //! kill are served as cache hits — proven with the recompute counters,
-//! not just the digests.
+//! not just the digests. Experiment plans run through the same store
+//! with the same guarantees.
 
 #![expect(clippy::disallowed_methods, reason = "test harness")]
 
@@ -14,7 +15,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use gpumem_sweep::{run_sweep, CellStatus, ResultStore, SweepOptions, SweepSpec};
+use gpumem::RunSpec;
+use gpumem_config::GpuConfig;
+use gpumem_sim::{MemoryMode, SimReport};
+use gpumem_sweep::{
+    run_plan, run_sweep, CellStatus, ResultStore, SweepError, SweepOptions, SweepSpec,
+};
+use gpumem_workloads::{params_of, WorkloadKind};
 use proptest::prelude::*;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -347,6 +354,97 @@ fn repeated_axis_entries_are_simulated_once() {
     assert_eq!(summary.store_digest, reference.store_digest);
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&other);
+}
+
+/// `workload` at `tiny_spec`'s scale.
+fn tiny_workload(name: &str) -> WorkloadKind {
+    WorkloadKind::Synthetic(params_of(name).unwrap().scaled(0.02))
+}
+
+/// A 4-entry experiment plan: two workloads, each on the baseline
+/// hierarchy and at a fixed latency.
+fn tiny_plan() -> Vec<RunSpec> {
+    ["nn", "sc"]
+        .iter()
+        .flat_map(|name| {
+            let workload = tiny_workload(name);
+            [MemoryMode::Hierarchy, MemoryMode::FixedLatency(200)].map(|mode| RunSpec {
+                cfg: GpuConfig::gtx480(),
+                workload: workload.clone(),
+                mode,
+            })
+        })
+        .collect()
+}
+
+/// Report JSON without the host block (wall-clock times differ).
+fn canonical(reports: &[SimReport]) -> Vec<String> {
+    reports
+        .iter()
+        .map(|r| {
+            let mut r = r.clone();
+            r.host = None;
+            serde_json::to_string(&r).unwrap()
+        })
+        .collect()
+}
+
+#[test]
+fn warm_plan_rerun_simulates_nothing_and_serves_the_cold_reports() {
+    let plan = tiny_plan();
+    let dir = scratch("plan-warm");
+    let (cold, first) = run_plan(&plan, &dir, &opts()).unwrap();
+    assert_eq!(cold.len(), 4);
+    assert_eq!(first.simulations_run(), 4);
+    let (warm, second) = run_plan(&plan, &dir, &opts()).unwrap();
+    assert_eq!(second.cache_hits, 4);
+    assert_eq!(second.simulations_run(), 0);
+    assert_eq!(second.store_digest, first.store_digest);
+    assert_eq!(canonical(&warm), canonical(&cold));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn identical_workloads_built_separately_simulate_once() {
+    let run = |workload| RunSpec {
+        cfg: GpuConfig::gtx480(),
+        workload,
+        mode: MemoryMode::Hierarchy,
+    };
+    let plan = [run(tiny_workload("sc")), run(tiny_workload("sc"))];
+    let dir = scratch("plan-dup");
+    let (reports, summary) = run_plan(&plan, &dir, &opts()).unwrap();
+    assert_eq!(summary.cells, 1);
+    assert_eq!(summary.simulations_run(), 1);
+    assert_eq!(reports.len(), 2);
+    assert_eq!(canonical(&reports[..1]), canonical(&reports[1..]));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn plan_stopped_by_a_crash_reruns_to_identical_reports() {
+    let plan = tiny_plan();
+    let reference_dir = scratch("plan-crash-ref");
+    let (reference, _) = run_plan(&plan, &reference_dir, &opts()).unwrap();
+    let len = fs::metadata(reference_dir.join("journal.log"))
+        .unwrap()
+        .len();
+    for boundary in [0, len / 3, len / 2, len - 1] {
+        let dir = scratch(&format!("plan-crash-{boundary}"));
+        let err = run_plan(&plan, &dir, &crash_opts(boundary)).unwrap_err();
+        assert!(
+            matches!(err, SweepError::InjectedCrash { .. }),
+            "boundary {boundary}: {err}"
+        );
+        let (reports, _) = run_plan(&plan, &dir, &opts()).unwrap();
+        assert_eq!(
+            canonical(&reports),
+            canonical(&reference),
+            "boundary {boundary}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+    let _ = fs::remove_dir_all(&reference_dir);
 }
 
 proptest! {
