@@ -2,7 +2,7 @@
 
 use gpumem_config::{GpuConfig, L1Config};
 use gpumem_types::{
-    AccessKind, Cycle, CycleStamp, DueHeap, FetchArena, LineAddr, MemFetch, QueueStats, SimQueue,
+    AccessKind, Cycle, CycleStamp, DueQueue, FetchArena, LineAddr, MemFetch, QueueStats, SimQueue,
     SlotId,
 };
 
@@ -105,7 +105,7 @@ pub struct L1Dcache {
     mshr: MshrTable<Option<SlotId>>,
     miss_queue: SimQueue<MemFetch>,
     /// Hit responses waiting out the hit latency.
-    ready_hits: DueHeap<SlotId>,
+    ready_hits: DueQueue<SlotId>,
     /// Parked bodies of merged waiters and latency-pending hit responses.
     arena: FetchArena,
     /// The refusal [`access_head`](L1Dcache::access_head) last handed out:
@@ -120,7 +120,9 @@ pub struct L1Dcache {
     /// *Cleared by* every writer of those three: an accepted access
     /// ([`place`](L1Dcache::place): MSHR allocation, miss-queue push), a
     /// fill ([`fill_into`](L1Dcache::fill_into): tag install, MSHR
-    /// release) and a miss-queue pop ([`pop_miss`](L1Dcache::pop_miss)).
+    /// release) and a miss-queue pop that removes a request
+    /// ([`pop_miss`](L1Dcache::pop_miss); popping an empty queue writes
+    /// nothing, so the memo survives the owner's final, empty drain pop).
     /// No chaos hook or engine reaches into an L1, so the list is
     /// complete.
     refused: Option<(AccessKind, LineAddr, L1BlockReason)>,
@@ -142,7 +144,7 @@ impl L1Dcache {
             tags: TagArray::new(l1.sets, l1.assoc),
             mshr: MshrTable::new(l1.mshr_entries, l1.mshr_merge),
             miss_queue: SimQueue::new("l1_miss", l1.miss_queue),
-            ready_hits: DueHeap::new(),
+            ready_hits: DueQueue::new(),
             arena: FetchArena::with_capacity(l1.mshr_entries * l1.mshr_merge),
             refused: None,
             stats: L1Stats::default(),
@@ -378,8 +380,9 @@ impl L1Dcache {
     /// Removes the head fill request (after successful injection into the
     /// interconnect).
     pub fn pop_miss(&mut self) -> Option<MemFetch> {
+        let fetch = self.miss_queue.pop()?;
         self.refused = None;
-        self.miss_queue.pop()
+        Some(fetch)
     }
 
     /// Installs a returning line and releases every access merged on it.
@@ -706,6 +709,37 @@ mod tests {
         );
         assert_eq!(c.stats().mshr_full_stalls, n + 1);
         assert_eq!(c.stats().miss_queue_stalls, n);
+    }
+
+    /// An owner drains the miss queue until `pop_miss` comes back empty;
+    /// that last pop removes nothing, so it must not drop the refusal.
+    #[test]
+    fn remembered_refusal_survives_an_empty_pop_miss_and_clears_on_a_real_one() {
+        let mut cfg = GpuConfig::gtx480();
+        cfg.l1.mshr_entries = 1;
+        let mut c = L1Dcache::new(&cfg);
+        let _ = c.access(load(1, 1), Cycle::ZERO);
+        assert!(c.pop_miss().is_some());
+        let mut head = Some(load(2, 2));
+        let refused = Some((AccessKind::Load, LineAddr::new(2), L1BlockReason::MshrFull));
+        assert_eq!(
+            c.access_head(&mut head, Cycle::new(1)),
+            Some(Err(L1BlockReason::MshrFull))
+        );
+        assert_eq!(c.refused, refused);
+        assert!(c.pop_miss().is_none());
+        assert_eq!(c.refused, refused, "an empty pop wrote nothing");
+
+        // A store takes the queue but no register; the load is refused
+        // again, and popping the store drops the memo.
+        let _ = c.access(store(3, 7), Cycle::new(2));
+        assert_eq!(
+            c.access_head(&mut head, Cycle::new(3)),
+            Some(Err(L1BlockReason::MshrFull))
+        );
+        assert_eq!(c.refused, refused);
+        assert!(c.pop_miss().is_some());
+        assert_eq!(c.refused, None);
     }
 
     #[test]

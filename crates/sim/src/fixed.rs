@@ -1,7 +1,7 @@
 //! The fixed-latency memory backend used by the paper's Section II
 //! latency-tolerance experiment (Fig. 1).
 
-use gpumem_types::{Cycle, DueHeap, MemFetch};
+use gpumem_types::{Cycle, DueQueue, MemFetch};
 
 /// An idealized memory system that answers every L1 miss after a fixed,
 /// configurable latency with unlimited bandwidth.
@@ -27,7 +27,7 @@ use gpumem_types::{Cycle, DueHeap, MemFetch};
 #[derive(Debug)]
 pub struct FixedLatencyMemory {
     latency: u64,
-    pending: DueHeap<MemFetch>,
+    pending: DueQueue<MemFetch>,
 }
 
 impl FixedLatencyMemory {
@@ -35,7 +35,7 @@ impl FixedLatencyMemory {
     pub fn new(latency: u64) -> Self {
         FixedLatencyMemory {
             latency,
-            pending: DueHeap::new(),
+            pending: DueQueue::new(),
         }
     }
 

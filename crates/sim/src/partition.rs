@@ -7,7 +7,7 @@ use gpumem_dram::DramChannel;
 use gpumem_noc::{EgressPort, IngressPort, Packet};
 use gpumem_trace::{OccupancyProbe, TraceConfig};
 use gpumem_types::{
-    AccessKind, Cycle, CycleStamp, DueHeap, FetchArena, FetchId, LineAddr, MemFetch, PartitionId,
+    AccessKind, Cycle, CycleStamp, DueQueue, FetchArena, FetchId, LineAddr, MemFetch, PartitionId,
     QueueStats, SimError, SimQueue, SlotId,
 };
 
@@ -129,7 +129,7 @@ pub struct MemoryPartition {
     tags: Vec<TagArray>,
     bank_next_accept: Vec<Cycle>,
     /// Load hits traversing the bank pipeline, due at their bank latency.
-    completions: DueHeap<SlotId>,
+    completions: DueQueue<SlotId>,
     access_queue: SimQueue<Located>,
     mshr: MshrTable<L2Waiter>,
     /// Parked bodies of merged misses (primaries travel to DRAM) and of
@@ -199,7 +199,7 @@ impl MemoryPartition {
                 .map(|_| TagArray::new(sets_per_bank, cfg.l2.assoc))
                 .collect(),
             bank_next_accept: vec![Cycle::ZERO; banks],
-            completions: DueHeap::new(),
+            completions: DueQueue::new(),
             access_queue: SimQueue::new("l2_access", cfg.l2.access_queue),
             mshr: MshrTable::new(cfg.l2.mshr_entries, cfg.l2.mshr_merge),
             arena: FetchArena::with_capacity(cfg.l2.mshr_entries * cfg.l2.mshr_merge),

@@ -401,7 +401,7 @@ impl SimtCore {
 
     /// True once every assigned CTA has retired.
     pub fn all_ctas_retired(&self) -> bool {
-        self.ctas.iter().all(|c| c.is_none())
+        self.free_cta_slots == self.ctas.len()
     }
 
     /// True while any memory activity is still owned by this core (LSU,
@@ -1229,7 +1229,8 @@ mod tests {
     proptest::proptest! {
         /// The scheduling masks equal the predicates recomputed from the
         /// warp slots after every response and every cycle of random
-        /// kernels, and CTA admission equals a recount of the free slots.
+        /// kernels, and CTA admission and retirement equal a recount of
+        /// the free slots.
         #[test]
         fn masks_track_warp_slots(seed in proptest::prelude::any::<u64>(), delay in 1u64..120) {
             let mut core = core_with(Arc::new(RandomKernel { seed }));
@@ -1242,6 +1243,7 @@ mod tests {
                     core.can_accept_cta(),
                     core.ctas.iter().any(|c| c.is_none()) && free_warps >= core.warps_per_cta
                 );
+                assert_eq!(core.all_ctas_retired(), core.ctas.iter().all(|c| c.is_none()));
             };
             for t in 0..20_000 {
                 let now = Cycle::new(t);

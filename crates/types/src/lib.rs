@@ -53,7 +53,7 @@ mod sweep;
 
 pub use addr::{Addr, LineAddr};
 pub use cycle::Cycle;
-pub use due::DueHeap;
+pub use due::DueQueue;
 pub use error::{ComponentOccupancy, OldestFetch, SimError, WedgeDiagnosis};
 pub use fetch::{AccessKind, CycleStamp, FetchId, FetchTimeline, MemFetch};
 pub use histogram::Log2Histogram;

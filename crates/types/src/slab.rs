@@ -2,7 +2,7 @@
 //!
 //! The hierarchy components (L1, L2 partitions) park [`MemFetch`] bodies
 //! here while a miss is outstanding and pass 4-byte [`SlotId`] handles
-//! through their MSHRs and ready-heaps instead of cloning the 100+-byte
+//! through their MSHRs and due queues instead of cloning the 100+-byte
 //! struct. Slots are recycled through a free list, so steady-state
 //! operation performs no allocation at all.
 //!
