@@ -32,7 +32,9 @@
 //!   traces) once per memory mode and prints cycles, instructions and the
 //!   fraction of cycles the machine had nothing to do and jumped over.
 //!   With `--json DIR` also writes each run's full report as
-//!   `run_<workload>_<hierarchy|fixed800>.json` (every component counter).
+//!   `run_<workload>_<hierarchy|fixed800>.json` (every component counter;
+//!   a name seen again, e.g. a synthetic and a traced `sc`, becomes
+//!   `sc-2`, `sc-3`, … in command-line order).
 //!   With `--profile` instead prints per-component host-time attribution
 //!   (run loop, cores, L1, crossbars, partitions, DRAM). A malformed trace
 //!   file is a diagnosed, non-zero exit naming the offending line, never
@@ -661,8 +663,10 @@ fn run_trace(cfg: &GpuConfig, workloads: &[WorkloadKind], json: &Option<String>)
 /// Each line reports cycles, instructions and the skipped fraction: the
 /// share of cycles in which no component could act, so `run()` jumped
 /// over them. With `--json DIR`, each run's full report is also written as
-/// `run_<workload>_<mode>.json` (`mode`: `hierarchy` or `fixed800`). With
-/// `--profile`, the per-component host-time table instead.
+/// `run_<workload>_<mode>.json` (`mode`: `hierarchy` or `fixed800`), where
+/// a repeated workload name takes the first free `<name>-<k>`, `k ≥ 2`, so
+/// no run overwrites another's file. With `--profile`, the per-component
+/// host-time table instead.
 fn run_run(cfg: &GpuConfig, args: &Args) {
     let mut workloads: Vec<WorkloadKind> = args
         .targets
@@ -679,11 +683,24 @@ fn run_run(cfg: &GpuConfig, args: &Args) {
         run_profile(cfg, &workloads, &args.json_dir);
         return;
     }
+    let mut stems = std::collections::BTreeSet::new();
+    let stems: Vec<String> = workloads
+        .iter()
+        .map(|w| {
+            let name = w.name();
+            let (mut stem, mut k) = (name.to_owned(), 1);
+            while !stems.insert(stem.clone()) {
+                k += 1;
+                stem = format!("{name}-{k}");
+            }
+            stem
+        })
+        .collect();
     for (mode, tag) in [
         (MemoryMode::Hierarchy, "hierarchy"),
         (MemoryMode::FixedLatency(800), "fixed800"),
     ] {
-        for workload in &workloads {
+        for (workload, stem) in workloads.iter().zip(&stems) {
             let report = GpuSimulator::new(cfg.clone(), workload.program(), mode)
                 .run(gpumem::DEFAULT_MAX_CYCLES)
                 .expect("run completes");
@@ -695,7 +712,7 @@ fn run_run(cfg: &GpuConfig, args: &Args) {
                 report.instructions,
                 100.0 * skipped,
             );
-            let name = format!("run_{}_{tag}", workload.name());
+            let name = format!("run_{stem}_{tag}");
             dump_json(&args.json_dir, &name, &report);
         }
     }

@@ -218,3 +218,72 @@ fn run_json_writes_each_runs_full_report() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A synthetic and a traced workload of the same name each keep their
+/// own `run --json` file: the later one is `<name>-2`, not an overwrite.
+#[test]
+fn run_json_keeps_a_file_per_run_when_names_repeat() {
+    let dir = scratch("run-json-dup");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("sc.trace");
+    let out = repro(&[
+        "trace-gen",
+        "sc",
+        "--scale",
+        "0.05",
+        "--out",
+        trace.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let json = dir.join("json");
+    let out = repro(&[
+        "run",
+        "sc",
+        "--scale",
+        "0.02",
+        "--trace-file",
+        trace.to_str().unwrap(),
+        "--json",
+        json.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let mut files: Vec<String> = std::fs::read_dir(&json)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(
+        files,
+        [
+            "run_sc-2_fixed800.json",
+            "run_sc-2_hierarchy.json",
+            "run_sc_fixed800.json",
+            "run_sc_hierarchy.json",
+        ]
+    );
+    // The two runs differ (scale 0.02 vs 0.05), and each file holds the
+    // run its line of stdout reports, in command-line order.
+    let cycles = |stem: &str| {
+        let text =
+            std::fs::read_to_string(json.join(format!("run_{stem}_hierarchy.json"))).unwrap();
+        let report: gpumem_sim::SimReport = serde_json::from_str(&text).unwrap();
+        report.cycles
+    };
+    let (synthetic, traced) = (cycles("sc"), cycles("sc-2"));
+    assert_ne!(synthetic, traced);
+    let reported: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.contains("/ hierarchy:"))
+        .collect();
+    assert_eq!(reported.len(), 2, "{stdout}");
+    assert!(
+        reported[0].contains(&format!(": {synthetic} cycles")),
+        "{stdout}"
+    );
+    assert!(
+        reported[1].contains(&format!(": {traced} cycles")),
+        "{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

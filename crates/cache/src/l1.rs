@@ -115,7 +115,10 @@ pub struct L1Dcache {
     /// a function of the line's residency, the MSHR table and the miss
     /// queue's fullness, so it stands — and `access_head` replays it,
     /// bumping the same stall counter, without probing anything — until
-    /// one of them is written.
+    /// one of them is written. While it stands, a retry slot holding that
+    /// access is not an event for its owner's `next_event`: the owner may
+    /// jump, and [`fast_forward`](L1Dcache::fast_forward) replays the
+    /// counter for every skipped presentation.
     ///
     /// *Cleared by* every writer of those three: an accepted access
     /// ([`place`](L1Dcache::place): MSHR allocation, miss-queue push), a
@@ -203,7 +206,7 @@ impl L1Dcache {
                     "remembered refusal of {kind:?} {line:?} no longer holds"
                 );
                 debug_assert!(kind == AccessKind::Store || !self.resident(line));
-                self.count_stall(reason);
+                self.count_stalls(reason, 1);
                 return Some(Err(reason));
             }
         }
@@ -235,7 +238,7 @@ impl L1Dcache {
             }
         }
         self.miss_path(fetch.kind, line)
-            .inspect_err(|&reason| self.count_stall(reason))
+            .inspect_err(|&reason| self.count_stalls(reason, 1))
     }
 
     /// True if a load of `line` would hit.
@@ -272,11 +275,11 @@ impl L1Dcache {
         Ok(L1AccessOutcome::Miss { merged })
     }
 
-    fn count_stall(&mut self, reason: L1BlockReason) {
+    fn count_stalls(&mut self, reason: L1BlockReason, n: u64) {
         match reason {
-            L1BlockReason::MshrFull => self.stats.mshr_full_stalls += 1,
-            L1BlockReason::MshrMergeCapacity => self.stats.mshr_merge_stalls += 1,
-            L1BlockReason::MissQueueFull => self.stats.miss_queue_stalls += 1,
+            L1BlockReason::MshrFull => self.stats.mshr_full_stalls += n,
+            L1BlockReason::MshrMergeCapacity => self.stats.mshr_merge_stalls += n,
+            L1BlockReason::MissQueueFull => self.stats.miss_queue_stalls += n,
         }
     }
 
@@ -431,10 +434,32 @@ impl L1Dcache {
         self.miss_queue.observe();
     }
 
-    /// Batch bookkeeping for `cycles` consecutive quiescent cycles (see
-    /// [`SimQueue::observe_many`]).
-    pub fn observe_many(&mut self, cycles: u64) {
+    /// True if the remembered refusal answers for `fetch`: presenting it
+    /// again would be refused for the same reason without a probe, and
+    /// would change nothing but that reason's stall counter.
+    pub fn refusal_stands(&self, fetch: &MemFetch) -> bool {
+        self.refused
+            .is_some_and(|(kind, line, _)| (kind, line) == (fetch.kind, fetch.line))
+    }
+
+    /// Replays `cycles` consecutive quiescent cycles in closed form: the
+    /// miss queue's occupancy statistics and, if the owner's retry slot
+    /// `retry` holds an access whose [refusal stands](Self::refusal_stands),
+    /// the `cycles` refused presentations it would have made — exactly
+    /// what [`observe`](Self::observe) and
+    /// [`access_head`](Self::access_head) record when stepped.
+    pub fn fast_forward(&mut self, retry: Option<&MemFetch>, cycles: u64) {
         self.miss_queue.observe_many(cycles);
+        if let Some((kind, line, reason)) = self.refused {
+            if retry.is_some_and(|f| self.refusal_stands(f)) {
+                debug_assert_eq!(
+                    self.miss_path(kind, line),
+                    Err(reason),
+                    "remembered refusal of {kind:?} {line:?} no longer holds"
+                );
+                self.count_stalls(reason, cycles);
+            }
+        }
     }
 
     /// Activity counters.

@@ -156,8 +156,7 @@ pub struct SimtCore {
     issue_reg: VecDeque<MemFetch>,
     /// Reused buffer for the loads one L1 fill completes.
     fill_done: Vec<MemFetch>,
-    /// Assigned warp slots in age order (GTO's "oldest" order).
-    issue_order: Vec<usize>,
+    /// GTO's greedy warp: the slot that issued last, tried first.
     last_issued: Option<usize>,
     next_fetch_seq: u64,
     age_counter: u64,
@@ -280,7 +279,6 @@ impl SimtCore {
             l1_retry: None,
             issue_reg: VecDeque::new(),
             fill_done: Vec::new(),
-            issue_order: Vec::new(),
             last_issued: None,
             next_fetch_seq: 0,
             age_counter: 0,
@@ -372,7 +370,6 @@ impl SimtCore {
         });
         self.ready_lb = Cycle::ZERO;
         self.stall_cache = None;
-        self.rebuild_issue_order();
     }
 
     /// Re-derives the mask bits of slot `w` from `warps[w]`. The one place
@@ -389,14 +386,6 @@ impl SimtCore {
             all.refresh(w, warp);
         }
         all
-    }
-
-    fn rebuild_issue_order(&mut self) {
-        let warps = &self.warps;
-        self.issue_order.clear();
-        self.issue_order
-            .extend((0..warps.len()).filter(|&i| warps[i].assigned));
-        self.issue_order.sort_by_key(|&i| warps[i].age);
     }
 
     /// True once every assigned CTA has retired.
@@ -501,7 +490,6 @@ impl SimtCore {
         self.free_cta_slots += 1;
         self.stall_cache = None;
         self.stats.ctas_retired += 1;
-        self.rebuild_issue_order();
     }
 
     /// Advances the core one cycle.
@@ -571,21 +559,21 @@ impl SimtCore {
                     issued += 1;
                 }
             }
-            if issued < self.issue_width {
-                let order = std::mem::take(&mut self.issue_order);
-                for &w in &order {
-                    if issued >= self.issue_width {
-                        break;
-                    }
-                    if Some(w) == self.last_issued || !self.passes_precheck(w, now) {
-                        continue;
-                    }
-                    if self.issue_warp(w, now) {
-                        self.last_issued = Some(w);
-                        issued += 1;
-                    }
+            // Then the other warps, oldest first. Each pick is the oldest
+            // warp younger than the previous pick that passes the
+            // pre-check now: the state the pre-check reads changes only
+            // inside `issue_warp`, so this visits exactly the warps an
+            // age-ordered walk would try, in the same order.
+            let mut min_age = 0;
+            while issued < self.issue_width {
+                let Some(w) = self.oldest_candidate(now, min_age) else {
+                    break;
+                };
+                min_age = self.warps[w].age + 1;
+                if self.issue_warp(w, now) {
+                    self.last_issued = Some(w);
+                    issued += 1;
                 }
-                self.issue_order = order;
             }
             if issued == 0 {
                 self.ready_lb = self.issue_bound();
@@ -616,6 +604,15 @@ impl SimtCore {
     /// decoded load/store while the memory pipeline is busy.
     fn passes_precheck(&self, w: usize, now: Cycle) -> bool {
         self.masks.eligible() & !self.parked() & 1 << w != 0 && self.ready_at[w] <= now
+    }
+
+    /// The oldest warp of age at least `min_age`, other than the greedy
+    /// one, that passes the pre-check at `now`.
+    fn oldest_candidate(&self, now: Cycle, min_age: u64) -> Option<usize> {
+        let greedy = self.last_issued.map_or(0, |w| 1 << w);
+        bits(self.masks.eligible() & !self.parked() & !greedy)
+            .filter(|&w| self.ready_at[w] <= now && self.warps[w].age >= min_age)
+            .min_by_key(|&w| self.warps[w].age)
     }
 
     /// Warps that cannot issue whatever the time: their decoded
@@ -777,8 +774,11 @@ impl SimtCore {
     /// Records `weight` stalled cycles under the classification that holds
     /// at `now`. The classification is constant over a window proven idle
     /// by [`next_event`](SimtCore::next_event): the memory/barrier flags
-    /// only change on issue or response events, and every eligible warp's
-    /// `ready_at` lies at or beyond the window end.
+    /// and the issue register only change on issue, pipeline or response
+    /// events, and every eligible warp's `ready_at` lies at or beyond the
+    /// window end — except a parked one's, which exists only while the
+    /// issue register is busy, and a busy register classifies the cycle
+    /// before `ready_at` is read.
     fn classify_stall_many(&mut self, now: Cycle, weight: u64) {
         if let Some(kind) = self.stall_cache {
             // Nothing classification-relevant changed since the cached
@@ -823,19 +823,32 @@ impl SimtCore {
     }
 
     /// The earliest cycle at or after `now` at which this core can make
-    /// progress on its own (issue an instruction, retire a warp, feed the
-    /// L1 port, or surface a completed hit), or `None` if it is fully
-    /// quiescent until an external response arrives.
+    /// progress on its own (issue an instruction, retire a warp, move an
+    /// access along the memory pipeline, or surface a completed hit), or
+    /// `None` if it is fully quiescent until an external response arrives.
+    /// A retry-slot access whose refusal the L1 remembers
+    /// ([`L1Dcache::refusal_stands`]) is not progress: re-presenting it
+    /// only bumps a stall counter.
     ///
     /// A return value of `now` means "cannot skip this cycle". A future
     /// cycle is a proof that every cycle strictly before it changes
     /// nothing but per-cycle counters, which
     /// [`fast_forward`](SimtCore::fast_forward) replays in closed form.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        // The memory pipeline moves only where a stage can hand on: a
+        // queued miss leaves, the port head is decided afresh (a refusal
+        // the L1 remembers is replayed by `fast_forward`, and only a fill
+        // or a miss-queue pop — each an event of its own — can lift it),
+        // the LSU queue feeds an empty port, the issue register feeds an
+        // LSU queue with room.
+        let retry_moves = self
+            .l1_retry
+            .as_ref()
+            .is_some_and(|f| !self.l1.refusal_stands(f));
         if self.l1.peek_miss().is_some()
-            || self.l1_retry.is_some()
-            || !self.lsu_queue.is_empty()
-            || !self.issue_reg.is_empty()
+            || retry_moves
+            || (self.l1_retry.is_none() && !self.lsu_queue.is_empty())
+            || (!self.issue_reg.is_empty() && !self.lsu_queue.is_full())
         {
             return Some(now);
         }
@@ -875,7 +888,7 @@ impl SimtCore {
         }
         self.stats.cycles += cycles;
         self.classify_stall_many(now, cycles);
-        self.l1.observe_many(cycles);
+        self.l1.fast_forward(self.l1_retry.as_ref(), cycles);
         self.lsu_queue.observe_many(cycles);
         // Queue depths are provably frozen over the skipped window, so the
         // probes backfill the cadence points with the current depths.
@@ -1378,6 +1391,133 @@ mod tests {
         assert!(l1.mshr_full_stalls > 1000, "{l1:?}");
         assert!(stats.stall_mem_pipeline + stats.stall_memory > stats.cycles / 2);
         assert!(skipped > 1000, "bound skipped only {skipped} parked cycles");
+    }
+
+    /// One warp whose first instruction loads lines 1 and 2.
+    struct TwoLineLoad;
+    impl KernelProgram for TwoLineLoad {
+        fn name(&self) -> &str {
+            "two_line_load"
+        }
+        fn grid_ctas(&self) -> u32 {
+            1
+        }
+        fn warps_per_cta(&self) -> u32 {
+            1
+        }
+        fn instr(&self, _cta: CtaId, _warp: u32, pc: u32) -> Option<WarpInstr> {
+            match pc {
+                0 => Some(WarpInstr::Load {
+                    lines: vec![LineAddr::new(1), LineAddr::new(2)],
+                    consume_after: 1,
+                }),
+                1 => Some(WarpInstr::Alu { latency: 1 }),
+                _ => None,
+            }
+        }
+    }
+
+    /// With one MSHR the second line's access is refused while the first
+    /// is outstanding. A refusal the L1 no longer remembers is an event;
+    /// once it remembers it again the core has no event left, and jumping
+    /// N cycles counts what stepping them counts.
+    #[test]
+    fn remembered_refusal_is_not_an_event_and_fast_forward_replays_it() {
+        let core = || {
+            let mut cfg = GpuConfig::tiny();
+            cfg.l1.mshr_entries = 1;
+            let mut core = SimtCore::new(CoreId::new(0), &cfg, Arc::new(TwoLineLoad));
+            core.assign_cta(CtaId::new(0));
+            core
+        };
+        // Fill requests are popped (and never answered) from cycle 3 on.
+        let step = |core: &mut SimtCore, t: u64| {
+            core.cycle(Cycle::new(t));
+            if t >= 3 {
+                while core.pop_memory_request().is_some() {}
+            }
+            core.observe();
+        };
+        let (mut stepped, mut jumped) = (core(), core());
+        // Issue, two cycles through the issue register and the LSU queue,
+        // line 1 accepted into the miss queue, line 2 refused for the
+        // register line 1 holds. Popping line 1's request lifts the memo,
+        // so the port head must be decided afresh.
+        for core in [&mut stepped, &mut jumped] {
+            for t in 0..=3 {
+                step(core, t);
+            }
+            assert_eq!(core.l1_stats().mshr_full_stalls, 1);
+            assert!(core.l1_retry.is_some() && core.l1.peek_miss().is_none());
+            let now = Cycle::new(4);
+            assert_eq!(core.next_event(now), Some(now));
+            step(core, 4);
+            assert_eq!(core.l1_stats().mshr_full_stalls, 2);
+            assert_ne!(core.next_event(now.next()), Some(now.next()));
+        }
+
+        let (now, n) = (Cycle::new(5), 57);
+        for t in now.raw()..now.raw() + n {
+            step(&mut stepped, t);
+        }
+        jumped.fast_forward(now, n);
+        assert_eq!(stepped.stats(), jumped.stats());
+        assert_eq!(stepped.l1_stats(), jumped.l1_stats());
+        assert_eq!(stepped.lsu_queue_stats(), jumped.lsu_queue_stats());
+        assert_eq!(stepped.l1_miss_queue_stats(), jumped.l1_miss_queue_stats());
+        assert_eq!(jumped.l1_stats().mshr_full_stalls, 2 + n);
+    }
+
+    /// CTA 0 finishes at once; CTA 1 loads; CTA 2 runs ALU work.
+    struct ReuseKernel;
+    impl KernelProgram for ReuseKernel {
+        fn name(&self) -> &str {
+            "reuse"
+        }
+        fn grid_ctas(&self) -> u32 {
+            3
+        }
+        fn warps_per_cta(&self) -> u32 {
+            2
+        }
+        fn instr(&self, cta: CtaId, warp: u32, pc: u32) -> Option<WarpInstr> {
+            match (cta.index(), pc) {
+                (0, _) | (_, 8..) => None,
+                (1, _) => Some(WarpInstr::load_line(LineAddr::new(u64::from(warp)), 1)),
+                _ => Some(WarpInstr::Alu { latency: 1 }),
+            }
+        }
+    }
+
+    /// Slots freed by a retired CTA are reused by a younger one, so slot
+    /// order is not age order: GTO must still pick the oldest ready warp,
+    /// and the next pick is the oldest warp still able to issue after it.
+    #[test]
+    fn gto_issues_the_oldest_ready_warp_not_the_lowest_slot() {
+        let mut core = core_with(Arc::new(ReuseKernel));
+        assert_eq!(core.issue_width, 2);
+        core.assign_cta(CtaId::new(0)); // slots 0, 1: ages 0, 1
+        core.assign_cta(CtaId::new(1)); // slots 2, 3: ages 2, 3
+        core.ready_at[2] = Cycle::new(10);
+        core.ready_at[3] = Cycle::new(10);
+        core.cycle(Cycle::ZERO);
+        assert_eq!(core.stats().ctas_retired, 1, "CTA 0's warps retired");
+        assert_eq!(core.stats().instructions, 0);
+        core.assign_cta(CtaId::new(2)); // slots 0, 1 again: ages 4, 5
+        let ages: Vec<u64> = core.warps[..4].iter().map(|w| w.age).collect();
+        assert_eq!(ages, [4, 5, 2, 3]);
+        assert_eq!(core.last_issued, None);
+
+        core.cycle(Cycle::new(10));
+        // Slot 2 (age 2) issues its load and fills the issue register,
+        // which parks slot 3's load (age 3); the second issue is slot 0's
+        // ALU op (age 4), not slot 1's (age 5).
+        let pcs: Vec<u32> = core.warps[..4].iter().map(|w| w.pc).collect();
+        assert_eq!(pcs, [1, 0, 1, 0]);
+        assert_eq!(core.stats().instructions, 2);
+        assert_eq!(core.stats().load_instrs, 1);
+        assert_eq!(core.last_issued, Some(0));
+        assert!(core.parked() & 1 << 3 != 0, "slot 3 parked on its load");
     }
 
     #[test]

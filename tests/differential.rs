@@ -115,6 +115,45 @@ fn fixed_latency_runs_actually_skip() {
     assert!(host.skipped_fraction > 0.0 && host.skipped_fraction < 1.0);
 }
 
+#[test]
+fn mshr_full_stretches_jump_and_match_stepping() {
+    // Two MSHRs per L1 keep the port head refused for most of a miss
+    // latency. A refusal the L1 remembers is not an event, so those
+    // stretches are jump windows, and `run()` must still replay every
+    // refused presentation that stepping counts.
+    let mut cfg = small_gpu();
+    cfg.num_cores = 2;
+    cfg.l1.mshr_entries = 2;
+    let modes = [
+        MemoryMode::FixedLatency(100),
+        MemoryMode::FixedLatency(800),
+        MemoryMode::Hierarchy,
+    ];
+    for name in ["cfd", "nw", "sc"] {
+        for mode in modes {
+            let p = params_of(name).unwrap().scaled(0.05);
+            let program: Arc<dyn KernelProgram> = Arc::new(SyntheticKernel::new(p));
+            let reference = GpuSimulator::new(cfg.clone(), Arc::clone(&program), mode)
+                .run_stepped(DEFAULT_MAX_CYCLES)
+                .unwrap();
+            let mut sim = GpuSimulator::new(cfg.clone(), program, mode);
+            let report = sim.run(DEFAULT_MAX_CYCLES).unwrap();
+            assert!(
+                report.l1.stats.mshr_full_stalls > 0,
+                "{name}/{mode}: no MSHR-full stretch"
+            );
+            if mode != MemoryMode::Hierarchy {
+                assert!(sim.skipped_cycles() > 0, "{name}/{mode}: never jumped");
+            }
+            assert_eq!(
+                canonical(report),
+                canonical(reference),
+                "{name}/{mode}: skipping run diverged from per-cycle reference"
+            );
+        }
+    }
+}
+
 /// The midpoint of the first window `run()` would jump across: stepping
 /// from cycle 0, the first `now` whose `next_event()` lies at least two
 /// cycles ahead.
