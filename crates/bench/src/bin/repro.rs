@@ -2,10 +2,10 @@
 //! Bottlenecks in GPGPU Workloads* (IISWC 2016).
 //!
 //! ```text
-//! repro [--scale F] [--quick] [--json DIR] [--profile] [--seeds N]
-//!       [--wedge-self-test] [--suite seed|ml|extended] [--store DIR]
+//! repro [--scale F] [--quick] [--json DIR] [--profile]
+//!       [--suite seed|ml|extended] [--store DIR]
 //!       [--workers N] [--trace-file FILE]... [--out FILE]
-//!       [fig1|congestion|dse|table1|latency|ablation|chaos|trace|run|
+//!       [fig1|congestion|dse|table1|latency|ablation|trace|run|
 //!        trace-gen|sweep|all] [WORKLOAD]...
 //! ```
 //!
@@ -15,19 +15,13 @@
 //! * `table1`     — prints Table I itself (configuration values)
 //! * `latency`    — Section II baseline-vs-ideal latency comparison
 //! * `ablation`   — Section V future work: per-row ablation + cost ranking
-//! * `chaos`      — deterministic fault-injection sweep: each seed expands
-//!   into a bit-identical fault schedule (crossbar port holds and
-//!   head-of-queue rotations, MSHR stalls, DRAM lockouts); every seed is
-//!   run twice and both runs must agree bit-for-bit. `--seeds N` sets the
-//!   sweep width (default 4); `--wedge-self-test` instead wedges the response network on purpose
-//!   and requires the watchdog to fire within its horizon with a
-//!   structured diagnosis naming the blocked component chain.
 //! * `trace`      — fetch-lifecycle latency breakdown (§III, Fig. 4–6):
 //!   runs the suite with tracing enabled, prints per-stage latency tables
 //!   and the queueing-vs-service split, requires the stage sums to
 //!   reconcile with the observed end-to-end latency. With `--json DIR`
 //!   also exports the slowest fetches as Chrome trace-event JSON
-//!   (`trace_<benchmark>.json`, loadable in `chrome://tracing`).
+//!   (`trace_<benchmark>.json`, loadable in `chrome://tracing`; a name
+//!   seen again becomes `<benchmark>-2`, `-3`, … as for `run`).
 //! * `run`        — simulates the named workloads (and/or `--trace-file`
 //!   traces) once per memory mode and prints cycles, instructions and the
 //!   fraction of cycles the machine had nothing to do and jumped over.
@@ -96,16 +90,13 @@ use gpumem::experiments::latency_tolerance::{self, FIG1_LATENCIES};
 use gpumem::experiments::{ablation, congestion, design_space};
 use gpumem::prelude::*;
 use gpumem::{text, RunSpec};
-use gpumem_sim::{chrome_trace_events, ChaosConfig, LatencyBreakdown, SimError, TraceConfig};
-use gpumem_simt::KernelProgram;
+use gpumem_sim::{chrome_trace_events, LatencyBreakdown, TraceConfig};
 use gpumem_workloads::WorkloadKind;
 
 struct Args {
     scale: f64,
     json_dir: Option<String>,
     profile: bool,
-    seeds: u64,
-    wedge_self_test: bool,
     spec: Option<String>,
     store: Option<String>,
     resume: Option<String>,
@@ -122,8 +113,6 @@ fn parse_args() -> Args {
     let mut scale = 1.0;
     let mut json_dir = None;
     let mut profile = false;
-    let mut seeds = 4;
-    let mut wedge_self_test = false;
     let mut spec = None;
     let mut store = None;
     let mut resume = None;
@@ -149,14 +138,6 @@ fn parse_args() -> Args {
                 json_dir = Some(it.next().unwrap_or_else(|| die("--json needs a directory")));
             }
             "--profile" => profile = true,
-            "--seeds" => {
-                seeds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("--seeds needs a positive count"));
-            }
-            "--wedge-self-test" => wedge_self_test = true,
             "--spec" => {
                 spec = Some(it.next().unwrap_or_else(|| die("--spec needs a file")));
             }
@@ -199,8 +180,8 @@ fn parse_args() -> Args {
             "--out" => {
                 out = Some(it.next().unwrap_or_else(|| die("--out needs a file path")));
             }
-            "fig1" | "congestion" | "dse" | "table1" | "latency" | "ablation" | "chaos"
-            | "trace" | "run" | "trace-gen" | "sweep" | "all" => {
+            "fig1" | "congestion" | "dse" | "table1" | "latency" | "ablation" | "trace" | "run"
+            | "trace-gen" | "sweep" | "all" => {
                 command = arg;
             }
             other if !other.starts_with('-') => targets.push(other.to_owned()),
@@ -217,8 +198,6 @@ fn parse_args() -> Args {
         scale,
         json_dir,
         profile,
-        seeds,
-        wedge_self_test,
         spec,
         store,
         resume,
@@ -235,11 +214,11 @@ fn parse_args() -> Args {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: repro [--scale F] [--quick] [--json DIR] [--profile] [--seeds N] \
-         [--wedge-self-test] [--spec FILE] [--store DIR] [--resume DIR] [--query DIR] \
+        "usage: repro [--scale F] [--quick] [--json DIR] [--profile] \
+         [--spec FILE] [--store DIR] [--resume DIR] [--query DIR] \
          [--workers N] [--suite seed|ml|extended] \
          [--trace-file FILE]... [--out FILE] \
-         [fig1|congestion|dse|table1|latency|ablation|chaos|trace|run|trace-gen|sweep|all] \
+         [fig1|congestion|dse|table1|latency|ablation|trace|run|trace-gen|sweep|all] \
          [WORKLOAD]..."
     );
     std::process::exit(2)
@@ -463,124 +442,6 @@ fn run_profile(cfg: &GpuConfig, workloads: &[WorkloadKind], json: &Option<String
     dump_json(json, "profile", &rows);
 }
 
-/// Watchdog horizon for chaos runs: far beyond any transient fault
-/// duration (so legitimate slowdowns never trip it), far below the cycle
-/// budget (so a genuine wedge is reported in seconds, not hours).
-const CHAOS_HORIZON: u64 = 10_000;
-
-/// The chaos workload: one memory-intensive suite benchmark, scaled like
-/// every other command. Chaos only perturbs the memory hierarchy, so the
-/// sweep runs in [`MemoryMode::Hierarchy`].
-fn chaos_kernel(scale: f64) -> Arc<dyn KernelProgram> {
-    scaled("cfd", scale).expect("known benchmark").program()
-}
-
-fn chaos_run(
-    cfg: &GpuConfig,
-    program: &Arc<dyn KernelProgram>,
-    chaos: ChaosConfig,
-) -> Result<SimReport, SimError> {
-    let mut sim = GpuSimulator::new(cfg.clone(), Arc::clone(program), MemoryMode::Hierarchy);
-    sim.set_chaos(chaos);
-    sim.set_watchdog(Some(CHAOS_HORIZON));
-    sim.run(gpumem::DEFAULT_MAX_CYCLES)
-}
-
-/// Canonical form of a chaos outcome: completed reports serialize to JSON
-/// with the host block removed (it legitimately differs between runs),
-/// typed errors to their debug form. Equal strings = bit-identical runs.
-fn chaos_canonical(outcome: &Result<SimReport, SimError>) -> String {
-    match outcome {
-        Ok(report) => {
-            let mut r = report.clone();
-            r.host = None;
-            serde_json::to_string(&r).expect("serialize report")
-        }
-        Err(e) => format!("{e:?}"),
-    }
-}
-
-/// Seeded chaos sweep: every seed's fault schedule must replay
-/// bit-identically, whether the outcome is a completed report or a typed
-/// error.
-fn run_chaos(cfg: &GpuConfig, scale: f64, seeds: u64) {
-    let program = chaos_kernel(scale);
-    println!(
-        "CHAOS SWEEP — {seeds} seed(s), standard fault mix, benchmark {}",
-        program.name()
-    );
-    let mut failed = false;
-    for seed in 0..seeds {
-        let chaos = ChaosConfig::standard(seed);
-        let first = chaos_run(cfg, &program, chaos);
-        let ok = chaos_canonical(&chaos_run(cfg, &program, chaos)) == chaos_canonical(&first);
-        let label = match &first {
-            Ok(r) => format!(
-                "completed in {} cycles, {} instructions",
-                r.cycles, r.instructions
-            ),
-            Err(e) => format!("typed failure: {e}"),
-        };
-        println!(
-            "seed {seed:>3}: {label} [{}]",
-            if ok { "deterministic" } else { "DIVERGED" }
-        );
-        failed |= !ok;
-    }
-    if failed {
-        eprintln!("error: a chaos schedule did not replay bit-identically");
-        std::process::exit(1);
-    }
-    println!("chaos sweep: all {seeds} seed(s) replayed bit-identically");
-}
-
-/// Watchdog self-test: wedge the response network on purpose at a seeded
-/// cycle and require [`SimError::Wedged`] within the horizon, with a
-/// diagnosis naming the blocked component chain.
-fn run_wedge_self_test(cfg: &GpuConfig, scale: f64, seeds: u64) {
-    let program = chaos_kernel(scale);
-    println!("WATCHDOG SELF-TEST — {seeds} seeded wedge fixture(s)");
-    for seed in 0..seeds {
-        let mut chaos = ChaosConfig::standard(seed);
-        let wedge_at = 500 + 97 * seed;
-        chaos.wedge_at = Some(wedge_at);
-        let diagnosis = match chaos_run(cfg, &program, chaos) {
-            Err(SimError::Wedged { diagnosis }) => diagnosis,
-            Err(other) => {
-                eprintln!("error: seed {seed}: expected a wedge diagnosis, got: {other}");
-                std::process::exit(1);
-            }
-            Ok(r) => {
-                eprintln!(
-                    "error: seed {seed}: run completed ({} cycles) despite the wedge",
-                    r.cycles
-                );
-                std::process::exit(1);
-            }
-        };
-        if diagnosis
-            .cycle
-            .saturating_sub(diagnosis.last_progress_cycle)
-            != diagnosis.horizon
-        {
-            eprintln!("error: seed {seed}: watchdog fired outside its horizon: {diagnosis:?}");
-            std::process::exit(1);
-        }
-        if diagnosis.blocked_chain.is_empty() {
-            eprintln!("error: seed {seed}: diagnosis names no blocked components: {diagnosis:?}");
-            std::process::exit(1);
-        }
-        println!(
-            "seed {seed:>3}: wedged at cycle {wedge_at}, detected at {} (horizon {}), \
-             blocked: {}",
-            diagnosis.cycle,
-            diagnosis.horizon,
-            diagnosis.blocked_chain.join(" -> "),
-        );
-    }
-    println!("watchdog self-test: every seeded wedge detected within the horizon");
-}
-
 /// One benchmark's entry in the `trace` command's JSON artifact.
 #[derive(serde::Serialize)]
 struct TraceRow {
@@ -621,7 +482,7 @@ fn print_breakdown(name: &str, bd: &LatencyBreakdown) {
 fn run_trace(cfg: &GpuConfig, workloads: &[WorkloadKind], json: &Option<String>) {
     println!("FETCH-LIFECYCLE LATENCY BREAKDOWN — §III queueing vs service decomposition");
     let mut rows = Vec::new();
-    for workload in workloads {
+    for (workload, stem) in workloads.iter().zip(file_stems(workloads)) {
         eprintln!("trace: {} ...", workload.name());
         let mut sim = GpuSimulator::new(cfg.clone(), workload.program(), MemoryMode::Hierarchy);
         sim.enable_trace(TraceConfig::default());
@@ -646,7 +507,7 @@ fn run_trace(cfg: &GpuConfig, workloads: &[WorkloadKind], json: &Option<String>)
         print_breakdown(workload.name(), &bd);
         dump_json(
             json,
-            &format!("trace_{}", workload.name()),
+            &format!("trace_{stem}"),
             &chrome_trace_events(&bd.slowest),
         );
         rows.push(TraceRow {
@@ -656,6 +517,25 @@ fn run_trace(cfg: &GpuConfig, workloads: &[WorkloadKind], json: &Option<String>)
     }
     println!("\ntrace: every stage sum reconciles");
     dump_json(json, "trace", &rows);
+}
+
+/// One JSON file stem per workload, in order: its name, or for a name
+/// seen before the first free `<name>-<k>`, `k ≥ 2`, so that a synthetic
+/// and a traced workload of one name never write one file.
+fn file_stems(workloads: &[WorkloadKind]) -> Vec<String> {
+    let mut seen = std::collections::BTreeSet::new();
+    workloads
+        .iter()
+        .map(|w| {
+            let name = w.name();
+            let (mut stem, mut k) = (name.to_owned(), 1);
+            while !seen.insert(stem.clone()) {
+                k += 1;
+                stem = format!("{name}-{k}");
+            }
+            stem
+        })
+        .collect()
 }
 
 /// The `run` command: every selected workload — named synthetics and/or
@@ -683,19 +563,7 @@ fn run_run(cfg: &GpuConfig, args: &Args) {
         run_profile(cfg, &workloads, &args.json_dir);
         return;
     }
-    let mut stems = std::collections::BTreeSet::new();
-    let stems: Vec<String> = workloads
-        .iter()
-        .map(|w| {
-            let name = w.name();
-            let (mut stem, mut k) = (name.to_owned(), 1);
-            while !stems.insert(stem.clone()) {
-                k += 1;
-                stem = format!("{name}-{k}");
-            }
-            stem
-        })
-        .collect();
+    let stems = file_stems(&workloads);
     for (mode, tag) in [
         (MemoryMode::Hierarchy, "hierarchy"),
         (MemoryMode::FixedLatency(800), "fixed800"),
@@ -878,13 +746,6 @@ fn main() {
         "run" => run_run(&cfg, &args),
         "trace-gen" => run_trace_gen(&cfg, &args),
         "sweep" => run_sweep_cmd(&args),
-        "chaos" => {
-            if args.wedge_self_test {
-                run_wedge_self_test(&cfg, args.scale, args.seeds);
-            } else {
-                run_chaos(&cfg, args.scale, args.seeds);
-            }
-        }
         "all" => {
             println!("{}", text::table_i());
             run_experiments("all", &cfg, &args);

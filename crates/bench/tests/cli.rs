@@ -99,9 +99,9 @@ fn run_rejects_unknown_benchmarks_and_empty_worklists() {
     assert!(stderr_of(&out).contains("needs at least one workload"));
 }
 
-/// The parallel engine's flags, the ratio gates, the `perf` command and
-/// the sweep's retry flags are gone; an old invocation must be refused
-/// loudly, not silently run something else.
+/// The parallel engine's flags, the ratio gates, the `perf` command, the
+/// sweep's retry flags and the fault-injection flags are gone; an old
+/// invocation must be refused loudly, not silently run something else.
 #[test]
 fn removed_flags_are_unknown_arguments() {
     for args in [
@@ -111,6 +111,8 @@ fn removed_flags_are_unknown_arguments() {
         &["run", "gemm", "--repeat", "3"][..],
         &["sweep", "--retries", "3"][..],
         &["sweep", "--backoff-ms", "10"][..],
+        &["--seeds", "4"][..],
+        &["--wedge-self-test"][..],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
@@ -285,5 +287,41 @@ fn run_json_keeps_a_file_per_run_when_names_repeat() {
         reported[1].contains(&format!(": {traced} cycles")),
         "{stdout}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `trace --json` names each Chrome trace after its workload, so a
+/// synthetic and a traced workload of one name need two file stems, as
+/// `run --json` gives them.
+#[test]
+fn trace_json_keeps_a_file_per_workload_when_names_repeat() {
+    let dir = scratch("trace-json-dup");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("nn.trace");
+    let out = repro(&[
+        "trace-gen",
+        "nn",
+        "--scale",
+        "0.02",
+        "--out",
+        trace.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let json = dir.join("json");
+    let out = repro(&[
+        "--scale",
+        "0.02",
+        "--suite",
+        "seed",
+        "trace",
+        "--trace-file",
+        trace.to_str().unwrap(),
+        "--json",
+        json.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    for file in ["trace_nn.json", "trace_nn-2.json"] {
+        assert!(json.join(file).is_file(), "{file} missing");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

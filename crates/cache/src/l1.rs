@@ -126,7 +126,7 @@ pub struct L1Dcache {
     /// release) and a miss-queue pop that removes a request
     /// ([`pop_miss`](L1Dcache::pop_miss); popping an empty queue writes
     /// nothing, so the memo survives the owner's final, empty drain pop).
-    /// No chaos hook or engine reaches into an L1, so the list is
+    /// Only the L1's own methods write that state, so the list is
     /// complete.
     refused: Option<(AccessKind, LineAddr, L1BlockReason)>,
     stats: L1Stats,

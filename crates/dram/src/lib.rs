@@ -179,10 +179,9 @@ struct SchedQueue {
     /// entry's `ready_at` is fixed, a bank's `busy_until` only ever moves
     /// forward (so a schedule from the channel's other queue keeps this
     /// bound sound), and a pick removes an entry. A successful pick leaves
-    /// the bound at or below `now`, so the next tick scans again. Chaos
-    /// DRAM lock-outs gate `try_push` at the partition and chaos MSHR
-    /// stalls never reach the channel; neither touches a queued entry or
-    /// a bank.
+    /// the bound at or below `now`, so the next tick scans again. Only the
+    /// channel's own methods touch a queued entry or a bank, so the list
+    /// is complete.
     scan_lb: Cycle,
 }
 

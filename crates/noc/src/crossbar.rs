@@ -13,8 +13,7 @@
 //!
 //! The port types are public because a memory partition's cycle borrows
 //! exactly its two ports ([`Crossbar::egress_mut`] on the request network,
-//! [`Crossbar::ingress_mut`] on the response network) and the chaos hooks
-//! act on ingress ports.
+//! [`Crossbar::ingress_mut`] on the response network).
 
 use std::collections::VecDeque;
 
@@ -61,16 +60,11 @@ pub struct IngressPort {
     /// Packets accepted on this port (merged into
     /// [`CrossbarStats::packets_injected`]).
     injected: u64,
-    /// Fault injection: the fabric will not arbitrate packets out of this
-    /// port before this cycle. `Cycle::ZERO` (the default) means never
-    /// held, so the field is inert unless a `ChaosConfig` drives it.
-    held_until: Cycle,
     /// Destination of the head packet, mirrored out of the ring buffer
     /// (`usize::MAX` when empty) so per-cycle arbitration compares one
     /// word per port instead of dereferencing the queue front for every
-    /// input × output pair. Maintained by every head mutation
-    /// (`try_inject` into an empty queue, the arbitration pop,
-    /// `chaos_rotate_head`).
+    /// input × output pair. Maintained by both head mutations
+    /// (`try_inject` into an empty queue and the arbitration pop).
     head_dest: usize,
 }
 
@@ -80,7 +74,6 @@ impl IngressPort {
             queue: SimQueue::new("noc_input", cfg.input_buffer_pkts),
             dest_limit,
             injected: 0,
-            held_until: Cycle::ZERO,
             head_dest: usize::MAX,
         }
     }
@@ -88,35 +81,6 @@ impl IngressPort {
     /// Re-derives the mirrored head destination from the queue front.
     fn refresh_head(&mut self) {
         self.head_dest = self.queue.front().map_or(usize::MAX, |p| p.dest);
-    }
-
-    /// True while a chaos hold prevents the fabric from draining this port.
-    pub fn held(&self, now: Cycle) -> bool {
-        now < self.held_until
-    }
-
-    /// Fault injection: forbid arbitration out of this port until `until`.
-    /// Holds only ever extend — a later, shorter hold must not release a
-    /// longer one (notably the permanent `Cycle::NEVER` wedge fixture).
-    pub fn chaos_hold(&mut self, until: Cycle) {
-        self.held_until = self.held_until.max(until);
-    }
-
-    /// Fault injection: "drop" the head packet and immediately reinject it
-    /// at the tail of the same buffer. Conservation-safe (the packet never
-    /// leaves the port) but perturbs ordering like a retried transfer.
-    pub fn chaos_rotate_head(&mut self) {
-        if self.queue.len() < 2 {
-            return;
-        }
-        if let Some(pkt) = self.queue.pop() {
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "cannot fail: we just popped, so a slot is free"
-            )]
-            let _ = self.queue.push(pkt);
-        }
-        self.refresh_head();
     }
 
     /// True if this port can accept a packet this cycle.
@@ -252,6 +216,9 @@ impl EgressPort {
 /// and the counters that are inherently cross-port.
 #[derive(Debug)]
 struct CrossbarFabric {
+    /// Set for good by [`Crossbar::freeze_inputs`]: no input requests an
+    /// output, so no packet leaves an input buffer again.
+    frozen: bool,
     hop_latency: u64,
     flits_per_cycle: u64,
     flits_transferred: u64,
@@ -262,6 +229,7 @@ struct CrossbarFabric {
 impl CrossbarFabric {
     fn new(cfg: &NocConfig) -> Self {
         CrossbarFabric {
+            frozen: false,
             hop_latency: cfg.hop_latency,
             flits_per_cycle: cfg.flits_per_cycle.max(1),
             flits_transferred: 0,
@@ -279,13 +247,15 @@ impl CrossbarFabric {
         outputs: &mut [EgressPort],
     ) -> Result<(), SimError> {
         // Per-output request masks: bit `i` of `requests[o]` is set while
-        // the head packet of input `i` targets output `o`. Chaos-held
-        // inputs are invisible to arbitration until their hold expires; an
-        // empty input mirrors `usize::MAX` and requests nothing.
+        // the head packet of input `i` targets output `o`. An empty input
+        // mirrors `usize::MAX` and requests nothing, and a frozen fabric's
+        // inputs request nothing at all.
         let mut requests = [0u64; MAX_MASK_WIDTH];
-        for (in_idx, input) in inputs.iter().enumerate() {
-            if input.head_dest != usize::MAX && !input.held(now) {
-                requests[input.head_dest] |= 1 << in_idx;
+        if !self.frozen {
+            for (in_idx, input) in inputs.iter().enumerate() {
+                if input.head_dest != usize::MAX {
+                    requests[input.head_dest] |= 1 << in_idx;
+                }
             }
         }
 
@@ -482,10 +452,13 @@ impl Crossbar {
         self.fabric.tick(now, &mut self.ingress, &mut self.egress)
     }
 
-    /// Exclusive access to all input ports in port order (for the chaos
-    /// hooks).
-    pub fn ingress_ports_mut(&mut self) -> &mut [IngressPort] {
-        &mut self.ingress
+    /// Freezes every input port for good: from now on no packet leaves an
+    /// input buffer, while injection, streaming, landing and ejection go
+    /// on. This is the watchdog's wedge fixture; a healthy run never
+    /// calls it. Being permanent, it adds no event to
+    /// [`next_event`](Crossbar::next_event).
+    pub fn freeze_inputs(&mut self) {
+        self.fabric.frozen = true;
     }
 
     /// Iterates over every fetch currently inside the crossbar (input
@@ -510,11 +483,10 @@ impl Crossbar {
             .collect()
     }
 
-    /// Indices of input ports currently under a chaos hold.
-    pub fn held_ingress_ports(&self, now: Cycle) -> Vec<usize> {
-        (0..self.ingress.len())
-            .filter(|&i| self.ingress[i].held(now))
-            .collect()
+    /// True once [`freeze_inputs`](Crossbar::freeze_inputs) has frozen
+    /// the input ports (for wedge diagnosis).
+    pub fn inputs_frozen(&self) -> bool {
+        self.fabric.frozen
     }
 
     /// Indices of output ports whose ejection queue is full.
@@ -551,23 +523,19 @@ impl Crossbar {
     /// is pending.
     ///
     /// `Some(now)` whenever a tick would act: an output is mid-stream, an
-    /// in-flight packet has arrived, or an output holding a credit has an
-    /// unheld head-of-queue packet addressed to it. A credit-starved
-    /// crossbar — packets queued but every wanted output out of credits —
-    /// reports the earliest in-flight arrival or hold expiry (or `None`):
-    /// ticking it would move nothing, and the events that unblock it (a
-    /// receiver popping an ejection queue, a fresh injection) are the
-    /// caller's to see.
+    /// in-flight packet has arrived, or an output holding a credit has a
+    /// head-of-queue packet addressed to it. A credit-starved crossbar —
+    /// packets queued but every wanted output out of credits — reports
+    /// the earliest in-flight arrival (or `None`): ticking it would move
+    /// nothing, and the events that unblock it (a receiver popping an
+    /// ejection queue, a fresh injection) are the caller's to see.
     /// [`fast_forward`](Crossbar::fast_forward) replays the per-cycle
-    /// credit-stall accounting such a window accrues.
-    ///
-    /// A chaos-held input is invisible until its hold expires, as in
-    /// [`tick`](Crossbar::tick), and that expiry is itself an event when
-    /// the input has a head packet: from then on the packet competes for
-    /// its output, or counts credit stalls. A permanent
-    /// (`Cycle::NEVER`) hold never expires.
+    /// credit-stall accounting such a window accrues. Every state change
+    /// of a crossbar is one of these port events; none opens or closes on
+    /// a timer.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let (wanted, mut earliest) = self.wanted_outputs(now);
+        let wanted = self.wanted_outputs();
+        let mut earliest = None;
         for (out_idx, out) in self.egress.iter().enumerate() {
             if out.streaming.is_some() {
                 return Some(now);
@@ -588,22 +556,21 @@ impl Crossbar {
         earliest
     }
 
-    /// Replays `cycles` consecutive skipped ticks starting at `now`, over
-    /// a window [`next_event`](Crossbar::next_event) proved inert: no
-    /// packet moves, but a credit-starved output with a waiting
-    /// head-of-queue packet still counts a stall every cycle, exactly as
-    /// per-cycle ticking would. Also backfills queue-occupancy
-    /// observations for the window.
-    pub fn fast_forward(&mut self, now: Cycle, cycles: u64) {
+    /// Replays `cycles` consecutive skipped ticks over a window
+    /// [`next_event`](Crossbar::next_event) proved inert: no packet moves,
+    /// but a credit-starved output with a waiting head-of-queue packet
+    /// still counts a stall every cycle, exactly as per-cycle ticking
+    /// would. Also backfills queue-occupancy observations for the window.
+    pub fn fast_forward(&mut self, cycles: u64) {
         if cycles == 0 {
             return;
         }
-        self.account_stalls_many(now, cycles);
+        self.account_stalls_many(cycles);
         self.observe_many(cycles);
     }
 
-    fn account_stalls_many(&mut self, now: Cycle, cycles: u64) {
-        let (wanted, _) = self.wanted_outputs(now);
+    fn account_stalls_many(&mut self, cycles: u64) {
+        let wanted = self.wanted_outputs();
         let starved = self
             .egress
             .iter()
@@ -613,20 +580,16 @@ impl Crossbar {
         self.fabric.credit_stall_cycles += starved * cycles;
     }
 
-    /// Mask of the outputs some input's head packet targets, skipping
-    /// inputs under a chaos hold at `now`, and the earliest cycle such a
-    /// hold over a head packet expires.
-    fn wanted_outputs(&self, now: Cycle) -> (u64, Option<Cycle>) {
-        let mut wanted = 0u64;
-        let mut expiry: Option<Cycle> = None;
-        for q in self.ingress.iter().filter(|q| q.head_dest != usize::MAX) {
-            if !q.held(now) {
-                wanted |= 1 << q.head_dest;
-            } else if q.held_until != Cycle::NEVER {
-                expiry = Some(expiry.map_or(q.held_until, |e| e.min(q.held_until)));
-            }
+    /// Mask of the outputs some input's head packet targets; empty while
+    /// the inputs are frozen, as in [`tick`](Crossbar::tick).
+    fn wanted_outputs(&self) -> u64 {
+        if self.fabric.frozen {
+            return 0;
         }
-        (wanted, expiry)
+        self.ingress
+            .iter()
+            .filter(|q| q.head_dest != usize::MAX)
+            .fold(0, |wanted, q| wanted | 1 << q.head_dest)
     }
 
     /// True if no packet is anywhere inside the crossbar (for liveness and
@@ -869,18 +832,22 @@ mod tests {
     }
 
     #[test]
-    fn chaos_hold_freezes_arbitration_until_expiry() {
-        let mut x = Crossbar::new(1, 1, &cfg());
+    fn frozen_inputs_never_drain_and_are_no_event() {
+        let mut x = Crossbar::new(2, 1, &cfg());
         x.try_inject(0, pkt(1, 0, 1)).unwrap();
-        x.ingress_ports_mut()[0].chaos_hold(Cycle::new(5));
-        assert_eq!(x.held_ingress_ports(Cycle::ZERO), vec![0]);
-        run(&mut x, Cycle::ZERO, 5);
-        // Held: nothing moved in cycles 0..5.
+        assert!(!x.inputs_frozen());
+        x.freeze_inputs();
+        assert!(x.inputs_frozen());
+        assert_eq!(x.next_event(Cycle::ZERO), None);
+        let now = run(&mut x, Cycle::ZERO, 50);
+        // Injection still works; nothing ever leaves an input.
+        x.try_inject(1, pkt(2, 0, 1)).unwrap();
+        run(&mut x, now, 50);
+        assert_eq!(x.next_event(now + 50), None);
         assert_eq!(x.stats().flits_transferred, 0);
+        assert_eq!(x.stats().credit_stall_cycles, 0);
         assert!(x.peek_ejected(0).is_none());
-        run(&mut x, Cycle::new(5), 10);
-        assert!(x.pop_ejected(0).is_some());
-        assert!(x.is_idle());
+        assert_eq!(x.packets_in_network(), 2);
     }
 
     /// Drives `xbar` from `from` to `end` the way the simulator's run loop
@@ -897,7 +864,7 @@ mod tests {
                 }
                 ev => {
                     let target = ev.map_or(end, |t| t.min(end));
-                    xbar.fast_forward(now, target - now);
+                    xbar.fast_forward(target - now);
                     now = target;
                 }
             }
@@ -905,46 +872,29 @@ mod tests {
     }
 
     #[test]
-    fn hold_expiry_inside_a_jump_window_counts_its_credit_stalls() {
+    fn credit_starved_head_across_a_jump_counts_its_credit_stalls() {
         let setup = || {
             let mut x = Crossbar::new(2, 1, &cfg());
-            // Input 1 takes both of output 0's ejection credits; nothing
-            // ever pops them.
-            x.try_inject(1, pkt(1, 0, 1)).unwrap();
+            // Three packets for output 0's two ejection credits; nothing
+            // ever pops them, so from cycle 2 on the third waits on a
+            // credit every cycle: stepped while the other two are in
+            // flight, then across one jump to the end.
+            x.try_inject(0, pkt(1, 0, 1)).unwrap();
             x.try_inject(1, pkt(2, 0, 1)).unwrap();
-            let now = run(&mut x, Cycle::ZERO, 4);
-            // Input 0's packet for output 0 is held for 10 cycles, then
-            // stalls on the missing credit every cycle.
-            x.try_inject(0, pkt(3, 0, 1)).unwrap();
-            x.ingress_ports_mut()[0].chaos_hold(now + 10);
-            (x, now)
+            x.try_inject(1, pkt(3, 0, 1)).unwrap();
+            x
         };
-        let (mut stepped, start) = setup();
-        run(&mut stepped, start, 40);
-        let (mut jumped, _) = setup();
-        run_jumping(&mut jumped, start, start + 40);
-        assert_eq!(stepped.stats().credit_stall_cycles, 30);
+        let mut stepped = setup();
+        run(&mut stepped, Cycle::ZERO, 40);
+        let mut jumped = setup();
+        run_jumping(&mut jumped, Cycle::ZERO, Cycle::new(40));
+        assert_eq!(stepped.stats().credit_stall_cycles, 38);
         assert_eq!(jumped.stats(), stepped.stats());
         assert_eq!(jumped.input_queue_stats(), stepped.input_queue_stats());
         let ejection = |x: &Crossbar| -> Vec<QueueStats> {
             x.egress.iter().map(|o| o.ejection.stats()).collect()
         };
         assert_eq!(ejection(&jumped), ejection(&stepped));
-    }
-
-    #[test]
-    fn chaos_rotate_head_preserves_conservation() {
-        let mut x = Crossbar::new(1, 2, &cfg());
-        x.try_inject(0, pkt(1, 0, 1)).unwrap();
-        x.try_inject(0, pkt(2, 1, 1)).unwrap();
-        x.ingress_ports_mut()[0].chaos_rotate_head();
-        run(&mut x, Cycle::ZERO, 10);
-        // Both packets still arrive, head rotation only reordered them.
-        assert_eq!(x.pop_ejected(0).unwrap().fetch.id, FetchId::new(1));
-        assert_eq!(x.pop_ejected(1).unwrap().fetch.id, FetchId::new(2));
-        assert!(x.is_idle());
-        assert_eq!(x.stats().packets_injected, 2);
-        assert_eq!(x.stats().packets_ejected, 2);
     }
 
     #[test]
@@ -988,10 +938,7 @@ mod tests {
                 continue;
             }
             if out.credits == 0 {
-                if inputs
-                    .iter()
-                    .any(|q| q.head_dest == out_idx && !q.held(now))
-                {
+                if inputs.iter().any(|q| q.head_dest == out_idx) {
                     fabric.credit_stall_cycles += 1;
                 }
                 continue;
@@ -1000,7 +947,7 @@ mod tests {
             for step in 0..n_inputs {
                 let in_idx = (out.rr + step) % n_inputs;
                 let input = &mut inputs[in_idx];
-                if input.head_dest != out_idx || input.held(now) {
+                if input.head_dest != out_idx {
                     continue;
                 }
                 let pkt = input.queue.pop().unwrap();
@@ -1025,8 +972,7 @@ mod tests {
         /// Mask arbitration is the round-robin reference, cycle for cycle:
         /// same grants (including an input whose post-pop head feeds a later
         /// output in the same tick), same pointers, credits and counters,
-        /// under random traffic, receiver backpressure and chaos holds and
-        /// head rotations.
+        /// under random traffic and receiver backpressure.
         #[test]
         fn mask_arbitration_equals_round_robin_reference(
             inputs in 1usize..7,
@@ -1036,9 +982,6 @@ mod tests {
                 (
                     // Up to three injections: (input, dest, flits).
                     proptest::collection::vec((0usize..7, 0usize..5, 1u64..6), 0..4),
-                    // Chaos: hold (input, cycles) and rotate-head (input).
-                    proptest::option::of((0usize..7, 1u64..6)),
-                    proptest::option::of(0usize..7),
                     // Which outputs the receivers drain this cycle.
                     0u32..32,
                 ),
@@ -1050,16 +993,10 @@ mod tests {
             let mut reference = Crossbar::new(inputs, outputs, &cfg);
             let mut now = Cycle::ZERO;
             let mut id = 0u64;
-            for (injections, hold, rotate, drain) in cycles {
+            for (injections, drain) in cycles {
                 for x in [&mut masked, &mut reference] {
                     for (&(input, dest, flits), id) in injections.iter().zip(id..) {
                         let _ = x.try_inject(input % inputs, pkt(id, dest % outputs, flits));
-                    }
-                    if let Some((input, cycles)) = hold {
-                        x.ingress_ports_mut()[input % inputs].chaos_hold(now + cycles);
-                    }
-                    if let Some(input) = rotate {
-                        x.ingress_ports_mut()[input % inputs].chaos_rotate_head();
                     }
                 }
                 id += injections.len() as u64;

@@ -13,7 +13,6 @@ use gpumem_types::{
     SimError, WedgeDiagnosis,
 };
 
-use crate::chaos::{ChaosConfig, ChaosEngine};
 use crate::report::{build_report, lap, Bucket, HostPerf, StageClock};
 use crate::watchdog::Watchdog;
 use crate::{FixedLatencyMemory, MemoryPartition, SimReport};
@@ -67,8 +66,6 @@ pub struct GpuSimulator {
     pub(crate) skipped_cycles: u64,
     /// No-progress horizon in cycles; `None` disables the watchdog.
     pub(crate) watchdog_horizon: Option<u64>,
-    /// Active fault-injection engine, if chaos is configured.
-    pub(crate) chaos: Option<ChaosEngine>,
     /// The stage clock [`step`](GpuSimulator::step) laps during
     /// [`run_profiled`](GpuSimulator::run_profiled).
     prof: Option<Box<StageClock>>,
@@ -149,7 +146,6 @@ impl GpuSimulator {
             stepped_cycles: 0,
             skipped_cycles: 0,
             watchdog_horizon: None,
-            chaos: None,
             prof: None,
             jumping: false,
             parked: 0,
@@ -195,12 +191,17 @@ impl GpuSimulator {
         self.watchdog_horizon = horizon;
     }
 
-    /// Installs a seeded fault-injection schedule (see [`ChaosConfig`]).
-    /// A fully disabled config removes any active schedule. Each fault is
-    /// an event: [`run`](GpuSimulator::run) never jumps over an injection
-    /// cycle.
-    pub fn set_chaos(&mut self, config: ChaosConfig) {
-        self.chaos = config.any_fault_enabled().then(|| ChaosEngine::new(config));
+    /// Wedges the machine for good, the watchdog's test fixture: the
+    /// response crossbar's inputs freeze (see
+    /// [`Crossbar::freeze_inputs`]), so requests keep flowing down to the
+    /// partitions but no response ever comes back, and a run can only end
+    /// on the watchdog or the cycle budget. Call it before running. A
+    /// fixed-latency machine has no response network, and this does
+    /// nothing to it.
+    pub fn wedge_response_network(&mut self) {
+        if let Backend::Hierarchy { resp_xbar, .. } = &mut self.backend {
+            resp_xbar.freeze_inputs();
+        }
     }
 
     /// Current simulated cycle.
@@ -218,8 +219,7 @@ impl GpuSimulator {
     /// [`fast_forward_to`](GpuSimulator::fast_forward_to). The jump is
     /// observationally invisible: every [`SimReport`] field except the
     /// host-side [`SimReport::host`] block — and every error, wedge
-    /// diagnosis included — is bit-identical to `run_stepped`, with or
-    /// without chaos.
+    /// diagnosis included — is bit-identical to `run_stepped`.
     ///
     /// # Errors
     ///
@@ -231,7 +231,7 @@ impl GpuSimulator {
 
     /// [`run`](GpuSimulator::run) with per-stage host-time attribution,
     /// returning the profile alongside the report. Simulation results are
-    /// bit-identical to `run`, chaos and watchdog included; only
+    /// bit-identical to `run`, watchdog included; only
     /// host-side timing is collected.
     ///
     /// # Errors
@@ -442,10 +442,7 @@ impl GpuSimulator {
                 resp_xbar,
                 partitions,
             } => {
-                if fold(
-                    self.chaos.as_ref().and_then(ChaosEngine::next_fire),
-                    &mut earliest,
-                ) || fold(req_xbar.next_event(now), &mut earliest)
+                if fold(req_xbar.next_event(now), &mut earliest)
                     || fold(resp_xbar.next_event(now), &mut earliest)
                 {
                     return Some(now);
@@ -515,8 +512,8 @@ impl GpuSimulator {
                 for p in partitions.iter_mut() {
                     p.fast_forward(now, cycles);
                 }
-                req_xbar.fast_forward(now, cycles);
-                resp_xbar.fast_forward(now, cycles);
+                req_xbar.fast_forward(cycles);
+                resp_xbar.fast_forward(cycles);
             }
             Backend::Fixed(_) => {}
         }
@@ -555,16 +552,6 @@ impl GpuSimulator {
                 resp_xbar,
                 partitions,
             } => {
-                // Fault injection happens at the very start of the cycle,
-                // before any component acts.
-                if let Some(chaos) = &mut self.chaos {
-                    chaos.apply(
-                        now,
-                        req_xbar.ingress_ports_mut(),
-                        resp_xbar.ingress_ports_mut(),
-                        partitions,
-                    );
-                }
                 lap(&mut self.prof, Bucket::Sched);
                 for (p_idx, p) in partitions.iter_mut().enumerate() {
                     p.cycle(
@@ -843,22 +830,19 @@ impl GpuSimulator {
                 for i in req_xbar.full_ingress_ports() {
                     blocked_chain.push(format!("req_xbar.ingress[{i}](full)"));
                 }
-                for i in req_xbar.held_ingress_ports(now) {
-                    blocked_chain.push(format!("req_xbar.ingress[{i}](held)"));
-                }
                 for i in req_xbar.full_ejection_ports() {
                     blocked_chain.push(format!("req_xbar.ejection[{i}](full)"));
                 }
                 for (i, p) in partitions.iter().enumerate() {
-                    for stage in p.blocked_stages(now) {
+                    for stage in p.blocked_stages() {
                         blocked_chain.push(format!("partition[{i}].{stage}"));
                     }
                 }
                 for i in resp_xbar.full_ingress_ports() {
                     blocked_chain.push(format!("resp_xbar.ingress[{i}](full)"));
                 }
-                for i in resp_xbar.held_ingress_ports(now) {
-                    blocked_chain.push(format!("resp_xbar.ingress[{i}](held)"));
+                if resp_xbar.inputs_frozen() {
+                    blocked_chain.push("resp_xbar.ingress(frozen)".to_owned());
                 }
                 for i in resp_xbar.full_ejection_ports() {
                     blocked_chain.push(format!("resp_xbar.ejection[{i}](full)"));

@@ -66,14 +66,12 @@
 )]
 #![warn(missing_docs)]
 
-mod chaos;
 mod fixed;
 mod gpu;
 mod partition;
 mod report;
 mod watchdog;
 
-pub use chaos::ChaosConfig;
 pub use fixed::FixedLatencyMemory;
 pub use gpu::{GpuSimulator, MemoryMode};
 pub use partition::{L2Stats, MemoryPartition, PartitionTrace};

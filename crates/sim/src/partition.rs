@@ -149,12 +149,6 @@ pub struct MemoryPartition {
     dram: DramChannel,
     next_wb_seq: u64,
     stats: L2Stats,
-    /// Fault injection: the MSHR miss path stalls (as if the table were
-    /// full) before this cycle. `Cycle::ZERO` = inert.
-    chaos_mshr_until: Cycle,
-    /// Fault injection: no request is forwarded to the DRAM channel before
-    /// this cycle. `Cycle::ZERO` = inert.
-    chaos_dram_until: Cycle,
     trace: Option<Box<PartitionTrace>>,
     /// Host-time attribution: accumulate the wall time spent inside the
     /// DRAM channel (tick + return drain) when profiling is enabled.
@@ -212,8 +206,6 @@ impl MemoryPartition {
             dram: DramChannel::new(cfg, id.index()),
             next_wb_seq: 0,
             stats: L2Stats::default(),
-            chaos_mshr_until: Cycle::ZERO,
-            chaos_dram_until: Cycle::ZERO,
             trace: None,
             host_profile: false,
             host_dram_seconds: 0.0,
@@ -541,13 +533,6 @@ impl MemoryPartition {
             return Ok(());
         }
 
-        // Fault injection: a transient MSHR stall behaves exactly like a
-        // full table (inert while `chaos_mshr_until` is ZERO).
-        if now < self.chaos_mshr_until {
-            self.stats.stall_mshr += 1;
-            return Ok(());
-        }
-
         // Miss path: merge if outstanding, else allocate + fetch from DRAM.
         if self.mshr.contains(line) {
             if !self.mshr.can_accept(line) {
@@ -629,12 +614,6 @@ impl MemoryPartition {
     }
 
     fn forward_misses_to_dram(&mut self, now: Cycle) -> Result<(), SimError> {
-        // Fault injection: DRAM lockout — the channel stops accepting new
-        // requests (in-service ones still complete). Inert while
-        // `chaos_dram_until` is ZERO.
-        if now < self.chaos_dram_until {
-            return Ok(());
-        }
         if self.miss_queue.front().is_some() && self.dram.can_accept(AccessKind::Load) {
             if let Some(fetch) = self.miss_queue.pop() {
                 if self.dram.try_push(fetch, now).is_err() {
@@ -843,18 +822,6 @@ impl MemoryPartition {
         &self.dram
     }
 
-    /// Fault injection: stall the MSHR miss path (as if the table were
-    /// full) until `until`.
-    pub(crate) fn chaos_stall_mshr(&mut self, until: Cycle) {
-        self.chaos_mshr_until = until;
-    }
-
-    /// Fault injection: lock the DRAM channel intake (in-service requests
-    /// still complete) until `until`.
-    pub(crate) fn chaos_lock_dram(&mut self, until: Cycle) {
-        self.chaos_dram_until = until;
-    }
-
     /// Pipeline-ordered occupancy of every stage in this partition, for
     /// liveness reporting and wedge diagnosis. Stages with zero pending
     /// work are included so the breakdown has a stable shape.
@@ -889,7 +856,7 @@ impl MemoryPartition {
 
     /// Pipeline-ordered names of the stages currently unable to accept
     /// work — the raw material for a wedge diagnosis blocked chain.
-    pub(crate) fn blocked_stages(&self, now: Cycle) -> Vec<&'static str> {
+    pub(crate) fn blocked_stages(&self) -> Vec<&'static str> {
         let mut blocked = Vec::new();
         if self.access_queue.is_full() {
             blocked.push("l2_access(full)");
@@ -897,17 +864,11 @@ impl MemoryPartition {
         if self.mshr.len() >= self.mshr.capacity() {
             blocked.push("l2_mshr(full)");
         }
-        if now < self.chaos_mshr_until {
-            blocked.push("l2_mshr(chaos-stalled)");
-        }
         if self.miss_queue.is_full() {
             blocked.push("l2_miss(full)");
         }
         if self.wb_queue.is_full() {
             blocked.push("l2_writeback(full)");
-        }
-        if now < self.chaos_dram_until {
-            blocked.push("dram(locked)");
         }
         if !self.dram.can_accept(AccessKind::Load) {
             blocked.push("dram_sched(full)");

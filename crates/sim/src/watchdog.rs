@@ -2,7 +2,7 @@
 //!
 //! The budget check in [`GpuSimulator::run`](crate::GpuSimulator::run)
 //! bounds *total* cycles, but a wedged machine (a blocked-port cycle, a
-//! leaked MSHR entry, an injected fault that never clears) can burn the
+//! leaked MSHR entry, a port that never drains) can burn the
 //! whole budget making no progress at all. The [`Watchdog`] instead bounds
 //! *cycles since the last observable progress*: every loop iteration hands
 //! it a fingerprint of the monotone progress counters, and once the

@@ -177,8 +177,7 @@ pub struct SimtCore {
     /// draining empty, which un-parks the decoded memory instructions (to
     /// zero). A scan that issues leaves the bound at or below `now`, so
     /// the next cycle scans again. Nothing outside the core reaches warp
-    /// state — chaos hooks act on the interconnect and the partitions —
-    /// so the list is complete.
+    /// state, so the list is complete.
     ready_lb: Cycle,
     /// Memoized stall classification. While `Some`, consecutive stalled
     /// cycles replay this class without rescanning the warp set; every

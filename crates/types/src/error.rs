@@ -171,7 +171,7 @@ pub struct WedgeDiagnosis {
     pub components: Vec<ComponentOccupancy>,
     /// The oldest fetch visible in any queue, if any.
     pub oldest_fetch: Option<OldestFetch>,
-    /// Stages that are full or held, in pipeline order — the blocked
+    /// Stages that are full or frozen, in pipeline order — the blocked
     /// component chain the wedge propagates through.
     pub blocked_chain: Vec<String>,
 }
@@ -194,7 +194,7 @@ impl fmt::Display for WedgeDiagnosis {
             self.grid_ctas
         )?;
         if self.blocked_chain.is_empty() {
-            writeln!(f, "  blocked chain: (no full or held stage found)")?;
+            writeln!(f, "  blocked chain: (no full or frozen stage found)")?;
         } else {
             writeln!(f, "  blocked chain: {}", self.blocked_chain.join(" -> "))?;
         }
@@ -253,14 +253,17 @@ mod tests {
                 issued_at: 480,
                 waiting: 520,
             }),
-            blocked_chain: vec!["resp_xbar.ingress(held)".into(), "l2_to_icnt(full)".into()],
+            blocked_chain: vec![
+                "resp_xbar.ingress(frozen)".into(),
+                "l2_to_icnt(full)".into(),
+            ],
         };
         let s = SimError::Wedged {
             diagnosis: Box::new(d),
         }
         .to_string();
         assert!(s.contains("no progress since cycle 500"));
-        assert!(s.contains("resp_xbar.ingress(held) -> l2_to_icnt(full)"));
+        assert!(s.contains("resp_xbar.ingress(frozen) -> l2_to_icnt(full)"));
         assert!(s.contains("waiting 520 cycles"));
         assert!(s.contains("l2_to_icnt=8"));
     }

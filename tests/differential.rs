@@ -6,13 +6,15 @@
 //! per-cycle reference semantics) in every field except the host-side
 //! wall-clock block. [`GpuSimulator::run_profiled`] is the same loop again
 //! with a stage clock, and must agree too, and so must traced runs, whose
-//! latency breakdown a jump backfills.
+//! latency breakdown a jump backfills. An armed watchdog must not stop the
+//! jump, and a wedged machine ([`GpuSimulator::wedge_response_network`])
+//! must end on the same diagnosis through every run loop.
 
 use std::sync::Arc;
 
 use gpumem::prelude::*;
 use gpumem::DEFAULT_MAX_CYCLES;
-use gpumem_sim::{ChaosConfig, KernelProgram, SimError, TraceConfig};
+use gpumem_sim::{KernelProgram, SimError, TraceConfig};
 use gpumem_workloads::{extended_names, params_of, SyntheticKernel};
 
 fn small_gpu() -> GpuConfig {
@@ -197,18 +199,10 @@ fn watchdog_fires_identically_under_skipping() {
         }
     }
 
-    // Chaos wedges the response network: `nw` then sleeps until the
-    // no-progress watchdog trips, and only the clamp to that cycle keeps
-    // the jump from running on into the budget.
-    let wedged = || {
-        let mut sim = GpuSimulator::new(cfg.clone(), kernel("nw"), MemoryMode::Hierarchy);
-        sim.set_chaos(ChaosConfig {
-            wedge_at: Some(500),
-            ..ChaosConfig::standard(0)
-        });
-        sim.set_watchdog(Some(2_000));
-        sim
-    };
+    // With the response network wedged, `nw` sleeps until the no-progress
+    // watchdog trips, and only the clamp to that cycle keeps the jump from
+    // running on into the budget.
+    let wedged = || wedged_sim(&cfg, "nw", 2_000);
     let mut jumping = wedged();
     let a = jumping.run(DEFAULT_MAX_CYCLES).expect_err("wedged");
     let b = wedged()
@@ -220,6 +214,79 @@ fn watchdog_fires_identically_under_skipping() {
         other => panic!("expected a wedge diagnosis, got {other}"),
     }
     assert!(jumping.skipped_cycles() > 0, "the wedged run never jumped");
+}
+
+/// A hierarchy machine running `name` with the watchdog armed at
+/// `horizon` and the response network wedged before the first cycle.
+fn wedged_sim(cfg: &GpuConfig, name: &str, horizon: u64) -> GpuSimulator {
+    let mut sim = GpuSimulator::new(cfg.clone(), kernel(name), MemoryMode::Hierarchy);
+    sim.wedge_response_network();
+    sim.set_watchdog(Some(horizon));
+    sim
+}
+
+#[test]
+fn wedge_is_diagnosed_within_horizon_by_every_engine() {
+    // No response ever comes back, so every run loop must report
+    // `SimError::Wedged` exactly one horizon after progress stops, with a
+    // diagnosis naming the wedged response network and a stranded fetch.
+    const HORIZON: u64 = 5_000;
+    let cfg = small_gpu();
+    let stepped = wedged_sim(&cfg, "cfd", HORIZON)
+        .run_stepped(DEFAULT_MAX_CYCLES)
+        .expect_err("a wedged machine cannot complete");
+    let diagnosis = match &stepped {
+        SimError::Wedged { diagnosis } => diagnosis,
+        other => panic!("expected a wedge diagnosis, got {other}"),
+    };
+    assert_eq!(diagnosis.horizon, HORIZON);
+    assert_eq!(
+        diagnosis.cycle - diagnosis.last_progress_cycle,
+        HORIZON,
+        "watchdog must fire exactly at its horizon"
+    );
+    assert!(
+        diagnosis
+            .blocked_chain
+            .iter()
+            .any(|c| c.starts_with("resp_xbar")),
+        "the chain must name the wedged response network: {:?}",
+        diagnosis.blocked_chain
+    );
+    assert!(!diagnosis.components.is_empty());
+    assert!(
+        diagnosis.oldest_fetch.is_some(),
+        "a wedge strands at least one in-flight fetch"
+    );
+
+    let jumping = wedged_sim(&cfg, "cfd", HORIZON)
+        .run(DEFAULT_MAX_CYCLES)
+        .expect_err("wedged");
+    assert_eq!(jumping, stepped, "run() diverged");
+    let profiled = wedged_sim(&cfg, "cfd", HORIZON)
+        .run_profiled(DEFAULT_MAX_CYCLES)
+        .expect_err("wedged");
+    assert_eq!(profiled, stepped, "run_profiled() diverged");
+}
+
+#[test]
+fn armed_runs_jump_and_match_the_stepped_oracle() {
+    // An armed watchdog only clamps a jump to the cycle it would trip at:
+    // a run that completes must still jump, and land on the stepped
+    // oracle's report.
+    let cfg = small_gpu();
+    for mode in [MemoryMode::Hierarchy, MemoryMode::FixedLatency(800)] {
+        let sim = || {
+            let mut sim = GpuSimulator::new(cfg.clone(), kernel("nw"), mode);
+            sim.set_watchdog(Some(5_000));
+            sim
+        };
+        let mut jumping = sim();
+        let report = jumping.run(DEFAULT_MAX_CYCLES).unwrap();
+        assert!(jumping.skipped_cycles() > 0, "{mode}: never jumped");
+        let reference = sim().run_stepped(DEFAULT_MAX_CYCLES).unwrap();
+        assert_eq!(canonical(report), canonical(reference), "{mode}");
+    }
 }
 
 #[test]
