@@ -263,10 +263,35 @@ fn wedge_is_diagnosed_within_horizon_by_every_engine() {
         .run(DEFAULT_MAX_CYCLES)
         .expect_err("wedged");
     assert_eq!(jumping, stepped, "run() diverged");
-    let profiled = wedged_sim(&cfg, "cfd", HORIZON)
+}
+
+#[test]
+fn profiled_runs_honour_the_watchdog() {
+    // run_profiled is the run loop with a stage clock: armed, it must
+    // complete on the stepped oracle's report, and wedged, end on the
+    // oracle's diagnosis.
+    let cfg = small_gpu();
+    let armed = || {
+        let mut sim = GpuSimulator::new(cfg.clone(), kernel("cfd"), MemoryMode::Hierarchy);
+        sim.set_watchdog(Some(5_000));
+        sim
+    };
+    let (report, _) = armed().run_profiled(DEFAULT_MAX_CYCLES).unwrap();
+    let reference = armed().run_stepped(DEFAULT_MAX_CYCLES).unwrap();
+    assert_eq!(
+        canonical(report),
+        canonical(reference),
+        "armed run diverged"
+    );
+
+    let profiled = wedged_sim(&cfg, "cfd", 2_000)
         .run_profiled(DEFAULT_MAX_CYCLES)
         .expect_err("wedged");
-    assert_eq!(profiled, stepped, "run_profiled() diverged");
+    let stepped = wedged_sim(&cfg, "cfd", 2_000)
+        .run_stepped(DEFAULT_MAX_CYCLES)
+        .expect_err("wedged");
+    assert!(matches!(stepped, SimError::Wedged { .. }), "{stepped}");
+    assert_eq!(profiled, stepped, "wedged run diverged");
 }
 
 #[test]
