@@ -483,12 +483,6 @@ impl Crossbar {
             .collect()
     }
 
-    /// True once [`freeze_inputs`](Crossbar::freeze_inputs) has frozen
-    /// the input ports (for wedge diagnosis).
-    pub fn inputs_frozen(&self) -> bool {
-        self.fabric.frozen
-    }
-
     /// Indices of output ports whose ejection queue is full.
     pub fn full_ejection_ports(&self) -> Vec<usize> {
         (0..self.egress.len())
@@ -835,9 +829,7 @@ mod tests {
     fn frozen_inputs_never_drain_and_are_no_event() {
         let mut x = Crossbar::new(2, 1, &cfg());
         x.try_inject(0, pkt(1, 0, 1)).unwrap();
-        assert!(!x.inputs_frozen());
         x.freeze_inputs();
-        assert!(x.inputs_frozen());
         assert_eq!(x.next_event(Cycle::ZERO), None);
         let now = run(&mut x, Cycle::ZERO, 50);
         // Injection still works; nothing ever leaves an input.

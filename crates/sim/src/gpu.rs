@@ -841,9 +841,6 @@ impl GpuSimulator {
                 for i in resp_xbar.full_ingress_ports() {
                     blocked_chain.push(format!("resp_xbar.ingress[{i}](full)"));
                 }
-                if resp_xbar.inputs_frozen() {
-                    blocked_chain.push("resp_xbar.ingress(frozen)".to_owned());
-                }
                 for i in resp_xbar.full_ejection_ports() {
                     blocked_chain.push(format!("resp_xbar.ejection[{i}](full)"));
                 }

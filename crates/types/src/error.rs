@@ -171,7 +171,7 @@ pub struct WedgeDiagnosis {
     pub components: Vec<ComponentOccupancy>,
     /// The oldest fetch visible in any queue, if any.
     pub oldest_fetch: Option<OldestFetch>,
-    /// Stages that are full or frozen, in pipeline order — the blocked
+    /// Stages that are full, in pipeline order — the blocked
     /// component chain the wedge propagates through.
     pub blocked_chain: Vec<String>,
 }
@@ -194,7 +194,7 @@ impl fmt::Display for WedgeDiagnosis {
             self.grid_ctas
         )?;
         if self.blocked_chain.is_empty() {
-            writeln!(f, "  blocked chain: (no full or frozen stage found)")?;
+            writeln!(f, "  blocked chain: (no full stage found)")?;
         } else {
             writeln!(f, "  blocked chain: {}", self.blocked_chain.join(" -> "))?;
         }
@@ -254,7 +254,7 @@ mod tests {
                 waiting: 520,
             }),
             blocked_chain: vec![
-                "resp_xbar.ingress(frozen)".into(),
+                "resp_xbar.ingress[0](full)".into(),
                 "l2_to_icnt(full)".into(),
             ],
         };
@@ -263,7 +263,7 @@ mod tests {
         }
         .to_string();
         assert!(s.contains("no progress since cycle 500"));
-        assert!(s.contains("resp_xbar.ingress(frozen) -> l2_to_icnt(full)"));
+        assert!(s.contains("resp_xbar.ingress[0](full) -> l2_to_icnt(full)"));
         assert!(s.contains("waiting 520 cycles"));
         assert!(s.contains("l2_to_icnt=8"));
     }

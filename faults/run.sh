@@ -9,8 +9,7 @@
 #
 #   --tree DIR      checkout to copy (default: the one holding this script)
 #   --work DIR      scratch directory for the copy, build and logs
-#                   (default: ${TMPDIR:-/tmp}/gpumem-faults); reused, so a
-#                   second run builds incrementally
+#                   (default: ${TMPDIR:-/tmp}/gpumem-faults)
 #   --also CATCHER  run this catcher for every patch, on top of its own
 #   PATCH...        patches to run (default: every faults/*.patch)
 #
@@ -22,9 +21,8 @@
 #   # expect: caught                       or `missed`, with the reason on the line
 #
 # A catcher catches a fault when it exits non-zero (a failed test, a
-# tripped debug assertion, or a hang cut by the per-catcher timeout,
-# FAULT_TIMEOUT seconds, default 300). Every catcher must pass on the
-# unpatched copy first.
+# tripped debug assertion, or a hang cut by the 300 s per-catcher
+# timeout). Every catcher must pass on the unpatched copy first.
 #
 # Exit status: 0 when every fault marked `expect: caught` is caught; 1 when
 # one is missed, a patch no longer applies or a patched tree does not build,
@@ -49,7 +47,9 @@ done
 if [ ${#patches[@]} -eq 0 ]; then
     patches=("$here"/[0-9][0-9][0-9]-*.patch)
 fi
-timeout_s="${FAULT_TIMEOUT:-300}"
+# Every catcher finishes well inside a minute on 2 CPUs, so one still
+# running after 300 s is hung.
+timeout_s=300
 
 copy="$work/tree"
 logs="$work/logs"
@@ -60,8 +60,10 @@ mkdir -p "$work" "$logs"
 echo "copying $tree to $copy" >&2
 rm -rf "$copy"
 mkdir -p "$copy"
+# Extracted with fresh mtimes: a kept target dir may hold a build of a
+# patched file whose original mtime is older, which cargo would reuse.
 tar -C "$tree" --exclude=./.git --exclude='./target' --exclude='./benchmark' -cf - . \
-    | tar -C "$copy" -xf - || exit 1
+    | tar -C "$copy" --touch -xf - || exit 1
 
 catchers_of() {
     sed -n 's/^# catch: *//p' "$1"

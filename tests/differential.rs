@@ -204,10 +204,8 @@ fn watchdog_fires_identically_under_skipping() {
     // running on into the budget.
     let wedged = || wedged_sim(&cfg, "nw", 2_000);
     let mut jumping = wedged();
-    let a = jumping.run(DEFAULT_MAX_CYCLES).expect_err("wedged");
-    let b = wedged()
-        .run_stepped(DEFAULT_MAX_CYCLES)
-        .expect_err("wedged");
+    let a = jumping.run(WEDGE_CAP).expect_err("wedged");
+    let b = wedged().run_stepped(WEDGE_CAP).expect_err("wedged");
     assert_eq!(a, b, "nw/wedged: watchdog divergence");
     match a {
         SimError::Wedged { diagnosis } => assert_eq!(diagnosis.horizon, 2_000),
@@ -215,6 +213,12 @@ fn watchdog_fires_identically_under_skipping() {
     }
     assert!(jumping.skipped_cycles() > 0, "the wedged run never jumped");
 }
+
+/// Cycle budget for wedged runs: far past horizon plus the time to fill
+/// the hierarchy, yet small enough that a watchdog which never fires
+/// fails the test in seconds with a budget error instead of stepping
+/// `DEFAULT_MAX_CYCLES`.
+const WEDGE_CAP: u64 = 2_000_000;
 
 /// A hierarchy machine running `name` with the watchdog armed at
 /// `horizon` and the response network wedged before the first cycle.
@@ -233,7 +237,7 @@ fn wedge_is_diagnosed_within_horizon_by_every_engine() {
     const HORIZON: u64 = 5_000;
     let cfg = small_gpu();
     let stepped = wedged_sim(&cfg, "cfd", HORIZON)
-        .run_stepped(DEFAULT_MAX_CYCLES)
+        .run_stepped(WEDGE_CAP)
         .expect_err("a wedged machine cannot complete");
     let diagnosis = match &stepped {
         SimError::Wedged { diagnosis } => diagnosis,
@@ -245,14 +249,21 @@ fn wedge_is_diagnosed_within_horizon_by_every_engine() {
         HORIZON,
         "watchdog must fire exactly at its horizon"
     );
-    assert!(
-        diagnosis
-            .blocked_chain
-            .iter()
-            .any(|c| c.starts_with("resp_xbar")),
-        "the chain must name the wedged response network: {:?}",
-        diagnosis.blocked_chain
-    );
+    // The frozen inputs back up into every partition: each response
+    // input buffer fills, and behind it each partition's L2-to-network
+    // queue.
+    for i in 0..cfg.num_partitions {
+        for stage in [
+            format!("resp_xbar.ingress[{i}](full)"),
+            format!("partition[{i}].l2_to_icnt(full)"),
+        ] {
+            assert!(
+                diagnosis.blocked_chain.contains(&stage),
+                "the chain must name {stage}: {:?}",
+                diagnosis.blocked_chain
+            );
+        }
+    }
     assert!(!diagnosis.components.is_empty());
     assert!(
         diagnosis.oldest_fetch.is_some(),
@@ -260,7 +271,7 @@ fn wedge_is_diagnosed_within_horizon_by_every_engine() {
     );
 
     let jumping = wedged_sim(&cfg, "cfd", HORIZON)
-        .run(DEFAULT_MAX_CYCLES)
+        .run(WEDGE_CAP)
         .expect_err("wedged");
     assert_eq!(jumping, stepped, "run() diverged");
 }
@@ -285,10 +296,10 @@ fn profiled_runs_honour_the_watchdog() {
     );
 
     let profiled = wedged_sim(&cfg, "cfd", 2_000)
-        .run_profiled(DEFAULT_MAX_CYCLES)
+        .run_profiled(WEDGE_CAP)
         .expect_err("wedged");
     let stepped = wedged_sim(&cfg, "cfd", 2_000)
-        .run_stepped(DEFAULT_MAX_CYCLES)
+        .run_stepped(WEDGE_CAP)
         .expect_err("wedged");
     assert!(matches!(stepped, SimError::Wedged { .. }), "{stepped}");
     assert_eq!(profiled, stepped, "wedged run diverged");
