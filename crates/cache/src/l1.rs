@@ -192,6 +192,7 @@ impl L1Dcache {
     /// # Errors
     ///
     /// The reason the access stays in `head` and must be retried.
+    #[inline]
     pub fn access_head(
         &mut self,
         head: &mut Option<MemFetch>,
@@ -233,7 +234,7 @@ impl L1Dcache {
         if fetch.kind == AccessKind::Load {
             let set = self.set_of(line);
             if let Some(way) = self.tags.probe(set, line) {
-                self.tags.record_hit(set, way, now);
+                self.tags.touch_way(set, way, now);
                 return Ok(L1AccessOutcome::Hit);
             }
         }
@@ -284,10 +285,9 @@ impl L1Dcache {
     }
 
     /// Moves an access [`admit`](Self::admit)ted as `outcome` to where it
-    /// waits next and counts it — including the tag array's demand miss,
-    /// once per accepted access rather than once per stalled retry. The
-    /// error paths are unreachable after `admit`; they hand the body back
-    /// and stall rather than panic in the model hot path.
+    /// waits next and counts it. The error paths are unreachable after
+    /// `admit`; they hand the body back and stall rather than panic in the
+    /// model hot path.
     #[expect(
         clippy::result_large_err,
         reason = "the rejected fetch is handed back by design"
@@ -316,7 +316,6 @@ impl L1Dcache {
                     self.stats.mshr_merge_stalls += 1;
                     return Err((fetch, L1BlockReason::MshrMergeCapacity));
                 }
-                self.tags.record_miss();
                 self.stats.load_misses += 1;
                 self.stats.merged_misses += 1;
             }
@@ -332,7 +331,6 @@ impl L1Dcache {
                     self.mshr.complete(line);
                     return Err(refused);
                 }
-                self.tags.record_miss();
                 self.stats.load_misses += 1;
             }
             L1AccessOutcome::StoreAccepted => {
@@ -365,6 +363,7 @@ impl L1Dcache {
     }
 
     /// Takes one completed load hit whose latency has elapsed, if any.
+    #[inline]
     pub fn pop_ready_hit(&mut self, now: Cycle) -> Option<MemFetch> {
         let (_, slot) = self.ready_hits.pop_due(now)?;
         Some(self.arena.take(slot))
@@ -376,12 +375,14 @@ impl L1Dcache {
     }
 
     /// The fill request at the head of the miss queue, if any.
+    #[inline]
     pub fn peek_miss(&self) -> Option<&MemFetch> {
         self.miss_queue.front()
     }
 
     /// Removes the head fill request (after successful injection into the
     /// interconnect).
+    #[inline]
     pub fn pop_miss(&mut self) -> Option<MemFetch> {
         let fetch = self.miss_queue.pop()?;
         self.refused = None;
@@ -403,6 +404,7 @@ impl L1Dcache {
 
     /// [`fill`](L1Dcache::fill) appending to a caller-owned buffer, so a
     /// per-cycle owner can reuse one allocation.
+    #[inline]
     pub fn fill_into(&mut self, fetch: MemFetch, now: Cycle, done: &mut Vec<MemFetch>) {
         self.refused = None;
         let line = fetch.line;
@@ -425,11 +427,13 @@ impl L1Dcache {
     }
 
     /// Ready time of the earliest queued hit response, if any.
+    #[inline]
     pub fn next_ready_hit(&self) -> Option<Cycle> {
         self.ready_hits.next_due()
     }
 
     /// Per-cycle bookkeeping (queue occupancy statistics).
+    #[inline]
     pub fn observe(&mut self) {
         self.miss_queue.observe();
     }
@@ -437,6 +441,7 @@ impl L1Dcache {
     /// True if the remembered refusal answers for `fetch`: presenting it
     /// again would be refused for the same reason without a probe, and
     /// would change nothing but that reason's stall counter.
+    #[inline]
     pub fn refusal_stands(&self, fetch: &MemFetch) -> bool {
         self.refused
             .is_some_and(|(kind, line, _)| (kind, line) == (fetch.kind, fetch.line))
@@ -473,11 +478,13 @@ impl L1Dcache {
     }
 
     /// Number of outstanding MSHR entries (for stall diagnosis).
+    #[inline]
     pub fn outstanding_misses(&self) -> usize {
         self.mshr.len()
     }
 
     /// Current miss-queue depth (for the trace layer's occupancy probes).
+    #[inline]
     pub fn miss_queue_len(&self) -> usize {
         self.miss_queue.len()
     }

@@ -23,22 +23,14 @@ pub enum ReplacementOutcome {
     Evicted(EvictedLine),
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    line: LineAddr,
-    dirty: bool,
-    last_use: u64,
-    valid: bool,
-}
+/// Ways per tag line: eight 8-byte tags fill one 64-byte cache line.
+const WAYS_PER_LINE: usize = 8;
 
-impl Way {
-    const INVALID: Way = Way {
-        line: LineAddr::new(0),
-        dirty: false,
-        last_use: 0,
-        valid: false,
-    };
-}
+/// The tags of eight consecutive ways of one set, cache-line aligned, so a
+/// probe of an 8-way set reads one line.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(align(64))]
+struct TagLine([u64; WAYS_PER_LINE]);
 
 /// A set-associative tag array with true-LRU replacement.
 ///
@@ -46,6 +38,9 @@ impl Way {
 /// type serves L1 set mapping and the partition/bank-interleaved L2
 /// mapping), and whether hits/fills mark lines dirty (write-back L2) or not
 /// (write-through L1).
+///
+/// Laid out as a structure of arrays: the probe reads only the tags, and
+/// the LRU stamps and dirty bits sit in arrays of their own.
 ///
 /// # Example
 ///
@@ -66,9 +61,21 @@ impl Way {
 pub struct TagArray {
     sets: usize,
     assoc: usize,
-    ways: Vec<Way>,
-    hits: u64,
-    misses: u64,
+    /// Tag lines per set: `assoc` rounded up to whole lines.
+    lines_per_set: usize,
+    /// Per way, `line + 1`, or 0 while the way is invalid. The ways that
+    /// pad a set to whole lines stay 0, so a probe for a line (key ≥ 1)
+    /// may scan them.
+    tags: Vec<TagLine>,
+    /// Per way (`set * assoc + way`), the cycle of its last fill or hit.
+    last_use: Vec<u64>,
+    /// Per way (`set * assoc + way`), whether its line is dirty.
+    dirty: Vec<bool>,
+}
+
+/// A line's tag: its address plus one, so that 0 means invalid.
+fn key(line: LineAddr) -> u64 {
+    line.index() + 1
 }
 
 impl TagArray {
@@ -80,12 +87,14 @@ impl TagArray {
     pub fn new(sets: usize, assoc: usize) -> Self {
         assert!(sets > 0, "sets must be positive");
         assert!(assoc > 0, "associativity must be positive");
+        let lines_per_set = assoc.div_ceil(WAYS_PER_LINE);
         TagArray {
             sets,
             assoc,
-            ways: vec![Way::INVALID; sets * assoc],
-            hits: 0,
-            misses: 0,
+            lines_per_set,
+            tags: vec![TagLine::default(); sets * lines_per_set],
+            last_use: vec![0; sets * assoc],
+            dirty: vec![false; sets * assoc],
         }
     }
 
@@ -99,142 +108,133 @@ impl TagArray {
         self.assoc
     }
 
-    fn set_slice(&self, set: usize) -> &[Way] {
-        &self.ways[set * self.assoc..(set + 1) * self.assoc]
+    /// The tag lines of `set`.
+    fn set_lines(&self, set: usize) -> &[TagLine] {
+        &self.tags[set * self.lines_per_set..(set + 1) * self.lines_per_set]
     }
 
-    fn set_slice_mut(&mut self, set: usize) -> &mut [Way] {
-        &mut self.ways[set * self.assoc..(set + 1) * self.assoc]
+    /// The way of `set` whose tag is `key`, padding included; for `key`
+    /// 0 that is the first invalid way or a padding way.
+    fn find(&self, set: usize, key: u64) -> Option<usize> {
+        self.set_lines(set)
+            .iter()
+            .enumerate()
+            .find_map(|(i, l)| Some(i * WAYS_PER_LINE + l.0.iter().position(|&t| t == key)?))
     }
 
-    /// Looks up `line` in `set` without updating LRU state or counters.
+    /// The tags of `set`, padding included, in way order.
+    fn set_tags(&self, set: usize) -> impl Iterator<Item = u64> + '_ {
+        self.set_lines(set).iter().flat_map(|l| l.0)
+    }
+
+    fn tag_mut(&mut self, set: usize, way: usize) -> &mut u64 {
+        &mut self.tags[set * self.lines_per_set + way / WAYS_PER_LINE].0[way % WAYS_PER_LINE]
+    }
+
+    /// Looks up `line` in `set` without updating LRU state.
     ///
     /// # Panics
     ///
     /// Panics if `set` is out of range.
+    #[inline]
     pub fn probe(&self, set: usize, line: LineAddr) -> Option<usize> {
         assert!(set < self.sets, "set {set} out of range");
-        self.set_slice(set)
-            .iter()
-            .position(|w| w.valid && w.line == line)
+        self.find(set, key(line))
     }
 
     /// Performs a demand access: on hit, refreshes LRU and returns `true`;
-    /// on miss returns `false`. Hit/miss counters are updated.
+    /// on miss returns `false`.
+    #[inline]
     pub fn access(&mut self, set: usize, line: LineAddr, now: Cycle) -> bool {
         let way = self.probe(set, line);
-        match way {
-            Some(way) => self.record_hit(set, way, now),
-            None => self.record_miss(),
+        if let Some(way) = way {
+            self.touch_way(set, way, now);
         }
         way.is_some()
     }
 
-    /// The hit half of [`access`](Self::access) for a caller that already
-    /// [`probe`](Self::probe)d `way`: refreshes LRU and counts the hit.
-    pub(crate) fn record_hit(&mut self, set: usize, way: usize, now: Cycle) {
-        self.set_slice_mut(set)[way].last_use = now.raw();
-        self.hits += 1;
+    /// Refreshes the LRU state of `way`, which the caller
+    /// [`probe`](Self::probe)d.
+    pub(crate) fn touch_way(&mut self, set: usize, way: usize, now: Cycle) {
+        self.last_use[set * self.assoc + way] = now.raw();
     }
 
-    /// The miss half of [`access`](Self::access), for a caller whose
-    /// [`probe`](Self::probe) missed and who may yet refuse the access:
-    /// counts one demand miss.
-    pub(crate) fn record_miss(&mut self) {
-        self.misses += 1;
-    }
-
-    /// Refreshes LRU state for a line known to be resident (no counter
-    /// update). No-op if the line is absent.
+    /// Refreshes LRU state for a line known to be resident. No-op if the
+    /// line is absent.
     pub fn touch(&mut self, set: usize, line: LineAddr, now: Cycle) {
         if let Some(way) = self.probe(set, line) {
-            self.set_slice_mut(set)[way].last_use = now.raw();
+            self.touch_way(set, way, now);
         }
     }
 
     /// Marks a resident line dirty (write-back caches). Returns `true` if
     /// the line was present.
+    #[inline]
     pub fn mark_dirty(&mut self, set: usize, line: LineAddr) -> bool {
         if let Some(way) = self.probe(set, line) {
-            self.set_slice_mut(set)[way].dirty = true;
+            self.dirty[set * self.assoc + way] = true;
             true
         } else {
             false
         }
     }
 
-    /// Installs `line` into `set`, evicting the LRU way if no invalid way
-    /// exists. The new line starts clean.
+    /// Installs `line` into `set`: into the first invalid way, else over
+    /// the least recently used one (the first, on a tie). The new line
+    /// starts clean.
+    #[inline]
     pub fn fill(&mut self, set: usize, line: LineAddr, now: Cycle) -> ReplacementOutcome {
-        if self.probe(set, line).is_some() {
-            self.touch(set, line, now);
+        if let Some(way) = self.probe(set, line) {
+            self.touch_way(set, way, now);
             return ReplacementOutcome::AlreadyPresent;
         }
-        let assoc = self.assoc;
-        let ways = self.set_slice_mut(set);
-        let victim = match ways.iter().position(|w| !w.valid) {
+        let base = set * self.assoc;
+        let victim = match self.find(set, 0).filter(|&way| way < self.assoc) {
             Some(free) => free,
             None => {
+                let stamps = &self.last_use[base..base + self.assoc];
                 let mut lru = 0;
-                for i in 1..assoc {
-                    if ways[i].last_use < ways[lru].last_use {
-                        lru = i;
+                for (way, &stamp) in stamps.iter().enumerate().skip(1) {
+                    if stamp < stamps[lru] {
+                        lru = way;
                     }
                 }
                 lru
             }
         };
-        let outcome = if ways[victim].valid {
-            ReplacementOutcome::Evicted(EvictedLine {
-                line: ways[victim].line,
-                dirty: ways[victim].dirty,
-            })
-        } else {
+        let old = std::mem::replace(self.tag_mut(set, victim), key(line));
+        let dirty = std::mem::replace(&mut self.dirty[base + victim], false);
+        self.last_use[base + victim] = now.raw();
+        if old == 0 {
             ReplacementOutcome::FilledFree
-        };
-        ways[victim] = Way {
-            line,
-            dirty: false,
-            last_use: now.raw(),
-            valid: true,
-        };
-        outcome
+        } else {
+            ReplacementOutcome::Evicted(EvictedLine {
+                line: LineAddr::new(old - 1),
+                dirty,
+            })
+        }
     }
 
     /// Invalidates a resident line. Returns its eviction record if present.
     pub fn invalidate(&mut self, set: usize, line: LineAddr) -> Option<EvictedLine> {
         let way = self.probe(set, line)?;
-        let w = &mut self.set_slice_mut(set)[way];
-        let record = EvictedLine {
-            line: w.line,
-            dirty: w.dirty,
-        };
-        w.valid = false;
-        w.dirty = false;
-        Some(record)
-    }
-
-    /// Demand hits recorded by [`access`](Self::access).
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Demand misses recorded by [`access`](Self::access).
-    pub fn misses(&self) -> u64 {
-        self.misses
+        *self.tag_mut(set, way) = 0;
+        let dirty = std::mem::replace(&mut self.dirty[set * self.assoc + way], false);
+        Some(EvictedLine { line, dirty })
     }
 
     /// Number of currently valid lines (for invariant checks).
     pub fn valid_lines(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
+        (0..self.sets)
+            .map(|set| self.set_tags(set).filter(|&t| t != 0).count())
+            .sum()
     }
 
     /// Iterates over the valid lines of a set (for invariant checks).
     pub fn lines_in_set(&self, set: usize) -> impl Iterator<Item = LineAddr> + '_ {
-        self.set_slice(set)
-            .iter()
-            .filter(|w| w.valid)
-            .map(|w| w.line)
+        self.set_tags(set)
+            .filter(|&t| t != 0)
+            .map(|t| LineAddr::new(t - 1))
     }
 }
 
@@ -249,8 +249,6 @@ mod tests {
         assert!(!t.access(0, l, Cycle::new(1)));
         assert_eq!(t.fill(0, l, Cycle::new(2)), ReplacementOutcome::FilledFree);
         assert!(t.access(0, l, Cycle::new(3)));
-        assert_eq!(t.hits(), 1);
-        assert_eq!(t.misses(), 1);
     }
 
     #[test]

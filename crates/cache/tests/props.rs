@@ -32,12 +32,16 @@ fn tag_ops() -> impl Strategy<Value = Vec<TagOp>> {
 proptest! {
     /// Tag-array invariants: no duplicate tags within a set, valid lines
     /// never exceed capacity, and a line reported resident really was
-    /// filled and not yet evicted (tracked by a model set).
+    /// filled and not yet evicted. A model of the resident lines, with each
+    /// one's dirty bit and last-use cycle, fixes every outcome: a fill
+    /// evicts only from a full set, and then the least recently used line,
+    /// dirty exactly if a store marked it since its own fill.
     #[test]
-    fn tag_array_consistency(sets_log in 0u32..4, assoc in 1usize..8, ops in tag_ops()) {
+    fn tag_array_consistency(sets_log in 0u32..4, assoc in 1usize..12, ops in tag_ops()) {
         let sets = 1usize << sets_log;
         let mut tags = TagArray::new(sets, assoc);
-        let mut resident: HashSet<u64> = HashSet::new();
+        // line -> (dirty, last use)
+        let mut resident: HashMap<u64, (bool, u64)> = HashMap::new();
         let mut now = Cycle::ZERO;
         for op in ops {
             now = now.next();
@@ -45,30 +49,48 @@ proptest! {
                 TagOp::Access(l) => {
                     let set = (l % sets as u64) as usize;
                     let hit = tags.access(set, LineAddr::new(l), now);
-                    prop_assert_eq!(hit, resident.contains(&l), "line {}", l);
+                    prop_assert_eq!(hit, resident.contains_key(&l), "line {}", l);
+                    if let Some(entry) = resident.get_mut(&l) {
+                        entry.1 = now.raw();
+                    }
                 }
                 TagOp::Fill(l) => {
                     let set = (l % sets as u64) as usize;
+                    let in_set: Vec<(u64, bool, u64)> = resident
+                        .iter()
+                        .filter(|(&r, _)| (r % sets as u64) as usize == set)
+                        .map(|(&r, &(dirty, used))| (r, dirty, used))
+                        .collect();
                     match tags.fill(set, LineAddr::new(l), now) {
                         ReplacementOutcome::Evicted(e) => {
-                            prop_assert!(resident.remove(&e.line.index()));
+                            prop_assert_eq!(in_set.len(), assoc);
+                            let lru = in_set.iter().min_by_key(|&&(_, _, used)| used).unwrap();
+                            prop_assert_eq!((e.line.index(), e.dirty), (lru.0, lru.1));
+                            resident.remove(&e.line.index());
                         }
-                        ReplacementOutcome::FilledFree => {}
+                        ReplacementOutcome::FilledFree => {
+                            prop_assert!(in_set.len() < assoc);
+                        }
                         ReplacementOutcome::AlreadyPresent => {
-                            prop_assert!(resident.contains(&l));
+                            prop_assert!(resident.contains_key(&l));
                         }
                     }
-                    resident.insert(l);
+                    let dirty = resident.get(&l).is_some_and(|&(dirty, _)| dirty);
+                    resident.insert(l, (dirty, now.raw()));
                 }
                 TagOp::Dirty(l) => {
                     let set = (l % sets as u64) as usize;
                     let marked = tags.mark_dirty(set, LineAddr::new(l));
-                    prop_assert_eq!(marked, resident.contains(&l));
+                    prop_assert_eq!(marked, resident.contains_key(&l));
+                    if let Some(entry) = resident.get_mut(&l) {
+                        entry.0 = true;
+                    }
                 }
                 TagOp::Invalidate(l) => {
                     let set = (l % sets as u64) as usize;
                     let evicted = tags.invalidate(set, LineAddr::new(l));
-                    prop_assert_eq!(evicted.is_some(), resident.remove(&l));
+                    let model = resident.remove(&l);
+                    prop_assert_eq!(evicted.map(|e| e.dirty), model.map(|(dirty, _)| dirty));
                 }
             }
             prop_assert!(tags.valid_lines() <= sets * assoc);

@@ -1,24 +1,25 @@
 //! The wormhole crossbar.
 //!
-//! A [`Crossbar`] is per-port state plus a central arbiter:
+//! A [`Crossbar`] is per-port state, a central arbiter and an arena:
 //!
-//! * [`IngressPort`] — one bounded input buffer. Written only by the
-//!   component that injects on it (core `c` on the request network,
-//!   partition `p` on the response network).
-//! * [`EgressPort`] — one output's streaming/in-flight/ejection state.
-//!   Popped only by the component that drains it.
-//! * The private fabric — the arbitration logic and shared counters;
-//!   [`Crossbar::tick`] is the single point that reads and writes
-//!   *across* ports.
-//!
-//! The port types are public because a memory partition's cycle borrows
-//! exactly its two ports ([`Crossbar::egress_mut`] on the request network,
-//! [`Crossbar::ingress_mut`] on the response network).
+//! * The arena holds the body ([`MemFetch`]) of every packet inside the
+//!   crossbar, from [`Crossbar::try_inject`] to [`Crossbar::pop_ejected`].
+//!   Input buffers, the streaming registers, the hop pipeline and the
+//!   ejection queues carry a 16-byte header (arena slot, destination,
+//!   flits), so a hop moves 16 bytes instead of a 136-byte [`Packet`].
+//! * One input port per injecting component (core `c` on the request
+//!   network, partition `p` on the response network) and one output port
+//!   per draining component. Components reach their port through the
+//!   crossbar's methods, by index.
+//! * The fabric — arbitration and the cross-port counters. [`Crossbar::tick`]
+//!   visits only the outputs that are busy (streaming or holding packets
+//!   in the hop pipeline) or that some input's head requests; every other
+//!   output would do nothing that tick.
 
 use std::collections::VecDeque;
 
 use gpumem_config::{NocConfig, MAX_MASK_WIDTH};
-use gpumem_types::{Cycle, MemFetch, QueueStats, SimError, SimQueue};
+use gpumem_types::{Cycle, FetchArena, MemFetch, QueueStats, SimError, SimQueue, SlotId};
 
 use crate::Packet;
 
@@ -50,112 +51,51 @@ impl CrossbarStats {
     }
 }
 
-/// One bounded input buffer of the crossbar (injection-side state only).
+/// What the ports carry for a packet inside the crossbar: the arena slot
+/// of its body, its destination output and its length in flits.
+#[derive(Debug, Clone, Copy)]
+struct Header {
+    slot: SlotId,
+    dest: u32,
+    flits: u64,
+}
+
+/// One bounded input buffer of the crossbar.
 #[derive(Debug)]
-pub struct IngressPort {
-    queue: SimQueue<Packet>,
-    /// Number of outputs on the fabric this port belongs to (for
-    /// destination validation at injection time).
-    dest_limit: usize,
+struct IngressPort {
+    queue: SimQueue<Header>,
     /// Packets accepted on this port (merged into
     /// [`CrossbarStats::packets_injected`]).
     injected: u64,
-    /// Destination of the head packet, mirrored out of the ring buffer
-    /// (`usize::MAX` when empty) so per-cycle arbitration compares one
-    /// word per port instead of dereferencing the queue front for every
-    /// input × output pair. Maintained by both head mutations
-    /// (`try_inject` into an empty queue and the arbitration pop).
-    head_dest: usize,
 }
 
 impl IngressPort {
-    fn new(cfg: &NocConfig, dest_limit: usize) -> Self {
+    fn new(cfg: &NocConfig) -> Self {
         IngressPort {
             queue: SimQueue::new("noc_input", cfg.input_buffer_pkts),
-            dest_limit,
             injected: 0,
-            head_dest: usize::MAX,
         }
     }
 
-    /// Re-derives the mirrored head destination from the queue front.
-    fn refresh_head(&mut self) {
-        self.head_dest = self.queue.front().map_or(usize::MAX, |p| p.dest);
-    }
-
-    /// True if this port can accept a packet this cycle.
-    pub fn can_inject(&self) -> bool {
-        !self.queue.is_full()
-    }
-
-    /// Offers `packet` to this input buffer.
-    ///
-    /// # Errors
-    ///
-    /// Hands the packet back if the buffer is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the packet's destination is out of range.
-    #[expect(
-        clippy::result_large_err,
-        reason = "the rejected packet is handed back by design"
-    )]
-    pub fn try_inject(&mut self, packet: Packet) -> Result<(), Packet> {
-        assert!(packet.dest < self.dest_limit, "destination out of range");
-        let dest = packet.dest;
-        match self.queue.push(packet) {
-            Ok(()) => {
-                self.injected += 1;
-                if self.queue.len() == 1 {
-                    self.head_dest = dest;
-                }
-                Ok(())
-            }
-            Err(e) => Err(e.into_inner()),
-        }
-    }
-
-    /// Queued packets.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when the buffer holds no packet.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Per-cycle occupancy bookkeeping.
-    pub fn observe(&mut self) {
-        self.queue.observe();
-    }
-
-    /// Batch bookkeeping for `cycles` quiescent cycles.
-    pub fn observe_many(&mut self, cycles: u64) {
-        self.queue.observe_many(cycles);
-    }
-
-    /// Occupancy statistics of this input buffer.
-    pub(crate) fn queue_stats(&self) -> QueueStats {
-        self.queue.stats()
+    /// The output the head packet targets, if any.
+    fn head_dest(&self) -> Option<usize> {
+        self.queue.front().map(|h| h.dest as usize)
     }
 }
 
 /// One output's worth of crossbar state: the packet being streamed, the
-/// hop pipeline, and the bounded ejection queue the receiver drains
-/// (ejection-side state only).
+/// hop pipeline, and the bounded ejection queue the receiver drains.
 #[derive(Debug)]
-pub struct EgressPort {
+struct EgressPort {
     /// Packet currently being streamed and its remaining flits.
-    streaming: Option<(Packet, u64)>,
+    streaming: Option<(Header, u64)>,
     /// Round-robin pointer over inputs.
     rr: usize,
     /// Packets that finished streaming and are traversing the pipeline
     /// (FIFO per output; arrivals are naturally ordered).
-    in_flight: VecDeque<(Cycle, Packet)>,
+    in_flight: VecDeque<(Cycle, Header)>,
     /// Delivered packets awaiting the receiver.
-    ejection: SimQueue<Packet>,
+    ejection: SimQueue<Header>,
     /// Free slots the output may still claim in its ejection queue
     /// (ejection capacity minus queued, streaming and in-flight packets).
     credits: usize,
@@ -176,49 +116,41 @@ impl EgressPort {
         }
     }
 
-    /// Takes a delivered packet, if any.
-    pub fn pop_ejected(&mut self) -> Option<Packet> {
-        let pkt = self.ejection.pop();
-        if pkt.is_some() {
-            self.credits += 1;
-            self.ejected += 1;
-        }
-        pkt
-    }
-
-    /// Peeks the next deliverable packet.
-    pub fn peek_ejected(&self) -> Option<&Packet> {
-        self.ejection.front()
-    }
-
-    /// True when nothing is streaming, in flight, or awaiting ejection.
-    pub fn is_idle(&self) -> bool {
-        self.streaming.is_none() && self.in_flight.is_empty() && self.ejection.is_empty()
-    }
-
     /// Packets currently inside this output's pipeline.
-    pub fn packets(&self) -> usize {
+    fn packets(&self) -> usize {
         usize::from(self.streaming.is_some()) + self.in_flight.len() + self.ejection.len()
     }
 
-    /// Per-cycle occupancy bookkeeping.
-    pub fn observe(&mut self) {
-        self.ejection.observe();
-    }
-
-    /// Batch bookkeeping for `cycles` quiescent cycles.
-    pub fn observe_many(&mut self, cycles: u64) {
-        self.ejection.observe_many(cycles);
+    /// Every header in this output, streaming first, then the hop pipeline
+    /// and the ejection queue.
+    fn headers(&self) -> impl Iterator<Item = &Header> {
+        self.streaming
+            .iter()
+            .map(|(h, _)| h)
+            .chain(self.in_flight.iter().map(|(_, h)| h))
+            .chain(self.ejection.iter())
     }
 }
 
-/// The arbitration core of a crossbar: hop latency, streaming bandwidth
-/// and the counters that are inherently cross-port.
+/// The arbitration core of a crossbar: the request and busy-output masks,
+/// hop latency, streaming bandwidth and the counters that are inherently
+/// cross-port.
 #[derive(Debug)]
 struct CrossbarFabric {
     /// Set for good by [`Crossbar::freeze_inputs`]: no input requests an
     /// output, so no packet leaves an input buffer again.
     frozen: bool,
+    /// Bit `i` of `requests[o]` is set while the head packet of input `i`
+    /// targets output `o`, frozen or not. Written at the only two head
+    /// changes: [`Crossbar::try_inject`] into an empty input and the
+    /// arbitration pop in [`Crossbar::tick`].
+    requests: [u64; MAX_MASK_WIDTH],
+    /// Bit `o` is set while `requests[o]` is non-zero.
+    wanted: u64,
+    /// Bit `o` is set while output `o` streams a packet or holds packets
+    /// in its hop pipeline. Set when the output takes a packet, cleared
+    /// when a landing empties both; only [`Crossbar::tick`] changes either.
+    busy: u64,
     hop_latency: u64,
     flits_per_cycle: u64,
     flits_transferred: u64,
@@ -230,6 +162,9 @@ impl CrossbarFabric {
     fn new(cfg: &NocConfig) -> Self {
         CrossbarFabric {
             frozen: false,
+            requests: [0; MAX_MASK_WIDTH],
+            wanted: 0,
+            busy: 0,
             hop_latency: cfg.hop_latency,
             flits_per_cycle: cfg.flits_per_cycle.max(1),
             flits_transferred: 0,
@@ -237,113 +172,17 @@ impl CrossbarFabric {
             credit_stall_cycles: 0,
         }
     }
+}
 
-    /// Advances the crossbar by one cycle, arbitrating the given port sets
-    /// (the complete port sets of this fabric, in port order).
-    fn tick(
-        &mut self,
-        now: Cycle,
-        inputs: &mut [IngressPort],
-        outputs: &mut [EgressPort],
-    ) -> Result<(), SimError> {
-        // Per-output request masks: bit `i` of `requests[o]` is set while
-        // the head packet of input `i` targets output `o`. An empty input
-        // mirrors `usize::MAX` and requests nothing, and a frozen fabric's
-        // inputs request nothing at all.
-        let mut requests = [0u64; MAX_MASK_WIDTH];
-        if !self.frozen {
-            for (in_idx, input) in inputs.iter().enumerate() {
-                if input.head_dest != usize::MAX {
-                    requests[input.head_dest] |= 1 << in_idx;
-                }
-            }
-        }
-
-        for (out_idx, out) in outputs.iter_mut().enumerate() {
-            // 1. Land in-flight packets whose hop latency elapsed.
-            while matches!(
-                out.in_flight.front(),
-                Some((arrive, _)) if *arrive <= now && !out.ejection.is_full()
-            ) {
-                let Some((_, pkt)) = out.in_flight.pop_front() else {
-                    break;
-                };
-                if out.ejection.push(pkt).is_err() {
-                    return Err(SimError::QueueOverflow {
-                        component: "crossbar",
-                        queue: "noc_ejection",
-                        cycle: now.raw(),
-                    });
-                }
-            }
-
-            // 2. Stream up to `flits_per_cycle` flits of the current
-            //    packet (the interconnect runs above the core clock).
-            if let Some((_, remaining)) = &mut out.streaming {
-                let moved = (*remaining).min(self.flits_per_cycle);
-                *remaining -= moved;
-                self.flits_transferred += moved;
-                self.output_busy_cycles += 1;
-                if *remaining == 0 {
-                    if let Some((pkt, _)) = out.streaming.take() {
-                        out.in_flight.push_back((now + self.hop_latency, pkt));
-                    }
-                }
-                continue;
-            }
-
-            // 3. Arbitrate for a new packet (needs an ejection credit):
-            //    round-robin from `rr`, i.e. the lowest requesting input at
-            //    or after `rr`, else the lowest requesting input overall.
-            let wanted_by = requests[out_idx];
-            if wanted_by == 0 {
-                continue;
-            }
-            if out.credits == 0 {
-                self.credit_stall_cycles += 1;
-                continue;
-            }
-            let from_rr = wanted_by & (u64::MAX << out.rr);
-            let in_idx = if from_rr != 0 { from_rr } else { wanted_by }.trailing_zeros() as usize;
-            let input = &mut inputs[in_idx];
-            let Some(pkt) = input.queue.pop() else {
-                continue; // unreachable: a request bit implies a head packet
-            };
-            debug_assert_eq!(pkt.dest, out_idx);
-            // Later outputs in this same tick must see the post-pop head.
-            input.refresh_head();
-            requests[out_idx] &= !(1 << in_idx);
-            if input.head_dest != usize::MAX {
-                requests[input.head_dest] |= 1 << in_idx;
-            }
-            out.rr = if in_idx + 1 == inputs.len() {
-                0
-            } else {
-                in_idx + 1
-            };
-            out.credits = match out.credits.checked_sub(1) {
-                Some(c) => c,
-                None => {
-                    return Err(SimError::CreditUnderflow {
-                        component: "crossbar",
-                        port: out_idx,
-                        cycle: now.raw(),
-                    });
-                }
-            };
-            // Transfer the first flit(s) this same cycle.
-            let moved = pkt.flits.min(self.flits_per_cycle);
-            self.flits_transferred += moved;
-            self.output_busy_cycles += 1;
-            if pkt.flits <= moved {
-                out.in_flight.push_back((now + self.hop_latency, pkt));
-            } else {
-                let remaining = pkt.flits - moved;
-                out.streaming = Some((pkt, remaining));
-            }
-        }
-        Ok(())
-    }
+/// Iterates over the set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
 }
 
 /// A flit-level wormhole crossbar with `inputs × outputs` ports.
@@ -367,6 +206,12 @@ pub struct Crossbar {
     fabric: CrossbarFabric,
     ingress: Vec<IngressPort>,
     egress: Vec<EgressPort>,
+    /// Bodies of every packet inside the crossbar, addressed by the
+    /// headers' slots.
+    arena: FetchArena,
+    /// Bit `o` is set while output `o`'s ejection queue holds a packet:
+    /// set at landing, cleared by the pop that empties the queue.
+    ejecting: u64,
 }
 
 impl Crossbar {
@@ -384,12 +229,13 @@ impl Crossbar {
             inputs <= MAX_MASK_WIDTH && outputs <= MAX_MASK_WIDTH,
             "crossbar arbitration masks hold at most {MAX_MASK_WIDTH} ports per side"
         );
+        let packets = inputs * cfg.input_buffer_pkts + outputs * cfg.ejection_queue;
         Crossbar {
             fabric: CrossbarFabric::new(cfg),
-            ingress: (0..inputs)
-                .map(|_| IngressPort::new(cfg, outputs))
-                .collect(),
+            ingress: (0..inputs).map(|_| IngressPort::new(cfg)).collect(),
             egress: (0..outputs).map(|_| EgressPort::new(cfg)).collect(),
+            arena: FetchArena::with_capacity(packets),
+            ejecting: 0,
         }
     }
 
@@ -398,11 +244,12 @@ impl Crossbar {
     /// # Panics
     ///
     /// Panics if `port` is out of range.
+    #[inline]
     pub fn can_inject(&self, port: usize) -> bool {
-        self.ingress[port].can_inject()
+        !self.ingress[port].queue.is_full()
     }
 
-    /// Offers `packet` to input `port`.
+    /// Offers `packet` to input `port`; its body moves into the arena.
     ///
     /// # Errors
     ///
@@ -415,30 +262,66 @@ impl Crossbar {
         clippy::result_large_err,
         reason = "the rejected packet is handed back by design"
     )]
+    #[inline]
     pub fn try_inject(&mut self, port: usize, packet: Packet) -> Result<(), Packet> {
-        self.ingress[port].try_inject(packet)
+        assert!(packet.dest < self.egress.len(), "destination out of range");
+        let Packet { fetch, dest, flits } = packet;
+        let header = Header {
+            slot: self.arena.insert(fetch),
+            dest: dest as u32,
+            flits,
+        };
+        let input = &mut self.ingress[port];
+        match input.queue.push(header) {
+            Ok(()) => {
+                input.injected += 1;
+                if input.queue.len() == 1 {
+                    self.fabric.requests[dest] |= 1 << port;
+                    self.fabric.wanted |= 1 << dest;
+                }
+                Ok(())
+            }
+            Err(e) => Err(self.unpack(e.into_inner())),
+        }
     }
 
-    /// Takes a delivered packet from ejection port `port`, if any.
+    /// Takes a header's body back out of the arena.
+    #[inline]
+    fn unpack(&mut self, header: Header) -> Packet {
+        Packet {
+            fetch: self.arena.take(header.slot),
+            dest: header.dest as usize,
+            flits: header.flits,
+        }
+    }
+
+    /// Takes a delivered packet from ejection port `port`, if any, and
+    /// returns its credit.
+    #[inline]
     pub fn pop_ejected(&mut self, port: usize) -> Option<Packet> {
-        self.egress[port].pop_ejected()
+        if self.ejecting & 1 << port == 0 {
+            return None;
+        }
+        let out = &mut self.egress[port];
+        let header = out.ejection.pop()?;
+        out.credits += 1;
+        out.ejected += 1;
+        if out.ejection.is_empty() {
+            self.ejecting &= !(1 << port);
+        }
+        Some(self.unpack(header))
     }
 
-    /// Peeks the next deliverable packet on ejection port `port`.
-    pub fn peek_ejected(&self, port: usize) -> Option<&Packet> {
-        self.egress[port].peek_ejected()
+    /// The fetch of the next deliverable packet on ejection port `port`.
+    pub fn peek_ejected(&self, port: usize) -> Option<&MemFetch> {
+        let header = self.egress[port].ejection.front()?;
+        Some(&self.arena[header.slot])
     }
 
-    /// Exclusive access to input port `port` (the injecting component's
-    /// side of the network).
-    pub fn ingress_mut(&mut self, port: usize) -> &mut IngressPort {
-        &mut self.ingress[port]
-    }
-
-    /// Exclusive access to output port `port` (the draining component's
-    /// side of the network).
-    pub fn egress_mut(&mut self, port: usize) -> &mut EgressPort {
-        &mut self.egress[port]
+    /// True while any ejection queue holds a packet for its receiver.
+    #[inline]
+    pub fn has_ejected(&self) -> bool {
+        self.ejecting != 0
     }
 
     /// Advances the crossbar by one cycle.
@@ -449,7 +332,122 @@ impl Crossbar {
     /// (ejection queue overflow after a fullness check, ejection-credit
     /// underflow) — the machine state is broken, not merely congested.
     pub fn tick(&mut self, now: Cycle) -> Result<(), SimError> {
-        self.fabric.tick(now, &mut self.ingress, &mut self.egress)
+        let Crossbar {
+            fabric,
+            ingress: inputs,
+            egress: outputs,
+            ejecting,
+            ..
+        } = self;
+        // A frozen fabric's inputs request nothing. An output neither busy
+        // nor requested has nothing to land, stream or claim, so the tick
+        // visits only `busy | wanted`, lowest first.
+        let requesting = !fabric.frozen;
+        let mut visit = fabric.busy | if requesting { fabric.wanted } else { 0 };
+
+        while visit != 0 {
+            let out_idx = visit.trailing_zeros() as usize;
+            visit &= visit - 1;
+            let out = &mut outputs[out_idx];
+            // 1. Land in-flight packets whose hop latency elapsed.
+            while matches!(
+                out.in_flight.front(),
+                Some((arrive, _)) if *arrive <= now && !out.ejection.is_full()
+            ) {
+                let Some((_, header)) = out.in_flight.pop_front() else {
+                    break;
+                };
+                if out.ejection.push(header).is_err() {
+                    return Err(SimError::QueueOverflow {
+                        component: "crossbar",
+                        queue: "noc_ejection",
+                        cycle: now.raw(),
+                    });
+                }
+                *ejecting |= 1 << out_idx;
+            }
+
+            // 2. Stream up to `flits_per_cycle` flits of the current
+            //    packet (the interconnect runs above the core clock).
+            if let Some((_, remaining)) = &mut out.streaming {
+                let moved = (*remaining).min(fabric.flits_per_cycle);
+                *remaining -= moved;
+                fabric.flits_transferred += moved;
+                fabric.output_busy_cycles += 1;
+                if *remaining == 0 {
+                    if let Some((header, _)) = out.streaming.take() {
+                        out.in_flight.push_back((now + fabric.hop_latency, header));
+                    }
+                }
+                continue;
+            }
+            if out.in_flight.is_empty() {
+                fabric.busy &= !(1 << out_idx);
+            }
+
+            // 3. Arbitrate for a new packet (needs an ejection credit):
+            //    round-robin from `rr`, i.e. the lowest requesting input at
+            //    or after `rr`, else the lowest requesting input overall.
+            let wanted_by = if requesting {
+                fabric.requests[out_idx]
+            } else {
+                0
+            };
+            if wanted_by == 0 {
+                continue;
+            }
+            if out.credits == 0 {
+                fabric.credit_stall_cycles += 1;
+                continue;
+            }
+            let from_rr = wanted_by & (u64::MAX << out.rr);
+            let in_idx = if from_rr != 0 { from_rr } else { wanted_by }.trailing_zeros() as usize;
+            let input = &mut inputs[in_idx];
+            let Some(header) = input.queue.pop() else {
+                continue; // unreachable: a request bit implies a head packet
+            };
+            debug_assert_eq!(header.dest as usize, out_idx);
+            // Later outputs in this same tick must see the post-pop head,
+            // and a head re-targeted past this output puts its new output
+            // into this tick's visit set.
+            fabric.requests[out_idx] &= !(1 << in_idx);
+            if fabric.requests[out_idx] == 0 {
+                fabric.wanted &= !(1 << out_idx);
+            }
+            if let Some(next) = input.head_dest() {
+                fabric.requests[next] |= 1 << in_idx;
+                fabric.wanted |= 1 << next;
+                if next > out_idx {
+                    visit |= 1 << next;
+                }
+            }
+            out.rr = if in_idx + 1 == inputs.len() {
+                0
+            } else {
+                in_idx + 1
+            };
+            out.credits = match out.credits.checked_sub(1) {
+                Some(c) => c,
+                None => {
+                    return Err(SimError::CreditUnderflow {
+                        component: "crossbar",
+                        port: out_idx,
+                        cycle: now.raw(),
+                    });
+                }
+            };
+            fabric.busy |= 1 << out_idx;
+            // Transfer the first flit(s) this same cycle.
+            let moved = header.flits.min(fabric.flits_per_cycle);
+            fabric.flits_transferred += moved;
+            fabric.output_busy_cycles += 1;
+            if header.flits <= moved {
+                out.in_flight.push_back((now + fabric.hop_latency, header));
+            } else {
+                out.streaming = Some((header, header.flits - moved));
+            }
+        }
+        Ok(())
     }
 
     /// Freezes every input port for good: from now on no packet leaves an
@@ -466,14 +464,15 @@ impl Crossbar {
     /// diagnosis.
     pub fn fetches(&self) -> impl Iterator<Item = &MemFetch> {
         let ingress = self.ingress.iter().flat_map(|p| p.queue.iter());
-        let egress = self.egress.iter().flat_map(|o| {
-            o.streaming
-                .iter()
-                .map(|(pkt, _)| pkt)
-                .chain(o.in_flight.iter().map(|(_, pkt)| pkt))
-                .chain(o.ejection.iter())
-        });
-        ingress.chain(egress).map(|pkt| &pkt.fetch)
+        let egress = self.egress.iter().flat_map(EgressPort::headers);
+        ingress.chain(egress).map(|h| &self.arena[h.slot])
+    }
+
+    /// Packet bodies parked in the arena; equal to
+    /// [`packets_in_network`](Crossbar::packets_in_network) unless a body
+    /// leaked.
+    pub fn arena_slots(&self) -> usize {
+        self.arena.len()
     }
 
     /// Indices of input ports whose buffer is full (for wedge diagnosis).
@@ -491,13 +490,9 @@ impl Crossbar {
     }
 
     /// Per-cycle queue-statistics bookkeeping; call once per cycle.
+    #[inline]
     pub fn observe(&mut self) {
-        for q in &mut self.ingress {
-            q.observe();
-        }
-        for out in &mut self.egress {
-            out.observe();
-        }
+        self.observe_many(1);
     }
 
     /// Batch bookkeeping for `cycles` consecutive cycles during which no
@@ -505,10 +500,10 @@ impl Crossbar {
     /// window via [`next_event`](Crossbar::next_event).
     pub fn observe_many(&mut self, cycles: u64) {
         for q in &mut self.ingress {
-            q.observe_many(cycles);
+            q.queue.observe_many(cycles);
         }
         for out in &mut self.egress {
-            out.observe_many(cycles);
+            out.ejection.observe_many(cycles);
         }
     }
 
@@ -527,10 +522,12 @@ impl Crossbar {
     /// credit-stall accounting such a window accrues. Every state change
     /// of a crossbar is one of these port events; none opens or closes on
     /// a timer.
+    #[inline]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let wanted = self.wanted_outputs();
         let mut earliest = None;
-        for (out_idx, out) in self.egress.iter().enumerate() {
+        for out_idx in bits(self.fabric.busy | wanted) {
+            let out = &self.egress[out_idx];
             if out.streaming.is_some() {
                 return Some(now);
             }
@@ -559,43 +556,36 @@ impl Crossbar {
         if cycles == 0 {
             return;
         }
-        self.account_stalls_many(cycles);
-        self.observe_many(cycles);
-    }
-
-    fn account_stalls_many(&mut self, cycles: u64) {
-        let wanted = self.wanted_outputs();
-        let starved = self
-            .egress
-            .iter()
-            .enumerate()
-            .filter(|(out_idx, out)| out.credits == 0 && wanted & (1 << out_idx) != 0)
+        let starved = bits(self.wanted_outputs())
+            .filter(|&out_idx| self.egress[out_idx].credits == 0)
             .count() as u64;
         self.fabric.credit_stall_cycles += starved * cycles;
+        self.observe_many(cycles);
     }
 
     /// Mask of the outputs some input's head packet targets; empty while
     /// the inputs are frozen, as in [`tick`](Crossbar::tick).
     fn wanted_outputs(&self) -> u64 {
         if self.fabric.frozen {
-            return 0;
+            0
+        } else {
+            self.fabric.wanted
         }
-        self.ingress
-            .iter()
-            .filter(|q| q.head_dest != usize::MAX)
-            .fold(0, |wanted, q| wanted | 1 << q.head_dest)
     }
 
     /// True if no packet is anywhere inside the crossbar (for liveness and
     /// conservation checks).
+    #[inline]
     pub fn is_idle(&self) -> bool {
-        self.ingress.iter().all(|q| q.is_empty()) && self.egress.iter().all(|o| o.is_idle())
+        self.fabric.busy == 0
+            && self.ejecting == 0
+            && self.ingress.iter().all(|q| q.queue.is_empty())
     }
 
     /// Number of packets currently inside the crossbar.
     pub fn packets_in_network(&self) -> usize {
-        self.ingress.iter().map(|q| q.len()).sum::<usize>()
-            + self.egress.iter().map(|o| o.packets()).sum::<usize>()
+        self.ingress.iter().map(|q| q.queue.len()).sum::<usize>()
+            + self.egress.iter().map(EgressPort::packets).sum::<usize>()
     }
 
     /// Activity counters, aggregated over the fabric and all ports.
@@ -613,7 +603,7 @@ impl Crossbar {
     pub fn input_queue_stats(&self) -> QueueStats {
         let mut s = QueueStats::default();
         for q in &self.ingress {
-            s.merge(&q.queue_stats());
+            s.merge(&q.queue.stats());
         }
         s
     }
@@ -904,9 +894,10 @@ mod tests {
         }
     }
 
-    /// The arbitration [`Crossbar::tick`] replaced with request masks,
-    /// kept as the specification: every idle output with a credit walks
-    /// the inputs round-robin from its pointer, one modulo step at a time,
+    /// The arbitration [`Crossbar::tick`] replaced with request masks and
+    /// a busy-output visit set, kept as the specification: every output,
+    /// in port order, lands, streams, or — idle with a credit — walks the
+    /// inputs round-robin from its pointer, one modulo step at a time,
     /// reading each input's current (post-pop) head.
     fn reference_tick(x: &mut Crossbar, now: Cycle) {
         let (fabric, inputs, outputs) = (&mut x.fabric, &mut x.ingress, &mut x.egress);
@@ -915,22 +906,23 @@ mod tests {
                 out.in_flight.front(),
                 Some((arrive, _)) if *arrive <= now && !out.ejection.is_full()
             ) {
-                let (_, pkt) = out.in_flight.pop_front().unwrap();
-                out.ejection.push(pkt).unwrap();
+                let (_, header) = out.in_flight.pop_front().unwrap();
+                out.ejection.push(header).unwrap();
+                x.ejecting |= 1 << out_idx;
             }
-            if let Some((pkt, remaining)) = out.streaming.take() {
+            if let Some((header, remaining)) = out.streaming.take() {
                 let moved = remaining.min(fabric.flits_per_cycle);
                 fabric.flits_transferred += moved;
                 fabric.output_busy_cycles += 1;
                 if remaining == moved {
-                    out.in_flight.push_back((now + fabric.hop_latency, pkt));
+                    out.in_flight.push_back((now + fabric.hop_latency, header));
                 } else {
-                    out.streaming = Some((pkt, remaining - moved));
+                    out.streaming = Some((header, remaining - moved));
                 }
                 continue;
             }
             if out.credits == 0 {
-                if inputs.iter().any(|q| q.head_dest == out_idx) {
+                if inputs.iter().any(|q| q.head_dest() == Some(out_idx)) {
                     fabric.credit_stall_cycles += 1;
                 }
                 continue;
@@ -939,53 +931,95 @@ mod tests {
             for step in 0..n_inputs {
                 let in_idx = (out.rr + step) % n_inputs;
                 let input = &mut inputs[in_idx];
-                if input.head_dest != out_idx {
+                if input.head_dest() != Some(out_idx) {
                     continue;
                 }
-                let pkt = input.queue.pop().unwrap();
-                input.refresh_head();
+                let header = input.queue.pop().unwrap();
                 out.rr = (in_idx + 1) % n_inputs;
                 out.credits -= 1;
-                let moved = pkt.flits.min(fabric.flits_per_cycle);
+                let moved = header.flits.min(fabric.flits_per_cycle);
                 fabric.flits_transferred += moved;
                 fabric.output_busy_cycles += 1;
-                if pkt.flits <= moved {
-                    out.in_flight.push_back((now + fabric.hop_latency, pkt));
+                if header.flits <= moved {
+                    out.in_flight.push_back((now + fabric.hop_latency, header));
                 } else {
-                    let remaining = pkt.flits - moved;
-                    out.streaming = Some((pkt, remaining));
+                    out.streaming = Some((header, header.flits - moved));
                 }
                 break;
             }
         }
     }
 
+    /// The masks a crossbar keeps, recomputed from its ports: requests,
+    /// wanted, busy, ejecting.
+    fn derived_masks(x: &Crossbar) -> (Vec<u64>, u64, u64, u64) {
+        let mut requests = vec![0; x.egress.len()];
+        let mut wanted = 0;
+        for (i, input) in x.ingress.iter().enumerate() {
+            if let Some(o) = input.head_dest() {
+                requests[o] |= 1 << i;
+                wanted |= 1 << o;
+            }
+        }
+        let mut busy = 0;
+        let mut ejecting = 0;
+        for (o, out) in x.egress.iter().enumerate() {
+            if out.streaming.is_some() || !out.in_flight.is_empty() {
+                busy |= 1 << o;
+            }
+            if !out.ejection.is_empty() {
+                ejecting |= 1 << o;
+            }
+        }
+        (requests, wanted, busy, ejecting)
+    }
+
+    /// The masks a crossbar keeps, as it keeps them.
+    fn kept_masks(x: &Crossbar) -> (Vec<u64>, u64, u64, u64) {
+        let f = &x.fabric;
+        (
+            f.requests[..x.egress.len()].to_vec(),
+            f.wanted,
+            f.busy,
+            x.ejecting,
+        )
+    }
+
     proptest::proptest! {
-        /// Mask arbitration is the round-robin reference, cycle for cycle:
-        /// same grants (including an input whose post-pop head feeds a later
-        /// output in the same tick), same pointers, credits and counters,
-        /// under random traffic and receiver backpressure.
+        /// Mask arbitration over the busy-output visit set is the
+        /// round-robin reference, cycle for cycle: same grants (including an
+        /// input whose post-pop head re-targets a later or an earlier output
+        /// in the same tick), same pointers, credits and counters, under
+        /// random traffic and receiver backpressure. Receivers pop random
+        /// ports, empty ones and the same one twice included, and the busy
+        /// and ejecting masks always equal what the ports hold.
         #[test]
         fn mask_arbitration_equals_round_robin_reference(
             inputs in 1usize..7,
             outputs in 1usize..5,
             flit_rate in 1u64..3,
+            input_buffer in 1usize..5,
             cycles in proptest::collection::vec(
                 (
-                    // Up to three injections: (input, dest, flits).
-                    proptest::collection::vec((0usize..7, 0usize..5, 1u64..6), 0..4),
-                    // Which outputs the receivers drain this cycle.
-                    0u32..32,
+                    // Up to five injections: (input, dest, flits); several
+                    // into one input queue heads bound for other outputs.
+                    proptest::collection::vec((0usize..7, 0usize..5, 1u64..6), 0..6),
+                    // The ports the receivers pop this cycle, in order.
+                    proptest::collection::vec(0usize..5, 0..6),
                 ),
                 1..120,
             ),
         ) {
-            let cfg = NocConfig { flits_per_cycle: flit_rate, ..cfg() };
+            let cfg = NocConfig {
+                flits_per_cycle: flit_rate,
+                input_buffer_pkts: input_buffer,
+                ..cfg()
+            };
             let mut masked = Crossbar::new(inputs, outputs, &cfg);
             let mut reference = Crossbar::new(inputs, outputs, &cfg);
             let mut now = Cycle::ZERO;
             let mut id = 0u64;
-            for (injections, drain) in cycles {
+            for (injections, pops) in cycles {
                 for x in [&mut masked, &mut reference] {
                     for (&(input, dest, flits), id) in injections.iter().zip(id..) {
                         let _ = x.try_inject(input % inputs, pkt(id, dest % outputs, flits));
@@ -994,11 +1028,18 @@ mod tests {
                 id += injections.len() as u64;
                 masked.tick(now).unwrap();
                 reference_tick(&mut reference, now);
-                for out in (0..outputs).filter(|out| drain >> out & 1 != 0) {
+                proptest::prop_assert_eq!(derived_masks(&masked), kept_masks(&masked));
+                for out in pops.into_iter().map(|p| p % outputs) {
                     let got = masked.pop_ejected(out).map(|p| p.fetch.id);
                     proptest::prop_assert_eq!(got, reference.pop_ejected(out).map(|p| p.fetch.id));
                 }
+                proptest::prop_assert_eq!(derived_masks(&masked), kept_masks(&masked));
                 proptest::prop_assert_eq!(masked.stats(), reference.stats());
+                proptest::prop_assert_eq!(masked.arena_slots(), masked.packets_in_network());
+                // Every ejection slot is either a credit or held by a packet.
+                for out in &masked.egress {
+                    proptest::prop_assert_eq!(out.credits + out.packets(), cfg.ejection_queue);
+                }
                 proptest::prop_assert_eq!(
                     format!("{:?}{:?}", masked.ingress, masked.egress),
                     format!("{:?}{:?}", reference.ingress, reference.egress)
@@ -1008,11 +1049,41 @@ mod tests {
         }
     }
 
-    /// ISSUE 13: packets are moved by value through both crossbars; this
-    /// bound (with `MemFetch`'s in `gpumem-types`) keeps them from silently
-    /// regrowing past two cache lines and change.
     #[test]
-    fn packet_stays_small() {
-        assert!(std::mem::size_of::<Packet>() <= 144);
+    fn head_retargeted_to_a_later_output_is_claimed_in_the_same_tick() {
+        // Input 0 holds [→ output 0, → output 1]; at the tick's start only
+        // output 0 is requested. Once output 0 pops the first packet, the
+        // new head requests output 1, which this same tick must claim.
+        let mut x = Crossbar::new(1, 2, &cfg());
+        x.try_inject(0, pkt(1, 0, 1)).unwrap();
+        x.try_inject(0, pkt(2, 1, 1)).unwrap();
+        x.tick(Cycle::ZERO).unwrap();
+        assert_eq!(x.stats().flits_transferred, 2);
+        assert!(x.ingress[0].queue.is_empty());
+        assert_eq!(x.fabric.busy, 0b11);
+    }
+
+    #[test]
+    fn pop_on_a_drained_port_is_none_and_clears_nothing_else() {
+        let mut x = Crossbar::new(1, 2, &cfg());
+        x.try_inject(0, pkt(1, 1, 1)).unwrap();
+        let now = run(&mut x, Cycle::ZERO, 4);
+        assert_eq!(x.ejecting, 0b10);
+        assert!(x.pop_ejected(0).is_none());
+        assert_eq!(x.peek_ejected(1).map(|f| f.id), Some(FetchId::new(1)));
+        assert!(x.has_ejected());
+        assert!(x.pop_ejected(1).is_some());
+        assert!(!x.has_ejected());
+        assert!(x.pop_ejected(1).is_none());
+        run(&mut x, now, 2);
+        assert!(x.is_idle());
+        assert_eq!(x.arena_slots(), 0);
+    }
+
+    /// Every hop moves a port header, not the packet: this bound keeps it
+    /// within a quarter of a cache line.
+    #[test]
+    fn port_header_stays_small() {
+        assert!(std::mem::size_of::<Header>() <= 16);
     }
 }

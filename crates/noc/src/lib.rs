@@ -28,5 +28,5 @@
 mod crossbar;
 mod packet;
 
-pub use crossbar::{Crossbar, CrossbarStats, EgressPort, IngressPort};
+pub use crossbar::{Crossbar, CrossbarStats};
 pub use packet::Packet;

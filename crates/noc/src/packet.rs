@@ -2,11 +2,13 @@
 
 use gpumem_types::MemFetch;
 
-/// A packet travelling across a [`crate::Crossbar`].
+/// A packet as components hand it to and take it from a
+/// [`crate::Crossbar`].
 ///
 /// Carries the [`MemFetch`] it transports, the destination port index and
 /// its size in flits (computed once at injection from the payload size and
-/// the configured flit width).
+/// the configured flit width). Inside the crossbar the body waits in the
+/// crossbar's arena and the ports move a 16-byte header instead.
 ///
 /// # Example
 ///
@@ -37,6 +39,7 @@ impl Packet {
     /// # Panics
     ///
     /// Panics if `flit_bytes` is zero or `bytes` is zero.
+    #[inline]
     pub fn new(fetch: MemFetch, dest: usize, bytes: u64, flit_bytes: u64) -> Self {
         assert!(flit_bytes > 0, "flit size must be positive");
         assert!(bytes > 0, "packet payload must be positive");

@@ -36,6 +36,10 @@ impl fmt::Display for MemoryMode {
     }
 }
 
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one backend per simulator, built once; boxing the crossbars would add an indirection to every per-cycle port access"
+)]
 pub(crate) enum Backend {
     Hierarchy {
         req_xbar: Crossbar,
@@ -454,15 +458,8 @@ impl GpuSimulator {
                 // returns the credit a starved crossbar may be sleeping on
                 // (its own next_event deliberately ignores ejection queues;
                 // see [`gpumem_noc::Crossbar::next_event`]).
-                for c in 0..self.cores.len() {
-                    if resp_xbar.peek_ejected(c).is_some() {
-                        return Some(now);
-                    }
-                }
-                for p_idx in 0..partitions.len() {
-                    if req_xbar.peek_ejected(p_idx).is_some() {
-                        return Some(now);
-                    }
+                if resp_xbar.has_ejected() || req_xbar.has_ejected() {
+                    return Some(now);
                 }
                 for p in partitions {
                     if fold(p.next_event(now), &mut earliest) {
@@ -553,12 +550,8 @@ impl GpuSimulator {
                 partitions,
             } => {
                 lap(&mut self.prof, Bucket::Sched);
-                for (p_idx, p) in partitions.iter_mut().enumerate() {
-                    p.cycle(
-                        now,
-                        req_xbar.egress_mut(p_idx),
-                        resp_xbar.ingress_mut(p_idx),
-                    )?;
+                for p in partitions.iter_mut() {
+                    p.cycle(now, req_xbar, resp_xbar)?;
                 }
                 lap(&mut self.prof, Bucket::Parts);
                 req_xbar.tick(now)?;
@@ -741,8 +734,8 @@ impl GpuSimulator {
     }
 
     /// Every fetch arena that still holds slots, in pipeline order — each
-    /// core's L1, then each L2 partition and its DRAM channel — as
-    /// `(component, holder, slots)`.
+    /// core's L1, the request crossbar, each L2 partition and its DRAM
+    /// channel, the response crossbar — as `(component, holder, slots)`.
     fn live_arena_slots(&self) -> Vec<(&'static str, String, usize)> {
         let mut live: Vec<_> = self
             .cores
@@ -750,7 +743,15 @@ impl GpuSimulator {
             .enumerate()
             .map(|(i, c)| ("l1d", format!("core {i} L1"), c.l1_arena_slots()))
             .collect();
-        if let Backend::Hierarchy { partitions, .. } = &self.backend {
+        if let Backend::Hierarchy {
+            req_xbar,
+            resp_xbar,
+            partitions,
+        } = &self.backend
+        {
+            let crossbar =
+                |name: &str, x: &Crossbar| ("crossbar", name.to_owned(), x.arena_slots());
+            live.push(crossbar("request crossbar", req_xbar));
             for (i, p) in partitions.iter().enumerate() {
                 live.push(("l2_partition", format!("partition {i}"), p.arena_slots()));
                 live.push((
@@ -759,6 +760,7 @@ impl GpuSimulator {
                     p.dram().arena_slots(),
                 ));
             }
+            live.push(crossbar("response crossbar", resp_xbar));
         }
         live.retain(|&(_, _, slots)| slots > 0);
         live

@@ -4,7 +4,7 @@
 use gpumem_cache::{MshrTable, ReplacementOutcome, TagArray};
 use gpumem_config::GpuConfig;
 use gpumem_dram::DramChannel;
-use gpumem_noc::{EgressPort, IngressPort, Packet};
+use gpumem_noc::{Crossbar, Packet};
 use gpumem_trace::{OccupancyProbe, TraceConfig};
 use gpumem_types::{
     AccessKind, Cycle, CycleStamp, DueQueue, FetchArena, FetchId, LineAddr, MemFetch, PartitionId,
@@ -146,6 +146,15 @@ pub struct MemoryPartition {
     response_queue: SimQueue<Located>,
     to_icnt: SimQueue<MemFetch>,
     port_free_at: Cycle,
+    /// The access-queue head line the MSHR table refused (table full, or
+    /// the line's merge slots used up), or `None`. The refusal proved
+    /// that the line misses in the tags and that `can_accept` fails;
+    /// only a fill changes either (it installs a line and frees an entry
+    /// with all its merge slots; nothing else allocates or evicts while
+    /// the head waits), so only `process_fill` lifts it. While it stands,
+    /// `serve_access_queue` counts the stall without the tag probe and
+    /// the MSHR lookup, and re-runs both under `debug_assert!`.
+    mshr_refused: Option<LineAddr>,
     dram: DramChannel,
     next_wb_seq: u64,
     stats: L2Stats,
@@ -203,6 +212,7 @@ impl MemoryPartition {
             response_queue: SimQueue::new("l2_response", cfg.l2.response_queue),
             to_icnt: SimQueue::new("l2_to_icnt", cfg.l2.access_queue),
             port_free_at: Cycle::ZERO,
+            mshr_refused: None,
             dram: DramChannel::new(cfg, id.index()),
             next_wb_seq: 0,
             stats: L2Stats::default(),
@@ -261,12 +271,9 @@ impl MemoryPartition {
     }
 
     /// Advances the partition one cycle. Pulls requests from its ejection
-    /// port on the request crossbar (`req_ej`), pushes responses into its
-    /// input port on the response crossbar (`resp_in`).
-    ///
-    /// It takes the two ports rather than whole crossbars because these
-    /// are the only pieces of interconnect state it touches, and both are
-    /// exclusively its own.
+    /// port on the request crossbar, pushes responses into its input port
+    /// on the response crossbar; both ports are numbered by the
+    /// partition's id, and it touches no other interconnect state.
     ///
     /// # Errors
     ///
@@ -276,8 +283,8 @@ impl MemoryPartition {
     pub fn cycle(
         &mut self,
         now: Cycle,
-        req_ej: &mut EgressPort,
-        resp_in: &mut IngressPort,
+        req_xbar: &mut Crossbar,
+        resp_xbar: &mut Crossbar,
     ) -> Result<(), SimError> {
         // Occupancy sampling happens at pre-step state on a pure-function-
         // of-cycle cadence, so every engine (and the fast-forward backfill)
@@ -286,7 +293,7 @@ impl MemoryPartition {
             tr.l2_access.sample(now, self.access_queue.len() as u64);
             tr.dram_sched.sample(now, self.dram.read_queue_len() as u64);
         }
-        self.intake(now, req_ej)?;
+        self.intake(now, req_xbar)?;
         if self.host_profile {
             let sw = gpumem_types::host_wall_clock();
             self.dram.tick(now)?;
@@ -301,7 +308,7 @@ impl MemoryPartition {
         self.serve_access_queue(now)?;
         self.drain_miss_pipeline(now)?;
         self.forward_misses_to_dram(now)?;
-        self.inject_responses(now, resp_in)
+        self.inject_responses(now, resp_xbar)
     }
 
     fn overflow(queue: &'static str, now: Cycle) -> SimError {
@@ -314,11 +321,11 @@ impl MemoryPartition {
 
     /// Moves one request per cycle from the crossbar ejection queue into
     /// the L2 access queue (stamping its arrival).
-    fn intake(&mut self, now: Cycle, req_ej: &mut EgressPort) -> Result<(), SimError> {
+    fn intake(&mut self, now: Cycle, req_xbar: &mut Crossbar) -> Result<(), SimError> {
         if self.access_queue.is_full() {
             return Ok(()); // ejection queue backs up → crossbar credits stall
         }
-        if let Some(mut pkt) = req_ej.pop_ejected() {
+        if let Some(mut pkt) = req_xbar.pop_ejected(self.id.index()) {
             pkt.fetch.timeline.l2_arrive = CycleStamp::at(now);
             if self.access_queue.push(self.locate(pkt.fetch)).is_err() {
                 return Err(Self::overflow("l2_access", now));
@@ -375,6 +382,7 @@ impl MemoryPartition {
             return Ok(());
         };
         self.stats.fills += 1;
+        self.mshr_refused = None;
         match self.tags[bank].fill(set, line, now) {
             ReplacementOutcome::Evicted(e) if e.dirty => {
                 // Writeback ids: top bit set, partition in bits 40..63.
@@ -496,6 +504,14 @@ impl MemoryPartition {
             self.stats.stall_bank_busy += 1;
             return Ok(());
         }
+        if self.mshr_refused == Some(line) {
+            debug_assert!(
+                self.tags[bank].probe(set, line).is_none() && !self.mshr.can_accept(line),
+                "an MSHR refusal stood after what it proved changed"
+            );
+            self.stats.stall_mshr += 1;
+            return Ok(());
+        }
 
         // A load hit needs somewhere to put its response. If the path to
         // the interconnect is clogged (and the bank pipeline already holds
@@ -534,11 +550,12 @@ impl MemoryPartition {
         }
 
         // Miss path: merge if outstanding, else allocate + fetch from DRAM.
+        if !self.mshr.can_accept(line) {
+            self.mshr_refused = Some(line);
+            self.stats.stall_mshr += 1;
+            return Ok(());
+        }
         if self.mshr.contains(line) {
-            if !self.mshr.can_accept(line) {
-                self.stats.stall_mshr += 1;
-                return Ok(());
-            }
             let Some(Located { mut fetch, .. }) = self.access_queue.pop() else {
                 return Ok(());
             };
@@ -553,10 +570,6 @@ impl MemoryPartition {
             }
             self.stats.merged_misses += 1;
             self.bank_next_accept[bank] = now.next();
-            return Ok(());
-        }
-        if !self.mshr.can_accept(line) {
-            self.stats.stall_mshr += 1;
             return Ok(());
         }
         let Some(Located {
@@ -633,14 +646,15 @@ impl MemoryPartition {
 
     /// Streams one response through the data port into this partition's
     /// input port on the response crossbar.
-    fn inject_responses(&mut self, now: Cycle, resp_in: &mut IngressPort) -> Result<(), SimError> {
+    fn inject_responses(&mut self, now: Cycle, resp_xbar: &mut Crossbar) -> Result<(), SimError> {
         if self.port_free_at > now {
             return Ok(());
         }
         let Some(head) = self.to_icnt.front() else {
             return Ok(());
         };
-        if !resp_in.can_inject() {
+        let port = self.id.index();
+        if !resp_xbar.can_inject(port) {
             return Ok(());
         }
         let Some(bytes) = head.response_bytes(self.line_bytes) else {
@@ -659,7 +673,7 @@ impl MemoryPartition {
         fetch.timeline.resp_inject = CycleStamp::at(now);
         let dest = fetch.core.index();
         let packet = Packet::new(fetch, dest, bytes, self.flit_bytes);
-        if resp_in.try_inject(packet).is_err() {
+        if resp_xbar.try_inject(port, packet).is_err() {
             return Err(SimError::PortProtocol {
                 component: COMPONENT,
                 cycle: now.raw(),

@@ -50,7 +50,7 @@ impl Rig {
         for _ in 0..budget {
             self.pump_outbox();
             self.part
-                .cycle(self.now, self.req.egress_mut(0), self.resp.ingress_mut(0))
+                .cycle(self.now, &mut self.req, &mut self.resp)
                 .unwrap();
             self.req.tick(self.now).unwrap();
             self.resp.tick(self.now).unwrap();
@@ -73,7 +73,7 @@ impl Rig {
         for _ in 0..budget {
             self.pump_outbox();
             self.part
-                .cycle(self.now, self.req.egress_mut(0), self.resp.ingress_mut(0))
+                .cycle(self.now, &mut self.req, &mut self.resp)
                 .unwrap();
             self.req.tick(self.now).unwrap();
             self.resp.tick(self.now).unwrap();

@@ -69,12 +69,18 @@ fn l2_fills_match_l2_misses() {
 #[test]
 fn dram_reads_match_l2_misses_and_writes_match_stores_plus_writebacks() {
     let cfg = small_gpu();
-    let report = run(&cfg, params_of("lbm").unwrap().scaled(0.1));
+    // `cfd` evicts dirty L2 lines on this machine; a workload that evicts
+    // none would compare 0 writes with 0 writebacks and prove nothing.
+    let report = run(&cfg, params_of("cfd").unwrap().scaled(0.1));
     let l2 = report.l2.expect("hierarchy mode");
     let dram = report.dram.expect("hierarchy mode");
     assert_eq!(dram.stats.reads, l2.stats.misses);
     // DRAM writes = store write-throughs that *missed* in L2 are reads
     // (write-allocate) — actual DRAM writes are only L2 writebacks.
+    assert!(
+        l2.stats.writebacks > 0,
+        "no dirty eviction: the write check is vacuous"
+    );
     assert_eq!(dram.stats.writes, l2.stats.writebacks);
 }
 

@@ -156,6 +156,44 @@ fn mshr_full_stretches_jump_and_match_stepping() {
     }
 }
 
+#[test]
+fn starved_machine_fires_every_port_mask_and_memo_and_matches_stepping() {
+    // Two cores behind single-entry crossbar buffers and a one-entry L2
+    // MSHR table: access heads sit refused by the MSHR table (the L2
+    // refusal memo), ejection queues fill (credit stalls, the ejecting
+    // mask going on and off every few cycles), and responses queue for a
+    // two-entry `l2_to_icnt` (sized by the access queue).
+    let mut cfg = small_gpu();
+    cfg.num_cores = 2;
+    cfg.l2.mshr_entries = 1;
+    cfg.l2.access_queue = 2;
+    cfg.noc.ejection_queue = 1;
+    cfg.noc.input_buffer_pkts = 1;
+    for name in ["cfd", "sc", "nw"] {
+        let p = params_of(name).unwrap().scaled(0.05);
+        let program: Arc<dyn KernelProgram> = Arc::new(SyntheticKernel::new(p));
+        let mode = MemoryMode::Hierarchy;
+        let reference = GpuSimulator::new(cfg.clone(), Arc::clone(&program), mode)
+            .run_stepped(DEFAULT_MAX_CYCLES)
+            .unwrap();
+        let report = GpuSimulator::new(cfg.clone(), program, mode)
+            .run(DEFAULT_MAX_CYCLES)
+            .unwrap();
+        let l2 = report.l2.as_ref().expect("hierarchy mode");
+        assert!(l2.stats.stall_mshr > 0, "{name}: no MSHR refusal");
+        let noc = report.noc.as_ref().expect("hierarchy mode");
+        assert!(
+            noc.request.credit_stall_cycles + noc.response.credit_stall_cycles > 0,
+            "{name}: no ejection backpressure"
+        );
+        assert_eq!(
+            canonical(report),
+            canonical(reference),
+            "{name}: skipping run diverged from per-cycle reference"
+        );
+    }
+}
+
 /// The midpoint of the first window `run()` would jump across: stepping
 /// from cycle 0, the first `now` whose `next_event()` lies at least two
 /// cycles ahead.
